@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race figures-smoke shards-golden fuzz bench bench-check cover check clean
+.PHONY: all build vet fmt-check test race figures-smoke fuzz bench bench-check cover loc check clean
 
 all: build
 
@@ -26,21 +26,14 @@ race:
 # figures-smoke runs the parallel figure-sweep determinism and golden
 # tests under the race detector at -j 8: a tiny grid, but it exercises
 # the worker pool, the shared shortest-path cache, the progress mux, and
-# the byte-identical-tables invariant end to end.
+# the byte-identical-tables invariant end to end. Every golden runs on
+# the one-shard flowctl plane; the shard-count sweep golden and the
+# flowctl conformance suite (ownership, digest staleness, epoch
+# failover, route rebinding) cover the partitioned shapes.
 figures-smoke:
 	$(GO) test -race -count=1 \
-		-run 'TestSweep|TestGolden|TestRunParallelFlagsMatchSequential' \
+		-run 'TestSweep|TestGolden|TestRunParallelFlagsMatchSequential|TestShardSweepWorkerInvariance|TestShardedRunCompletes' \
 		./internal/experiment ./cmd/mayflower-sim
-
-# shards-golden proves the sharded control plane is a byte-identical
-# drop-in at -shards 1: the Figure 4/6b/7/9 pipelines rerun through the
-# flowctl single-shard plane and must reproduce the committed golden
-# tables byte for byte, and the flowctl conformance suite (ownership,
-# digest staleness, epoch failover) runs at -race on top.
-shards-golden:
-	$(GO) test -race -count=1 \
-		-run 'TestGoldenShards1ByteIdentity|TestGoldenShardSweep|TestShardSweepWorkerInvariance|TestShardedRunCompletes' \
-		./internal/experiment
 	$(GO) test -race -count=1 ./internal/flowctl
 
 # cover runs the suite with coverage (-short: the timing-sensitive paced
@@ -77,6 +70,10 @@ bench-check:
 	$(GO) test -run '^$$' -bench '^BenchmarkSelect$$|^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$' \
 		-benchmem -timeout 0 ./internal/flowserver ./internal/flowctl ./internal/netsim ./internal/experiment ./internal/dataserver ./internal/rpc ./internal/client ./internal/nameserver \
 		| $(GO) run ./cmd/bench2json -compare BENCH_selection.json -max-regress 0.20
+
+# loc prints the number ROADMAP tracks: non-test Go lines outside bench/.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 check: build vet fmt-check race
 

@@ -36,3 +36,6 @@ fi
 
 echo '--- go test -race'
 go test -race -shuffle=on ./...
+
+echo '--- non-test Go lines outside bench/ (the number ROADMAP tracks)'
+find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l

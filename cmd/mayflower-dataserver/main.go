@@ -35,8 +35,7 @@ func run(args []string) error {
 		ctlAddr   = fs.String("listen-control", "127.0.0.1:0", "control RPC listen address")
 		dataAdr   = fs.String("listen-data", "127.0.0.1:0", "bulk data listen address")
 		nsAddr    = fs.String("nameserver", "127.0.0.1:7000", "nameserver RPC address")
-		fsrvAddr  = fs.String("flowserver", "", "flowserver RPC address for network-scheduled replication relays (optional; empty = static relay order)")
-		fdirAddr  = fs.String("flow-directory", "", "flow-directory RPC address for shard-routed relays (optional; -flowserver wins when both are set)")
+		fsrvAddr  = fs.String("flowserver", "", "flowserver address (the first shard's) for network-scheduled replication relays (optional; empty = static relay order)")
 		debugAddr = fs.String("debug-addr", "", "serve /debug/metrics (runtime gauges) on this address")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -54,15 +53,14 @@ func run(args []string) error {
 		obs.RegisterRuntimeMetrics(reg)
 	}
 	srv, err := dataserver.New(dataserver.Config{
-		ID:                *id,
-		Root:              *root,
-		Host:              *host,
-		Pod:               *pod,
-		Rack:              *rack,
-		FlowserverAddr:    *fsrvAddr,
-		FlowDirectoryAddr: *fdirAddr,
-		Logger:            log.Default(),
-		Metrics:           reg,
+		ID:             *id,
+		Root:           *root,
+		Host:           *host,
+		Pod:            *pod,
+		Rack:           *rack,
+		FlowserverAddr: *fsrvAddr,
+		Logger:         log.Default(),
+		Metrics:        reg,
 	})
 	if err != nil {
 		return err

@@ -5,14 +5,14 @@
 // selection RPC that clients (or any other distributed application — the
 // service is not tied to Mayflower, §5) call before starting a transfer.
 //
-// With -shards N (and -shard-id K) the process runs one shard of the
-// partitioned flowctl control plane instead of the monolithic server:
-// it serves selections for the pods the shard directory assigns it,
-// exchanges foreign commits and utilization digests with its peer
-// shards (-peers), and renews an epoch-numbered lease against the
-// directory (-directory-addr; one process, usually shard 0, also hosts
-// the directory via -directory-listen). Clients and dataservers resolve
-// pod ownership through the directory and re-route on epoch bumps.
+// The process is one shard of the flowctl control plane — by default the
+// only one, owning every pod. With -shards N (and -shard-id K) it serves
+// selections for the pods the shard directory assigns it and exchanges
+// foreign commits and utilization digests with its peer shards (-peers).
+// Shard 0 hosts the directory on its -listen port beside the selection
+// surface, and every shard renews an epoch-numbered lease against it:
+// -listen of shard 0 is the one control-plane address clients and
+// dataservers are given, and they re-route on epoch bumps.
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/flowctl"
-	"github.com/mayflower-dfs/mayflower/internal/flowserver"
 	"github.com/mayflower-dfs/mayflower/internal/obs"
 	"github.com/mayflower-dfs/mayflower/internal/rpc"
 	"github.com/mayflower-dfs/mayflower/internal/sdn"
@@ -60,25 +59,22 @@ func run(args []string) error {
 		acMbps    = fs.Float64("aggcore-mbps", 500, "aggregation-core link capacity (Mbps)")
 		debugAddr = fs.String("debug-addr", "", "serve /debug/metrics (selection/poll counters, runtime gauges) on this address")
 
-		shards    = fs.Int("shards", 1, "total flowctl shard count (1 runs the monolithic server)")
-		shardID   = fs.Int("shard-id", 0, "this process's shard index in [0, shards)")
-		peers     = fs.String("peers", "", "comma-separated selection RPC addresses of all shards, index-ordered (required when -shards > 1)")
-		dirListen = fs.String("directory-listen", "", "also host the shard directory on this address (one process per deployment)")
-		dirAddr   = fs.String("directory-addr", "", "shard directory to heartbeat against (defaults to -directory-listen)")
+		shards    = fs.Int("shards", 1, "total flowctl shard count")
+		shardID   = fs.Int("shard-id", 0, "this process's shard index in [0, shards); shard 0 hosts the shard directory")
+		peers     = fs.String("peers", "", "comma-separated addresses of all shards as clients dial them, index-ordered (required when -shards > 1; with one shard, set it when -listen is not dialable as written)")
 		heartbeat = fs.Duration("heartbeat", time.Second, "shard lease renewal interval; the lease TTL is 3x this")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
+	var addrs []string
+	if *peers != "" {
+		for _, a := range strings.Split(*peers, ",") {
+			addrs = append(addrs, strings.TrimSpace(a))
+		}
 	}
-	if *shardID < 0 || *shardID >= *shards {
-		return fmt.Errorf("-shard-id %d out of range for %d shards", *shardID, *shards)
-	}
-	sharded := *shards > 1 || *dirListen != "" || *dirAddr != ""
-	if sharded && *multi {
-		return fmt.Errorf("-multiread needs the monolithic server: §4.3 splitting is not partitioned")
+	if (*shards > 1 || addrs != nil) && len(addrs) != *shards {
+		return fmt.Errorf("-peers lists %d addresses for %d shards", len(addrs), *shards)
 	}
 
 	topo, err := topology.New(topology.Config{
@@ -106,66 +102,30 @@ func run(args []string) error {
 	start := time.Now()
 	now := func() float64 { return time.Since(start).Seconds() }
 
-	// The selection service is either the monolithic flowserver or one
-	// flowctl shard; both satisfy flowserver.Service and feed the same
-	// counter-poll loop.
-	var (
-		svc      flowserver.Service
-		sink     statsSink
-		pollTick func()
-		shard    *flowctl.Shard
-		pool     *rpc.Pool
-	)
-	if !sharded {
-		srv := flowserver.New(topo, flowserver.Options{
-			MultiReplica: *multi,
-			Now:          now,
-			Metrics:      reg,
-		})
-		svc, sink = srv, srv
-	} else {
-		pool = rpc.NewPool(rpc.Options{Metrics: reg, MetricsPrefix: "flowserver.rpc"})
-		defer pool.Close()
-		met := flowctl.NewMetrics()
-		met.Register(reg)
-		// The directory's initial layout: pod p belongs to shard p mod N
-		// under epoch 1. A shard boots with the same map and converges to
-		// the directory's via heartbeats.
-		owner := make([]int, *pods)
-		for p := range owner {
-			owner[p] = p % *shards
-		}
-		shard, err = flowctl.NewShard(topo, flowctl.ShardConfig{
-			Index:   *shardID,
-			Shards:  *shards,
-			Owner:   owner,
-			Epoch:   1,
-			Now:     now,
-			Metrics: met,
-		})
-		if err != nil {
-			return err
-		}
-		if *shards > 1 {
-			addrs := strings.Split(*peers, ",")
-			if len(addrs) != *shards {
-				return fmt.Errorf("-peers lists %d addresses for %d shards", len(addrs), *shards)
-			}
-			mkCtx := func() (context.Context, context.CancelFunc) {
-				return context.WithTimeout(context.Background(), 2*time.Second)
-			}
-			links := make([]flowctl.ShardLink, *shards)
-			for k, a := range addrs {
-				if k == *shardID {
-					continue
-				}
-				links[k] = flowctl.NewRPCShardLink(pool.Peer(strings.TrimSpace(a)), mkCtx)
-			}
-			shard.SetPeers(links)
-		}
-		svc, sink = shard, shard.Server()
-		pollTick = shard.RefreshDigests
+	pool := rpc.NewPool(rpc.Options{Metrics: reg, MetricsPrefix: "flowserver.rpc"})
+	defer pool.Close()
+	met := flowctl.NewMetrics()
+	met.Register(reg)
+	shard, err := flowctl.NewShard(topo, flowctl.ShardConfig{
+		Index:        *shardID,
+		Shards:       *shards,
+		MultiReplica: *multi,
+		Now:          now,
+		Metrics:      met,
+	})
+	if err != nil {
+		return err
 	}
+	mkCtx := func() (context.Context, context.CancelFunc) {
+		return context.WithTimeout(context.Background(), 2*time.Second)
+	}
+	links := make([]flowctl.ShardLink, *shards)
+	for k, a := range addrs {
+		if k != *shardID {
+			links[k] = flowctl.NewRPCShardLink(pool.Peer(a), mkCtx)
+		}
+	}
+	shard.SetPeers(links)
 
 	if *debugAddr != "" {
 		obs.RegisterRuntimeMetrics(reg)
@@ -177,30 +137,17 @@ func run(args []string) error {
 		log.Printf("flowserver: metrics on http://%s/debug/metrics", bound)
 	}
 
+	switches := flowctl.NewSwitches(topo, controller, *poll)
 	rpcSrv := wire.NewServer()
-	hooks := flowserver.Hooks{
-		OnAssign: func(a flowserver.Assignment) {
-			for _, l := range a.Path {
-				link := topo.Link(l)
-				if topo.Node(link.From).Kind == topology.KindHost {
-					continue
-				}
-				if err := controller.InstallFlow(uint64(link.From), uint64(a.FlowID), uint32(l)); err != nil {
-					log.Printf("install flow %d on switch %d: %v", a.FlowID, link.From, err)
-				}
-			}
-		},
-		OnFinish: func(id flowserver.FlowID) {
-			for _, dpid := range controller.Switches() {
-				_ = controller.RemoveFlow(dpid, uint64(id))
-			}
-		},
-	}
-	if err := flowserver.RegisterRPC(rpcSrv, svc, topo, hooks); err != nil {
+	if err := flowctl.RegisterShardRPC(rpcSrv, shard, switches.Hooks()); err != nil {
 		return err
 	}
-	if shard != nil {
-		if err := flowctl.RegisterShardRPC(rpcSrv, shard, now); err != nil {
+	if *shardID == 0 {
+		dir, err := flowctl.NewDirectory(*pods, *shards)
+		if err != nil {
+			return err
+		}
+		if err := flowctl.RegisterDirectoryRPC(rpcSrv, dir, now); err != nil {
 			return err
 		}
 	}
@@ -210,36 +157,23 @@ func run(args []string) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- rpcSrv.Serve(ln) }()
-	log.Printf("flowserver: RPC on %s, controller on %s, polling every %v", ln.Addr(), ofBound, *poll)
+	log.Printf("flowserver: shard %d/%d RPC on %s, controller on %s, polling every %v", *shardID, *shards, ln.Addr(), ofBound, *poll)
+
+	// The address this shard registers in the directory is the one
+	// callers will dial; the directory itself is at shard 0's.
+	selAddr := ln.Addr().String()
+	if addrs != nil {
+		selAddr = addrs[*shardID]
+	}
+	dirAddr := selAddr
+	if *shardID != 0 {
+		dirAddr = addrs[0]
+	}
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
-	go pollStats(controller, sink, topo, *poll, start, pollTick, stop, done)
-
-	// Directory: optionally hosted here, heartbeated against either way.
-	if *dirListen != "" {
-		dir, err := flowctl.NewDirectory(*pods, *shards)
-		if err != nil {
-			return err
-		}
-		dirSrv := wire.NewServer()
-		if err := flowctl.RegisterDirectoryRPC(dirSrv, dir, now); err != nil {
-			return err
-		}
-		dln, err := net.Listen("tcp", *dirListen)
-		if err != nil {
-			return err
-		}
-		go dirSrv.Serve(dln) //nolint:errcheck // Serve returns on Close
-		defer dirSrv.Close()
-		if *dirAddr == "" {
-			*dirAddr = dln.Addr().String()
-		}
-		log.Printf("flowserver: shard directory on %s", dln.Addr())
-	}
-	if sharded && *dirAddr != "" {
-		go heartbeatLoop(pool, *dirAddr, shard, *shardID, *pods, ln.Addr().String(), *heartbeat, stop)
-	}
+	go pollStats(shard, switches, *poll, now, stop, done)
+	go heartbeatLoop(pool, dirAddr, shard, *pods, selAddr, *heartbeat, stop)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -256,17 +190,13 @@ func run(args []string) error {
 	}
 }
 
-// statsSink is where polled flow counters land: the monolithic server
-// or a shard's embedded one.
-type statsSink interface {
-	UpdateFlowStats(now float64, stats []flowserver.FlowStat)
-}
-
-// heartbeatLoop renews this shard's directory lease. An epoch change in
-// the reply means ownership moved while this shard was (or appeared)
-// away — the pod→shard map is rebuilt with per-pod Lookups so the shard
-// starts honoring (or refusing) the pods the directory says it owns.
-func heartbeatLoop(pool *rpc.Pool, dirAddr string, shard *flowctl.Shard, shardID, pods int,
+// heartbeatLoop registers this shard with the directory at once (a
+// Lookup cannot name its address before that) and then renews the lease
+// every interval. An epoch change in the reply means ownership moved
+// while this shard was (or appeared) away — the pod→shard map is rebuilt
+// with per-pod Lookups so the shard starts honoring (or refusing) the
+// pods the directory says it owns.
+func heartbeatLoop(pool *rpc.Pool, dirAddr string, shard *flowctl.Shard, pods int,
 	selAddr string, interval time.Duration, stop <-chan struct{}) {
 
 	dc := flowctl.NewDirectoryClient(pool.Peer(dirAddr))
@@ -275,13 +205,8 @@ func heartbeatLoop(pool *rpc.Pool, dirAddr string, shard *flowctl.Shard, shardID
 	defer ticker.Stop()
 	var last int64
 	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), interval)
-		epoch, err := dc.Heartbeat(ctx, shardID, selAddr, ttl)
+		epoch, err := dc.Heartbeat(ctx, shard.Index(), selAddr, ttl)
 		if err == nil && epoch != last {
 			owner := make([]int, pods)
 			ok := true
@@ -299,14 +224,19 @@ func heartbeatLoop(pool *rpc.Pool, dirAddr string, shard *flowctl.Shard, shardID
 			}
 		}
 		cancel()
+		select {
+		case <-stop:
+			return
+		case <-ticker.C:
+		}
 	}
 }
 
 // pollStats periodically collects per-flow byte counters from the edge
-// switches and feeds them to the bandwidth model; in sharded mode each
-// poll also refreshes the peer digests (tick), which is what bounds
-// cross-shard staleness to the poll cadence.
-func pollStats(controller *sdn.Controller, sink statsSink, topo *topology.Topology, interval time.Duration, start time.Time, tick func(), stop <-chan struct{}, done chan<- struct{}) {
+// switches into the shard's bandwidth model and then refreshes the peer
+// digests, which is what bounds cross-shard staleness to the poll
+// cadence.
+func pollStats(shard *flowctl.Shard, switches *flowctl.Switches, interval time.Duration, now func() float64, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -316,28 +246,7 @@ func pollStats(controller *sdn.Controller, sink statsSink, topo *topology.Topolo
 			return
 		case <-ticker.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), interval)
-		byFlow := make(map[flowserver.FlowID]float64)
-		for _, edge := range topo.EdgeSwitches() {
-			stats, err := controller.FlowStats(ctx, uint64(edge))
-			if err != nil {
-				continue
-			}
-			for _, st := range stats {
-				id := flowserver.FlowID(st.FlowID)
-				if bits := float64(st.ByteCount) * 8; bits > byFlow[id] {
-					byFlow[id] = bits
-				}
-			}
-		}
-		cancel()
-		batch := make([]flowserver.FlowStat, 0, len(byFlow))
-		for id, bits := range byFlow {
-			batch = append(batch, flowserver.FlowStat{ID: id, TransferredBits: bits})
-		}
-		sink.UpdateFlowStats(time.Since(start).Seconds(), batch)
-		if tick != nil {
-			tick()
-		}
+		shard.Server().PollFrom(now(), switches)
+		shard.RefreshDigests()
 	}
 }

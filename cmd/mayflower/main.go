@@ -40,8 +40,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mayflower", flag.ContinueOnError)
 	var (
 		nsAddr  = fs.String("ns", "127.0.0.1:7000", "nameserver RPC address")
-		fsAddr  = fs.String("fs", "", "flowserver RPC address (optional)")
-		fdAddr  = fs.String("fd", "", "flow-directory RPC address for shard-routed selections (optional; -fs wins when both are set)")
+		fsAddr  = fs.String("fs", "", "flowserver address: the first shard's, which serves the shard directory (optional; needs -host)")
 		host    = fs.String("host", "", "topology host name of this client")
 		chunk   = fs.Int64("chunk", 0, "chunk size for new files (bytes, 0 = default)")
 		repl    = fs.Int("replication", 0, "replication factor for new files (0 = default)")
@@ -61,11 +60,10 @@ func run(args []string, out io.Writer) error {
 		mode = client.Strong
 	}
 	c, err := client.New(client.Options{
-		NameserverAddr:    *nsAddr,
-		FlowserverAddr:    *fsAddr,
-		FlowDirectoryAddr: *fdAddr,
-		Host:              *host,
-		Consistency:       mode,
+		NameserverAddr: *nsAddr,
+		FlowserverAddr: *fsAddr,
+		Host:           *host,
+		Consistency:    mode,
 	})
 	if err != nil {
 		return err

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 
+	"github.com/mayflower-dfs/mayflower/internal/flowctl"
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
 	"github.com/mayflower-dfs/mayflower/internal/netsim"
 	"github.com/mayflower-dfs/mayflower/internal/topology"
@@ -47,7 +48,10 @@ func run() error {
 	// Progressively congest the near replica's rack: other clients keep
 	// reading from it, eating the shared host uplink.
 	for load := 0; load <= 4; load++ {
-		probe := flowserver.New(topo, flowserver.Options{Now: sim.Now})
+		probe, err := flowctl.NewPlane(topo, flowctl.Options{Shards: 1, Now: sim.Now})
+		if err != nil {
+			return err
+		}
 		for i := 0; i < load; i++ {
 			// Each background reader sits in another rack of pod 0 and
 			// pulls a full block from the near replica.
@@ -58,7 +62,7 @@ func run() error {
 		}
 		// Eq. 2 cost of insisting on the nearest replica...
 		nearPath := topo.ShortestPaths(nearReplica, client)[0]
-		nearCost, nearBw := probe.PathCost(nearReplica, nearPath, readBits)
+		nearCost, nearBw := probe.Shard(0).Server().PathCost(nearReplica, nearPath, readBits)
 
 		// ...versus what joint replica-path selection chooses.
 		as, err := probe.SelectReplicaAndPath(flowserver.Request{

@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/client"
+	"github.com/mayflower-dfs/mayflower/internal/rpc"
 	"github.com/mayflower-dfs/mayflower/internal/testbed"
+	"github.com/mayflower-dfs/mayflower/internal/wire"
 )
 
 // flowserverFault runs the shared Flowserver-fault script: reads succeed
@@ -19,15 +21,22 @@ func flowserverFault(ctx context.Context, t *T, faultName string, mode ProxyMode
 	}
 	defer d.Close()
 
-	// The client reaches the Flowserver only through the fault proxy; a
+	// The client reaches the Flowserver — directory lookups and the shard
+	// they route it to are one endpoint — only through the fault proxy; a
 	// short Select deadline keeps the stall case snappy.
-	proxy, err := NewProxy(d.cluster.FlowserverAddr())
+	fsAddr := d.cluster.FlowserverAddr()
+	proxy, err := NewProxy(fsAddr)
 	if err != nil {
 		return err
 	}
 	defer proxy.Close()
 	cl, err := d.cluster.NewClient(d.hosts[0], func(o *client.Options) {
-		o.FlowserverAddr = proxy.Addr()
+		o.DialControl = func(ctx context.Context, addr string) (*wire.Client, error) {
+			if addr == fsAddr {
+				addr = proxy.Addr()
+			}
+			return rpc.DialSession(ctx, addr)
+		}
 		o.FlowserverTimeout = 250 * time.Millisecond
 		o.RetryBackoff = 10 * time.Millisecond
 	})

@@ -29,6 +29,7 @@ import (
 
 	"github.com/mayflower-dfs/mayflower/internal/dataserver"
 	"github.com/mayflower-dfs/mayflower/internal/fabric"
+	"github.com/mayflower-dfs/mayflower/internal/flowctl"
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
 	"github.com/mayflower-dfs/mayflower/internal/obs"
@@ -52,21 +53,20 @@ const (
 type Options struct {
 	// NameserverAddr is the nameserver's RPC address (required).
 	NameserverAddr string
-	// FlowserverAddr is the Flowserver's RPC address; when empty the
-	// client picks replicas uniformly at random (the degraded mode the
-	// paper compares against).
-	FlowserverAddr string
-	// FlowDirectoryAddr, when set (and FlowserverAddr is empty), routes
-	// selections through the sharded flowctl control plane: the client
-	// resolves the shard owning its pod against this directory service,
+	// FlowserverAddr is the flow control plane's address — the shard
+	// directory, served by the (first) mayflower-flowserver on its one
+	// listen port. The client resolves the shard owning its pod there,
 	// caches the route under the directory epoch for FlowRouteTTL, and
 	// rebinds whenever a Lookup returns a higher epoch — a failed-over
 	// shard must not keep serving new Selects from a stale cached peer.
 	// Requires Host to parse under Locate (the pod is the routing key).
-	FlowDirectoryAddr string
+	// When empty the client picks replicas uniformly at random (the
+	// degraded mode the paper compares against).
+	FlowserverAddr string
 	// FlowRouteTTL is how long a resolved shard route is reused before
-	// the directory is consulted again (5 s if zero). Select failures
-	// re-resolve immediately regardless.
+	// the directory is consulted again (flowctl.DefaultRouteTTL if zero),
+	// measured on Clock. Select failures re-resolve immediately
+	// regardless.
 	FlowRouteTTL time.Duration
 	// Host is the topology host name this client runs on, passed to the
 	// Flowserver for path selection.
@@ -195,8 +195,7 @@ type Client struct {
 	opts Options
 	pool *rpc.Pool // one shared session per control-plane address
 	ns   *nameserver.Client
-	fs   *flowserver.RPCClient
-	fr   *flowRouter // directory-routed Flowserver (sharded control plane)
+	fr   *flowctl.Router // nil: no Flowserver, degraded replica selection
 
 	cache *metaCache
 
@@ -296,22 +295,16 @@ func New(opts Options) (*Client, error) {
 		c.met.register(opts.Metrics)
 	}
 	if opts.FlowserverAddr != "" {
-		// The Flowserver is an optimizer, not a dependency: its peer dials
+		// The Flowserver is an optimizer, not a dependency: its peers dial
 		// lazily and every Select is bounded by FlowserverTimeout, so an
-		// unreachable Flowserver degrades reads to locality-order replica
-		// selection instead of failing them.
-		c.fs = flowserver.NewRPCClient(pool.Peer(opts.FlowserverAddr))
-	} else if opts.FlowDirectoryAddr != "" {
+		// unreachable control plane degrades reads to locality-order
+		// replica selection instead of failing them.
 		pod, _, ok := opts.Locate(opts.Host)
 		if !ok {
 			pool.Close()
-			return nil, fmt.Errorf("client: FlowDirectoryAddr routing needs a locatable Host, got %q", opts.Host)
+			return nil, fmt.Errorf("client: FlowserverAddr routing needs a locatable Host, got %q", opts.Host)
 		}
-		ttl := opts.FlowRouteTTL
-		if ttl == 0 {
-			ttl = 5 * time.Second
-		}
-		c.fr = newFlowRouter(opts.FlowDirectoryAddr, pod, ttl.Seconds(), opts.Clock, pool)
+		c.fr = flowctl.NewRouter(pool, opts.FlowserverAddr, pod, opts.FlowRouteTTL, opts.Clock)
 	}
 	return c, nil
 }
@@ -579,7 +572,7 @@ func (c *Client) readSegment(ctx context.Context, name string, info nameserver.F
 	if len(buf) == 0 {
 		return nil
 	}
-	if primaryOnly || (c.fs == nil && c.fr == nil) {
+	if primaryOnly || c.fr == nil {
 		cands := []nameserver.ReplicaLoc{info.Primary()}
 		if !primaryOnly {
 			c.met.readsDegraded.Inc()
@@ -680,6 +673,19 @@ func (c *Client) readSegment(ctx context.Context, name string, info nameserver.F
 	}
 	wg.Wait()
 	return errors.Join(errs...)
+}
+
+// flowSelect runs one Select against the shard owning this client's
+// pod (re-routed once through the directory on failure, see
+// flowctl.Router.Do) and returns the stub that answered, which the
+// flow's release must go back to.
+func (c *Client) flowSelect(ctx context.Context, args flowserver.SelectArgs) ([]flowserver.AssignmentDTO, *flowserver.RPCClient, error) {
+	var as []flowserver.AssignmentDTO
+	stub, err := c.fr.Do(ctx, func(fs *flowserver.RPCClient) (err error) {
+		as, err = fs.Select(ctx, args)
+		return err
+	})
+	return as, stub, err
 }
 
 func (c *Client) pick(n int) int {

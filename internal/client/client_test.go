@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/dataserver"
+	"github.com/mayflower-dfs/mayflower/internal/flowctl"
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
 	"github.com/mayflower-dfs/mayflower/internal/kvstore"
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
@@ -41,7 +43,7 @@ type assignCounter struct {
 
 // startCluster boots the deployment. dataserverHosts selects which
 // topology hosts run dataservers.
-func startCluster(t *testing.T, topoCfg topology.Config, dataserverHosts []topology.NodeID, fsOpts flowserver.Options) *testCluster {
+func startCluster(t *testing.T, topoCfg topology.Config, dataserverHosts []topology.NodeID, multiReplica bool) *testCluster {
 	t.Helper()
 	topo, err := topology.New(topoCfg)
 	if err != nil {
@@ -71,15 +73,27 @@ func startCluster(t *testing.T, topoCfg topology.Config, dataserverHosts []topol
 	t.Cleanup(func() { nsSrv.Close() })
 	tc.nsAddr = nsLn.Addr().String()
 
-	// Flowserver.
-	tc.fsSrv = flowserver.New(topo, fsOpts)
+	// Flow control plane: one shard, serving the selection surface and
+	// the shard directory on one address, as a default deployment does.
+	shard, err := flowctl.NewShard(topo, flowctl.ShardConfig{Shards: 1, MultiReplica: multiReplica})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.fsSrv = shard.Server()
 	fsWire := wire.NewServer()
 	hooks := flowserver.Hooks{OnAssign: func(a flowserver.Assignment) {
 		tc.assigns.mu.Lock()
 		tc.assigns.n++
 		tc.assigns.mu.Unlock()
 	}}
-	if err := flowserver.RegisterRPC(fsWire, tc.fsSrv, topo, hooks); err != nil {
+	if err := flowctl.RegisterShardRPC(fsWire, shard, hooks); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := flowctl.NewDirectory(topoCfg.Pods, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := flowctl.RegisterDirectoryRPC(fsWire, dir, func() float64 { return 0 }); err != nil {
 		t.Fatal(err)
 	}
 	fsLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -89,6 +103,9 @@ func startCluster(t *testing.T, topoCfg topology.Config, dataserverHosts []topol
 	go fsWire.Serve(fsLn)
 	t.Cleanup(func() { fsWire.Close() })
 	tc.fsAddr = fsLn.Addr().String()
+	if _, err := dir.Heartbeat(0, tc.fsAddr, 0, math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
 
 	// Dataservers.
 	for i, h := range dataserverHosts {
@@ -137,7 +154,7 @@ func defaultCluster(t *testing.T) *testCluster {
 	}
 	// Dataservers on six hosts; clients run on the remaining two.
 	hosts := topo.Hosts()
-	return startCluster(t, cfg, hosts[:6], flowserver.Options{})
+	return startCluster(t, cfg, hosts[:6], false)
 }
 
 func newClient(t *testing.T, tc *testCluster, host string, withFS bool, mode Consistency) *Client {
@@ -374,7 +391,7 @@ func TestMultiReplicaSplitRead(t *testing.T) {
 	dsHosts := []topology.NodeID{
 		topo.HostAt(1, 0, 0), topo.HostAt(2, 0, 0),
 	}
-	tc := startCluster(t, cfg, dsHosts, flowserver.Options{MultiReplica: true})
+	tc := startCluster(t, cfg, dsHosts, true)
 	c := newClient(t, tc, topo.Node(topo.HostAt(0, 0, 0)).Name, true, Sequential)
 	ctx := context.Background()
 

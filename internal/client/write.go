@@ -105,7 +105,7 @@ type writeFlow struct {
 // the Flowserver: the primary is the flow's receiver, this client the
 // sender. Errors degrade to an unscheduled write.
 func (c *Client) registerWriteFlow(ctx context.Context, primaryHost string, bits float64) writeFlow {
-	if (c.fs == nil && c.fr == nil) || c.opts.Host == "" {
+	if c.fr == nil {
 		c.met.writesDegraded.Inc()
 		return writeFlow{}
 	}

@@ -3,9 +3,11 @@ package dataserver
 import (
 	"bytes"
 	"context"
+	"math"
 	"net"
 	"testing"
 
+	"github.com/mayflower-dfs/mayflower/internal/flowctl"
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
 	"github.com/mayflower-dfs/mayflower/internal/rpc"
@@ -126,12 +128,24 @@ func TestPromotedPrimaryInheritsSeqDedupe(t *testing.T) {
 	}
 }
 
-// startFlowserver serves a Flowserver over RPC on an ephemeral port.
+// startFlowserver serves a one-shard flow control plane — selection
+// surface and shard directory on one ephemeral port, as a default
+// deployment does — and returns the shard's model for assertions.
 func startFlowserver(t *testing.T, topo *topology.Topology) (*flowserver.Server, string) {
 	t.Helper()
-	fs := flowserver.New(topo, flowserver.Options{})
+	shard, err := flowctl.NewShard(topo, flowctl.ShardConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := wire.NewServer()
-	if err := flowserver.RegisterRPC(srv, fs, topo, flowserver.Hooks{}); err != nil {
+	if err := flowctl.RegisterShardRPC(srv, shard, flowserver.Hooks{}); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := flowctl.NewDirectory(topo.Config().Pods, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := flowctl.RegisterDirectoryRPC(srv, dir, func() float64 { return 0 }); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -140,7 +154,10 @@ func startFlowserver(t *testing.T, topo *topology.Topology) (*flowserver.Server,
 	}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
-	return fs, ln.Addr().String()
+	if _, err := dir.Heartbeat(0, ln.Addr().String(), 0, math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	return shard.Server(), ln.Addr().String()
 }
 
 // startScheduledCluster is startCluster with the dataservers placed on

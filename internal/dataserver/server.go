@@ -13,6 +13,8 @@ import (
 	"sync"
 	"time"
 
+	"github.com/mayflower-dfs/mayflower/internal/fabric"
+	"github.com/mayflower-dfs/mayflower/internal/flowctl"
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
 	"github.com/mayflower-dfs/mayflower/internal/obs"
@@ -70,20 +72,17 @@ type Config struct {
 	// nameserver is configured).
 	HeartbeatInterval time.Duration
 	// FlowserverAddr, when set, makes this server (as a file's primary)
-	// ask the Flowserver to order its replication fan-out and register
-	// each relay hop as a scheduled flow. Empty keeps the static replica
-	// order with no flow registration.
-	FlowserverAddr string
-	// FlowDirectoryAddr, when set (and FlowserverAddr is not), routes
-	// relay planning through the flowctl shard directory: the server
+	// ask the flow control plane to order its replication fan-out and
+	// register each relay hop as a scheduled flow. It is the shard
+	// directory's address (see client.Options.FlowserverAddr): the server
 	// resolves the shard owning its own Pod and re-resolves when the
-	// directory epoch bumps (shard failover) or a call fails. Static
-	// FlowserverAddr wins when both are set.
-	FlowDirectoryAddr string
-	// FlowRouteTTL is how long a resolved shard route is reused before
-	// consulting the directory again (5 s if zero; negative re-resolves
-	// on every relay plan — useful in tests).
-	FlowRouteTTL time.Duration
+	// directory epoch bumps (shard failover) or a call fails. Empty keeps
+	// the static replica order with no flow registration.
+	FlowserverAddr string
+	// Clock is the time base of the shard route's reuse window; the wall
+	// clock if nil. The testbed injects its fabric clock, as it does for
+	// the client's leases.
+	Clock fabric.Clock
 	// ConnectTimeout bounds each control-plane TCP connect (nameserver,
 	// flowserver, replica peers); rpc.DefaultConnectTimeout if zero.
 	ConnectTimeout time.Duration
@@ -136,9 +135,8 @@ type Server struct {
 	cfg   Config
 	store *storage
 	ctl   *wire.Server
-	pool  *rpc.Pool // all outbound control sessions (ns, fs, peers)
-	fsc   *flowserver.RPCClient
-	fr    *dsFlowRouter // directory-routed alternative to fsc
+	pool  *rpc.Pool       // all outbound control sessions (ns, fs, peers)
+	fr    *flowctl.Router // nil: static relay order, no flow registration
 
 	mu        sync.Mutex
 	dataLn    net.Listener
@@ -182,9 +180,7 @@ func New(cfg Config) (*Server, error) {
 		beatStop:  make(chan struct{}),
 	}
 	if cfg.FlowserverAddr != "" {
-		s.fsc = flowserver.NewRPCClient(s.pool.Peer(cfg.FlowserverAddr))
-	} else if cfg.FlowDirectoryAddr != "" {
-		s.fr = newDSFlowRouter(cfg.FlowDirectoryAddr, cfg.Pod, cfg.FlowRouteTTL, s.pool)
+		s.fr = flowctl.NewRouter(s.pool, cfg.FlowserverAddr, cfg.Pod, 0, cfg.Clock)
 	}
 	if cfg.Metrics != nil {
 		s.met.register(cfg.Metrics, cfg.ID)
@@ -567,35 +563,30 @@ func (s *Server) planRelay(ctx context.Context, info nameserver.FileInfo, bits f
 	if len(rest) == 0 {
 		return rest, nil, nil
 	}
-	sctx, cancel := context.WithTimeout(ctx, flowserverRPCTimeout)
-	defer cancel()
-	fsc := s.flowStub(sctx)
-	if fsc == nil {
+	if s.fr == nil {
 		s.met.relayStatic.Inc()
 		return rest, nil, nil
 	}
+	sctx, cancel := context.WithTimeout(ctx, flowserverRPCTimeout)
+	defer cancel()
 	byHost := make(map[string]nameserver.ReplicaLoc, len(rest))
 	hosts := make([]string, len(rest))
 	for i, rep := range rest {
 		hosts[i] = rep.Host
 		byHost[rep.Host] = rep
 	}
-	args := flowserver.SelectWriteArgs{
-		SourceHost:  s.cfg.Host,
-		TargetHosts: hosts,
-		Bits:        bits,
-	}
-	as, err := fsc.SelectWrite(sctx, args)
-	if err != nil && s.fr != nil && sctx.Err() == nil {
-		// The cached shard may have been killed: drop the route,
-		// re-resolve (picking up a freshly promoted shard under a newer
-		// epoch), and retry once before degrading this append.
-		s.fr.invalidate()
-		if stub2, rerr := s.fr.stub(sctx); rerr == nil && stub2 != nil {
-			fsc = stub2
-			as, err = fsc.SelectWrite(sctx, args)
-		}
-	}
+	// A failed call may mean the cached shard was killed: Do re-resolves
+	// (picking up a freshly promoted shard under a newer epoch) and
+	// retries once before this append degrades.
+	var as []flowserver.AssignmentDTO
+	fsc, err := s.fr.Do(sctx, func(fs *flowserver.RPCClient) (err error) {
+		as, err = fs.SelectWrite(sctx, flowserver.SelectWriteArgs{
+			SourceHost:  s.cfg.Host,
+			TargetHosts: hosts,
+			Bits:        bits,
+		})
+		return err
+	})
 	if err != nil {
 		s.met.relayStatic.Inc()
 		return rest, nil, nil

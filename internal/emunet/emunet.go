@@ -348,7 +348,11 @@ func (p *pacedWriter) pace(bits float64) {
 }
 
 // credit adds transmitted bytes to the flow's and path's byte counters,
-// mirroring them into the attached CounterSink (the SDN switch agents).
+// mirroring them into the attached CounterSink (the SDN switch agents)
+// while the flow is registered. A writer still draining after
+// UnregisterFlow must not credit the sink: the control plane has already
+// retired the flow and removed its switch entries, and a late credit
+// would leave a per-flow counter nobody ever deletes.
 func (p *pacedWriter) credit(bytes int) {
 	bits := float64(bytes) * 8
 	f := p.flow
@@ -358,9 +362,10 @@ func (p *pacedWriter) credit(bytes int) {
 
 	p.net.mu.Lock()
 	defer p.net.mu.Unlock()
+	live := p.net.flows[f.id] == f
 	for _, l := range f.links {
 		p.net.linkBits[l] += bits
-		if p.net.sink != nil {
+		if p.net.sink != nil && live {
 			p.net.sink.CreditBytes(f.id, topology.LinkID(l), uint64(bytes))
 		}
 	}

@@ -277,6 +277,12 @@ func TestSwitchCountersCredited(t *testing.T) {
 	if _, err := w.Write(make([]byte, 64<<10)); err != nil {
 		t.Fatal(err)
 	}
+	// A writer still draining after the flow was retired credits nothing:
+	// the counter below must stay at the registered 64 KB.
+	n.UnregisterFlow(5)
+	if _, err := w.Write(make([]byte, 4<<10)); err != nil {
+		t.Fatal(err)
+	}
 	// The edge switch forwards the flow on its second link (edge→agg).
 	port, _ := uint32(path[1]), error(nil)
 	if got, _ := sw.HasFlow(5); got != 0 {

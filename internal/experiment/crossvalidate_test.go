@@ -3,6 +3,7 @@ package experiment
 import (
 	"math"
 	"testing"
+	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/topology"
 	"github.com/mayflower-dfs/mayflower/internal/workload"
@@ -61,6 +62,9 @@ func crossConfig(t *testing.T, scheme Scheme, backend BackendKind) Config {
 // aggregate behaviour matches; we allow the mean 35% relative + 80 ms
 // absolute slack, far tighter than the ≥2x between-scheme separations
 // the figures report.
+//
+// That slack covers timer slop, not a host that stops scheduling us: see
+// emunetRun.
 func TestCrossValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-validation moves real paced bytes; skipped in -short")
@@ -83,10 +87,7 @@ func TestCrossValidation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("netsim run: %v", err)
 			}
-			emuRes, err := Run(crossConfig(t, scheme, BackendEmunet))
-			if err != nil {
-				t.Fatalf("emunet run: %v", err)
-			}
+			emuRes := emunetRun(t, scheme)
 			if len(simRes.CompletionTimes) != len(emuRes.CompletionTimes) {
 				t.Fatalf("job counts differ: netsim %d, emunet %d",
 					len(simRes.CompletionTimes), len(emuRes.CompletionTimes))
@@ -95,12 +96,70 @@ func TestCrossValidation(t *testing.T) {
 			emuMean := emuRes.Summary.Mean
 			diff := math.Abs(simMean - emuMean)
 			tol := 0.35*simMean + 0.08
-			t.Logf("mean completion: netsim %.3fs, emunet %.3fs (diff %.3fs, tol %.3fs)",
-				simMean, emuMean, diff, tol)
+			t.Logf("mean completion: netsim %.3fs, emunet %.3fs (diff %.3fs, tol %.3fs); slowest job: netsim %.3fs, emunet %.3fs",
+				simMean, emuMean, diff, tol, simRes.Summary.Max, emuRes.Summary.Max)
 			if diff > tol {
 				t.Errorf("backends disagree: netsim mean %.3fs vs emunet mean %.3fs (tolerance %.3fs)",
 					simMean, emuMean, tol)
 			}
 		})
+	}
+}
+
+// maxHostStall is how late a runnable goroutine may be woken during an
+// emulated run before the run says nothing about emunet: 20 ms of wall
+// time is 80 ms on the 4x clock, the whole absolute slack of the
+// tolerance.
+const maxHostStall = 20 * time.Millisecond
+
+// emunetRun runs one scheme's trace on the emulator, again (up to three
+// attempts) when the host stalled under it. Completion times are measured
+// from each job's scheduled arrival, and every driver callback sleeps on
+// the OS timer, so a stretch in which the host (a noisy CI neighbour, a
+// paused VM) leaves the process unscheduled makes every job due in it —
+// jobs with a co-located replica and no flow at all included — late by
+// the length of the stall; measured here, the failing runs all had
+// wake-ups 50-80 ms late, against 1-4 ms otherwise, and three quarters
+// of their jobs slow, so no median or trimmed mean rescues them. The
+// stall is observed from outside the emulator, by a goroutine that only
+// sleeps, so a pacer that stalls on its own still fails the comparison
+// (and shows in the logged slowest job). A host that never holds still
+// skips the scheme: there is nothing to attribute a disagreement to.
+func emunetRun(t *testing.T, scheme Scheme) *Result {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		stop := make(chan struct{})
+		worst := make(chan time.Duration)
+		go func() {
+			var w time.Duration
+			for last := time.Now(); ; {
+				select {
+				case <-stop:
+					worst <- w
+					return
+				default:
+				}
+				time.Sleep(time.Millisecond)
+				now := time.Now()
+				if late := now.Sub(last) - time.Millisecond; late > w {
+					w = late
+				}
+				last = now
+			}
+		}()
+		res, err := Run(crossConfig(t, scheme, BackendEmunet))
+		close(stop)
+		stall := <-worst
+		if err != nil {
+			t.Fatalf("emunet run: %v", err)
+		}
+		if stall <= maxHostStall {
+			return res
+		}
+		t.Logf("attempt %d: host stalled %v under the emulated run (mean %.3fs, slowest job %.3fs); discarded",
+			attempt, stall, res.Summary.Mean, res.Summary.Max)
+		if attempt == 3 {
+			t.Skipf("host stalled under all %d emulated runs; backends not compared", attempt)
+		}
 	}
 }

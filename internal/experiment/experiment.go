@@ -133,14 +133,11 @@ type Config struct {
 	// MultiReplica enables §4.3 parallel multi-replica reads
 	// (Mayflower scheme only).
 	MultiReplica bool
-	// Shards selects the control-plane deployment for the schemes that
-	// run a Flowserver. 0 (the default, and the historical behaviour)
-	// runs the single in-process flowserver.Server directly. >= 1 runs
-	// the sharded flowctl plane: 1 is a single shard (byte-identical
-	// decisions to 0 — flowctl delegates verbatim, which the golden
-	// suite pins), and N >= 2 partitions the link model by pod across N
-	// shards with directory routing and gossiped utilization digests.
-	// Schemes without a Flowserver ignore the knob.
+	// Shards is how many flowctl shards the flow controller runs as, for
+	// the schemes that run one: 0 and 1 both mean a single shard that
+	// models the whole network exactly; N >= 2 partitions the link model
+	// by pod across N shards with directory routing and gossiped
+	// utilization digests. Schemes without a Flowserver ignore the knob.
 	Shards int
 	// WriteFraction is the fraction of jobs that are appends instead of
 	// reads (0 = the paper's read-only workload, leaving every read
@@ -249,8 +246,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("experiment: StatsInterval must be > 0, got %g", c.StatsInterval)
 	case c.Shards < 0:
 		return fmt.Errorf("experiment: Shards must be >= 0, got %d", c.Shards)
-	case c.Shards > 1 && c.MultiReplica:
-		return fmt.Errorf("experiment: multi-replica reads require a single controller (Shards <= 1)")
 	case c.WriteFraction < 0 || c.WriteFraction > 1:
 		return fmt.Errorf("experiment: WriteFraction must be in [0, 1], got %g", c.WriteFraction)
 	case c.MetaLeaseSeconds < 0:
@@ -423,9 +418,8 @@ type runner struct {
 	res  *Result
 
 	// Policy components; which are non-nil depends on the scheme. fs is
-	// the flow controller — a bare flowserver.Server (Config.Shards ==
-	// 0) or a flowctl.Plane (>= 1); both satisfy controlPlane.
-	fs      controlPlane
+	// the flow controller.
+	fs      *flowctl.Plane
 	nearest *selection.Nearest
 	hdfs    *selection.HDFSRackAware
 	sinbad  *selection.SinbadR
@@ -461,19 +455,6 @@ type runner struct {
 	polling bool
 }
 
-// controlPlane is the flow-controller surface the runner drives. Both
-// the bare flowserver.Server and the sharded flowctl.Plane satisfy it,
-// so the trace logic is identical under either deployment.
-type controlPlane interface {
-	SelectReplicaAndPath(flowserver.Request) ([]flowserver.Assignment, error)
-	SelectPath(client, replica topology.NodeID, bits float64) (flowserver.Assignment, error)
-	SelectWritePipeline(source topology.NodeID, targets []topology.NodeID, bits float64) ([]flowserver.Assignment, error)
-	FlowFinished(flowserver.FlowID)
-	EstimatedBW(flowserver.FlowID) (float64, bool)
-	PollFrom(now float64, src flowserver.StatsSource)
-	Counters() flowserver.StatsCounters
-}
-
 func (r *runner) setupPolicies() error {
 	cfg := r.cfg
 	usesFlowserver := false
@@ -482,29 +463,18 @@ func (r *runner) setupPolicies() error {
 		usesFlowserver = true
 	}
 	if usesFlowserver {
-		opts := flowserver.Options{
+		plane, err := flowctl.NewPlane(r.topo, flowctl.Options{
+			Shards:            max(1, cfg.Shards),
 			MultiReplica:      cfg.MultiReplica && cfg.Scheme == SchemeMayflower,
 			DisableImpactTerm: cfg.DisableImpactTerm,
 			DisableFreeze:     cfg.DisableFreeze,
 			Now:               r.fab.Now,
 			Metrics:           r.reg,
+		})
+		if err != nil {
+			return err
 		}
-		if cfg.Shards > 0 {
-			plane, err := flowctl.NewPlane(r.topo, flowctl.Options{
-				Shards:            cfg.Shards,
-				MultiReplica:      opts.MultiReplica,
-				DisableImpactTerm: opts.DisableImpactTerm,
-				DisableFreeze:     opts.DisableFreeze,
-				Now:               opts.Now,
-				Metrics:           r.reg,
-			})
-			if err != nil {
-				return err
-			}
-			r.fs = plane
-		} else {
-			r.fs = flowserver.New(r.topo, opts)
-		}
+		r.fs = plane
 		r.tracked = make(map[flowserver.FlowID]fabric.FlowID)
 		r.polling = true
 	}

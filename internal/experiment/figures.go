@@ -430,8 +430,8 @@ func WriteFractionSweep(base Config, fracs []float64) (*Series, error) {
 
 // ShardSweep measures selection quality as the flow controller is
 // partitioned: Mayflower's full workload re-run with the flowctl plane
-// at increasing shard counts (nil: 1, 2, 4). One shard reproduces the
-// single-controller decisions exactly; more shards trade global
+// at increasing shard counts (nil: 1, 2, 4). One shard is the exact
+// model every other figure runs on; more shards trade global
 // knowledge for partitioned state, with cross-pod selections scored
 // against gossiped per-link digests of bounded staleness instead of the
 // exact remote model. The figure is the cost of that staleness in

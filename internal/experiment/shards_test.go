@@ -2,15 +2,14 @@ package experiment
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
 // TestGoldenShardSweep pins the flowctl shard-count figure: Mayflower's
 // workload replayed with the control plane partitioned 1/2/4 ways. The
-// sharded rows quantify what bounded-staleness digests cost relative to
-// the exact single-controller model on the same trace.
+// multi-shard rows quantify what bounded-staleness digests cost relative
+// to the exact one-shard model on the same trace (the path every other
+// golden runs on).
 func TestGoldenShardSweep(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.Workers = 4
@@ -54,83 +53,6 @@ func TestShardSweepWorkerInvariance(t *testing.T) {
 	if !bytes.Equal(seq, par) {
 		t.Errorf("shard sweep differs across worker counts.\n--- workers=1\n%s--- workers=8\n%s", seq, par)
 	}
-}
-
-// requireGolden compares against an existing golden file and never
-// rewrites it — the byte-identity tests below assert equality with
-// tables owned by other tests, so -update must not route through here.
-func requireGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	want, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("Shards=1 output drifted from %s.\n--- want\n%s--- got\n%s", name, want, got)
-	}
-}
-
-// TestGoldenShards1ByteIdentity is the acceptance gate for the sharded
-// control plane: every golden figure regenerated with Config.Shards = 1
-// (the flowctl plane wrapping one shard) must reproduce the existing
-// golden bytes exactly. A single shard delegates verbatim — no digests,
-// no id striding, no directory hops on the decision path.
-func TestGoldenShards1ByteIdentity(t *testing.T) {
-	cfg := goldenConfig()
-	cfg.Workers = 4
-	cfg.Shards = 1
-
-	t.Run("figure4", func(t *testing.T) {
-		tbl, err := Figure4(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var txt, csv bytes.Buffer
-		if err := WriteNormalizedTable(&txt, tbl); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteNormalizedCSV(&csv, tbl); err != nil {
-			t.Fatal(err)
-		}
-		requireGolden(t, "figure4.golden", txt.Bytes())
-		requireGolden(t, "figure4.csv.golden", csv.Bytes())
-	})
-
-	t.Run("figure6b", func(t *testing.T) {
-		sw, err := lambdaSweep(cfg, "figure 6(b) reduced: mean completion vs λ", []float64{0.06, 0.09})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var txt bytes.Buffer
-		if err := WriteSweep(&txt, sw, "lambda"); err != nil {
-			t.Fatal(err)
-		}
-		requireGolden(t, "figure6b.golden", txt.Bytes())
-	})
-
-	t.Run("figure7", func(t *testing.T) {
-		sw, err := Figure7(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var txt bytes.Buffer
-		if err := WriteSweep(&txt, sw, "oversub"); err != nil {
-			t.Fatal(err)
-		}
-		requireGolden(t, "figure7.golden", txt.Bytes())
-	})
-
-	t.Run("figure9", func(t *testing.T) {
-		sw, err := WriteFractionSweep(cfg, []float64{0.25, 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var txt bytes.Buffer
-		if err := WriteSweep(&txt, sw, "write-frac"); err != nil {
-			t.Fatal(err)
-		}
-		requireGolden(t, "figure9.golden", txt.Bytes())
-	})
 }
 
 // TestShardedRunCompletes smoke-tests a sharded cell end to end and

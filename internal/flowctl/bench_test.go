@@ -10,11 +10,11 @@ import (
 
 // BenchmarkSelectSharded measures one read selection against a plane
 // already holding ~1k live flows, at 1, 2 and 4 shards. The 1-shard
-// case is pure delegation to the monolithic server (the baseline); at
-// N >= 2 the measured work adds pod routing, digest scoring of the
-// remote sub-path, and the foreign commit to the owning shard (direct
-// in-process links here, so the delta is the partitioning machinery
-// itself, not wire latency).
+// case is the path every default deployment takes: every candidate
+// wholly owned, scored exactly, committed without a split. At N >= 2 the
+// measured work adds digest scoring of the remote sub-path and the
+// foreign commit to the owning shard (direct in-process links here, so
+// the delta is the partitioning machinery itself, not wire latency).
 func BenchmarkSelectSharded(b *testing.B) {
 	for _, bc := range []struct {
 		name   string

@@ -22,10 +22,11 @@ import (
 // reassignment deterministic and the move count minimal.
 //
 // The deployed form serves this state over RPC (see rpc.go) from the
-// shard-0 process; replicating the directory itself via paxos is future
-// work recorded in DESIGN.md §15 — its state is a few dozen bytes and
-// rebuilds from shard heartbeats, so a restart loses only routing
-// freshness, never correctness.
+// shard-0 process, beside that shard's selection surface; replicating
+// the directory itself via paxos is future work recorded in DESIGN.md
+// §15 — its state is a few dozen bytes and rebuilds from shard
+// heartbeats, so a restart loses only routing freshness, never
+// correctness.
 type Directory struct {
 	mu     sync.Mutex
 	owner  []int // pod → shard
@@ -46,14 +47,11 @@ func NewDirectory(pods, shards int) (*Directory, error) {
 		return nil, fmt.Errorf("flowctl: %d shards for %d pods; at most one shard per pod", shards, pods)
 	}
 	d := &Directory{
-		owner:  make([]int, pods),
+		owner:  initialOwners(pods, shards),
 		alive:  make([]bool, shards),
 		addr:   make([]string, shards),
 		expiry: make([]float64, shards),
 		epoch:  1,
-	}
-	for p := range d.owner {
-		d.owner[p] = p % shards
 	}
 	for s := range d.alive {
 		d.alive[s] = true
@@ -61,12 +59,6 @@ func NewDirectory(pods, shards int) (*Directory, error) {
 	}
 	return d, nil
 }
-
-// Pods returns the number of pods the directory routes.
-func (d *Directory) Pods() int { return len(d.owner) }
-
-// Shards returns the number of shard slots.
-func (d *Directory) Shards() int { return len(d.alive) }
 
 // Epoch returns the current lease epoch.
 func (d *Directory) Epoch() int64 {

@@ -1,7 +1,10 @@
-// Package flowctl shards the Flowserver by pod: a partitioned control
-// plane in which each shard owns the links, switch counters, and
+// Package flowctl is the flow control plane: the Flowserver run as one
+// or more shards, each owning the links, switch counters, and
 // committed-flow table for the pods the directory assigns it, reusing
-// flowserver's Eq. 2 / max-min machinery per shard.
+// flowserver's Eq. 2 / max-min machinery per shard. One shard owning
+// every pod — the default everywhere — is the paper's single logical
+// controller, the degenerate case of this design rather than a second
+// system: the same code with nothing remote to consult.
 //
 // The partition exploits a structural property of the three-tier
 // topology: every directed link touches exactly one pod-resident node
@@ -25,9 +28,9 @@
 // selection quality, never model integrity.
 //
 // A small directory maps pods to shards under an epoch-numbered lease:
-// every ownership change bumps the epoch, and clients cache (shard,
-// epoch) routes they must revalidate on epoch change (see
-// internal/client). When a shard dies — missed heartbeats in the
+// every ownership change bumps the epoch, and clients and dataservers
+// cache (shard, epoch) routes they must revalidate on epoch change (see
+// Router). When a shard dies — missed heartbeats in the
 // deployed form, an explicit kill in tests — the directory promotes its
 // pods to the next live shard and bumps the epoch; the promoted shard
 // adopts the links with an empty model that repopulates from counter
@@ -36,18 +39,20 @@
 package flowctl
 
 import (
+	"github.com/mayflower-dfs/mayflower/internal/flowserver"
 	"github.com/mayflower-dfs/mayflower/internal/obs"
 	"github.com/mayflower-dfs/mayflower/internal/topology"
 )
 
-// Metrics is the sharded control plane's instrumentation: selection
-// routing (pod-local vs cross-shard), foreign-commit traffic, digest
-// freshness, and failovers. Counters are atomic words touched directly;
-// a registry (when attached) publishes them under "flowctl." names.
+// Metrics is the control plane's instrumentation. The selection, poll
+// and freeze counters are the embedded Flowserver set, shared by every
+// shard of one process and published once under "flowserver." names
+// whatever the shard count; the fields here are what only a plane has:
+// selection routing (pod-local vs cross-shard), foreign-commit traffic,
+// digest freshness, and failovers, published under "flowctl." names.
 type Metrics struct {
-	Selections         obs.Counter
-	WriteSelections    obs.Counter
-	Candidates         obs.Counter
+	Flowserver *flowserver.Metrics
+
 	PodLocal           obs.Counter
 	CrossShard         obs.Counter
 	RemoteCommits      obs.Counter
@@ -61,17 +66,15 @@ type Metrics struct {
 	epoch *obs.Gauge
 }
 
-// NewMetrics creates an unregistered metrics set (the histogram must
+// NewMetrics creates an unregistered metrics set (the histograms must
 // exist even without a registry).
 func NewMetrics() *Metrics {
-	return &Metrics{DigestAge: obs.NewHistogram(1e-6, 10)}
+	return &Metrics{Flowserver: flowserver.NewMetrics(), DigestAge: obs.NewHistogram(1e-6, 10)}
 }
 
-// Register publishes the metrics into r under "flowctl." names.
+// Register publishes the metrics into r.
 func (m *Metrics) Register(r *obs.Registry) {
-	r.RegisterCounter("flowctl.selections", &m.Selections)
-	r.RegisterCounter("flowctl.write_selections", &m.WriteSelections)
-	r.RegisterCounter("flowctl.candidates_evaluated", &m.Candidates)
+	m.Flowserver.Register(r)
 	r.RegisterCounter("flowctl.pod_local_selections", &m.PodLocal)
 	r.RegisterCounter("flowctl.cross_shard_selections", &m.CrossShard)
 	r.RegisterCounter("flowctl.remote_commits", &m.RemoteCommits)
@@ -82,7 +85,8 @@ func (m *Metrics) Register(r *obs.Registry) {
 	m.epoch = r.Gauge("flowctl.epoch")
 }
 
-// setEpoch mirrors the directory epoch into the registry when attached.
+// setEpoch mirrors the ownership epoch a shard runs under into the
+// registry when attached.
 func (m *Metrics) setEpoch(e int64) {
 	if m.epoch != nil {
 		m.epoch.Set(e)

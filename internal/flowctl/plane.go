@@ -13,41 +13,27 @@ import (
 type Options struct {
 	// Shards is the number of controller shards (>= 1).
 	Shards int
-	// MultiReplica enables §4.3 split reads. Single-shard only: the
-	// split's trial-commit/rollback would have to snapshot two shards
-	// atomically, so NewPlane rejects it with Shards > 1.
-	MultiReplica bool
-	// DisableImpactTerm / DisableFreeze / Now / MaxPollSkew pass
-	// through to every shard's embedded flowserver.
+	// MultiReplica / DisableImpactTerm / DisableFreeze / Now pass
+	// through to every shard (see ShardConfig).
+	MultiReplica      bool
 	DisableImpactTerm bool
 	DisableFreeze     bool
 	Now               func() float64
-	MaxPollSkew       float64
-	// Metrics receives instrumentation. With one shard the embedded
-	// flowserver registers its full legacy "flowserver." surface; with
-	// more, the plane registers the "flowctl." surface instead (the
-	// per-shard flowserver counters would collide by name and are
-	// aggregated through Counters()).
+	// Metrics, when set, publishes the plane's instrumentation (see
+	// Metrics.Register).
 	Metrics *obs.Registry
 }
 
-// Plane is the in-process sharded control plane: N shards over one
-// topology, wired to each other with direct calls, plus the directory.
-// It exposes the same selection surface as a single flowserver.Server,
-// so the experiment driver runs against either interchangeably.
-//
-// With Shards == 1 every method delegates verbatim to one embedded
-// flowserver.Server — no id translation, no digests, no directory hops
-// — which is how the figure goldens stay byte-identical through the
-// plane (the CI golden job pins this).
+// Plane is the in-process control plane: N shards over one topology,
+// wired to each other with direct calls, plus the directory. It is what
+// the experiment driver runs selections against; the deployed form is
+// the same shards behind RPC endpoints (see rpc.go).
 //
 // All coordination state is deterministic: selections are a pure
 // function of the call sequence, digests refresh in shard-index order
 // on every PollFrom, and flow ids are arithmetic in (shard, sequence).
 type Plane struct {
 	topo   *topology.Topology
-	opts   Options
-	single *flowserver.Server // non-nil iff Shards == 1
 	dir    *Directory
 	shards []*Shard
 	met    *Metrics
@@ -67,14 +53,14 @@ func (l planeLink) CommitForeign(id flowserver.FlowID, links topology.Path, bits
 	if l.p.isKilled(l.target) {
 		return 0, fmt.Errorf("flowctl: shard %d is down", l.target)
 	}
-	return l.p.shards[l.target].CommitForeignLocal(id, links, bits, capBw), nil
+	return l.p.shards[l.target].srv.CommitForeign(id, links, bits, capBw), nil
 }
 
 func (l planeLink) FinishForeign(id flowserver.FlowID) error {
 	if l.p.isKilled(l.target) {
 		return fmt.Errorf("flowctl: shard %d is down", l.target)
 	}
-	l.p.shards[l.target].FinishLocal(id)
+	l.p.shards[l.target].srv.FlowFinished(id)
 	return nil
 }
 
@@ -82,51 +68,30 @@ func (l planeLink) Digest() (*Digest, error) {
 	if l.p.isKilled(l.target) {
 		return nil, fmt.Errorf("flowctl: shard %d is down", l.target)
 	}
-	return l.p.shards[l.target].BuildDigest(l.p.now()), nil
+	s := l.p.shards[l.target]
+	return s.BuildDigest(s.clock()), nil
 }
 
 // NewPlane builds the control plane. Shards must be in [1, pods].
 func NewPlane(topo *topology.Topology, opts Options) (*Plane, error) {
-	if opts.Shards < 1 {
-		return nil, fmt.Errorf("flowctl: need at least 1 shard, got %d", opts.Shards)
-	}
-	if opts.MultiReplica && opts.Shards > 1 {
-		return nil, fmt.Errorf("flowctl: multi-replica reads require a single shard")
-	}
-	p := &Plane{topo: topo, opts: opts, met: NewMetrics()}
-	if opts.Shards == 1 {
-		p.single = flowserver.New(topo, flowserver.Options{
-			MultiReplica:      opts.MultiReplica,
-			DisableImpactTerm: opts.DisableImpactTerm,
-			DisableFreeze:     opts.DisableFreeze,
-			Now:               opts.Now,
-			MaxPollSkew:       opts.MaxPollSkew,
-			Metrics:           opts.Metrics,
-		})
-		return p, nil
-	}
 	dir, err := NewDirectory(topo.Config().Pods, opts.Shards)
 	if err != nil {
 		return nil, err
 	}
-	p.dir = dir
+	p := &Plane{topo: topo, dir: dir, met: NewMetrics()}
 	if opts.Metrics != nil {
 		p.met.Register(opts.Metrics)
 	}
-	p.met.setEpoch(dir.Epoch())
-	owner, epoch := dir.Owners()
 	p.shards = make([]*Shard, opts.Shards)
 	p.killed = make([]bool, opts.Shards)
 	for k := range p.shards {
 		s, err := NewShard(topo, ShardConfig{
 			Index:             k,
 			Shards:            opts.Shards,
-			Owner:             owner,
-			Epoch:             epoch,
+			MultiReplica:      opts.MultiReplica,
 			DisableImpactTerm: opts.DisableImpactTerm,
 			DisableFreeze:     opts.DisableFreeze,
 			Now:               opts.Now,
-			MaxPollSkew:       opts.MaxPollSkew,
 			Metrics:           p.met,
 		})
 		if err != nil {
@@ -146,33 +111,15 @@ func NewPlane(topo *topology.Topology, opts Options) (*Plane, error) {
 	return p, nil
 }
 
-// NumShards returns the configured shard count.
-func (p *Plane) NumShards() int {
-	if p.single != nil {
-		return 1
-	}
-	return len(p.shards)
-}
-
-// Directory exposes the plane's directory (nil with one shard).
+// Directory exposes the plane's directory.
 func (p *Plane) Directory() *Directory { return p.dir }
 
-// Shard returns shard k (nil with one shard).
+// Shard returns shard k (nil when out of range).
 func (p *Plane) Shard(k int) *Shard {
-	if p.single != nil || k < 0 || k >= len(p.shards) {
+	if k < 0 || k >= len(p.shards) {
 		return nil
 	}
 	return p.shards[k]
-}
-
-// Single returns the embedded server in single-shard mode, else nil.
-func (p *Plane) Single() *flowserver.Server { return p.single }
-
-func (p *Plane) now() float64 {
-	if p.opts.Now != nil {
-		return p.opts.Now()
-	}
-	return 0
 }
 
 func (p *Plane) isKilled(k int) bool {
@@ -195,22 +142,16 @@ func (p *Plane) coordinatorFor(host topology.NodeID) (*Shard, error) {
 // SelectReplicaAndPath routes the read selection to the shard owning
 // the client's pod.
 func (p *Plane) SelectReplicaAndPath(req flowserver.Request) ([]flowserver.Assignment, error) {
-	if p.single != nil {
-		return p.single.SelectReplicaAndPath(req)
-	}
 	s, err := p.coordinatorFor(req.Client)
 	if err != nil {
 		return nil, err
 	}
-	return s.Select(req)
+	return s.SelectReplicaAndPath(req)
 }
 
 // SelectPath routes the path-only selection to the shard owning the
 // client's pod.
 func (p *Plane) SelectPath(client, replica topology.NodeID, bits float64) (flowserver.Assignment, error) {
-	if p.single != nil {
-		return p.single.SelectPath(client, replica, bits)
-	}
 	s, err := p.coordinatorFor(client)
 	if err != nil {
 		return flowserver.Assignment{}, err
@@ -221,14 +162,11 @@ func (p *Plane) SelectPath(client, replica topology.NodeID, bits float64) (flows
 // SelectWritePipeline routes the replication fan-out to the shard
 // owning the source's pod.
 func (p *Plane) SelectWritePipeline(source topology.NodeID, targets []topology.NodeID, bits float64) ([]flowserver.Assignment, error) {
-	if p.single != nil {
-		return p.single.SelectWritePipeline(source, targets, bits)
-	}
 	s, err := p.coordinatorFor(source)
 	if err != nil {
 		return nil, err
 	}
-	return s.SelectWrite(source, targets, bits)
+	return s.SelectWritePipeline(source, targets, bits)
 }
 
 // coordinatorOf recovers the coordinating shard from a flow id: shard k
@@ -246,18 +184,11 @@ func (p *Plane) coordinatorOf(id flowserver.FlowID) *Shard {
 // id arithmetic, so it works even for flows whose coordinator has been
 // killed (the in-process state survives; only new work is refused).
 func (p *Plane) FlowFinished(id flowserver.FlowID) {
-	if p.single != nil {
-		p.single.FlowFinished(id)
-		return
-	}
-	p.coordinatorOf(id).Finished(id)
+	p.coordinatorOf(id).FlowFinished(id)
 }
 
 // EstimatedBW returns the coordinator's bandwidth estimate for a flow.
 func (p *Plane) EstimatedBW(id flowserver.FlowID) (float64, bool) {
-	if p.single != nil {
-		return p.single.EstimatedBW(id)
-	}
 	return p.coordinatorOf(id).Server().EstimatedBW(id)
 }
 
@@ -267,16 +198,14 @@ func (p *Plane) EstimatedBW(id flowserver.FlowID) (float64, bool) {
 // gossips on the same tick; the in-process plane hands every shard the
 // full batch and lets the model's flow tables pick out their own rows.
 func (p *Plane) PollFrom(now float64, src flowserver.StatsSource) {
-	if p.single != nil {
-		p.single.PollFrom(now, src)
-		return
-	}
 	batch := src.FlowStats()
 	for k, s := range p.shards {
-		if p.isKilled(k) {
-			continue
+		if !p.isKilled(k) {
+			s.Server().UpdateFlowStats(now, batch)
 		}
-		s.Server().UpdateFlowStats(now, batch)
+	}
+	if len(p.shards) == 1 {
+		return // a lone shard has nobody to gossip with
 	}
 	ds := make([]*Digest, len(p.shards))
 	for k, s := range p.shards {
@@ -291,37 +220,13 @@ func (p *Plane) PollFrom(now float64, src flowserver.StatsSource) {
 	}
 }
 
-// Counters aggregates the model counters across shards, with the
-// plane-level selection counters (selections are coordinated above the
-// embedded servers, which only see commits) folded in.
-func (p *Plane) Counters() flowserver.StatsCounters {
-	if p.single != nil {
-		return p.single.Counters()
-	}
-	var out flowserver.StatsCounters
-	for _, s := range p.shards {
-		c := s.Server().Counters()
-		out.FreezeHits += c.FreezeHits
-		out.FreezeExpirations += c.FreezeExpirations
-		out.Polls += c.Polls
-		out.PollSamples += c.PollSamples
-		out.PollDropsDT += c.PollDropsDT
-		out.PollDropsRegress += c.PollDropsRegress
-		out.PollDropsSkewFuture += c.PollDropsSkewFuture
-		out.PollDropsSkewPast += c.PollDropsSkewPast
-	}
-	out.Selections = p.met.Selections.Value()
-	out.WriteSelections = p.met.WriteSelections.Value()
-	out.CandidatesEvaluated = p.met.Candidates.Value()
-	return out
-}
+// Counters snapshots the selection, poll and freeze counters, which
+// every shard of the plane counts into one shared set.
+func (p *Plane) Counters() flowserver.StatsCounters { return p.met.Flowserver.Counters() }
 
 // NumFlows returns the number of registered flow entries across shards
 // (a cross-shard flow counts once per shard holding a sub-path).
 func (p *Plane) NumFlows() int {
-	if p.single != nil {
-		return p.single.NumFlows()
-	}
 	n := 0
 	for _, s := range p.shards {
 		n += s.Server().NumFlows()
@@ -335,7 +240,7 @@ func (p *Plane) NumFlows() int {
 // the successor, whose model for the adopted links starts empty and
 // repopulates from counter polls.
 func (p *Plane) KillShard(k int) error {
-	if p.single != nil {
+	if len(p.shards) == 1 {
 		return fmt.Errorf("flowctl: cannot kill the only shard")
 	}
 	if k < 0 || k >= len(p.shards) {
@@ -356,7 +261,6 @@ func (p *Plane) KillShard(k int) error {
 		}
 	}
 	p.met.Failovers.Inc()
-	p.met.setEpoch(epoch)
 	return nil
 }
 

@@ -30,17 +30,6 @@ type statsBatch []flowserver.FlowStat
 
 func (b statsBatch) FlowStats() []flowserver.FlowStat { return b }
 
-// controlPlane is the surface shared by flowserver.Server and Plane,
-// letting the conformance driver run the same op stream against both.
-type controlPlane interface {
-	SelectReplicaAndPath(flowserver.Request) ([]flowserver.Assignment, error)
-	SelectPath(client, replica topology.NodeID, bits float64) (flowserver.Assignment, error)
-	SelectWritePipeline(source topology.NodeID, targets []topology.NodeID, bits float64) ([]flowserver.Assignment, error)
-	FlowFinished(flowserver.FlowID)
-	PollFrom(now float64, src flowserver.StatsSource)
-	EstimatedBW(flowserver.FlowID) (float64, bool)
-}
-
 // op is one step of a deterministic conformance workload.
 type op struct {
 	kind      int // 0 read, 1 write, 2 finish, 3 poll
@@ -95,11 +84,11 @@ func genOps(seed int64, topo *topology.Topology, n int, podLocal bool) []op {
 	return ops
 }
 
-// applyOps drives one op stream against a control plane, returning one
+// applyOps drives one op stream against a plane, returning one
 // comparison record per select call. withIDs includes flow ids (for
-// byte-identity of the single-shard delegation); without, records
-// compare across shard counts, whose id sequences legitimately differ.
-func applyOps(t *testing.T, cp controlPlane, clock *fakeClock, ops []op, withIDs bool) []string {
+// run-to-run identity); without, records compare across shard counts,
+// whose id sequences legitimately differ.
+func applyOps(t *testing.T, cp *Plane, clock *fakeClock, ops []op, withIDs bool) []string {
 	t.Helper()
 	type job struct {
 		ids      []flowserver.FlowID
@@ -166,34 +155,6 @@ func applyOps(t *testing.T, cp controlPlane, clock *fakeClock, ops []op, withIDs
 		}
 	}
 	return out
-}
-
-// TestSingleShardDelegatesByteIdentical pins the Plane's Shards == 1
-// contract: every call delegates verbatim to one flowserver.Server, so
-// the full op stream — ids included — matches a bare server exactly.
-func TestSingleShardDelegatesByteIdentical(t *testing.T) {
-	topo := testTopo(t)
-	ops := genOps(11, topo, 600, false)
-
-	clockA := &fakeClock{}
-	srv := flowserver.New(topo, flowserver.Options{MultiReplica: true, Now: clockA.Now})
-	got := applyOps(t, srv, clockA, ops, true)
-
-	clockB := &fakeClock{}
-	plane, err := NewPlane(topo, Options{Shards: 1, MultiReplica: true, Now: clockB.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := applyOps(t, plane, clockB, ops, true)
-
-	if !reflect.DeepEqual(got, want) {
-		for i := range got {
-			if i < len(want) && got[i] != want[i] {
-				t.Fatalf("first divergence at record %d:\nserver: %s\nplane:  %s", i, got[i], want[i])
-			}
-		}
-		t.Fatalf("record counts differ: server %d, plane %d", len(got), len(want))
-	}
 }
 
 // TestPodLocalShardInvariance pins the partition's core guarantee: a

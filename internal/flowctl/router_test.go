@@ -1,0 +1,192 @@
+package flowctl
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/mayflower-dfs/mayflower/internal/flowserver"
+	"github.com/mayflower-dfs/mayflower/internal/rpc"
+	"github.com/mayflower-dfs/mayflower/internal/wire"
+)
+
+// Sleep completes fakeClock as a fabric.Clock; the router never sleeps.
+func (c *fakeClock) Sleep(float64) {}
+
+// serveWire serves one method on a loopback wire server and returns its
+// address.
+func serveWire(t *testing.T, method string, h func(context.Context, json.RawMessage) (any, error)) string {
+	t.Helper()
+	srv := wire.NewServer()
+	if err := srv.Register(method, h); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln) //nolint:errcheck // Serve returns on Close
+	t.Cleanup(func() { srv.Close() })
+	return ln.Addr().String()
+}
+
+// markedShard serves fs.Select returning a fixed marker, so a test can
+// tell which shard a Select landed on. A failing shard errors instead.
+func markedShard(t *testing.T, marker string, fail bool) string {
+	return serveWire(t, flowserver.MethodSelect, func(context.Context, json.RawMessage) (any, error) {
+		if fail {
+			return nil, errors.New("shard is down")
+		}
+		return []flowserver.AssignmentDTO{{ReplicaHost: marker}}, nil
+	})
+}
+
+// scriptedDirectory serves fd.Lookup from whatever answer the test last
+// set, counting the lookups.
+type scriptedDirectory struct {
+	mu      sync.Mutex
+	reply   LookupReply
+	err     error
+	lookups int
+}
+
+func (d *scriptedDirectory) set(reply LookupReply, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.reply, d.err = reply, err
+}
+
+func (d *scriptedDirectory) count() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.lookups
+}
+
+func (d *scriptedDirectory) serve(t *testing.T) string {
+	return serveWire(t, MethodLookup, func(context.Context, json.RawMessage) (any, error) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		d.lookups++
+		return d.reply, d.err
+	})
+}
+
+// TestRouterRebinding is the directory re-routing contract both the
+// client's Select path and the dataserver's relay planning rely on:
+// which shard the next selection lands on after each directory answer.
+// Every case starts bound to shard A under epoch 2 and lets the route
+// TTL lapse on the fake clock before the next resolution.
+func TestRouterRebinding(t *testing.T) {
+	addrA := markedShard(t, "A", false)
+	addrB := markedShard(t, "B", false)
+	cases := []struct {
+		name  string
+		reply LookupReply
+		err   error
+		want  string
+	}{
+		// Ownership moved under a new epoch. Shard A keeps running — the
+		// stale peer stays perfectly reachable, which is exactly the
+		// hazard: it must not serve another Select.
+		{"epoch bump rebinds", LookupReply{Shard: 1, Addr: addrB, Epoch: 3}, nil, "B"},
+		{"stale lower epoch keeps the newer binding", LookupReply{Shard: 1, Addr: addrB, Epoch: 1}, nil, "A"},
+		{"same epoch, new address: the shard re-registered", LookupReply{Shard: 0, Addr: addrB, Epoch: 2}, nil, "B"},
+		{"same epoch, same address", LookupReply{Shard: 0, Addr: addrA, Epoch: 2}, nil, "A"},
+		{"lookup failure keeps the cached route", LookupReply{}, errors.New("directory is down"), "A"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := &scriptedDirectory{}
+			dir.set(LookupReply{Shard: 0, Addr: addrA, Epoch: 2}, nil)
+			pool := rpc.NewPool(rpc.Options{})
+			defer pool.Close()
+			clock := &fakeClock{}
+			r := NewRouter(pool, dir.serve(t), 1, 10*time.Second, clock)
+			ctx := context.Background()
+			selectVia := func() string {
+				t.Helper()
+				stub, err := r.stub(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				as, err := stub.Select(ctx, flowserver.SelectArgs{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return as[0].ReplicaHost
+			}
+			if got := selectVia(); got != "A" {
+				t.Fatalf("first Select landed on %q, want A", got)
+			}
+
+			// Inside the TTL the route is reused without a directory round
+			// trip, whatever the directory would now say.
+			dir.set(tc.reply, tc.err)
+			clock.t = 9
+			if got := selectVia(); got != "A" || dir.count() != 1 {
+				t.Fatalf("within the TTL: Select on %q after %d lookups, want A after 1", got, dir.count())
+			}
+			clock.t = 11
+			if got := selectVia(); got != tc.want || dir.count() != 2 {
+				t.Fatalf("after the TTL: Select on %q after %d lookups, want %s after 2", got, dir.count(), tc.want)
+			}
+		})
+	}
+}
+
+// TestRouterNoRoute: with nothing cached a lookup failure is an error —
+// the caller's cue to run degraded.
+func TestRouterNoRoute(t *testing.T) {
+	dir := &scriptedDirectory{}
+	dir.set(LookupReply{}, errors.New("directory is down"))
+	pool := rpc.NewPool(rpc.Options{})
+	defer pool.Close()
+	r := NewRouter(pool, dir.serve(t), 0, 0, &fakeClock{})
+	if _, err := r.stub(context.Background()); err == nil {
+		t.Fatal("resolved a route with nothing cached and no directory")
+	}
+}
+
+// TestRouterDoRetriesOnce: a selection that fails against the cached
+// shard drops the route, re-resolves inside the TTL, and lands on the
+// promoted shard; when that fails too the error reaches the caller after
+// exactly one retry.
+func TestRouterDoRetriesOnce(t *testing.T) {
+	dead := markedShard(t, "dead", true)
+	live := markedShard(t, "live", false)
+	dir := &scriptedDirectory{}
+	dir.set(LookupReply{Shard: 1, Addr: dead, Epoch: 1}, nil)
+	pool := rpc.NewPool(rpc.Options{})
+	defer pool.Close()
+	r := NewRouter(pool, dir.serve(t), 1, time.Hour, &fakeClock{})
+	ctx := context.Background()
+	if _, err := r.stub(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	calls := 0
+	sel := func(fs *flowserver.RPCClient) error {
+		calls++
+		_, err := fs.Select(ctx, flowserver.SelectArgs{})
+		return err
+	}
+	dir.set(LookupReply{Shard: 0, Addr: live, Epoch: 2}, nil)
+	stub, err := r.Do(ctx, sel)
+	if err != nil || calls != 2 {
+		t.Fatalf("Do = %v after %d calls, want success on the second", err, calls)
+	}
+	if as, err := stub.Select(ctx, flowserver.SelectArgs{}); err != nil || as[0].ReplicaHost != "live" {
+		t.Fatalf("Do returned a stub for %v (%v), want the promoted shard", as, err)
+	}
+
+	dir.set(LookupReply{Shard: 1, Addr: dead, Epoch: 3}, nil)
+	r.invalidate()
+	calls = 0
+	if _, err := r.Do(ctx, sel); err == nil || calls != 2 {
+		t.Fatalf("Do = %v after %d calls, want the shard's error after 2", err, calls)
+	}
+}

@@ -11,12 +11,13 @@ import (
 	"github.com/mayflower-dfs/mayflower/internal/wire"
 )
 
-// The deployed control plane splits into two wire services. The
-// directory (fd.*) is the tiny replicated map clients, dataservers and
-// shards resolve pod ownership against; shards renew epoch-numbered
-// leases on it and callers cache its answers keyed by epoch. The
-// shard-to-shard channel (ctl.*) carries foreign commits, finishes and
-// digest pulls between shard processes — the RPC form of ShardLink.
+// Beside the fs.* selection surface a shard endpoint serves two more
+// wire services. The directory (fd.*), hosted by shard 0, is the tiny
+// map clients, dataservers and shards resolve pod ownership against;
+// shards renew epoch-numbered leases on it and callers cache its
+// answers keyed by epoch (see Router). The shard-to-shard channel
+// (ctl.*) carries foreign commits, finishes and digest pulls between
+// shard processes — the RPC form of ShardLink.
 const (
 	MethodLookup    = "fd.Lookup"
 	MethodHeartbeat = "fd.Heartbeat"
@@ -146,17 +147,20 @@ func pathFromWire(links []int32) topology.Path {
 	return out
 }
 
-// RegisterShardRPC serves one shard's ctl.* channel (foreign commits,
-// finishes, digest pulls) plus the standard fs.* selection surface for
-// the pods it owns (via flowserver.RegisterRPC — the Shard satisfies
-// flowserver.Service through the aliases below).
-func RegisterShardRPC(srv *wire.Server, s *Shard, now func() float64) error {
+// RegisterShardRPC serves one shard on a wire server: the fs.*
+// selection surface for the pods it owns (flowserver.RegisterRPC, with
+// the deployment's assignment hooks) and the ctl.* channel its peers
+// push foreign commits and finishes to and pull digests from.
+func RegisterShardRPC(srv *wire.Server, s *Shard, hooks flowserver.Hooks) error {
+	if err := flowserver.RegisterRPC(srv, s, s.topo, hooks); err != nil {
+		return err
+	}
 	commit := func(_ context.Context, params json.RawMessage) (any, error) {
 		var a CommitForeignArgs
 		if err := json.Unmarshal(params, &a); err != nil {
 			return nil, err
 		}
-		bw := s.CommitForeignLocal(a.FlowID, pathFromWire(a.Links), a.Bits, a.CapBw)
+		bw := s.srv.CommitForeign(a.FlowID, pathFromWire(a.Links), a.Bits, a.CapBw)
 		return CommitForeignReply{EstimatedBw: bw}, nil
 	}
 	finish := func(_ context.Context, params json.RawMessage) (any, error) {
@@ -164,11 +168,11 @@ func RegisterShardRPC(srv *wire.Server, s *Shard, now func() float64) error {
 		if err := json.Unmarshal(params, &a); err != nil {
 			return nil, err
 		}
-		s.FinishLocal(a.FlowID)
+		s.srv.FlowFinished(a.FlowID)
 		return struct{}{}, nil
 	}
 	digest := func(_ context.Context, _ json.RawMessage) (any, error) {
-		return s.BuildDigest(now()), nil
+		return s.BuildDigest(s.clock()), nil
 	}
 	if err := srv.Register(MethodCommitForeign, commit); err != nil {
 		return err
@@ -227,22 +231,4 @@ func (l *RPCShardLink) Digest() (*Digest, error) {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// flowserver.Service aliases: a Shard serves the same fs.* RPC surface
-// as a standalone Flowserver for requesters in the pods it owns.
-
-// SelectReplicaAndPath implements flowserver.Service.
-func (s *Shard) SelectReplicaAndPath(req flowserver.Request) ([]flowserver.Assignment, error) {
-	return s.Select(req)
-}
-
-// SelectWritePipeline implements flowserver.Service.
-func (s *Shard) SelectWritePipeline(source topology.NodeID, targets []topology.NodeID, bits float64) ([]flowserver.Assignment, error) {
-	return s.SelectWrite(source, targets, bits)
-}
-
-// FlowFinished implements flowserver.Service.
-func (s *Shard) FlowFinished(id flowserver.FlowID) {
-	s.Finished(id)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
 	"github.com/mayflower-dfs/mayflower/internal/topology"
@@ -25,15 +26,17 @@ type ShardLink interface {
 	Digest() (*Digest, error)
 }
 
-// Shard is one partition of the sharded Flowserver: a full
+// Shard is the flow controller every deployment runs: a full
 // flowserver.Server scoped (by commit discipline, not by construction)
 // to the links of the pods this shard owns, plus the coordinator logic
-// for selections whose requester lives in one of those pods.
+// for selections whose requester lives in one of those pods. A one-shard
+// plane is the degenerate case — it owns every pod, every path is
+// wholly local, and no digest or peer is ever consulted.
 //
 // Locking: selMu serializes coordinator work (a selection must evaluate
-// and commit atomically against this shard's model). The serve-side
-// methods remote shards call — CommitForeignLocal, FinishLocal,
-// BuildDigest — deliberately do NOT take selMu: shard A's coordinator
+// and commit atomically against this shard's model). What remote shards
+// call — the embedded Server's CommitForeign and FlowFinished, and
+// BuildDigest — deliberately does NOT take selMu: shard A's coordinator
 // may be committing into shard B while B's coordinator commits into A,
 // and the embedded Server's own lock already makes each call atomic.
 type Shard struct {
@@ -45,6 +48,7 @@ type Shard struct {
 	linkPod  []int
 	now      func() float64
 	met      *Metrics
+	multi    bool // §4.3 split reads; one-shard only
 
 	// ownMu guards the directory-driven ownership view.
 	ownMu sync.RWMutex
@@ -70,19 +74,29 @@ type ShardConfig struct {
 	Index int
 	// Shards is the total shard count (the flow-id stride).
 	Shards int
-	// Owner is the initial pod→shard map and Epoch its lease epoch,
-	// both from the directory.
-	Owner []int
-	Epoch int64
-	// DisableImpactTerm / DisableFreeze / Now / MaxPollSkew pass
-	// through to the embedded flowserver (see flowserver.Options).
+	// MultiReplica enables §4.3 split reads. One-shard only: the split's
+	// trial-commit/rollback would have to snapshot two shards atomically,
+	// so NewShard rejects it with Shards > 1.
+	MultiReplica bool
+	// DisableImpactTerm / DisableFreeze / Now pass through to the
+	// embedded flowserver (see flowserver.Options).
 	DisableImpactTerm bool
 	DisableFreeze     bool
 	Now               func() float64
-	MaxPollSkew       float64
-	// Metrics receives the shard's flowctl instrumentation; a fresh
-	// unregistered set when nil.
+	// Metrics receives the shard's instrumentation; a fresh unregistered
+	// set when nil. Shards of one process share a set.
 	Metrics *Metrics
+}
+
+// initialOwners is the layout every directory and shard boots with: pod
+// p belongs to shard p mod shards (under epoch 1). Ownership only moves
+// from there through directory failovers (SetOwners).
+func initialOwners(pods, shards int) []int {
+	owner := make([]int, pods)
+	for p := range owner {
+		owner[p] = p % shards
+	}
+	return owner
 }
 
 // NewShard creates one shard over the full topology. The embedded
@@ -92,8 +106,11 @@ func NewShard(topo *topology.Topology, cfg ShardConfig) (*Shard, error) {
 	if cfg.Shards < 1 || cfg.Index < 0 || cfg.Index >= cfg.Shards {
 		return nil, fmt.Errorf("flowctl: shard index %d out of range for %d shards", cfg.Index, cfg.Shards)
 	}
-	if len(cfg.Owner) != topo.Config().Pods {
-		return nil, fmt.Errorf("flowctl: owner map covers %d pods, topology has %d", len(cfg.Owner), topo.Config().Pods)
+	if pods := topo.Config().Pods; pods < cfg.Shards {
+		return nil, fmt.Errorf("flowctl: %d shards for %d pods; at most one shard per pod", cfg.Shards, pods)
+	}
+	if cfg.MultiReplica && cfg.Shards > 1 {
+		return nil, fmt.Errorf("flowctl: multi-replica reads require a single shard")
 	}
 	met := cfg.Metrics
 	if met == nil {
@@ -111,8 +128,9 @@ func NewShard(topo *topology.Topology, cfg ShardConfig) (*Shard, error) {
 		linkPod:  LinkPods(topo),
 		now:      cfg.Now,
 		met:      met,
-		owner:    append([]int(nil), cfg.Owner...),
-		epoch:    cfg.Epoch,
+		multi:    cfg.MultiReplica,
+		owner:    initialOwners(topo.Config().Pods, cfg.Shards),
+		epoch:    1,
 		peers:    make([]ShardLink, cfg.Shards),
 		remote:   make([]*Digest, cfg.Shards),
 		view:     make([]LinkLoad, topo.NumLinks()),
@@ -120,14 +138,24 @@ func NewShard(topo *topology.Topology, cfg ShardConfig) (*Shard, error) {
 		coordinated: make(map[flowserver.FlowID][]int),
 	}
 	s.srv = flowserver.New(topo, flowserver.Options{
+		MultiReplica:      cfg.MultiReplica,
 		DisableImpactTerm: cfg.DisableImpactTerm,
 		DisableFreeze:     cfg.DisableFreeze,
 		Now:               cfg.Now,
-		MaxPollSkew:       cfg.MaxPollSkew,
+		Metrics:           met.Flowserver,
 		IDBase:            int64(cfg.Index + 1),
 		IDStride:          int64(cfg.Shards),
 	})
+	met.setEpoch(s.epoch)
 	return s, nil
+}
+
+// clock reads the injected model clock (0 without one).
+func (s *Shard) clock() float64 {
+	if s.now != nil {
+		return s.now()
+	}
+	return 0
 }
 
 // Index returns this shard's slot.
@@ -154,6 +182,7 @@ func (s *Shard) SetOwners(owner []int, epoch int64) {
 	}
 	s.owner = append([]int(nil), owner...)
 	s.epoch = epoch
+	s.met.setEpoch(epoch)
 }
 
 // OwnsPod reports whether this shard currently owns the pod.
@@ -161,13 +190,6 @@ func (s *Shard) OwnsPod(pod int) bool {
 	s.ownMu.RLock()
 	defer s.ownMu.RUnlock()
 	return pod >= 0 && pod < len(s.owner) && s.owner[pod] == s.idx
-}
-
-// ownerOf returns the shard owning a link's pod.
-func (s *Shard) ownerOf(link topology.LinkID) int {
-	s.ownMu.RLock()
-	defer s.ownMu.RUnlock()
-	return s.owner[s.linkPod[link]]
 }
 
 // candidate is one scored replica/path option of a sharded selection.
@@ -189,17 +211,17 @@ type shardCandidate struct {
 func (s *Shard) evalSharded(path topology.Path, bits float64) shardCandidate {
 	local := s.localLinks[:0]
 	remoteCap := math.Inf(1)
-	cross := false
+	s.ownMu.RLock()
 	for _, lid := range path {
-		if s.ownerOf(lid) == s.idx {
+		if s.owner[s.linkPod[lid]] == s.idx {
 			local = append(local, lid)
 			continue
 		}
-		cross = true
 		if est := ShareEstimate(s.capacity[lid], s.view[lid]); est < remoteCap {
 			remoteCap = est
 		}
 	}
+	s.ownMu.RUnlock()
 	s.localLinks = local
 	var cost, bw float64
 	if len(local) > 0 {
@@ -212,7 +234,7 @@ func (s *Shard) evalSharded(path topology.Path, bits float64) shardCandidate {
 			cost = math.Inf(1)
 		}
 	}
-	return shardCandidate{path: path, cost: cost, bw: bw, cap: remoteCap, cross: cross}
+	return shardCandidate{path: path, cost: cost, bw: bw, cap: remoteCap, cross: len(local) < len(path)}
 }
 
 // commitSharded registers the winning candidate: the owned sub-path
@@ -223,11 +245,22 @@ func (s *Shard) evalSharded(path topology.Path, bits float64) shardCandidate {
 // until its counters do — the same blindness background traffic
 // already inflicts. Caller must hold selMu.
 func (s *Shard) commitSharded(c shardCandidate, bits float64) flowserver.Assignment {
+	if !c.cross {
+		// Wholly owned — every path of a one-shard plane: the candidate's
+		// own path is the commit, with no split to build and no peer to
+		// tell.
+		s.met.PodLocal.Inc()
+		a := s.srv.CommitPath(c.path, bits, c.cap)
+		a.Replica = c.replica
+		return a
+	}
+	s.met.CrossShard.Inc()
 	local := make(topology.Path, 0, len(c.path))
 	remoteLinks := make(map[int]topology.Path)
 	var remoteOrder []int
+	s.ownMu.RLock()
 	for _, lid := range c.path {
-		g := s.ownerOf(lid)
+		g := s.owner[s.linkPod[lid]]
 		if g == s.idx {
 			local = append(local, lid)
 			continue
@@ -237,12 +270,8 @@ func (s *Shard) commitSharded(c shardCandidate, bits float64) flowserver.Assignm
 		}
 		remoteLinks[g] = append(remoteLinks[g], lid)
 	}
+	s.ownMu.RUnlock()
 	a := s.srv.CommitPath(local, bits, c.cap)
-	if c.cross {
-		s.met.CrossShard.Inc()
-	} else {
-		s.met.PodLocal.Inc()
-	}
 	var committed []int
 	for _, g := range remoteOrder {
 		if d := s.remote[g]; d != nil && s.now != nil {
@@ -263,50 +292,62 @@ func (s *Shard) commitSharded(c shardCandidate, bits float64) flowserver.Assignm
 	if len(committed) > 0 {
 		s.coordinated[a.FlowID] = committed
 	}
+	a.Replica, a.Path = c.replica, c.path
+	return a
+}
+
+// localAssignment is the zero-network-cost answer for a replica or
+// target co-located with the requester: an id for the caller's
+// bookkeeping, no model entry.
+func (s *Shard) localAssignment(host topology.NodeID, bits float64) flowserver.Assignment {
 	return flowserver.Assignment{
-		FlowID:      a.FlowID,
-		Replica:     c.replica,
-		Path:        c.path,
+		FlowID:      s.srv.AllocFlowID(),
+		Replica:     host,
 		Bits:        bits,
-		EstimatedBw: a.EstimatedBw,
+		EstimatedBw: math.Inf(1),
 	}
 }
 
-// Select is the sharded SelectReplicaAndPath: joint replica and path
-// selection coordinated by this shard (which must own the client's
-// pod). Multi-replica splits are a single-shard-only optimization —
-// their rollback would have to snapshot two shards atomically — so the
-// sharded path always returns one assignment.
-func (s *Shard) Select(req flowserver.Request) ([]flowserver.Assignment, error) {
+// SelectReplicaAndPath is joint replica and path selection coordinated
+// by this shard (which must own the client's pod).
+func (s *Shard) SelectReplicaAndPath(req flowserver.Request) ([]flowserver.Assignment, error) {
+	if s.multi {
+		// §4.3 splits trial-commit and roll back against one model, so
+		// they run in the embedded server — which, NewShard guarantees,
+		// models the whole network here. The one place the shard count
+		// bears on a decision.
+		s.selMu.Lock()
+		defer s.selMu.Unlock()
+		return s.srv.SelectReplicaAndPath(req)
+	}
+	return s.selectOne(req)
+}
+
+// selectOne picks the minimum-cost (replica, path) candidate and commits
+// it as one flow.
+func (s *Shard) selectOne(req flowserver.Request) ([]flowserver.Assignment, error) {
 	if len(req.Replicas) == 0 {
 		return nil, flowserver.ErrNoReplicas
 	}
 	if req.Bits < 0 {
 		return nil, fmt.Errorf("flowctl: negative read size %g", req.Bits)
 	}
+	start := time.Now()
 	s.selMu.Lock()
 	defer s.selMu.Unlock()
-	s.met.Selections.Inc()
+	s.met.Flowserver.Selections.Inc()
+	defer func() { s.met.Flowserver.SelectSeconds.Observe(time.Since(start).Seconds()) }()
 
 	// A co-located replica costs nothing; every policy prefers it.
 	for _, r := range req.Replicas {
 		if r == req.Client {
-			return []flowserver.Assignment{{
-				FlowID:      s.srv.AllocFlowID(),
-				Replica:     r,
-				Bits:        req.Bits,
-				EstimatedBw: math.Inf(1),
-			}}, nil
+			return []flowserver.Assignment{s.localAssignment(r, req.Bits)}, nil
 		}
 	}
-
 	var best shardCandidate
 	found := false
 	evaluated := int64(0)
 	for _, rep := range req.Replicas {
-		if rep == req.Client {
-			continue
-		}
 		for _, path := range s.topo.ShortestPaths(rep, req.Client) {
 			c := s.evalSharded(path, req.Bits)
 			c.replica = rep
@@ -317,37 +358,49 @@ func (s *Shard) Select(req flowserver.Request) ([]flowserver.Assignment, error) 
 			}
 		}
 	}
-	s.met.Candidates.Add(evaluated)
+	s.met.Flowserver.Candidates.Add(evaluated)
 	if !found {
 		return nil, fmt.Errorf("flowctl: no path from any replica to client %d", req.Client)
 	}
 	return []flowserver.Assignment{s.commitSharded(best, req.Bits)}, nil
 }
 
-// SelectPath is the path-only scheduler for a pre-chosen replica.
+// SelectPath is the path-only scheduler for a pre-chosen replica; it
+// never splits.
 func (s *Shard) SelectPath(client, replica topology.NodeID, bits float64) (flowserver.Assignment, error) {
-	as, err := s.Select(flowserver.Request{Client: client, Replicas: []topology.NodeID{replica}, Bits: bits})
+	as, err := s.selectOne(flowserver.Request{Client: client, Replicas: []topology.NodeID{replica}, Bits: bits})
 	if err != nil {
 		return flowserver.Assignment{}, err
 	}
 	return as[0], nil
 }
 
-// SelectWrite is the sharded SelectWritePipeline: greedy cheapest-first
-// ordering of the replication fan-out from source, each round scored
-// with evalSharded so later hops see both the local model and the
-// digest view the earlier hops updated locally.
-func (s *Shard) SelectWrite(source topology.NodeID, targets []topology.NodeID, bits float64) ([]flowserver.Assignment, error) {
+// SelectWritePipeline schedules a replication fan-out: one flow of the
+// given size from source to each target, ordered cheapest-first by
+// repeated Eq. 2 evaluation. Each round scores every shortest path from
+// the source to every remaining target with evalSharded, commits the
+// minimum-cost one, and re-evaluates the rest against the updated model
+// — so later hops see the bandwidth the earlier hops already claimed.
+// This extends the read-side co-design of Pseudocode 1 to replication
+// traffic (§3.3's "collaboratively with the Flowserver" direction): the
+// primary learns both which replica to stream to first and which path
+// each hop takes.
+//
+// Assignments are returned in the chosen pipeline order. The caller must
+// report each non-local flow's completion with FlowFinished. A target
+// co-located with the source yields a local assignment (no flow).
+func (s *Shard) SelectWritePipeline(source topology.NodeID, targets []topology.NodeID, bits float64) ([]flowserver.Assignment, error) {
 	if len(targets) == 0 {
 		return nil, flowserver.ErrNoReplicas
 	}
 	if bits < 0 {
 		return nil, fmt.Errorf("flowctl: negative write size %g", bits)
 	}
+	start := time.Now()
 	s.selMu.Lock()
 	defer s.selMu.Unlock()
-	s.met.Selections.Inc()
-	s.met.WriteSelections.Inc()
+	s.met.Flowserver.Selections.Inc()
+	s.met.Flowserver.WriteSelections.Inc()
 
 	remaining := append([]topology.NodeID(nil), targets...)
 	out := make([]flowserver.Assignment, 0, len(targets))
@@ -370,28 +423,24 @@ func (s *Shard) SelectWrite(source topology.NodeID, targets []topology.NodeID, b
 				}
 			}
 		}
-		s.met.Candidates.Add(evaluated)
+		s.met.Flowserver.Candidates.Add(evaluated)
 		if bestIdx < 0 {
 			return nil, fmt.Errorf("flowctl: no path from source %d to targets %v", source, remaining)
 		}
 		if local {
-			out = append(out, flowserver.Assignment{
-				FlowID:      s.srv.AllocFlowID(),
-				Replica:     source,
-				Bits:        bits,
-				EstimatedBw: math.Inf(1),
-			})
+			out = append(out, s.localAssignment(source, bits))
 		} else {
 			out = append(out, s.commitSharded(best, bits))
 		}
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
+	s.met.Flowserver.SelectSeconds.Observe(time.Since(start).Seconds())
 	return out, nil
 }
 
-// Finished retires a flow this shard coordinated: its own sub-path and,
-// via the peer links, any remote halves.
-func (s *Shard) Finished(id flowserver.FlowID) {
+// FlowFinished retires a flow this shard coordinated: its own sub-path
+// and, via the peer links, any remote halves.
+func (s *Shard) FlowFinished(id flowserver.FlowID) {
 	s.srv.FlowFinished(id)
 	s.selMu.Lock()
 	parts := s.coordinated[id]
@@ -403,18 +452,6 @@ func (s *Shard) Finished(id flowserver.FlowID) {
 			_ = peers[g].FinishForeign(id) // best effort; counters reconcile
 		}
 	}
-}
-
-// CommitForeignLocal serves a remote coordinator's commit (the target
-// half of ShardLink.CommitForeign). It must not take selMu — see the
-// type comment.
-func (s *Shard) CommitForeignLocal(id flowserver.FlowID, links topology.Path, bits, capBw float64) float64 {
-	return s.srv.CommitForeign(id, links, bits, capBw)
-}
-
-// FinishLocal serves a remote coordinator's finish.
-func (s *Shard) FinishLocal(id flowserver.FlowID) {
-	s.srv.FlowFinished(id)
 }
 
 // BuildDigest snapshots the modeled load of every link this shard owns.
@@ -462,6 +499,9 @@ func (s *Shard) InstallDigests(ds []*Digest) {
 // RefreshDigests pulls every live peer's digest and installs the set.
 // Pull failures leave the previous digest in place.
 func (s *Shard) RefreshDigests() {
+	if s.nshards == 1 {
+		return // a lone shard has nobody to gossip with
+	}
 	s.selMu.Lock()
 	peers := append([]ShardLink(nil), s.peers...)
 	s.selMu.Unlock()

@@ -1,12 +1,24 @@
-package flowserver
+package flowctl
 
 import (
 	"errors"
 	"math"
 	"testing"
 
+	"github.com/mayflower-dfs/mayflower/internal/flowserver"
 	"github.com/mayflower-dfs/mayflower/internal/topology"
 )
+
+// oneShard is the default control plane: a single shard owning every
+// pod.
+func oneShard(t *testing.T, topo *topology.Topology) *Shard {
+	t.Helper()
+	s, err := NewShard(topo, ShardConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // writeTopo is a one-pod, two-rack, two-agg fabric (the figure-2 shape
 // without its background flows).
@@ -26,13 +38,13 @@ func writeTopo(t *testing.T) *topology.Topology {
 // checks the pipeline streams to the uncongested target first.
 func TestSelectWritePipelineOrdersByCost(t *testing.T) {
 	topo := writeTopo(t)
-	srv := New(topo, Options{})
+	srv := oneShard(t, topo)
 	source := topo.HostAt(0, 0, 0)
 	slow := topo.HostAt(0, 0, 1) // same rack, but congested below
 	fast := topo.HostAt(0, 1, 0) // cross rack, idle
 
 	// Saturate the congested target's downlink with a long-lived flow.
-	srv.ForceFlow([]topology.LinkID{topo.DownlinkOf(slow)}, 1000, 10)
+	srv.Server().CommitForeign(1000, topology.Path{topo.DownlinkOf(slow)}, 1000, math.Inf(1))
 
 	as, err := srv.SelectWritePipeline(source, []topology.NodeID{slow, fast}, 6)
 	if err != nil {
@@ -49,14 +61,14 @@ func TestSelectWritePipelineOrdersByCost(t *testing.T) {
 		t.Errorf("first hop bw %g not greater than congested hop bw %g",
 			as[0].EstimatedBw, as[1].EstimatedBw)
 	}
-	if srv.NumFlows() != 3 {
-		t.Errorf("NumFlows = %d, want 3 (background + two hops)", srv.NumFlows())
+	if srv.Server().NumFlows() != 3 {
+		t.Errorf("NumFlows = %d, want 3 (background + two hops)", srv.Server().NumFlows())
 	}
 	for _, a := range as {
 		srv.FlowFinished(a.FlowID)
 	}
-	if srv.NumFlows() != 1 {
-		t.Errorf("NumFlows after finish = %d, want 1", srv.NumFlows())
+	if srv.Server().NumFlows() != 1 {
+		t.Errorf("NumFlows after finish = %d, want 1", srv.Server().NumFlows())
 	}
 }
 
@@ -73,7 +85,7 @@ func TestSelectWritePipelineSpreadsAggLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(topo, Options{})
+	srv := oneShard(t, topo)
 	source := topo.HostAt(0, 0, 0)
 	t1 := topo.HostAt(0, 1, 0)
 	t2 := topo.HostAt(0, 1, 1)
@@ -96,7 +108,7 @@ func TestSelectWritePipelineSpreadsAggLinks(t *testing.T) {
 // source yields a local assignment and registers no flow.
 func TestSelectWritePipelineLocalTarget(t *testing.T) {
 	topo := writeTopo(t)
-	srv := New(topo, Options{})
+	srv := oneShard(t, topo)
 	source := topo.HostAt(0, 0, 0)
 
 	as, err := srv.SelectWritePipeline(source, []topology.NodeID{source, topo.HostAt(0, 0, 1)}, 6)
@@ -112,22 +124,22 @@ func TestSelectWritePipelineLocalTarget(t *testing.T) {
 	if as[1].Local() {
 		t.Errorf("remote target assigned locally: %+v", as[1])
 	}
-	if srv.NumFlows() != 1 {
-		t.Errorf("NumFlows = %d, want 1 (local hop must not register)", srv.NumFlows())
+	if srv.Server().NumFlows() != 1 {
+		t.Errorf("NumFlows = %d, want 1 (local hop must not register)", srv.Server().NumFlows())
 	}
 	// Finishing the local assignment's id must be a harmless no-op.
 	srv.FlowFinished(as[0].FlowID)
-	if srv.NumFlows() != 1 {
-		t.Errorf("NumFlows after local finish = %d, want 1", srv.NumFlows())
+	if srv.Server().NumFlows() != 1 {
+		t.Errorf("NumFlows after local finish = %d, want 1", srv.Server().NumFlows())
 	}
 }
 
 // TestSelectWritePipelineErrors pins the argument validation.
 func TestSelectWritePipelineErrors(t *testing.T) {
 	topo := writeTopo(t)
-	srv := New(topo, Options{})
-	if _, err := srv.SelectWritePipeline(topo.HostAt(0, 0, 0), nil, 6); !errors.Is(err, ErrNoReplicas) {
-		t.Errorf("empty targets: got %v, want ErrNoReplicas", err)
+	srv := oneShard(t, topo)
+	if _, err := srv.SelectWritePipeline(topo.HostAt(0, 0, 0), nil, 6); !errors.Is(err, flowserver.ErrNoReplicas) {
+		t.Errorf("empty targets: got %v, want flowserver.ErrNoReplicas", err)
 	}
 	if _, err := srv.SelectWritePipeline(topo.HostAt(0, 0, 0), []topology.NodeID{topo.HostAt(0, 0, 1)}, -1); err == nil {
 		t.Error("negative bits: got nil error")

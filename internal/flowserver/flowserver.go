@@ -69,16 +69,17 @@ type Options struct {
 	// negative disables the check. Only consulted when Now is injected —
 	// without Now the poll timestamps *are* the clock.
 	MaxPollSkew float64
-	// Metrics optionally publishes the server's counters and latency
-	// histogram under "flowserver." names. Instrumentation is always on
-	// (atomic words only); the registry just makes it visible.
-	Metrics *obs.Registry
+	// Metrics is the instrumentation set the server counts into; a fresh
+	// private one when nil. Servers that are shards of one in-process
+	// control plane share a set, so its counters cover the whole plane
+	// and publish once (see Metrics.Register).
+	Metrics *Metrics
 	// IDBase and IDStride partition the flow-id space between cooperating
 	// servers: ids are assigned IDBase, IDBase+IDStride, IDBase+2·IDStride…
 	// The internal/flowctl shards use (k+1, N) so ids stay globally unique
 	// without coordination while every server still assigns strictly
 	// increasing ids (the per-link flow lists rely on that). Zero values
-	// mean the standalone sequence 1, 2, 3, …
+	// mean the unpartitioned sequence 1, 2, 3, …
 	IDBase   int64
 	IDStride int64
 }
@@ -89,13 +90,17 @@ type Options struct {
 // are unambiguously from a different clock domain.
 const DefaultMaxPollSkew = 5.0
 
-// metrics holds the server's instrumentation. Counters are plain atomic
-// words touched directly on the hot path; the registry (when configured)
-// holds pointers to these same fields.
-type metrics struct {
-	selections          obs.Counter
-	writeSelections     obs.Counter
-	candidates          obs.Counter
+// Metrics holds a controller's instrumentation. Counters are plain atomic
+// words touched directly on the hot path; a registry (see Register) holds
+// pointers to these same fields. The exported fields are the selection
+// counters a flowctl coordinator bumps itself: its selections run above
+// the embedded Server, which only sees the commits.
+type Metrics struct {
+	Selections      obs.Counter
+	WriteSelections obs.Counter
+	Candidates      obs.Counter
+	SelectSeconds   *obs.Histogram
+
 	multiAccepts        obs.Counter
 	multiRejects        obs.Counter
 	freezeHits          obs.Counter
@@ -106,14 +111,19 @@ type metrics struct {
 	pollDropsRegress    obs.Counter
 	pollDropsSkewFuture obs.Counter
 	pollDropsSkewPast   obs.Counter
-	selectSeconds       *obs.Histogram
 }
 
-// register publishes the metric fields into r under "flowserver." names.
-func (m *metrics) register(r *obs.Registry) {
-	r.RegisterCounter("flowserver.selections", &m.selections)
-	r.RegisterCounter("flowserver.write_selections", &m.writeSelections)
-	r.RegisterCounter("flowserver.candidates_evaluated", &m.candidates)
+// NewMetrics creates an unregistered metrics set (the histogram must
+// exist even without a registry).
+func NewMetrics() *Metrics {
+	return &Metrics{SelectSeconds: obs.NewHistogram(1e-6, 10)}
+}
+
+// Register publishes the metric fields into r under "flowserver." names.
+func (m *Metrics) Register(r *obs.Registry) {
+	r.RegisterCounter("flowserver.selections", &m.Selections)
+	r.RegisterCounter("flowserver.write_selections", &m.WriteSelections)
+	r.RegisterCounter("flowserver.candidates_evaluated", &m.Candidates)
 	r.RegisterCounter("flowserver.multi_accepts", &m.multiAccepts)
 	r.RegisterCounter("flowserver.multi_rejects", &m.multiRejects)
 	r.RegisterCounter("flowserver.freeze_hits", &m.freezeHits)
@@ -124,12 +134,12 @@ func (m *metrics) register(r *obs.Registry) {
 	r.RegisterCounter("flowserver.poll_drops_regress", &m.pollDropsRegress)
 	r.RegisterCounter("flowserver.poll_drops_skew_future", &m.pollDropsSkewFuture)
 	r.RegisterCounter("flowserver.poll_drops_skew_past", &m.pollDropsSkewPast)
-	r.RegisterHistogram("flowserver.select_seconds", m.selectSeconds)
+	r.RegisterHistogram("flowserver.select_seconds", m.SelectSeconds)
 }
 
-// StatsCounters is a cumulative snapshot of the server's poll and freeze
-// accounting, for drift-audit reports (which subtract a baseline taken at
-// run start).
+// StatsCounters is a cumulative snapshot of the selection, poll and
+// freeze accounting, for drift-audit reports (which subtract a baseline
+// taken at run start).
 type StatsCounters struct {
 	Selections          int64
 	WriteSelections     int64
@@ -146,24 +156,27 @@ type StatsCounters struct {
 	PollDropsSkewPast   int64
 }
 
-// Counters returns the server's cumulative instrumentation counters.
-func (s *Server) Counters() StatsCounters {
+// Counters snapshots the set's cumulative counters.
+func (m *Metrics) Counters() StatsCounters {
 	return StatsCounters{
-		Selections:          s.met.selections.Value(),
-		WriteSelections:     s.met.writeSelections.Value(),
-		CandidatesEvaluated: s.met.candidates.Value(),
-		MultiAccepts:        s.met.multiAccepts.Value(),
-		MultiRejects:        s.met.multiRejects.Value(),
-		FreezeHits:          s.met.freezeHits.Value(),
-		FreezeExpirations:   s.met.freezeExpirations.Value(),
-		Polls:               s.met.polls.Value(),
-		PollSamples:         s.met.pollSamples.Value(),
-		PollDropsDT:         s.met.pollDropsDT.Value(),
-		PollDropsRegress:    s.met.pollDropsRegress.Value(),
-		PollDropsSkewFuture: s.met.pollDropsSkewFuture.Value(),
-		PollDropsSkewPast:   s.met.pollDropsSkewPast.Value(),
+		Selections:          m.Selections.Value(),
+		WriteSelections:     m.WriteSelections.Value(),
+		CandidatesEvaluated: m.Candidates.Value(),
+		MultiAccepts:        m.multiAccepts.Value(),
+		MultiRejects:        m.multiRejects.Value(),
+		FreezeHits:          m.freezeHits.Value(),
+		FreezeExpirations:   m.freezeExpirations.Value(),
+		Polls:               m.polls.Value(),
+		PollSamples:         m.pollSamples.Value(),
+		PollDropsDT:         m.pollDropsDT.Value(),
+		PollDropsRegress:    m.pollDropsRegress.Value(),
+		PollDropsSkewFuture: m.pollDropsSkewFuture.Value(),
+		PollDropsSkewPast:   m.pollDropsSkewPast.Value(),
 	}
 }
+
+// Counters returns the cumulative counters of the server's metrics set.
+func (s *Server) Counters() StatsCounters { return s.met.Counters() }
 
 // Request asks for a read assignment.
 type Request struct {
@@ -230,7 +243,7 @@ type Server struct {
 	evalBufs [2][2]changeSet
 	evalIdx  int
 
-	met metrics
+	met *Metrics
 }
 
 // changeSet records the existing flows whose bandwidth estimate changes if
@@ -263,10 +276,10 @@ func New(topo *topology.Topology, opts Options) *Server {
 		nextID:    base - step,
 		flows:     make(map[FlowID]*flowState),
 		linkFlows: make([][]*flowState, topo.NumLinks()),
+		met:       opts.Metrics,
 	}
-	s.met.selectSeconds = obs.NewHistogram(1e-6, 10)
-	if opts.Metrics != nil {
-		s.met.register(opts.Metrics)
+	if s.met == nil {
+		s.met = NewMetrics()
 	}
 	return s
 }
@@ -324,8 +337,8 @@ func (s *Server) SelectReplicaAndPath(req Request) ([]Assignment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	as, err := s.selectLocked(req, s.opts.MultiReplica)
-	s.met.selections.Inc()
-	s.met.selectSeconds.Observe(time.Since(start).Seconds())
+	s.met.Selections.Inc()
+	s.met.SelectSeconds.Observe(time.Since(start).Seconds())
 	return as, err
 }
 
@@ -369,83 +382,12 @@ func (s *Server) SelectPath(client, replica topology.NodeID, bits float64) (Assi
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	as, err := s.selectLocked(Request{Client: client, Replicas: []topology.NodeID{replica}, Bits: bits}, false)
-	s.met.selections.Inc()
-	s.met.selectSeconds.Observe(time.Since(start).Seconds())
+	s.met.Selections.Inc()
+	s.met.SelectSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		return Assignment{}, err
 	}
 	return as[0], nil
-}
-
-// SelectWritePipeline schedules a replication fan-out: one flow of the
-// given size from source to each target, ordered cheapest-first by
-// repeated Eq. 2 evaluation. Each round evaluates every shortest path
-// from the source to every remaining target, commits the minimum-cost
-// one, and re-evaluates the rest against the updated model — so later
-// hops see the bandwidth the earlier hops already claimed. This extends
-// the read-side co-design of Pseudocode 1 to replication traffic (§3.3's
-// "collaboratively with the Flowserver" direction): the primary learns
-// both which replica to stream to first and which path each hop takes.
-//
-// Assignments are returned in the chosen pipeline order. The caller must
-// report each non-local flow's completion with FlowFinished. A target
-// co-located with the source yields a local assignment (no flow).
-func (s *Server) SelectWritePipeline(source topology.NodeID, targets []topology.NodeID, bits float64) ([]Assignment, error) {
-	if len(targets) == 0 {
-		return nil, ErrNoReplicas
-	}
-	if bits < 0 {
-		return nil, fmt.Errorf("flowserver: negative write size %g", bits)
-	}
-	start := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.met.selections.Inc()
-	s.met.writeSelections.Inc()
-
-	remaining := append([]topology.NodeID(nil), targets...)
-	out := make([]Assignment, 0, len(targets))
-	for len(remaining) > 0 {
-		bestIdx, local := -1, false
-		var best candidate
-		evaluated := int64(0)
-		for i, tgt := range remaining {
-			if tgt == source {
-				// A co-located target costs nothing; it always wins.
-				bestIdx, local = i, true
-				break
-			}
-			for _, path := range s.topo.ShortestPaths(source, tgt) {
-				c := s.evalPath(tgt, path, bits)
-				evaluated++
-				if bestIdx < 0 || c.cost < best.cost {
-					best = c
-					bestIdx = i
-					// Protect the new best's changed set from being
-					// overwritten by the next evaluation.
-					s.evalIdx ^= 1
-				}
-			}
-		}
-		s.met.candidates.Add(evaluated)
-		if bestIdx < 0 {
-			return nil, fmt.Errorf("flowserver: no path from source %d to targets %v", source, remaining)
-		}
-		if local {
-			s.nextID += s.idStep
-			out = append(out, Assignment{
-				FlowID:      s.nextID,
-				Replica:     source,
-				Bits:        bits,
-				EstimatedBw: math.Inf(1),
-			})
-		} else {
-			out = append(out, s.commit(best, bits))
-		}
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-	}
-	s.met.selectSeconds.Observe(time.Since(start).Seconds())
-	return out, nil
 }
 
 // candidate is a scored replica-path option.
@@ -486,7 +428,7 @@ func (s *Server) bestPath(client topology.NodeID, replicas []topology.NodeID, bi
 			}
 		}
 	}
-	s.met.candidates.Add(evaluated)
+	s.met.Candidates.Add(evaluated)
 	return best, found
 }
 

@@ -28,7 +28,9 @@ type SelectArgs struct {
 	Bits         float64  `json:"bits"`
 }
 
-// AssignmentDTO is the wire form of one Assignment.
+// AssignmentDTO is the wire form of one Assignment. A local assignment
+// (Local set, no network flow) carries no EstimatedBw: the model's +Inf
+// has no JSON encoding, and there is no flow for a share to describe.
 type AssignmentDTO struct {
 	FlowID      FlowID  `json:"flowId"`
 	ReplicaHost string  `json:"replicaHost"`
@@ -40,7 +42,7 @@ type AssignmentDTO struct {
 
 // SelectWriteArgs asks for a replication-pipeline schedule: one transfer
 // of Bits bits from SourceHost to every target host, ordered by the
-// Flowserver (see Server.SelectWritePipeline). In the returned
+// Flowserver (see Service.SelectWritePipeline). In the returned
 // assignments ReplicaHost names the *target* of each hop — the flow runs
 // source→target, the reverse of a read assignment.
 type SelectWriteArgs struct {
@@ -64,12 +66,15 @@ type Hooks struct {
 	OnFinish func(id FlowID)
 }
 
-// Service is the selection surface RegisterRPC serves. The standalone
-// *Server implements it, and so do the sharded deployments in
-// internal/flowctl (a whole Plane, or one Shard serving its pods).
+// Service is the selection surface RegisterRPC serves; a flowctl.Shard
+// implements it in every deployment.
 type Service interface {
+	// SelectReplicaAndPath picks the replica(s) and path(s) of a read.
 	SelectReplicaAndPath(Request) ([]Assignment, error)
+	// SelectWritePipeline orders a replication fan-out from source to
+	// targets, cheapest hop first, one assignment per target.
 	SelectWritePipeline(source topology.NodeID, targets []topology.NodeID, bits float64) ([]Assignment, error)
+	// FlowFinished retires a completed (or aborted) flow.
 	FlowFinished(FlowID)
 }
 
@@ -84,6 +89,39 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 		nameByHost[h] = n.Name
 	}
 
+	resolve := func(names []string, role string) ([]topology.NodeID, error) {
+		hosts := make([]topology.NodeID, 0, len(names))
+		for _, name := range names {
+			h, ok := hostByName[name]
+			if !ok {
+				return nil, fmt.Errorf("flowserver: unknown %s host %q", role, name)
+			}
+			hosts = append(hosts, h)
+		}
+		return hosts, nil
+	}
+	// reply runs the assignment hook and converts to the wire form.
+	reply := func(as []Assignment) []AssignmentDTO {
+		out := make([]AssignmentDTO, 0, len(as))
+		for _, asg := range as {
+			dto := AssignmentDTO{
+				FlowID:      asg.FlowID,
+				ReplicaHost: nameByHost[asg.Replica],
+				Bits:        asg.Bits,
+				Local:       asg.Local(),
+				PathLen:     len(asg.Path),
+			}
+			if !dto.Local {
+				dto.EstimatedBw = asg.EstimatedBw
+				if hooks.OnAssign != nil {
+					hooks.OnAssign(asg)
+				}
+			}
+			out = append(out, dto)
+		}
+		return out
+	}
+
 	selectHandler := func(_ context.Context, params json.RawMessage) (any, error) {
 		var a SelectArgs
 		if err := json.Unmarshal(params, &a); err != nil {
@@ -93,33 +131,15 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 		if !ok {
 			return nil, fmt.Errorf("flowserver: unknown client host %q", a.ClientHost)
 		}
-		replicas := make([]topology.NodeID, 0, len(a.ReplicaHosts))
-		for _, name := range a.ReplicaHosts {
-			h, ok := hostByName[name]
-			if !ok {
-				return nil, fmt.Errorf("flowserver: unknown replica host %q", name)
-			}
-			replicas = append(replicas, h)
+		replicas, err := resolve(a.ReplicaHosts, "replica")
+		if err != nil {
+			return nil, err
 		}
 		as, err := fs.SelectReplicaAndPath(Request{Client: client, Replicas: replicas, Bits: a.Bits})
 		if err != nil {
 			return nil, err
 		}
-		out := make([]AssignmentDTO, 0, len(as))
-		for _, asg := range as {
-			if !asg.Local() && hooks.OnAssign != nil {
-				hooks.OnAssign(asg)
-			}
-			out = append(out, AssignmentDTO{
-				FlowID:      asg.FlowID,
-				ReplicaHost: nameByHost[asg.Replica],
-				Bits:        asg.Bits,
-				EstimatedBw: asg.EstimatedBw,
-				Local:       asg.Local(),
-				PathLen:     len(asg.Path),
-			})
-		}
-		return out, nil
+		return reply(as), nil
 	}
 
 	selectWriteHandler := func(_ context.Context, params json.RawMessage) (any, error) {
@@ -131,33 +151,15 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 		if !ok {
 			return nil, fmt.Errorf("flowserver: unknown source host %q", a.SourceHost)
 		}
-		targets := make([]topology.NodeID, 0, len(a.TargetHosts))
-		for _, name := range a.TargetHosts {
-			h, ok := hostByName[name]
-			if !ok {
-				return nil, fmt.Errorf("flowserver: unknown target host %q", name)
-			}
-			targets = append(targets, h)
+		targets, err := resolve(a.TargetHosts, "target")
+		if err != nil {
+			return nil, err
 		}
 		as, err := fs.SelectWritePipeline(source, targets, a.Bits)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]AssignmentDTO, 0, len(as))
-		for _, asg := range as {
-			if !asg.Local() && hooks.OnAssign != nil {
-				hooks.OnAssign(asg)
-			}
-			out = append(out, AssignmentDTO{
-				FlowID:      asg.FlowID,
-				ReplicaHost: nameByHost[asg.Replica],
-				Bits:        asg.Bits,
-				EstimatedBw: asg.EstimatedBw,
-				Local:       asg.Local(),
-				PathLen:     len(asg.Path),
-			})
-		}
-		return out, nil
+		return reply(as), nil
 	}
 
 	finishedHandler := func(_ context.Context, params json.RawMessage) (any, error) {

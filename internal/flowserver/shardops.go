@@ -4,17 +4,17 @@ import (
 	"github.com/mayflower-dfs/mayflower/internal/topology"
 )
 
-// This file is the Flowserver surface the sharded control plane
+// This file is the Flowserver surface the control plane
 // (internal/flowctl) builds on. A flowctl shard owns the links of its
-// pods and keeps a full Server as its model; cross-pod flows touch two
-// shards, so the coordinator needs to (a) score just the links it owns
-// with the remote sub-path's share as a cap, (b) commit a flow onto an
-// explicit link set, (c) register the remote half of a flow under the
-// coordinator's id, and (d) export its per-link load for the gossip
-// digests remote coordinators score against. None of these paths are
-// reachable from the standalone server's API, and the capped evaluation
-// collapses to the historical arithmetic at capBw = +Inf, so the
-// single-controller behaviour (and the figure goldens) are unchanged.
+// pods and keeps a full Server as its model; cross-pod flows can touch
+// two shards, so the coordinator needs to (a) score just the links it
+// owns with the remote sub-path's share as a cap, (b) commit a flow onto
+// an explicit link set, (c) register the remote half of a flow under
+// the coordinator's id, and (d) export its per-link load for the gossip
+// digests remote coordinators score against. The capped evaluation
+// collapses to the uncapped Eq. 2 arithmetic at capBw = +Inf, which is
+// what a shard owning the whole path — always, in a one-shard plane —
+// passes.
 
 // EvalPathCost scores placing a new flow of the given size on an
 // arbitrary set of links, Eq. 2 style: the new flow's completion time
@@ -62,8 +62,7 @@ func (s *Server) CommitForeign(id FlowID, links topology.Path, bits, capBw float
 
 // AllocFlowID draws the next flow id from this server's sequence
 // without registering anything. Local (zero network cost) assignments
-// need an id for the caller's bookkeeping but no model entry; the
-// standalone select paths allocate the same way internally.
+// need an id for the caller's bookkeeping but no model entry.
 func (s *Server) AllocFlowID() FlowID {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -22,12 +22,6 @@ func TestClusterShardedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	if cluster.FlowserverAddr() != "" {
-		t.Fatal("sharded cluster exposes a monolithic flowserver address")
-	}
-	if cluster.FlowDirectoryAddr() == "" {
-		t.Fatal("sharded cluster has no directory address")
-	}
 
 	writer, err := cluster.Client(cluster.Topo.HostAt(0, 0, 0))
 	if err != nil {

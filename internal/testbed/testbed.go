@@ -15,7 +15,6 @@
 package testbed
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -109,18 +108,16 @@ type Cluster struct {
 	switches      []*sdn.Switch
 	bridge        *sdn.CounterBridge
 	statsInterval time.Duration
-	fs            *flowserver.Server
-	fsAddr        string
 
-	// Sharded control plane (ClusterConfig.FlowShards > 1): one flowctl
-	// shard per wire endpoint, a shard directory, and the pool carrying
-	// shard-to-shard ctl.* traffic. fs stays nil in this mode.
+	// Flow control plane (the flow-scheduled modes): one flowctl shard
+	// per wire endpoint — shard 0's also serves the shard directory — and
+	// the pool carrying shard-to-shard ctl.* traffic. ofSwitches is the
+	// shards' shared hold on the switches.
+	ofSwitches *flowctl.Switches
 	flowShards []*flowctl.Shard
 	shardSrvs  []*wire.Server
 	shardAddrs []string
 	flowDir    *flowctl.Directory
-	dirSrv     *wire.Server
-	dirAddr    string
 	shardPool  *rpc.Pool
 	shardMu    sync.Mutex
 	shardDead  []bool
@@ -128,7 +125,6 @@ type Cluster struct {
 	nsStore    *kvstore.Store
 	nsSrv      *wire.Server
 	nsAddr     string
-	fsSrv      *wire.Server
 	servers    map[string]*dataserver.Server // host name → dataserver
 	serverIDs  map[topology.NodeID]string    // host node → server id
 	workDir    string
@@ -172,11 +168,11 @@ type ClusterConfig struct {
 	Seed int64
 	// MultiReplica enables §4.3 split reads (ModeMayflower only).
 	MultiReplica bool
-	// FlowShards partitions the Flowserver into N flowctl shards, each
-	// serving its own RPC endpoint, with a shard directory that clients
-	// and dataservers resolve pod ownership through (epoch-checked
-	// re-routing). 0 or 1 keeps the monolithic Flowserver; only the
-	// flow-scheduled modes use it. Incompatible with MultiReplica.
+	// FlowShards is the number of flowctl shards the flow controller runs
+	// as (0 means 1), each serving its own RPC endpoint; clients and
+	// dataservers resolve pod ownership through the shard directory
+	// (epoch-checked re-routing). Only the flow-scheduled modes use it.
+	// More than one is incompatible with MultiReplica.
 	FlowShards int
 	// HeartbeatInterval is how often dataservers report liveness
 	// (dataserver default if zero). Fault-injection tests shrink it so
@@ -306,31 +302,13 @@ func (c *Cluster) boot(cfg ClusterConfig) error {
 	go c.nsSrv.Serve(nsLn) //nolint:errcheck // Serve returns on Close
 	c.nsAddr = nsLn.Addr().String()
 
-	// Flowserver (controller application), for the modes that use it.
+	// Flow control plane (controller application), for the modes that use
+	// it.
 	if c.mode == ModeMayflower || c.mode == ModeHDFSMayflower {
-		if cfg.FlowShards > 1 {
-			if err := c.bootShardedFlowplane(cfg); err != nil {
-				return err
-			}
-			go c.pollLoop(c.statsInterval)
-		} else {
-			c.fs = flowserver.New(c.Topo, flowserver.Options{
-				MultiReplica: cfg.MultiReplica && c.mode == ModeMayflower,
-				Now:          c.nowSeconds,
-				Metrics:      c.reg,
-			})
-			c.fsSrv = wire.NewServer()
-			if err := flowserver.RegisterRPC(c.fsSrv, c.fs, c.Topo, c.flowHooks()); err != nil {
-				return err
-			}
-			fsLn, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return err
-			}
-			go c.fsSrv.Serve(fsLn) //nolint:errcheck // Serve returns on Close
-			c.fsAddr = fsLn.Addr().String()
-			go c.pollLoop(c.statsInterval)
+		if err := c.bootFlowplane(cfg); err != nil {
+			return err
 		}
+		go c.pollLoop(c.statsInterval)
 	} else {
 		close(c.pollDone)
 		c.ecmp = selection.NewECMP(c.Topo)
@@ -351,10 +329,8 @@ func (c *Cluster) boot(cfg ClusterConfig) error {
 			Metrics:           c.reg,
 			// Empty for the ECMP modes: relays fall back to static order,
 			// the conventional unscheduled write path.
-			FlowserverAddr: c.fsAddr,
-			// Sharded control plane: the primary resolves the shard owning
-			// its pod through the directory (fsAddr stays empty).
-			FlowDirectoryAddr: c.dirAddr,
+			FlowserverAddr: c.FlowserverAddr(),
+			Clock:          c.clock,
 		})
 		if err != nil {
 			return err
@@ -385,74 +361,65 @@ func (c *Cluster) boot(cfg ClusterConfig) error {
 func (c *Cluster) nowSeconds() float64 { return c.clock.Now() }
 
 // flowHooks bridges selection commits into the emulated fabric and the
-// switches' flow tables; shared by the monolithic server and every
-// shard (a cross-shard selection still returns one full-path assignment
-// from its coordinator, so each flow registers exactly once).
+// switches' flow tables; shared by every shard (a cross-shard selection
+// still returns one full-path assignment from its coordinator, so each
+// flow registers exactly once). A finish leaves the fabric first: once
+// unregistered a flow credits no more switch counters, so removing its
+// rules afterwards cannot race a late credit back into a switch.
 func (c *Cluster) flowHooks() flowserver.Hooks {
+	sw := c.ofSwitches.Hooks()
 	return flowserver.Hooks{
 		OnAssign: func(a flowserver.Assignment) {
 			_ = c.admit.RegisterFlow(uint64(a.FlowID), a.Path)
 			c.trackFlow(a.FlowID, true)
-			c.installRules(a)
+			sw.OnAssign(a)
 		},
 		OnFinish: func(id flowserver.FlowID) {
 			c.admit.UnregisterFlow(uint64(id))
 			c.trackFlow(id, false)
+			sw.OnFinish(id)
 		},
 	}
 }
 
-// bootShardedFlowplane boots cfg.FlowShards flowctl shards, each with
-// its own wire endpoint (fs.* selection surface plus the ctl.* peer
-// channel), a shard directory endpoint, and the RPC links shards pull
-// each other's digests over. Everything crosses loopback TCP, as the
-// testbed ethos demands.
-func (c *Cluster) bootShardedFlowplane(cfg ClusterConfig) error {
-	if cfg.MultiReplica {
-		return errors.New("testbed: MultiReplica needs a single flow shard (§4.3 splitting is not partitioned)")
-	}
-	n := cfg.FlowShards
+// bootFlowplane boots the flowctl shards, each with its own wire
+// endpoint (fs.* selection surface plus the ctl.* peer channel; shard
+// 0's also serves the fd.* directory, as in a deployment), and the RPC
+// links shards pull each other's digests over. Everything crosses
+// loopback TCP, as the testbed ethos demands.
+func (c *Cluster) bootFlowplane(cfg ClusterConfig) error {
+	n := max(1, cfg.FlowShards)
 	dir, err := flowctl.NewDirectory(c.Topo.Config().Pods, n)
 	if err != nil {
 		return err
 	}
 	c.flowDir = dir
-	c.dirSrv = wire.NewServer()
-	if err := flowctl.RegisterDirectoryRPC(c.dirSrv, dir, c.nowSeconds); err != nil {
-		return err
-	}
-	dirLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go c.dirSrv.Serve(dirLn) //nolint:errcheck // Serve returns on Close
-	c.dirAddr = dirLn.Addr().String()
-
+	c.ofSwitches = flowctl.NewSwitches(c.Topo, c.controller, c.statsInterval)
 	c.shardPool = rpc.NewPool(rpc.Options{})
 	met := flowctl.NewMetrics()
 	if c.reg != nil {
 		met.Register(c.reg)
 	}
-	owner, epoch := dir.Owners()
 	c.shardDead = make([]bool, n)
 	for k := 0; k < n; k++ {
 		s, err := flowctl.NewShard(c.Topo, flowctl.ShardConfig{
-			Index:   k,
-			Shards:  n,
-			Owner:   owner,
-			Epoch:   epoch,
-			Now:     c.nowSeconds,
-			Metrics: met,
+			Index:        k,
+			Shards:       n,
+			MultiReplica: cfg.MultiReplica && c.mode == ModeMayflower,
+			Now:          c.nowSeconds,
+			Metrics:      met,
 		})
 		if err != nil {
 			return err
 		}
 		srv := wire.NewServer()
-		if err := flowserver.RegisterRPC(srv, s, c.Topo, c.flowHooks()); err != nil {
+		if err := flowctl.RegisterShardRPC(srv, s, c.flowHooks()); err != nil {
 			return err
 		}
-		if err := flowctl.RegisterShardRPC(srv, s, c.nowSeconds); err != nil {
-			return err
+		if k == 0 {
+			if err := flowctl.RegisterDirectoryRPC(srv, dir, c.nowSeconds); err != nil {
+				return err
+			}
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -481,19 +448,6 @@ func (c *Cluster) bootShardedFlowplane(cfg ClusterConfig) error {
 	return nil
 }
 
-// installRules pushes the assignment's path into the switches' flow
-// tables (each switch on the path forwards the flow out of the next
-// link's port).
-func (c *Cluster) installRules(a flowserver.Assignment) {
-	for _, l := range a.Path {
-		link := c.Topo.Link(l)
-		if c.Topo.Node(link.From).Kind == topology.KindHost {
-			continue
-		}
-		_ = c.controller.InstallFlow(uint64(link.From), uint64(a.FlowID), uint32(l))
-	}
-}
-
 // pollLoop periodically feeds switch flow counters to the Flowserver
 // through the shared stats seam.
 func (c *Cluster) pollLoop(interval time.Duration) {
@@ -506,21 +460,17 @@ func (c *Cluster) pollLoop(interval time.Duration) {
 			return
 		case <-ticker.C:
 		}
-		if c.fs != nil {
-			c.fs.PollFrom(c.nowSeconds(), c)
-		} else {
-			c.pollShards(c.nowSeconds())
-		}
+		c.pollShards(c.nowSeconds())
 		c.auditDrift()
 	}
 }
 
-// pollShards runs one stats cycle of the sharded plane: every live
-// shard ingests the poll batch, then pulls its peers' digests over the
-// ctl.* links in shard-index order — the cadence that bounds cross-pod
-// staleness to one poll interval.
+// pollShards runs one stats cycle of the plane: every live shard
+// ingests the poll batch read off the edge switches, then pulls its
+// peers' digests over the ctl.* links in shard-index order — the cadence
+// that bounds cross-pod staleness to one poll interval.
 func (c *Cluster) pollShards(now float64) {
-	batch := c.FlowStats()
+	batch := c.ofSwitches.FlowStats()
 	c.shardMu.Lock()
 	dead := append([]bool(nil), c.shardDead...)
 	c.shardMu.Unlock()
@@ -575,57 +525,26 @@ func (c *Cluster) auditDrift() {
 }
 
 // estimatedBW asks the model tracking a flow for its current estimate:
-// the monolithic server, or the flow-id-striped coordinator shard.
+// the flow-id-striped coordinator shard's.
 func (c *Cluster) estimatedBW(id flowserver.FlowID) (float64, bool) {
-	if c.fs != nil {
-		return c.fs.EstimatedBW(id)
-	}
 	k := int((int64(id) - 1) % int64(len(c.flowShards)))
 	return c.flowShards[k].Server().EstimatedBW(id)
-}
-
-// FlowStats implements flowserver.StatsSource by querying the edge
-// switches' flow byte counters over the OpenFlow-style control protocol,
-// exactly as §3.3.3 describes ("flow stats are collected for only those
-// flows that originate from dataservers attached to the edge switch
-// being queried").
-func (c *Cluster) FlowStats() []flowserver.FlowStat {
-	ctx, cancel := context.WithTimeout(context.Background(), c.statsInterval)
-	defer cancel()
-	byFlow := make(map[flowserver.FlowID]float64)
-	for _, edge := range c.Topo.EdgeSwitches() {
-		stats, err := c.controller.FlowStats(ctx, uint64(edge))
-		if err != nil {
-			continue
-		}
-		for _, st := range stats {
-			id := flowserver.FlowID(st.FlowID)
-			bits := float64(st.ByteCount) * 8
-			if bits > byFlow[id] {
-				byFlow[id] = bits
-			}
-		}
-	}
-	batch := make([]flowserver.FlowStat, 0, len(byFlow))
-	for id, bits := range byFlow {
-		batch = append(batch, flowserver.FlowStat{ID: id, TransferredBits: bits})
-	}
-	return batch
 }
 
 // NameserverAddr returns the nameserver's RPC address.
 func (c *Cluster) NameserverAddr() string { return c.nsAddr }
 
-// FlowserverAddr returns the Flowserver's RPC address ("" for ECMP mode
-// and for the sharded plane, which routes through the directory).
-func (c *Cluster) FlowserverAddr() string { return c.fsAddr }
+// FlowserverAddr returns the flow control plane's address: shard 0's
+// endpoint, which serves the shard directory beside its own selection
+// surface ("" for ECMP mode).
+func (c *Cluster) FlowserverAddr() string {
+	if len(c.shardAddrs) == 0 {
+		return ""
+	}
+	return c.shardAddrs[0]
+}
 
-// FlowDirectoryAddr returns the shard directory's RPC address ("" unless
-// the cluster booted with FlowShards > 1).
-func (c *Cluster) FlowDirectoryAddr() string { return c.dirAddr }
-
-// NumFlowShards returns the sharded plane's shard count (0 when the
-// cluster runs the monolithic Flowserver).
+// NumFlowShards returns the plane's shard count (0 in ECMP mode).
 func (c *Cluster) NumFlowShards() int { return len(c.flowShards) }
 
 // FlowShard exposes shard k for test assertions.
@@ -640,9 +559,15 @@ func (c *Cluster) FlowDirectory() *flowctl.Directory { return c.flowDir }
 // bumped epoch. Surviving shards adopt the new ownership map at once;
 // clients and dataservers discover it when their cached routes fail or
 // their TTLs lapse. The shard stays down for the cluster's lifetime.
+// Shard 0 takes the directory endpoint down with it, as the shard-0
+// process of a deployment would: routes cached against it then stay as
+// they are, and callers without one run degraded.
 func (c *Cluster) KillFlowShard(k int) error {
 	if k < 0 || k >= len(c.flowShards) {
 		return fmt.Errorf("testbed: no flow shard %d", k)
+	}
+	if len(c.flowShards) == 1 {
+		return errors.New("testbed: cannot kill the only flow shard")
 	}
 	c.shardMu.Lock()
 	if c.shardDead[k] {
@@ -706,11 +631,9 @@ func (c *Cluster) clientOptionsLocked(name string) client.Options {
 	}
 	switch c.mode {
 	case ModeMayflower:
-		opts.FlowserverAddr = c.fsAddr
-		opts.FlowDirectoryAddr = c.dirAddr
+		opts.FlowserverAddr = c.FlowserverAddr()
 	case ModeHDFSMayflower:
-		opts.FlowserverAddr = c.fsAddr
-		opts.FlowDirectoryAddr = c.dirAddr
+		opts.FlowserverAddr = c.FlowserverAddr()
 		opts.PickReplica = hdfsbaseline.RackAwarePicker(name, hdfsbaseline.NameLocator, opts.Rand)
 	case ModeHDFSECMP:
 		opts.PickReplica = hdfsbaseline.RackAwarePicker(name, hdfsbaseline.NameLocator, opts.Rand)
@@ -817,7 +740,7 @@ func (c *Cluster) Close() error {
 	clients = append(clients, c.extra...)
 	c.mu.Unlock()
 
-	if c.fs != nil || len(c.flowShards) > 0 {
+	if len(c.flowShards) > 0 {
 		close(c.pollStop)
 		<-c.pollDone
 	}
@@ -830,9 +753,6 @@ func (c *Cluster) Close() error {
 	for _, ds := range c.servers {
 		ds.Close()
 	}
-	if c.fsSrv != nil {
-		c.fsSrv.Close()
-	}
 	c.shardMu.Lock()
 	for k, srv := range c.shardSrvs {
 		if !c.shardDead[k] {
@@ -840,9 +760,6 @@ func (c *Cluster) Close() error {
 		}
 	}
 	c.shardMu.Unlock()
-	if c.dirSrv != nil {
-		c.dirSrv.Close()
-	}
 	if c.shardPool != nil {
 		c.shardPool.Close()
 	}

@@ -58,8 +58,10 @@ func TestClusterEndToEnd(t *testing.T) {
 				t.Fatal("read returned wrong bytes")
 			}
 			// Mayflower modes must have drained their flow model.
-			if cluster.fs != nil && cluster.fs.NumFlows() != 0 {
-				t.Errorf("flowserver still tracks %d flows", cluster.fs.NumFlows())
+			for k := 0; k < cluster.NumFlowShards(); k++ {
+				if n := cluster.FlowShard(k).Server().NumFlows(); n != 0 {
+					t.Errorf("flow shard %d still tracks %d flows", k, n)
+				}
 			}
 			if n := cluster.Net.NumFlows(); n != 0 {
 				t.Errorf("emunet still tracks %d flows", n)
