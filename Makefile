@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race figures-smoke fuzz bench bench-check cover loc check clean
+.PHONY: all build vet vet-bench fmt-check test race figures-smoke fuzz bench bench-check cover loc check clean
 
 all: build
 
@@ -9,6 +9,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# vet-bench compiles and vets the benchmark module. bench/ has its own
+# go.mod, so `./...` above never reaches it, and it calls the service
+# stubs (nameserver, flowserver, dataserver, wire): without this a stub
+# signature change passes every check here and fails only when the
+# benchmark is next run. Same environment as bench/run.sh.
+vet-bench:
+	cd bench && GOWORK=off GOFLAGS=-buildvcs=false $(GO) vet ./...
 
 # fmt-check fails (listing the offenders) if any file is not gofmt-clean.
 fmt-check:
@@ -61,7 +69,8 @@ bench:
 	@cat BENCH_selection.json
 
 # bench-check reruns the hot-path benchmarks and fails if any of them
-# regressed more than 20% ns/op (or grew allocs/op) against the committed
+# regressed more than 20% ns/op (or grew allocs/op by more than one
+# allocation or 0.5%, bench2json's allocSlack) against the committed
 # BENCH_selection.json baseline. Runs at the same default 1s benchtime the
 # baseline was recorded with — shorter runs shrink N enough that one-time
 # warm-up allocations tip the allocs/op average. CI's bench-smoke job
@@ -75,7 +84,7 @@ bench-check:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
-check: build vet fmt-check race
+check: build vet vet-bench fmt-check race
 
 clean:
 	$(GO) clean ./...

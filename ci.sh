@@ -12,6 +12,9 @@ go build ./...
 echo '--- go vet'
 go vet ./...
 
+echo '--- go vet (bench/, its own module: the stubs it calls must still compile)'
+(cd bench && GOWORK=off GOFLAGS=-buildvcs=false go vet ./...)
+
 echo '--- govulncheck'
 if command -v govulncheck >/dev/null 2>&1; then
 	govulncheck ./...

@@ -6,7 +6,8 @@
 // It also gates CI on that baseline: with -compare, instead of emitting
 // JSON it diffs the parsed results against a committed baseline and
 // exits nonzero when any baseline benchmark is missing, slows down by
-// more than -max-regress, or allocates more per op.
+// more than -max-regress, or allocates more per op than allocSlack
+// allows.
 //
 // Usage:
 //
@@ -97,10 +98,19 @@ func loadReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
+// allocSlack is how far allocs/op may rise above the baseline before the
+// gate fails: one allocation, or 0.5% of the baseline if that is more.
+// allocs/op is an average over b.N that includes one-time warm-up
+// allocations, so an unmodified tree moves by that much between runs
+// (a 56k-allocation figure sweep by ±5, a 256-allocation append by 1).
+func allocSlack(base float64) float64 {
+	return max(1, 0.005*base)
+}
+
 // compare diffs cur against every baseline benchmark, printing one line
 // per comparison, and returns an error if any baseline benchmark is
 // missing from cur, slowed down by more than maxRegress, or allocates
-// more per op than the baseline. Benchmarks present only in cur are
+// more per op than the baseline plus allocSlack. Benchmarks present only in cur are
 // noted but never fail the gate (the baseline defines the contract).
 // Iteration counts and absolute machine speed vary between hosts, so
 // the gate is relative: cur ns/op vs baseline ns/op on the same run's
@@ -128,10 +138,10 @@ func compare(w io.Writer, base, cur *Report, maxRegress float64) error {
 			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op vs %.0f baseline (%+.1f%% > %+.1f%% allowed)",
 				b.Name, c.NsPerOp, b.NsPerOp, delta*100, maxRegress*100))
 		}
-		if b.AllocsPerOp != nil && c.AllocsPerOp != nil && *c.AllocsPerOp > *b.AllocsPerOp {
+		if b.AllocsPerOp != nil && c.AllocsPerOp != nil && *c.AllocsPerOp > *b.AllocsPerOp+allocSlack(*b.AllocsPerOp) {
 			verdict = "REGRESS"
-			failures = append(failures, fmt.Sprintf("%s: %.0f allocs/op vs %.0f baseline",
-				b.Name, *c.AllocsPerOp, *b.AllocsPerOp))
+			failures = append(failures, fmt.Sprintf("%s: %.0f allocs/op vs %.0f baseline (more than %.0f over)",
+				b.Name, *c.AllocsPerOp, *b.AllocsPerOp, allocSlack(*b.AllocsPerOp)))
 		}
 		fmt.Fprintf(w, "%-28s %14.0f %14.0f %+7.1f%%  %s\n", b.Name, b.NsPerOp, c.NsPerOp, delta*100, verdict)
 	}

@@ -103,14 +103,32 @@ func TestCompareFailsOnSlowdown(t *testing.T) {
 	}
 }
 
-func TestCompareFailsOnAllocGrowth(t *testing.T) {
-	cur := &Report{Benchmarks: []Benchmark{
-		{Name: "BenchmarkSelect/1k", NsPerOp: 900, AllocsPerOp: fp(4)},
-		{Name: "BenchmarkNetsimChurn/1k", NsPerOp: 1900, AllocsPerOp: fp(7)},
+// TestCompareAllocGate: allocs/op may sit one allocation, or 0.5% of a
+// large baseline, above it (run-to-run noise of an unmodified tree) and
+// no further.
+func TestCompareAllocGate(t *testing.T) {
+	base := &Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkSelect/1k", NsPerOp: 1000, AllocsPerOp: fp(3)},
+		{Name: "BenchmarkSweepFigure6b", NsPerOp: 1000, AllocsPerOp: fp(56218)},
 	}}
-	var out strings.Builder
-	if err := compare(&out, baselineReport(), cur, 0.20); err == nil {
-		t.Fatalf("compare passed an allocs/op increase:\n%s", out.String())
+	for _, tc := range []struct {
+		small, large float64
+		pass         bool
+	}{
+		{3, 56218, true},
+		{4, 56223, true},  // the noise PR 15 recorded on an unmodified tree
+		{4, 56499, true},  // 0.5% of 56,218 is 281
+		{5, 56218, false}, // two more on a three-allocation path is a change
+		{3, 56500, false},
+	} {
+		cur := &Report{Benchmarks: []Benchmark{
+			{Name: "BenchmarkSelect/1k", NsPerOp: 1000, AllocsPerOp: fp(tc.small)},
+			{Name: "BenchmarkSweepFigure6b", NsPerOp: 1000, AllocsPerOp: fp(tc.large)},
+		}}
+		var out strings.Builder
+		if err := compare(&out, base, cur, 0.20); (err == nil) != tc.pass {
+			t.Errorf("allocs %v and %v: err = %v, want pass = %v\n%s", tc.small, tc.large, err, tc.pass, out.String())
+		}
 	}
 }
 

@@ -647,12 +647,12 @@ func (c *Client) readSegment(ctx context.Context, name string, info nameserver.F
 			}
 		}
 		i, rep, off, sub := i, rep, offset+segStart, buf[segStart:segStart+segLen]
-		flowID := uint64(a.FlowID)
+		flowID, local := a.FlowID, a.Local
 		// The scheduled flow id applies only to the replica the
 		// Flowserver chose; failover attempts run unscheduled.
 		tag := func(r nameserver.ReplicaLoc) (uint64, func()) {
 			if r.ServerID == rep.ServerID {
-				return flowID, nil
+				return uint64(flowID), nil
 			}
 			return 0, nil
 		}
@@ -661,13 +661,13 @@ func (c *Client) readSegment(ctx context.Context, name string, info nameserver.F
 			defer wg.Done()
 			errs[i] = c.readWithFailover(ctx, name, info, c.orderCandidates(info, &rep), tag, off, sub, false)
 			// Always release the flow table entry, even when the read (or
-			// its context) failed — on a fresh context so cancellation
-			// cannot leak control-plane state. The release goes to the
-			// stub that issued the assignment: under directory routing
-			// only the coordinating shard knows the flow.
-			fctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			_ = fstub.Finished(fctx, flowserver.FlowID(flowID))
-			cancel()
+			// its context) failed. The release goes to the stub that
+			// issued the assignment: under directory routing only the
+			// coordinating shard knows the flow. A local assignment
+			// registered no flow, so there is nothing to release.
+			if !local {
+				fstub.Release(flowID)
+			}
 		}()
 		segStart += segLen
 	}

@@ -231,7 +231,7 @@ func TestCreateAppendReadDelete(t *testing.T) {
 		_ = host
 		cc := rpc.NewPeer(ds.ControlAddr(), rpc.Options{})
 		var recs []nameserver.FileRecord
-		if err := cc.Call(ctx, dataserver.MethodListFiles, struct{}{}, &recs); err != nil {
+		if err := cc.Call(ctx, string(dataserver.MethodListFiles), struct{}{}, &recs); err != nil {
 			t.Fatal(err)
 		}
 		cc.Close()

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"errors"
-	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/dataserver"
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
@@ -132,17 +131,13 @@ func (c *Client) registerWriteFlow(ctx context.Context, primaryHost string, bits
 	return writeFlow{id: as[0].FlowID, fs: stub, active: true}
 }
 
-// finish releases the flow-table entry on a fresh bounded context,
-// mirroring the read path's cleanup (cancellation must not leak
-// control-plane state).
+// finish releases the flow-table entry, once.
 func (wf *writeFlow) finish(c *Client) {
 	if !wf.active {
 		return
 	}
 	wf.active = false
-	fctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	_ = wf.fs.Finished(fctx, wf.id)
-	cancel()
+	wf.fs.Release(wf.id)
 }
 
 // rebind moves the registration to a newly promoted primary, sized to

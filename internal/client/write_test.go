@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"net"
@@ -32,25 +31,22 @@ func startFakeDS(t *testing.T, appendFn func(call int, a dataserver.AppendArgs) 
 	t.Helper()
 	f := &fakeDS{}
 	srv := wire.NewServer()
-	srv.Register(dataserver.MethodPrepare, func(_ context.Context, params json.RawMessage) (any, error) {
-		var a dataserver.PrepareArgs
-		if err := json.Unmarshal(params, &a); err != nil {
-			return nil, err
-		}
-		return struct{}{}, nil
-	})
-	srv.Register(dataserver.MethodAppend, func(_ context.Context, params json.RawMessage) (any, error) {
-		var a dataserver.AppendArgs
-		if err := json.Unmarshal(params, &a); err != nil {
-			return nil, err
-		}
-		f.mu.Lock()
-		f.calls++
-		call := f.calls
-		f.seqs = append(f.seqs, a.Seq)
-		f.mu.Unlock()
-		return appendFn(call, a)
-	})
+	err := errors.Join(
+		dataserver.MethodPrepare.Handle(srv, func(context.Context, dataserver.PrepareArgs) (struct{}, error) {
+			return struct{}{}, nil
+		}),
+		dataserver.MethodAppend.Handle(srv, func(_ context.Context, a dataserver.AppendArgs) (dataserver.AppendReply, error) {
+			f.mu.Lock()
+			f.calls++
+			call := f.calls
+			f.seqs = append(f.seqs, a.Seq)
+			f.mu.Unlock()
+			return appendFn(call, a)
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

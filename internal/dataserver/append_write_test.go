@@ -3,8 +3,10 @@ package dataserver
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"net"
+	"sync"
 	"testing"
 
 	"github.com/mayflower-dfs/mayflower/internal/flowctl"
@@ -19,7 +21,7 @@ import (
 func statSize(t *testing.T, cc *rpc.Peer, c *cluster) int64 {
 	t.Helper()
 	var st StatReply
-	if err := cc.Call(context.Background(), MethodStat, FileIDArgs{FileID: c.info.ID}, &st); err != nil {
+	if err := cc.Call(context.Background(), string(MethodStat), FileIDArgs{FileID: c.info.ID}, &st); err != nil {
 		t.Fatal(err)
 	}
 	return st.SizeBytes
@@ -33,11 +35,11 @@ func TestAppendSeqDedupe(t *testing.T) {
 	args := AppendArgs{FileID: c.info.ID, Data: payload, Seq: 7}
 
 	var reply AppendReply
-	if err := c.ctl[0].Call(context.Background(), MethodAppend, args, &reply); err != nil {
+	if err := c.ctl[0].Call(context.Background(), string(MethodAppend), args, &reply); err != nil {
 		t.Fatal(err)
 	}
 	// A lost ack makes the client re-send the identical piece.
-	if err := c.ctl[0].Call(context.Background(), MethodAppend, args, &reply); err != nil {
+	if err := c.ctl[0].Call(context.Background(), string(MethodAppend), args, &reply); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(len(payload))
@@ -74,7 +76,7 @@ func TestAppendSeqRetryHealsReplicas(t *testing.T) {
 	}
 
 	var reply AppendReply
-	if err := c.ctl[0].Call(context.Background(), MethodAppend,
+	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
 		AppendArgs{FileID: c.info.ID, Data: payload, Seq: 42}, &reply); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestPromotedPrimaryInheritsSeqDedupe(t *testing.T) {
 	args := AppendArgs{FileID: c.info.ID, Data: payload, Seq: 5}
 
 	var reply AppendReply
-	if err := c.ctl[0].Call(context.Background(), MethodAppend, args, &reply); err != nil {
+	if err := c.ctl[0].Call(context.Background(), string(MethodAppend), args, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.servers[0].Close(); err != nil {
@@ -116,7 +118,7 @@ func TestPromotedPrimaryInheritsSeqDedupe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := c.ctl[1].Call(context.Background(), MethodAppend, args, &reply); err != nil {
+	if err := c.ctl[1].Call(context.Background(), string(MethodAppend), args, &reply); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(len(payload))
@@ -128,20 +130,29 @@ func TestPromotedPrimaryInheritsSeqDedupe(t *testing.T) {
 	}
 }
 
-// startFlowserver serves a one-shard flow control plane — selection
-// surface and shard directory on one ephemeral port, as a default
-// deployment does — and returns the shard's model for assertions.
+// startFlowserver serves a one-shard flow control plane and returns the
+// shard's model for assertions.
 func startFlowserver(t *testing.T, topo *topology.Topology) (*flowserver.Server, string) {
 	t.Helper()
 	shard, err := flowctl.NewShard(topo, flowctl.ShardConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return shard.Server(), serveFlowPlane(t, topo.Config().Pods, func(srv *wire.Server) error {
+		return flowctl.RegisterShardRPC(srv, shard, flowserver.Hooks{})
+	})
+}
+
+// serveFlowPlane serves the selection surface that register installs
+// beside a shard directory naming it the owner of every pod, on one
+// ephemeral port, as a default deployment does.
+func serveFlowPlane(t *testing.T, pods int, register func(*wire.Server) error) string {
+	t.Helper()
 	srv := wire.NewServer()
-	if err := flowctl.RegisterShardRPC(srv, shard, flowserver.Hooks{}); err != nil {
+	if err := register(srv); err != nil {
 		t.Fatal(err)
 	}
-	dir, err := flowctl.NewDirectory(topo.Config().Pods, 1)
+	dir, err := flowctl.NewDirectory(pods, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +168,7 @@ func startFlowserver(t *testing.T, topo *topology.Topology) (*flowserver.Server,
 	if _, err := dir.Heartbeat(0, ln.Addr().String(), 0, math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	return shard.Server(), ln.Addr().String()
+	return ln.Addr().String()
 }
 
 // startScheduledCluster is startCluster with the dataservers placed on
@@ -202,7 +213,7 @@ func startScheduledCluster(t *testing.T, fsAddr string, hosts []string) *cluster
 		Replicas:  replicas,
 	}
 	var out struct{}
-	if err := c.ctl[0].Call(context.Background(), MethodPrepare,
+	if err := c.ctl[0].Call(context.Background(), string(MethodPrepare),
 		PrepareArgs{Info: c.info, Relay: true}, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +241,7 @@ func TestAppendRelayUsesFlowserver(t *testing.T) {
 
 	payload := bytes.Repeat([]byte("w"), 100)
 	var reply AppendReply
-	if err := c.ctl[0].Call(context.Background(), MethodAppend,
+	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
 		AppendArgs{FileID: c.info.ID, Data: payload, Seq: 1}, &reply); err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +261,45 @@ func TestAppendRelayUsesFlowserver(t *testing.T) {
 	}
 }
 
+// TestAppendRelayReleasesEveryFlow: a release the controller fails must
+// not stop the ones after it — flows never expire, so a relay flow whose
+// fs.Finished is skipped loads the model's links for good.
+func TestAppendRelayReleasesEveryFlow(t *testing.T) {
+	var mu sync.Mutex
+	var finished []flowserver.FlowID
+	fsAddr := serveFlowPlane(t, 1, func(srv *wire.Server) error {
+		return errors.Join(
+			flowserver.MethodSelectWrite.Handle(srv, func(_ context.Context, a flowserver.SelectWriteArgs) ([]flowserver.AssignmentDTO, error) {
+				as := make([]flowserver.AssignmentDTO, len(a.TargetHosts))
+				for i, h := range a.TargetHosts {
+					as[i] = flowserver.AssignmentDTO{FlowID: flowserver.FlowID(i + 1), ReplicaHost: h, Bits: a.Bits, PathLen: 2}
+				}
+				return as, nil
+			}),
+			flowserver.MethodFinished.Handle(srv, func(_ context.Context, a flowserver.FinishedArgs) (struct{}, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				finished = append(finished, a.FlowID)
+				if a.FlowID == 1 {
+					return struct{}{}, errors.New("release lost")
+				}
+				return struct{}{}, nil
+			}),
+		)
+	})
+	c := startScheduledCluster(t, fsAddr, []string{"h0", "h1", "h2"})
+	var reply AppendReply
+	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
+		AppendArgs{FileID: c.info.ID, Data: []byte("two relay hops"), Seq: 1}, &reply); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(finished) != 2 || finished[0] != 1 || finished[1] != 2 {
+		t.Errorf("fs.Finished saw flows %v, want [1 2]: the failed release of flow 1 must not strand flow 2", finished)
+	}
+}
+
 // TestAppendRelayFallsBackStatic points the primary at a dead Flowserver
 // and checks the append still succeeds in static order.
 func TestAppendRelayFallsBackStatic(t *testing.T) {
@@ -264,7 +314,7 @@ func TestAppendRelayFallsBackStatic(t *testing.T) {
 	c := startScheduledCluster(t, deadAddr, []string{"h0", "h1", "h2"})
 	payload := []byte("degraded but durable")
 	var reply AppendReply
-	if err := c.ctl[0].Call(context.Background(), MethodAppend,
+	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
 		AppendArgs{FileID: c.info.ID, Data: payload, Seq: 1}, &reply); err != nil {
 		t.Fatal(err)
 	}

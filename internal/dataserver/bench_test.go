@@ -52,7 +52,7 @@ func BenchmarkAppendReplicated(b *testing.B) {
 	cc := rpc.NewPeer(servers[0].ControlAddr(), rpc.Options{})
 	defer cc.Close()
 	var out struct{}
-	if err := cc.Call(context.Background(), MethodPrepare, PrepareArgs{Info: info, Relay: true}, &out); err != nil {
+	if err := cc.Call(context.Background(), string(MethodPrepare), PrepareArgs{Info: info, Relay: true}, &out); err != nil {
 		b.Fatal(err)
 	}
 
@@ -64,7 +64,7 @@ func BenchmarkAppendReplicated(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var reply AppendReply
-		if err := cc.Call(context.Background(), MethodAppend,
+		if err := cc.Call(context.Background(), string(MethodAppend),
 			AppendArgs{FileID: info.ID, Data: payload, Seq: uint64(i + 1)}, &reply); err != nil {
 			b.Fatal(err)
 		}

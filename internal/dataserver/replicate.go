@@ -2,13 +2,13 @@ package dataserver
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
+	"github.com/mayflower-dfs/mayflower/internal/rpc"
 )
 
 // Re-replication control methods (the paper's §3.2 design goal of
@@ -16,10 +16,10 @@ import (
 const (
 	// MethodReplicate instructs a dataserver to become a replica of a
 	// file by copying it from a live peer.
-	MethodReplicate = "ds.Replicate"
+	MethodReplicate rpc.Method[ReplicateArgs, ReplicateReply] = "ds.Replicate"
 	// MethodUpdateMeta rewrites a stored file's metadata (the repaired
 	// replica set, including a possibly promoted primary).
-	MethodUpdateMeta = "ds.UpdateMeta"
+	MethodUpdateMeta rpc.Method[UpdateMetaArgs, struct{}] = "ds.UpdateMeta"
 )
 
 // UpdateMetaArgs carries the new metadata for a stored file.
@@ -40,30 +40,6 @@ type ReplicateArgs struct {
 // ReplicateReply reports the receiving server's local size afterwards.
 type ReplicateReply struct {
 	SizeBytes int64 `json:"sizeBytes"`
-}
-
-func (s *Server) registerReplicateHandler() error {
-	err := s.ctl.Register(MethodReplicate, func(ctx context.Context, params json.RawMessage) (any, error) {
-		var a ReplicateArgs
-		if err := json.Unmarshal(params, &a); err != nil {
-			return nil, err
-		}
-		size, err := s.replicateFrom(ctx, a)
-		if err != nil {
-			return nil, err
-		}
-		return ReplicateReply{SizeBytes: size}, nil
-	})
-	if err != nil {
-		return err
-	}
-	return s.ctl.Register(MethodUpdateMeta, func(_ context.Context, params json.RawMessage) (any, error) {
-		var a UpdateMetaArgs
-		if err := json.Unmarshal(params, &a); err != nil {
-			return nil, err
-		}
-		return struct{}{}, s.store.updateInfo(a.Info)
-	})
 }
 
 // replicateFrom copies a file from a peer in MaxAppend slices, resuming

@@ -12,8 +12,8 @@ import (
 // (usually an *rpc.Peer): every consumer of a dataserver's control plane
 // — the filesystem client, repair, peer relays, the nameserver's startup
 // scanner, the CLI — calls through these methods instead of
-// stringly-typed Call("ds.X", ...) sites, so the compiler checks
-// argument and reply shapes. Connection lifecycle belongs to the session
+// stringly-typed Call("ds.X", ...) sites; argument and reply shapes come
+// from each method's one rpc.Method declaration. Connection lifecycle belongs to the session
 // layer, not this stub.
 type Client struct {
 	c rpc.Caller
@@ -25,61 +25,49 @@ func NewClient(c rpc.Caller) *Client { return &Client{c: c} }
 // Prepare creates the local file state for a file (relaying to the other
 // replicas when args.Relay is set and this server is the primary).
 func (c *Client) Prepare(ctx context.Context, args PrepareArgs) error {
-	var out struct{}
-	return c.c.Call(ctx, MethodPrepare, args, &out)
+	_, err := MethodPrepare.Call(ctx, c.c, args)
+	return err
 }
 
 // Append appends a piece through the file's primary.
 func (c *Client) Append(ctx context.Context, args AppendArgs) (AppendReply, error) {
-	var out AppendReply
-	err := c.c.Call(ctx, MethodAppend, args, &out)
-	return out, err
+	return MethodAppend.Call(ctx, c.c, args)
 }
 
 // AppendAt applies a relayed append at a fixed offset.
 func (c *Client) AppendAt(ctx context.Context, args AppendAtArgs) (AppendReply, error) {
-	var out AppendReply
-	err := c.c.Call(ctx, MethodAppendAt, args, &out)
-	return out, err
+	return MethodAppendAt.Call(ctx, c.c, args)
 }
 
 // Delete removes a file's local state.
 func (c *Client) Delete(ctx context.Context, fileID uuid.UUID) error {
-	var out struct{}
-	return c.c.Call(ctx, MethodDelete, FileIDArgs{FileID: fileID}, &out)
+	_, err := MethodDelete.Call(ctx, c.c, FileIDArgs{FileID: fileID})
+	return err
 }
 
 // Stat reports a file's local size.
 func (c *Client) Stat(ctx context.Context, fileID uuid.UUID) (StatReply, error) {
-	var out StatReply
-	err := c.c.Call(ctx, MethodStat, FileIDArgs{FileID: fileID}, &out)
-	return out, err
+	return MethodStat.Call(ctx, c.c, FileIDArgs{FileID: fileID})
 }
 
 // ListFiles returns every locally stored file with its local size (the
 // nameserver's startup-rebuild scan).
 func (c *Client) ListFiles(ctx context.Context) ([]nameserver.FileRecord, error) {
-	var out []nameserver.FileRecord
-	err := c.c.Call(ctx, MethodListFiles, struct{}{}, &out)
-	return out, err
+	return MethodListFiles.Call(ctx, c.c, struct{}{})
 }
 
 // Scrub verifies every local chunk against its checksum sidecar.
 func (c *Client) Scrub(ctx context.Context) ([]ChunkFault, error) {
-	var out []ChunkFault
-	err := c.c.Call(ctx, MethodScrub, struct{}{}, &out)
-	return out, err
+	return MethodScrub.Call(ctx, c.c, struct{}{})
 }
 
 // Replicate instructs the server to copy a file from a live peer.
 func (c *Client) Replicate(ctx context.Context, args ReplicateArgs) (ReplicateReply, error) {
-	var out ReplicateReply
-	err := c.c.Call(ctx, MethodReplicate, args, &out)
-	return out, err
+	return MethodReplicate.Call(ctx, c.c, args)
 }
 
 // UpdateMeta rewrites a stored file's metadata.
 func (c *Client) UpdateMeta(ctx context.Context, args UpdateMetaArgs) error {
-	var out struct{}
-	return c.c.Call(ctx, MethodUpdateMeta, args, &out)
+	_, err := MethodUpdateMeta.Call(ctx, c.c, args)
+	return err
 }

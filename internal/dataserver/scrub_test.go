@@ -117,12 +117,12 @@ func TestScrubSurvivesReopen(t *testing.T) {
 
 func TestScrubRPC(t *testing.T) {
 	c := startCluster(t, 1, 16)
-	if err := c.ctl[0].Call(context.Background(), MethodAppend,
+	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
 		AppendArgs{FileID: c.info.ID, Data: bytes.Repeat([]byte("z"), 64)}, &AppendReply{}); err != nil {
 		t.Fatal(err)
 	}
 	var faults []ChunkFault
-	if err := c.ctl[0].Call(context.Background(), MethodScrub, struct{}{}, &faults); err != nil {
+	if err := c.ctl[0].Call(context.Background(), string(MethodScrub), struct{}{}, &faults); err != nil {
 		t.Fatal(err)
 	}
 	if len(faults) != 0 {
@@ -139,7 +139,7 @@ func TestScrubRPC(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ctl[0].Call(context.Background(), MethodScrub, struct{}{}, &faults); err != nil {
+	if err := c.ctl[0].Call(context.Background(), string(MethodScrub), struct{}{}, &faults); err != nil {
 		t.Fatal(err)
 	}
 	if len(faults) != 1 || faults[0].Chunk != 1 {

@@ -3,7 +3,6 @@ package dataserver
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,15 +22,16 @@ import (
 	"github.com/mayflower-dfs/mayflower/internal/wire"
 )
 
-// Control RPC method names served by a dataserver.
+// The control RPC methods served by a dataserver (the re-replication
+// pair is declared in replicate.go).
 const (
-	MethodPrepare   = "ds.Prepare"
-	MethodAppend    = "ds.Append"
-	MethodAppendAt  = "ds.AppendAt"
-	MethodDelete    = "ds.Delete"
-	MethodStat      = "ds.Stat"
-	MethodListFiles = "ds.ListFiles"
-	MethodScrub     = "ds.Scrub"
+	MethodPrepare   rpc.Method[PrepareArgs, struct{}]             = "ds.Prepare"
+	MethodAppend    rpc.Method[AppendArgs, AppendReply]           = "ds.Append"
+	MethodAppendAt  rpc.Method[AppendAtArgs, AppendReply]         = "ds.AppendAt"
+	MethodDelete    rpc.Method[FileIDArgs, struct{}]              = "ds.Delete"
+	MethodStat      rpc.Method[FileIDArgs, StatReply]             = "ds.Stat"
+	MethodListFiles rpc.Method[struct{}, []nameserver.FileRecord] = "ds.ListFiles"
+	MethodScrub     rpc.Method[struct{}, []ChunkFault]            = "ds.Scrub"
 )
 
 // MaxAppend bounds a single append RPC; the client library splits larger
@@ -186,9 +186,6 @@ func New(cfg Config) (*Server, error) {
 		s.met.register(cfg.Metrics, cfg.ID)
 	}
 	if err := s.registerHandlers(); err != nil {
-		return nil, err
-	}
-	if err := s.registerReplicateHandler(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -390,77 +387,49 @@ type StatReply struct {
 }
 
 func (s *Server) registerHandlers() error {
-	handlers := map[string]wire.Handler{
-		MethodPrepare: func(ctx context.Context, params json.RawMessage) (any, error) {
-			var a PrepareArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
+	return errors.Join(
+		MethodPrepare.Handle(s.ctl, func(ctx context.Context, a PrepareArgs) (struct{}, error) {
 			return struct{}{}, s.handlePrepare(ctx, a)
-		},
-		MethodAppend: func(ctx context.Context, params json.RawMessage) (any, error) {
-			var a AppendArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
-			return s.handleAppend(ctx, a)
-		},
-		MethodAppendAt: func(_ context.Context, params json.RawMessage) (any, error) {
-			var a AppendAtArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
+		}),
+		MethodAppend.Handle(s.ctl, s.handleAppend),
+		MethodAppendAt.Handle(s.ctl, func(_ context.Context, a AppendAtArgs) (AppendReply, error) {
 			fs, err := s.store.get(a.FileID)
 			if err != nil {
-				return nil, err
+				return AppendReply{}, err
 			}
 			fs.appendMu.Lock()
 			size, err := s.store.appendAtLocked(fs, a.FileID, a.Offset, a.Data)
 			fs.appendMu.Unlock()
 			if err != nil {
-				return nil, err
+				return AppendReply{}, err
 			}
 			fs.recordSeq(a.Seq, a.Offset)
 			return AppendReply{SizeBytes: size}, nil
-		},
-		MethodDelete: func(_ context.Context, params json.RawMessage) (any, error) {
-			var a FileIDArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
+		}),
+		MethodDelete.Handle(s.ctl, func(_ context.Context, a FileIDArgs) (struct{}, error) {
 			return struct{}{}, s.store.delete(a.FileID)
-		},
-		MethodStat: func(_ context.Context, params json.RawMessage) (any, error) {
-			var a FileIDArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
+		}),
+		MethodStat.Handle(s.ctl, func(_ context.Context, a FileIDArgs) (StatReply, error) {
 			fs, err := s.store.get(a.FileID)
 			if err != nil {
-				return nil, err
+				return StatReply{}, err
 			}
 			return StatReply{SizeBytes: fs.localSize()}, nil
-		},
-		MethodListFiles: func(_ context.Context, params json.RawMessage) (any, error) {
+		}),
+		MethodListFiles.Handle(s.ctl, func(context.Context, struct{}) ([]nameserver.FileRecord, error) {
 			return s.store.list(), nil
-		},
-		MethodScrub: func(_ context.Context, params json.RawMessage) (any, error) {
-			faults, err := s.store.scrub()
-			if err != nil {
-				return nil, err
-			}
-			if faults == nil {
-				faults = []ChunkFault{}
-			}
-			return faults, nil
-		},
-	}
-	for name, h := range handlers {
-		if err := s.ctl.Register(name, h); err != nil {
-			return err
-		}
-	}
-	return nil
+		}),
+		MethodScrub.Handle(s.ctl, func(context.Context, struct{}) ([]ChunkFault, error) {
+			return s.store.scrub()
+		}),
+		MethodReplicate.Handle(s.ctl, func(ctx context.Context, a ReplicateArgs) (ReplicateReply, error) {
+			size, err := s.replicateFrom(ctx, a)
+			return ReplicateReply{SizeBytes: size}, err
+		}),
+		MethodUpdateMeta.Handle(s.ctl, func(_ context.Context, a UpdateMetaArgs) (struct{}, error) {
+			return struct{}{}, s.store.updateInfo(a.Info)
+		}),
+	)
 }
 
 func (s *Server) handlePrepare(ctx context.Context, a PrepareArgs) error {
@@ -528,7 +497,12 @@ func (s *Server) handleAppend(ctx context.Context, a AppendArgs) (AppendReply, e
 			break
 		}
 	}
-	s.finishFlows(flowStub, flows)
+	if flowStub != nil {
+		// Against the stub that issued them: under directory routing only
+		// the coordinating shard knows the flows, not whichever shard a
+		// later resolution would name.
+		flowStub.Release(flows...)
+	}
 	if relayErr != nil {
 		return AppendReply{}, relayErr
 	}
@@ -555,7 +529,7 @@ const flowserverRPCTimeout = 2 * time.Second
 // Flowserver configured the order comes from SelectWritePipeline —
 // cheapest hop first, every hop's admission visible to the next — and
 // the returned ids keep the transfers registered in the network model
-// until finishFlows releases them. Any failure falls back to the static
+// until the append releases them. Any failure falls back to the static
 // replica order: the Flowserver is an optimizer, never a dependency
 // (mirroring the read path's degraded mode).
 func (s *Server) planRelay(ctx context.Context, info nameserver.FileInfo, bits float64) ([]nameserver.ReplicaLoc, []flowserver.FlowID, *flowserver.RPCClient) {
@@ -606,30 +580,12 @@ func (s *Server) planRelay(ctx context.Context, info nameserver.FileInfo, bits f
 	if len(order) != len(rest) {
 		// The schedule does not cover the replica set (e.g. two replicas
 		// sharing a host); release what it admitted and go static.
-		s.finishFlows(fsc, flows)
+		fsc.Release(flows...)
 		s.met.relayStatic.Inc()
 		return rest, nil, nil
 	}
 	s.met.relayScheduled.Inc()
 	return order, flows, fsc
-}
-
-// finishFlows releases relay flow-table entries on a fresh bounded
-// context (the append's own context may already be expired), against
-// the stub that issued them — under directory routing the releases must
-// reach the shard coordinating the flows, not whichever shard a later
-// resolution would name.
-func (s *Server) finishFlows(fsc *flowserver.RPCClient, flows []flowserver.FlowID) {
-	if len(flows) == 0 || fsc == nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), flowserverRPCTimeout)
-	defer cancel()
-	for _, id := range flows {
-		if err := fsc.Finished(ctx, id); err != nil {
-			return
-		}
-	}
 }
 
 // --- data plane ----------------------------------------------------------

@@ -72,7 +72,7 @@ func startCluster(t *testing.T, n int, chunkSize int64) *cluster {
 		Replicas:  replicas,
 	}
 	var out struct{}
-	if err := c.ctl[0].Call(context.Background(), MethodPrepare,
+	if err := c.ctl[0].Call(context.Background(), string(MethodPrepare),
 		PrepareArgs{Info: c.info, Relay: true}, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestPrepareRelayReachesAllReplicas(t *testing.T) {
 	c := startCluster(t, 3, 64)
 	for i, cc := range c.ctl {
 		var reply StatReply
-		if err := cc.Call(context.Background(), MethodStat, FileIDArgs{FileID: c.info.ID}, &reply); err != nil {
+		if err := cc.Call(context.Background(), string(MethodStat), FileIDArgs{FileID: c.info.ID}, &reply); err != nil {
 			t.Fatalf("replica %d: %v", i, err)
 		}
 		if reply.SizeBytes != 0 {
@@ -98,7 +98,7 @@ func TestPrepareRelayRejectsNonPrimary(t *testing.T) {
 	info.ID = uuid.MustNew()
 	info.Name = "wrong-primary"
 	var out struct{}
-	err := c.ctl[1].Call(context.Background(), MethodPrepare, PrepareArgs{Info: info, Relay: true}, &out)
+	err := c.ctl[1].Call(context.Background(), string(MethodPrepare), PrepareArgs{Info: info, Relay: true}, &out)
 	if err == nil || !strings.Contains(err.Error(), "not the file's primary") {
 		t.Errorf("err = %v, want not-primary", err)
 	}
@@ -109,7 +109,7 @@ func TestAppendRelaysToReplicas(t *testing.T) {
 	payload := bytes.Repeat([]byte("ab"), 20) // 40 bytes across 3 chunks
 
 	var reply AppendReply
-	err := c.ctl[0].Call(context.Background(), MethodAppend,
+	err := c.ctl[0].Call(context.Background(), string(MethodAppend),
 		AppendArgs{FileID: c.info.ID, Data: payload}, &reply)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestAppendRelaysToReplicas(t *testing.T) {
 	// Every replica holds all 40 bytes.
 	for i, cc := range c.ctl {
 		var st StatReply
-		if err := cc.Call(context.Background(), MethodStat, FileIDArgs{FileID: c.info.ID}, &st); err != nil {
+		if err := cc.Call(context.Background(), string(MethodStat), FileIDArgs{FileID: c.info.ID}, &st); err != nil {
 			t.Fatal(err)
 		}
 		if st.SizeBytes != 40 {
@@ -132,7 +132,7 @@ func TestAppendRelaysToReplicas(t *testing.T) {
 func TestAppendRejectsNonPrimary(t *testing.T) {
 	c := startCluster(t, 3, 16)
 	var reply AppendReply
-	err := c.ctl[2].Call(context.Background(), MethodAppend,
+	err := c.ctl[2].Call(context.Background(), string(MethodAppend),
 		AppendArgs{FileID: c.info.ID, Data: []byte("x")}, &reply)
 	if err == nil || !strings.Contains(err.Error(), "not the file's primary") {
 		t.Errorf("err = %v, want not-primary", err)
@@ -142,7 +142,7 @@ func TestAppendRejectsNonPrimary(t *testing.T) {
 func TestAppendTooLarge(t *testing.T) {
 	c := startCluster(t, 1, 1<<20)
 	var reply AppendReply
-	err := c.ctl[0].Call(context.Background(), MethodAppend,
+	err := c.ctl[0].Call(context.Background(), string(MethodAppend),
 		AppendArgs{FileID: c.info.ID, Data: make([]byte, MaxAppend+1)}, &reply)
 	if err == nil {
 		t.Error("oversized append accepted")
@@ -157,7 +157,7 @@ func TestAppendFailsWhenReplicaDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply AppendReply
-	err := c.ctl[0].Call(context.Background(), MethodAppend,
+	err := c.ctl[0].Call(context.Background(), string(MethodAppend),
 		AppendArgs{FileID: c.info.ID, Data: []byte("x")}, &reply)
 	if err == nil {
 		t.Error("append succeeded with a dead replica")
@@ -177,7 +177,7 @@ func TestConcurrentAppendsThroughPrimary(t *testing.T) {
 			defer cc.Close()
 			for i := 0; i < perWriter; i++ {
 				var reply AppendReply
-				if err := cc.Call(context.Background(), MethodAppend,
+				if err := cc.Call(context.Background(), string(MethodAppend),
 					AppendArgs{FileID: c.info.ID, Data: []byte("0123456789")}, &reply); err != nil {
 					t.Error(err)
 					return
@@ -189,7 +189,7 @@ func TestConcurrentAppendsThroughPrimary(t *testing.T) {
 	want := int64(writers * perWriter * 10)
 	for i, cc := range c.ctl {
 		var st StatReply
-		if err := cc.Call(context.Background(), MethodStat, FileIDArgs{FileID: c.info.ID}, &st); err != nil {
+		if err := cc.Call(context.Background(), string(MethodStat), FileIDArgs{FileID: c.info.ID}, &st); err != nil {
 			t.Fatal(err)
 		}
 		if st.SizeBytes != want {
@@ -233,7 +233,7 @@ func TestDataProtocolRoundTrip(t *testing.T) {
 	c := startCluster(t, 2, 32)
 	payload := bytes.Repeat([]byte("xyz"), 30) // 90 bytes
 	var reply AppendReply
-	if err := c.ctl[0].Call(context.Background(), MethodAppend,
+	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
 		AppendArgs{FileID: c.info.ID, Data: payload}, &reply); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestDataProtocolRoundTrip(t *testing.T) {
 
 func TestDataProtocolReportsSize(t *testing.T) {
 	c := startCluster(t, 1, 32)
-	if err := c.ctl[0].Call(context.Background(), MethodAppend,
+	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
 		AppendArgs{FileID: c.info.ID, Data: bytes.Repeat([]byte("q"), 77)}, &AppendReply{}); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestRegistersWithNameserver(t *testing.T) {
 func TestListFilesRPC(t *testing.T) {
 	c := startCluster(t, 1, 32)
 	var recs []nameserver.FileRecord
-	if err := c.ctl[0].Call(context.Background(), MethodListFiles, struct{}{}, &recs); err != nil {
+	if err := c.ctl[0].Call(context.Background(), string(MethodListFiles), struct{}{}, &recs); err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || recs[0].Info.ID != c.info.ID {
@@ -350,11 +350,11 @@ func TestListFilesRPC(t *testing.T) {
 func TestDeleteRPC(t *testing.T) {
 	c := startCluster(t, 1, 32)
 	var out struct{}
-	if err := c.ctl[0].Call(context.Background(), MethodDelete, FileIDArgs{FileID: c.info.ID}, &out); err != nil {
+	if err := c.ctl[0].Call(context.Background(), string(MethodDelete), FileIDArgs{FileID: c.info.ID}, &out); err != nil {
 		t.Fatal(err)
 	}
 	var st StatReply
-	err := c.ctl[0].Call(context.Background(), MethodStat, FileIDArgs{FileID: c.info.ID}, &st)
+	err := c.ctl[0].Call(context.Background(), string(MethodStat), FileIDArgs{FileID: c.info.ID}, &st)
 	if err == nil {
 		t.Error("stat succeeded after delete")
 	}
@@ -406,10 +406,10 @@ func TestPacerIsApplied(t *testing.T) {
 	cc := rpc.NewPeer(s.ControlAddr(), rpc.Options{})
 	defer cc.Close()
 	var out struct{}
-	if err := cc.Call(context.Background(), MethodPrepare, PrepareArgs{Info: info}, &out); err != nil {
+	if err := cc.Call(context.Background(), string(MethodPrepare), PrepareArgs{Info: info}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if err := cc.Call(context.Background(), MethodAppend,
+	if err := cc.Call(context.Background(), string(MethodAppend),
 		AppendArgs{FileID: info.ID, Data: []byte("0123456789")}, &AppendReply{}); err != nil {
 		t.Fatal(err)
 	}

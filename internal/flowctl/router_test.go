@@ -2,7 +2,6 @@ package flowctl
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"sync"
@@ -17,12 +16,12 @@ import (
 // Sleep completes fakeClock as a fabric.Clock; the router never sleeps.
 func (c *fakeClock) Sleep(float64) {}
 
-// serveWire serves one method on a loopback wire server and returns its
-// address.
-func serveWire(t *testing.T, method string, h func(context.Context, json.RawMessage) (any, error)) string {
+// serveWire serves what register installs on a loopback wire server and
+// returns its address.
+func serveWire(t *testing.T, register func(*wire.Server) error) string {
 	t.Helper()
 	srv := wire.NewServer()
-	if err := srv.Register(method, h); err != nil {
+	if err := register(srv); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -37,11 +36,13 @@ func serveWire(t *testing.T, method string, h func(context.Context, json.RawMess
 // markedShard serves fs.Select returning a fixed marker, so a test can
 // tell which shard a Select landed on. A failing shard errors instead.
 func markedShard(t *testing.T, marker string, fail bool) string {
-	return serveWire(t, flowserver.MethodSelect, func(context.Context, json.RawMessage) (any, error) {
-		if fail {
-			return nil, errors.New("shard is down")
-		}
-		return []flowserver.AssignmentDTO{{ReplicaHost: marker}}, nil
+	return serveWire(t, func(srv *wire.Server) error {
+		return flowserver.MethodSelect.Handle(srv, func(context.Context, flowserver.SelectArgs) ([]flowserver.AssignmentDTO, error) {
+			if fail {
+				return nil, errors.New("shard is down")
+			}
+			return []flowserver.AssignmentDTO{{ReplicaHost: marker}}, nil
+		})
 	})
 }
 
@@ -67,11 +68,13 @@ func (d *scriptedDirectory) count() int {
 }
 
 func (d *scriptedDirectory) serve(t *testing.T) string {
-	return serveWire(t, MethodLookup, func(context.Context, json.RawMessage) (any, error) {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		d.lookups++
-		return d.reply, d.err
+	return serveWire(t, func(srv *wire.Server) error {
+		return MethodLookup.Handle(srv, func(context.Context, LookupArgs) (LookupReply, error) {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			d.lookups++
+			return d.reply, d.err
+		})
 	})
 }
 

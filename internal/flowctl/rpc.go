@@ -2,7 +2,7 @@ package flowctl
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
@@ -19,12 +19,12 @@ import (
 // (ctl.*) carries foreign commits, finishes and digest pulls between
 // shard processes — the RPC form of ShardLink.
 const (
-	MethodLookup    = "fd.Lookup"
-	MethodHeartbeat = "fd.Heartbeat"
+	MethodLookup    rpc.Method[LookupArgs, LookupReply]       = "fd.Lookup"
+	MethodHeartbeat rpc.Method[HeartbeatArgs, HeartbeatReply] = "fd.Heartbeat"
 
-	MethodCommitForeign = "ctl.Commit"
-	MethodFinishForeign = "ctl.Finish"
-	MethodPullDigest    = "ctl.Digest"
+	MethodCommitForeign rpc.Method[CommitForeignArgs, CommitForeignReply] = "ctl.Commit"
+	MethodFinishForeign rpc.Method[FinishForeignArgs, struct{}]           = "ctl.Finish"
+	MethodPullDigest    rpc.Method[struct{}, *Digest]                     = "ctl.Digest"
 )
 
 // LookupArgs asks which shard owns a pod.
@@ -60,34 +60,21 @@ type HeartbeatReply struct {
 // first, so a silent shard is failed over by the next resolution
 // touching the directory rather than by a background sweeper.
 func RegisterDirectoryRPC(srv *wire.Server, d *Directory, now func() float64) error {
-	lookup := func(_ context.Context, params json.RawMessage) (any, error) {
-		var a LookupArgs
-		if err := json.Unmarshal(params, &a); err != nil {
-			return nil, err
-		}
-		d.ExpireBefore(now())
-		shard, addr, epoch, ok := d.Lookup(a.Pod)
-		if !ok {
-			return nil, fmt.Errorf("flowctl: no live shard owns pod %d", a.Pod)
-		}
-		return LookupReply{Shard: shard, Addr: addr, Epoch: epoch}, nil
-	}
-	heartbeat := func(_ context.Context, params json.RawMessage) (any, error) {
-		var a HeartbeatArgs
-		if err := json.Unmarshal(params, &a); err != nil {
-			return nil, err
-		}
-		d.ExpireBefore(now())
-		epoch, err := d.Heartbeat(a.Shard, a.Addr, now(), a.TTLSeconds)
-		if err != nil {
-			return nil, err
-		}
-		return HeartbeatReply{Epoch: epoch}, nil
-	}
-	if err := srv.Register(MethodLookup, lookup); err != nil {
-		return err
-	}
-	return srv.Register(MethodHeartbeat, heartbeat)
+	return errors.Join(
+		MethodLookup.Handle(srv, func(_ context.Context, a LookupArgs) (LookupReply, error) {
+			d.ExpireBefore(now())
+			shard, addr, epoch, ok := d.Lookup(a.Pod)
+			if !ok {
+				return LookupReply{}, fmt.Errorf("flowctl: no live shard owns pod %d", a.Pod)
+			}
+			return LookupReply{Shard: shard, Addr: addr, Epoch: epoch}, nil
+		}),
+		MethodHeartbeat.Handle(srv, func(_ context.Context, a HeartbeatArgs) (HeartbeatReply, error) {
+			d.ExpireBefore(now())
+			epoch, err := d.Heartbeat(a.Shard, a.Addr, now(), a.TTLSeconds)
+			return HeartbeatReply{Epoch: epoch}, err
+		}),
+	)
 }
 
 // DirectoryClient is the typed directory stub over an rpc session.
@@ -100,15 +87,12 @@ func NewDirectoryClient(c rpc.Caller) *DirectoryClient { return &DirectoryClient
 
 // Lookup resolves the shard owning a pod.
 func (c *DirectoryClient) Lookup(ctx context.Context, pod int) (LookupReply, error) {
-	var out LookupReply
-	err := c.c.Call(ctx, MethodLookup, LookupArgs{Pod: pod}, &out)
-	return out, err
+	return MethodLookup.Call(ctx, c.c, LookupArgs{Pod: pod})
 }
 
 // Heartbeat renews a shard's lease.
 func (c *DirectoryClient) Heartbeat(ctx context.Context, shard int, addr string, ttlSeconds float64) (int64, error) {
-	var out HeartbeatReply
-	err := c.c.Call(ctx, MethodHeartbeat, HeartbeatArgs{Shard: shard, Addr: addr, TTLSeconds: ttlSeconds}, &out)
+	out, err := MethodHeartbeat.Call(ctx, c.c, HeartbeatArgs{Shard: shard, Addr: addr, TTLSeconds: ttlSeconds})
 	return out.Epoch, err
 }
 
@@ -155,32 +139,19 @@ func RegisterShardRPC(srv *wire.Server, s *Shard, hooks flowserver.Hooks) error 
 	if err := flowserver.RegisterRPC(srv, s, s.topo, hooks); err != nil {
 		return err
 	}
-	commit := func(_ context.Context, params json.RawMessage) (any, error) {
-		var a CommitForeignArgs
-		if err := json.Unmarshal(params, &a); err != nil {
-			return nil, err
-		}
-		bw := s.srv.CommitForeign(a.FlowID, pathFromWire(a.Links), a.Bits, a.CapBw)
-		return CommitForeignReply{EstimatedBw: bw}, nil
-	}
-	finish := func(_ context.Context, params json.RawMessage) (any, error) {
-		var a FinishForeignArgs
-		if err := json.Unmarshal(params, &a); err != nil {
-			return nil, err
-		}
-		s.srv.FlowFinished(a.FlowID)
-		return struct{}{}, nil
-	}
-	digest := func(_ context.Context, _ json.RawMessage) (any, error) {
-		return s.BuildDigest(s.clock()), nil
-	}
-	if err := srv.Register(MethodCommitForeign, commit); err != nil {
-		return err
-	}
-	if err := srv.Register(MethodFinishForeign, finish); err != nil {
-		return err
-	}
-	return srv.Register(MethodPullDigest, digest)
+	return errors.Join(
+		MethodCommitForeign.Handle(srv, func(_ context.Context, a CommitForeignArgs) (CommitForeignReply, error) {
+			bw := s.srv.CommitForeign(a.FlowID, pathFromWire(a.Links), a.Bits, a.CapBw)
+			return CommitForeignReply{EstimatedBw: bw}, nil
+		}),
+		MethodFinishForeign.Handle(srv, func(_ context.Context, a FinishForeignArgs) (struct{}, error) {
+			s.srv.FlowFinished(a.FlowID)
+			return struct{}{}, nil
+		}),
+		MethodPullDigest.Handle(srv, func(context.Context, struct{}) (*Digest, error) {
+			return s.BuildDigest(s.clock()), nil
+		}),
+	)
 }
 
 // RPCShardLink is the deployed ShardLink: ctl.* calls over a pooled
@@ -207,10 +178,9 @@ func NewRPCShardLink(c rpc.Caller, mkCtx func() (context.Context, context.Cancel
 func (l *RPCShardLink) CommitForeign(id flowserver.FlowID, links topology.Path, bits, capBw float64) (float64, error) {
 	ctx, cancel := l.ctx()
 	defer cancel()
-	var out CommitForeignReply
-	err := l.c.Call(ctx, MethodCommitForeign, CommitForeignArgs{
+	out, err := MethodCommitForeign.Call(ctx, l.c, CommitForeignArgs{
 		FlowID: id, Links: wirePath(links), Bits: bits, CapBw: capBw,
-	}, &out)
+	})
 	return out.EstimatedBw, err
 }
 
@@ -218,17 +188,13 @@ func (l *RPCShardLink) CommitForeign(id flowserver.FlowID, links topology.Path, 
 func (l *RPCShardLink) FinishForeign(id flowserver.FlowID) error {
 	ctx, cancel := l.ctx()
 	defer cancel()
-	var out struct{}
-	return l.c.Call(ctx, MethodFinishForeign, FinishForeignArgs{FlowID: id}, &out)
+	_, err := MethodFinishForeign.Call(ctx, l.c, FinishForeignArgs{FlowID: id})
+	return err
 }
 
 // Digest implements ShardLink.
 func (l *RPCShardLink) Digest() (*Digest, error) {
 	ctx, cancel := l.ctx()
 	defer cancel()
-	var out Digest
-	if err := l.c.Call(ctx, MethodPullDigest, struct{}{}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return MethodPullDigest.Call(ctx, l.c, struct{}{})
 }

@@ -44,7 +44,8 @@ func TestSelectWritePipelineOrdersByCost(t *testing.T) {
 	fast := topo.HostAt(0, 1, 0) // cross rack, idle
 
 	// Saturate the congested target's downlink with a long-lived flow.
-	srv.Server().CommitForeign(1000, topology.Path{topo.DownlinkOf(slow)}, 1000, math.Inf(1))
+	toSlow := topo.ShortestPaths(source, slow)[0]
+	srv.Server().CommitForeign(1000, toSlow[len(toSlow)-1:], 1000, math.Inf(1))
 
 	as, err := srv.SelectWritePipeline(source, []topology.NodeID{slow, fast}, 6)
 	if err != nil {

@@ -706,36 +706,6 @@ func (s *Server) restore(snap modelSnapshot) {
 // snapshot/restore path; it is nil in production.
 var restoreHook func(*Server)
 
-// EstimateIngressShare estimates the max-min bandwidth share a new flow
-// *into* the given host would receive across the edge tier: the bottleneck
-// of the host's downlink and the best aggregation-to-edge link feeding its
-// rack, given the flows currently modeled on them. This is the signal for
-// Sinbad-like collaborative write placement — the paper notes (§3.3) that
-// the nameserver can make placement decisions "collaboratively with the
-// Flowserver", and this method is the Flowserver's half of that contract.
-func (s *Server) EstimateIngressShare(host topology.NodeID) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	down := int(s.topo.DownlinkOf(host))
-	share := s.mm.ShareOnLink(s.capacity[down], s.demandsOn(down))
-
-	edge := s.topo.EdgeOf(host)
-	best := -1.0
-	for _, agg := range s.topo.AggSwitches() {
-		id, ok := s.topo.LinkBetween(agg, edge)
-		if !ok {
-			continue
-		}
-		if v := s.mm.ShareOnLink(s.capacity[id], s.demandsOn(int(id))); v > best {
-			best = v
-		}
-	}
-	if best >= 0 && best < share {
-		share = best
-	}
-	return share
-}
-
 // SetLinkCapacity overrides the modeled capacity of one directed link.
 // The paper's cost example (§4.2) notes that heterogeneous link capacities
 // change path choice; this supports fabrics whose links differ from the

@@ -197,72 +197,6 @@ func TestMultiReplicaSplitConservation(t *testing.T) {
 	}
 }
 
-// TestIngressShareMonotone checks EstimateIngressShare decreases as flows
-// pile onto a host and recovers as they finish.
-func TestIngressShareMonotone(t *testing.T) {
-	topo, err := topology.New(topology.PaperTestbed(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(topo, Options{})
-	victim := topo.HostAt(0, 0, 0)
-
-	base := srv.EstimateIngressShare(victim)
-	if base != topology.Gbps(1) {
-		t.Fatalf("idle ingress = %g, want 1 Gbps", base)
-	}
-	var flows []FlowID
-	prev := base
-	for i := 0; i < 4; i++ {
-		src := topo.HostAt(1+i%3, i%4, i%4)
-		a, err := srv.SelectPath(victim, src, 256*8e6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flows = append(flows, a.FlowID)
-		cur := srv.EstimateIngressShare(victim)
-		if cur > prev+1 {
-			t.Fatalf("ingress share rose under load: %g -> %g", prev, cur)
-		}
-		prev = cur
-	}
-	if prev >= base {
-		t.Fatalf("ingress share %g did not drop from %g under 4 flows", prev, base)
-	}
-	for _, id := range flows {
-		srv.FlowFinished(id)
-	}
-	if got := srv.EstimateIngressShare(victim); got != base {
-		t.Fatalf("ingress share %g did not recover to %g", got, base)
-	}
-	if err := srv.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkEstimateIngressShare(b *testing.B) {
-	topo, err := topology.New(topology.PaperTestbed(8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := New(topo, Options{})
-	for i := 0; i < 50; i++ {
-		src := topo.HostAt(i%4, (i/4)%4, i%4)
-		dst := topo.HostAt((i+1)%4, (i/3)%4, (i+2)%4)
-		if src == dst {
-			continue
-		}
-		if _, err := srv.SelectPath(dst, src, 256*8e6); err != nil {
-			b.Fatal(err)
-		}
-	}
-	host := topo.HostAt(0, 0, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv.EstimateIngressShare(host)
-	}
-}
-
 func TestPathCostMatchesManualExample(t *testing.T) {
 	// Sanity against a hand-computed case distinct from Figure 2: one
 	// background flow at 4 on a 10-capacity link, new 12-bit read.

@@ -2,8 +2,9 @@ package flowserver
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/rpc"
 	"github.com/mayflower-dfs/mayflower/internal/topology"
@@ -15,9 +16,9 @@ import (
 // Mayflower: any distributed application can pass candidate sources and a
 // transfer size and get back the chosen sources with per-source sizes.
 const (
-	MethodSelect      = "fs.Select"
-	MethodSelectWrite = "fs.SelectWrite"
-	MethodFinished    = "fs.Finished"
+	MethodSelect      rpc.Method[SelectArgs, []AssignmentDTO]      = "fs.Select"
+	MethodSelectWrite rpc.Method[SelectWriteArgs, []AssignmentDTO] = "fs.SelectWrite"
+	MethodFinished    rpc.Method[FinishedArgs, struct{}]           = "fs.Finished"
 )
 
 // SelectArgs asks for a read assignment. Hosts are topology host names
@@ -122,65 +123,45 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 		return out
 	}
 
-	selectHandler := func(_ context.Context, params json.RawMessage) (any, error) {
-		var a SelectArgs
-		if err := json.Unmarshal(params, &a); err != nil {
-			return nil, err
-		}
-		client, ok := hostByName[a.ClientHost]
-		if !ok {
-			return nil, fmt.Errorf("flowserver: unknown client host %q", a.ClientHost)
-		}
-		replicas, err := resolve(a.ReplicaHosts, "replica")
-		if err != nil {
-			return nil, err
-		}
-		as, err := fs.SelectReplicaAndPath(Request{Client: client, Replicas: replicas, Bits: a.Bits})
-		if err != nil {
-			return nil, err
-		}
-		return reply(as), nil
-	}
-
-	selectWriteHandler := func(_ context.Context, params json.RawMessage) (any, error) {
-		var a SelectWriteArgs
-		if err := json.Unmarshal(params, &a); err != nil {
-			return nil, err
-		}
-		source, ok := hostByName[a.SourceHost]
-		if !ok {
-			return nil, fmt.Errorf("flowserver: unknown source host %q", a.SourceHost)
-		}
-		targets, err := resolve(a.TargetHosts, "target")
-		if err != nil {
-			return nil, err
-		}
-		as, err := fs.SelectWritePipeline(source, targets, a.Bits)
-		if err != nil {
-			return nil, err
-		}
-		return reply(as), nil
-	}
-
-	finishedHandler := func(_ context.Context, params json.RawMessage) (any, error) {
-		var a FinishedArgs
-		if err := json.Unmarshal(params, &a); err != nil {
-			return nil, err
-		}
-		fs.FlowFinished(a.FlowID)
-		if hooks.OnFinish != nil {
-			hooks.OnFinish(a.FlowID)
-		}
-		return struct{}{}, nil
-	}
-
-	if err := srv.Register(MethodSelect, selectHandler); err != nil {
-		return err
-	}
-	if err := srv.Register(MethodSelectWrite, selectWriteHandler); err != nil {
-		return err
-	}
-	return srv.Register(MethodFinished, finishedHandler)
+	return errors.Join(
+		MethodSelect.Handle(srv, func(_ context.Context, a SelectArgs) ([]AssignmentDTO, error) {
+			client, ok := hostByName[a.ClientHost]
+			if !ok {
+				return nil, fmt.Errorf("flowserver: unknown client host %q", a.ClientHost)
+			}
+			replicas, err := resolve(a.ReplicaHosts, "replica")
+			if err != nil {
+				return nil, err
+			}
+			as, err := fs.SelectReplicaAndPath(Request{Client: client, Replicas: replicas, Bits: a.Bits})
+			if err != nil {
+				return nil, err
+			}
+			return reply(as), nil
+		}),
+		MethodSelectWrite.Handle(srv, func(_ context.Context, a SelectWriteArgs) ([]AssignmentDTO, error) {
+			source, ok := hostByName[a.SourceHost]
+			if !ok {
+				return nil, fmt.Errorf("flowserver: unknown source host %q", a.SourceHost)
+			}
+			targets, err := resolve(a.TargetHosts, "target")
+			if err != nil {
+				return nil, err
+			}
+			as, err := fs.SelectWritePipeline(source, targets, a.Bits)
+			if err != nil {
+				return nil, err
+			}
+			return reply(as), nil
+		}),
+		MethodFinished.Handle(srv, func(_ context.Context, a FinishedArgs) (struct{}, error) {
+			fs.FlowFinished(a.FlowID)
+			if hooks.OnFinish != nil {
+				hooks.OnFinish(a.FlowID)
+			}
+			return struct{}{}, nil
+		}),
+	)
 }
 
 // RPCClient is the typed Flowserver stub over an rpc session (usually an
@@ -195,24 +176,34 @@ func NewRPCClient(c rpc.Caller) *RPCClient { return &RPCClient{c: c} }
 
 // Select asks the Flowserver for a read assignment.
 func (c *RPCClient) Select(ctx context.Context, args SelectArgs) ([]AssignmentDTO, error) {
-	var out []AssignmentDTO
-	if err := c.c.Call(ctx, MethodSelect, args, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return MethodSelect.Call(ctx, c.c, args)
 }
 
 // SelectWrite asks the Flowserver to order a replication pipeline.
 func (c *RPCClient) SelectWrite(ctx context.Context, args SelectWriteArgs) ([]AssignmentDTO, error) {
-	var out []AssignmentDTO
-	if err := c.c.Call(ctx, MethodSelectWrite, args, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return MethodSelectWrite.Call(ctx, c.c, args)
 }
 
 // Finished reports a completed flow.
 func (c *RPCClient) Finished(ctx context.Context, id FlowID) error {
-	var out struct{}
-	return c.c.Call(ctx, MethodFinished, FinishedArgs{FlowID: id}, &out)
+	_, err := MethodFinished.Call(ctx, c.c, FinishedArgs{FlowID: id})
+	return err
+}
+
+// releaseTimeout bounds one Release: a slow controller may cost its
+// callers (a read about to return, a primary holding a file's append
+// order) this long, never more.
+const releaseTimeout = 2 * time.Second
+
+// Release reports every flow in ids finished. It is what a caller runs
+// when its transfer is over, however it ended, so it takes no context:
+// the caller's own may already be cancelled or expired, and a flow that
+// is not released stays in the model forever (flows never expire). For
+// the same reason one failed Finished does not stop the rest.
+func (c *RPCClient) Release(ids ...FlowID) {
+	ctx, cancel := context.WithTimeout(context.Background(), releaseTimeout)
+	defer cancel()
+	for _, id := range ids {
+		_ = c.Finished(ctx, id) // best effort: nothing to do about a lost release but try the next
+	}
 }

@@ -105,16 +105,6 @@ type CreateOptions struct {
 	PreferredReplicas []string `json:"preferredReplicas,omitempty"`
 }
 
-// PlacementScorer rates candidate dataservers for a new replica; higher
-// scores are preferred. It lets the nameserver make placement decisions
-// "collaboratively with the Flowserver" (§3.3) — package writeplace
-// provides the Flowserver-backed, Sinbad-like implementation. Fault-domain
-// constraints always apply first; the scorer only orders the candidates
-// inside each domain.
-type PlacementScorer interface {
-	Score(si ServerInfo) float64
-}
-
 // Service is the nameserver's logic, independent of any transport. All
 // methods are safe for concurrent use.
 type Service struct {
@@ -125,8 +115,7 @@ type Service struct {
 	files     map[string]FileInfo   // name → info
 	servers   map[string]ServerInfo // id → info
 	lastBeat  map[string]time.Time  // id → last heartbeat (in-memory only)
-	scorer    PlacementScorer
-	deadAfter time.Duration // placement skips servers silent this long (0 = no filter)
+	deadAfter time.Duration         // placement skips servers silent this long (0 = no filter)
 
 	// epoch counts namespace-shape mutations (InstallFile, Delete,
 	// ReplaceReplica) — the events that can invalidate a cached replica
@@ -206,14 +195,6 @@ func NewService(store *kvstore.Store, rng *rand.Rand) (*Service, error) {
 		s.epoch = s.verSeq
 	}
 	return s, nil
-}
-
-// SetPlacementScorer installs (or clears, with nil) a collaborative
-// placement scorer.
-func (s *Service) SetPlacementScorer(sc PlacementScorer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.scorer = sc
 }
 
 // SetPlacementLiveness makes new-file placement skip servers whose last
@@ -551,22 +532,6 @@ func (s *Service) placeLocked(n int) ([]ReplicaLoc, error) {
 		}
 		if len(cands) == 0 {
 			return ServerInfo{}, false
-		}
-		if s.scorer != nil {
-			// Collaborative placement: best-scored candidate wins, ties
-			// broken randomly.
-			best := []ServerInfo{cands[0]}
-			bestScore := s.scorer.Score(cands[0])
-			for _, c := range cands[1:] {
-				switch sc := s.scorer.Score(c); {
-				case sc > bestScore:
-					bestScore = sc
-					best = append(best[:0], c)
-				case sc == bestScore:
-					best = append(best, c)
-				}
-			}
-			return best[s.rng.Intn(len(best))], true
 		}
 		return cands[s.rng.Intn(len(cands))], true
 	}

@@ -2,7 +2,6 @@ package nameserver
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -11,17 +10,18 @@ import (
 	"github.com/mayflower-dfs/mayflower/internal/wire"
 )
 
-// RPC method names served by the nameserver.
+// The RPC methods served by the nameserver: each constant is the one
+// statement of a method's wire name, params and reply (see rpc.Method).
 const (
-	MethodRegister   = "ns.Register"
-	MethodCreate     = "ns.Create"
-	MethodLookup     = "ns.Lookup"
-	MethodValidate   = "ns.Validate"
-	MethodList       = "ns.List"
-	MethodDelete     = "ns.Delete"
-	MethodReportSize = "ns.ReportSize"
-	MethodServers    = "ns.Servers"
-	MethodHeartbeat  = "ns.Heartbeat"
+	MethodRegister   rpc.Method[ServerInfo, struct{}]        = "ns.Register"
+	MethodCreate     rpc.Method[createArgs, FileInfo]        = "ns.Create"
+	MethodLookup     rpc.Method[nameArgs, FileInfo]          = "ns.Lookup"
+	MethodValidate   rpc.Method[validateArgs, validateReply] = "ns.Validate"
+	MethodList       rpc.Method[listArgs, []FileInfo]        = "ns.List"
+	MethodDelete     rpc.Method[nameArgs, FileInfo]          = "ns.Delete"
+	MethodReportSize rpc.Method[reportSizeArgs, struct{}]    = "ns.ReportSize"
+	MethodServers    rpc.Method[struct{}, []ServerInfo]      = "ns.Servers"
+	MethodHeartbeat  rpc.Method[heartbeatArgs, struct{}]     = "ns.Heartbeat"
 )
 
 type createArgs struct {
@@ -61,85 +61,36 @@ type validateReply struct {
 // RegisterRPC exposes a nameserver (centralized Service or
 // Paxos-replicated ReplicatedService) on a wire server.
 func RegisterRPC(srv *wire.Server, svc Metadata) error {
-	handlers := map[string]wire.Handler{
-		MethodRegister: func(_ context.Context, params json.RawMessage) (any, error) {
-			var si ServerInfo
-			if err := json.Unmarshal(params, &si); err != nil {
-				return nil, err
-			}
+	return errors.Join(
+		MethodRegister.Handle(srv, func(_ context.Context, si ServerInfo) (struct{}, error) {
 			return struct{}{}, svc.RegisterServer(si)
-		},
-		MethodCreate: func(_ context.Context, params json.RawMessage) (any, error) {
-			var a createArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
+		}),
+		MethodCreate.Handle(srv, func(_ context.Context, a createArgs) (FileInfo, error) {
 			return svc.Create(a.Name, a.Opts)
-		},
-		MethodLookup: func(_ context.Context, params json.RawMessage) (any, error) {
-			var a nameArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
+		}),
+		MethodLookup.Handle(srv, func(_ context.Context, a nameArgs) (FileInfo, error) {
 			return svc.Lookup(a.Name)
-		},
-		MethodValidate: func(_ context.Context, params json.RawMessage) (any, error) {
-			var a validateArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
+		}),
+		MethodValidate.Handle(srv, func(_ context.Context, a validateArgs) (validateReply, error) {
 			results, epoch := svc.Validate(a.Epoch, a.Entries)
-			if results == nil {
-				results = []ValidateResult{}
-			}
 			return validateReply{Epoch: epoch, Results: results}, nil
-		},
-		MethodList: func(_ context.Context, params json.RawMessage) (any, error) {
-			var a listArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
-			files := svc.List(a.Prefix)
-			if files == nil {
-				files = []FileInfo{}
-			}
-			return files, nil
-		},
-		MethodDelete: func(_ context.Context, params json.RawMessage) (any, error) {
-			var a nameArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
+		}),
+		MethodList.Handle(srv, func(_ context.Context, a listArgs) ([]FileInfo, error) {
+			return svc.List(a.Prefix), nil
+		}),
+		MethodDelete.Handle(srv, func(_ context.Context, a nameArgs) (FileInfo, error) {
 			return svc.Delete(a.Name)
-		},
-		MethodReportSize: func(_ context.Context, params json.RawMessage) (any, error) {
-			var a reportSizeArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
+		}),
+		MethodReportSize.Handle(srv, func(_ context.Context, a reportSizeArgs) (struct{}, error) {
 			return struct{}{}, svc.ReportSize(a.Name, a.SizeBytes)
-		},
-		MethodHeartbeat: func(_ context.Context, params json.RawMessage) (any, error) {
-			var a heartbeatArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
+		}),
+		MethodHeartbeat.Handle(srv, func(_ context.Context, a heartbeatArgs) (struct{}, error) {
 			return struct{}{}, svc.Heartbeat(a.ServerID)
-		},
-		MethodServers: func(_ context.Context, params json.RawMessage) (any, error) {
-			servers := svc.Servers()
-			if servers == nil {
-				servers = []ServerInfo{}
-			}
-			return servers, nil
-		},
-	}
-	for name, h := range handlers {
-		if err := srv.Register(name, h); err != nil {
-			return err
-		}
-	}
-	return nil
+		}),
+		MethodServers.Handle(srv, func(context.Context, struct{}) ([]ServerInfo, error) {
+			return svc.Servers(), nil
+		}),
+	)
 }
 
 // Client is the typed nameserver stub over an rpc session (usually an
@@ -154,21 +105,19 @@ func NewClient(c rpc.Caller) *Client { return &Client{c: c} }
 
 // Register registers a dataserver.
 func (c *Client) Register(ctx context.Context, si ServerInfo) error {
-	var out struct{}
-	return mapError(c.c.Call(ctx, MethodRegister, si, &out))
+	_, err := MethodRegister.Call(ctx, c.c, si)
+	return mapError(err)
 }
 
 // Create creates a file and returns its metadata.
 func (c *Client) Create(ctx context.Context, name string, opts CreateOptions) (FileInfo, error) {
-	var fi FileInfo
-	err := c.c.Call(ctx, MethodCreate, createArgs{Name: name, Opts: opts}, &fi)
+	fi, err := MethodCreate.Call(ctx, c.c, createArgs{Name: name, Opts: opts})
 	return fi, mapError(err)
 }
 
 // Lookup fetches a file's metadata.
 func (c *Client) Lookup(ctx context.Context, name string) (FileInfo, error) {
-	var fi FileInfo
-	err := c.c.Call(ctx, MethodLookup, nameArgs{Name: name}, &fi)
+	fi, err := MethodLookup.Call(ctx, c.c, nameArgs{Name: name})
 	return fi, mapError(err)
 }
 
@@ -176,44 +125,37 @@ func (c *Client) Lookup(ctx context.Context, name string) (FileInfo, error) {
 // renewal path. epoch is the namespace epoch last observed by the
 // caller; the current epoch is returned alongside per-entry verdicts.
 func (c *Client) Validate(ctx context.Context, epoch int64, entries []ValidateEntry) ([]ValidateResult, int64, error) {
-	var reply validateReply
-	err := c.c.Call(ctx, MethodValidate, validateArgs{Epoch: epoch, Entries: entries}, &reply)
-	if err != nil {
-		return nil, 0, mapError(err)
-	}
-	return reply.Results, reply.Epoch, nil
+	reply, err := MethodValidate.Call(ctx, c.c, validateArgs{Epoch: epoch, Entries: entries})
+	return reply.Results, reply.Epoch, mapError(err)
 }
 
 // List fetches metadata for files with the given name prefix.
 func (c *Client) List(ctx context.Context, prefix string) ([]FileInfo, error) {
-	var files []FileInfo
-	err := c.c.Call(ctx, MethodList, listArgs{Prefix: prefix}, &files)
+	files, err := MethodList.Call(ctx, c.c, listArgs{Prefix: prefix})
 	return files, mapError(err)
 }
 
 // Delete removes a file's metadata, returning its last known info.
 func (c *Client) Delete(ctx context.Context, name string) (FileInfo, error) {
-	var fi FileInfo
-	err := c.c.Call(ctx, MethodDelete, nameArgs{Name: name}, &fi)
+	fi, err := MethodDelete.Call(ctx, c.c, nameArgs{Name: name})
 	return fi, mapError(err)
 }
 
 // ReportSize records a file's new size after an append.
 func (c *Client) ReportSize(ctx context.Context, name string, sizeBytes int64) error {
-	var out struct{}
-	return mapError(c.c.Call(ctx, MethodReportSize, reportSizeArgs{Name: name, SizeBytes: sizeBytes}, &out))
+	_, err := MethodReportSize.Call(ctx, c.c, reportSizeArgs{Name: name, SizeBytes: sizeBytes})
+	return mapError(err)
 }
 
 // Heartbeat reports a dataserver as alive.
 func (c *Client) Heartbeat(ctx context.Context, serverID string) error {
-	var out struct{}
-	return mapError(c.c.Call(ctx, MethodHeartbeat, heartbeatArgs{ServerID: serverID}, &out))
+	_, err := MethodHeartbeat.Call(ctx, c.c, heartbeatArgs{ServerID: serverID})
+	return mapError(err)
 }
 
 // Servers lists registered dataservers.
 func (c *Client) Servers(ctx context.Context) ([]ServerInfo, error) {
-	var servers []ServerInfo
-	err := c.c.Call(ctx, MethodServers, struct{}{}, &servers)
+	servers, err := MethodServers.Call(ctx, c.c, struct{}{})
 	return servers, mapError(err)
 }
 

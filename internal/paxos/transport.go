@@ -2,53 +2,35 @@ package paxos
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 
 	"github.com/mayflower-dfs/mayflower/internal/rpc"
 	"github.com/mayflower-dfs/mayflower/internal/wire"
 )
 
-// RPC method names for the wire transport.
+// The RPC methods of the wire transport.
 const (
-	MethodPrepare = "paxos.Prepare"
-	MethodAccept  = "paxos.Accept"
-	MethodLearn   = "paxos.Learn"
+	MethodPrepare rpc.Method[PrepareArgs, PrepareReply] = "paxos.Prepare"
+	MethodAccept  rpc.Method[AcceptArgs, AcceptReply]   = "paxos.Accept"
+	MethodLearn   rpc.Method[LearnArgs, struct{}]       = "paxos.Learn"
 )
 
 // RegisterRPC exposes a node's acceptor and learner roles on a wire
 // server.
 func RegisterRPC(srv *wire.Server, n *Node) error {
-	handlers := map[string]wire.Handler{
-		MethodPrepare: func(_ context.Context, params json.RawMessage) (any, error) {
-			var a PrepareArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
+	return errors.Join(
+		MethodPrepare.Handle(srv, func(_ context.Context, a PrepareArgs) (PrepareReply, error) {
 			return n.HandlePrepare(a), nil
-		},
-		MethodAccept: func(_ context.Context, params json.RawMessage) (any, error) {
-			var a AcceptArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
+		}),
+		MethodAccept.Handle(srv, func(_ context.Context, a AcceptArgs) (AcceptReply, error) {
 			return n.HandleAccept(a), nil
-		},
-		MethodLearn: func(_ context.Context, params json.RawMessage) (any, error) {
-			var a LearnArgs
-			if err := json.Unmarshal(params, &a); err != nil {
-				return nil, err
-			}
+		}),
+		MethodLearn.Handle(srv, func(_ context.Context, a LearnArgs) (struct{}, error) {
 			n.HandleLearn(a)
 			return struct{}{}, nil
-		},
-	}
-	for name, h := range handlers {
-		if err := srv.Register(name, h); err != nil {
-			return err
-		}
-	}
-	return nil
+		}),
+	)
 }
 
 // RPCTransport is a Transport over the control plane's pooled session
@@ -68,31 +50,30 @@ func NewRPCTransport(addr string) *RPCTransport {
 	return &RPCTransport{peer: rpc.NewPeer(addr, rpc.Options{})}
 }
 
-func (t *RPCTransport) call(ctx context.Context, method string, args, reply any) error {
-	if err := t.peer.Call(ctx, method, args, reply); err != nil {
-		return fmt.Errorf("paxos: %s %s: %w", method, t.peer.Addr(), err)
+// call runs one protocol message against the peer, naming both in the
+// error.
+func call[Req, Resp any](ctx context.Context, t *RPCTransport, m rpc.Method[Req, Resp], args Req) (Resp, error) {
+	reply, err := m.Call(ctx, t.peer, args)
+	if err != nil {
+		err = fmt.Errorf("paxos: %s %s: %w", m, t.peer.Addr(), err)
 	}
-	return nil
+	return reply, err
 }
 
 // Prepare implements Transport.
 func (t *RPCTransport) Prepare(ctx context.Context, args PrepareArgs) (PrepareReply, error) {
-	var reply PrepareReply
-	err := t.call(ctx, MethodPrepare, args, &reply)
-	return reply, err
+	return call(ctx, t, MethodPrepare, args)
 }
 
 // Accept implements Transport.
 func (t *RPCTransport) Accept(ctx context.Context, args AcceptArgs) (AcceptReply, error) {
-	var reply AcceptReply
-	err := t.call(ctx, MethodAccept, args, &reply)
-	return reply, err
+	return call(ctx, t, MethodAccept, args)
 }
 
 // Learn implements Transport.
 func (t *RPCTransport) Learn(ctx context.Context, args LearnArgs) error {
-	var reply struct{}
-	return t.call(ctx, MethodLearn, args, &reply)
+	_, err := call(ctx, t, MethodLearn, args)
+	return err
 }
 
 // Close releases the underlying session.

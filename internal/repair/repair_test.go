@@ -89,12 +89,12 @@ func createFile(t *testing.T, f *fixture, name string, payload []byte) nameserve
 	cc := rpc.NewPeer(fi.Primary().ControlAddr, rpc.Options{})
 	defer cc.Close()
 	var out struct{}
-	if err := cc.Call(context.Background(), dataserver.MethodPrepare,
+	if err := cc.Call(context.Background(), string(dataserver.MethodPrepare),
 		dataserver.PrepareArgs{Info: fi, Relay: true}, &out); err != nil {
 		t.Fatal(err)
 	}
 	var reply dataserver.AppendReply
-	if err := cc.Call(context.Background(), dataserver.MethodAppend,
+	if err := cc.Call(context.Background(), string(dataserver.MethodAppend),
 		dataserver.AppendArgs{FileID: fi.ID, Name: name, Data: payload}, &reply); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func statOn(t *testing.T, ctlAddr string, fi nameserver.FileInfo) int64 {
 	cc := rpc.NewPeer(ctlAddr, rpc.Options{})
 	defer cc.Close()
 	var st dataserver.StatReply
-	if err := cc.Call(context.Background(), dataserver.MethodStat,
+	if err := cc.Call(context.Background(), string(dataserver.MethodStat),
 		dataserver.FileIDArgs{FileID: fi.ID}, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestRepairPromotesPrimary(t *testing.T) {
 	cc := rpc.NewPeer(got.Primary().ControlAddr, rpc.Options{})
 	defer cc.Close()
 	var reply dataserver.AppendReply
-	if err := cc.Call(context.Background(), dataserver.MethodAppend,
+	if err := cc.Call(context.Background(), string(dataserver.MethodAppend),
 		dataserver.AppendArgs{FileID: fi.ID, Name: "promoted", Data: []byte("more")}, &reply); err != nil {
 		t.Fatalf("append through promoted primary: %v", err)
 	}

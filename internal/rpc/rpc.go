@@ -23,9 +23,9 @@
 // layer adds nothing on top — which is the point; there is exactly one
 // timeout mechanism.
 //
-// Typed per-service stubs (nameserver.Client, dataserver.Client,
-// flowserver.RPCClient) wrap the Caller interface, so the compiler checks
-// call sites and tests can fake a service without a socket.
+// Every method is declared once as a Method[Req, Resp]; the per-service
+// stubs (nameserver.Client, dataserver.Client, flowserver.RPCClient) call
+// through it over the Caller interface, which tests can fake socket-free.
 package rpc
 
 import (

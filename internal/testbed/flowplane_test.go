@@ -151,7 +151,13 @@ func TestColocatedReplicaReadIsScheduled(t *testing.T) {
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read: %d bytes, %v", len(got), err)
 	}
-	if n := reg.Snapshot().Counters["client.reads_degraded"]; n != 0 {
+	counters := reg.Snapshot().Counters
+	if n := counters["client.reads_degraded"]; n != 0 {
 		t.Errorf("client.reads_degraded = %d on a co-located read, want 0", n)
+	}
+	// A local assignment registered no flow, so there is none to release:
+	// the read costs one controller round trip, not two.
+	if sel, fin := counters["client.rpc.method.fs.Select.calls"], counters["client.rpc.method.fs.Finished.calls"]; sel != 1 || fin != 0 {
+		t.Errorf("co-located read made %d fs.Select and %d fs.Finished calls, want 1 and 0", sel, fin)
 	}
 }

@@ -134,15 +134,6 @@ func (t *Topology) UplinkOf(host NodeID) LinkID {
 	return id
 }
 
-// DownlinkOf returns the directed edge-to-host link for a host.
-func (t *Topology) DownlinkOf(host NodeID) LinkID {
-	id, ok := t.linkBetween[t.EdgeOf(host)][host]
-	if !ok {
-		panic("topology: host has no downlink")
-	}
-	return id
-}
-
 // EdgeUplinks returns the directed links from a host's edge switch toward
 // the aggregation tier. Sinbad-R uses the utilization of these core-facing
 // links when estimating a replica's available read bandwidth (§6.2).

@@ -350,13 +350,6 @@ func (t *Topology) CoreSwitches() []NodeID {
 	return out
 }
 
-// LinkBetween returns the directed link from one node to an adjacent node.
-// The second return value is false if the nodes are not adjacent.
-func (t *Topology) LinkBetween(from, to NodeID) (LinkID, bool) {
-	id, ok := t.linkBetween[from][to]
-	return id, ok
-}
-
 // SameRack reports whether two hosts are in the same rack.
 func (t *Topology) SameRack(a, b NodeID) bool {
 	na, nb := t.nodes[a], t.nodes[b]

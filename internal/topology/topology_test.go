@@ -164,7 +164,7 @@ func TestLocalityPredicates(t *testing.T) {
 func TestLinkBetweenSymmetry(t *testing.T) {
 	topo := testTopo(t)
 	for _, l := range topo.Links() {
-		back, ok := topo.LinkBetween(l.To, l.From)
+		back, ok := topo.linkBetween[l.To][l.From]
 		if !ok {
 			t.Fatalf("no reverse link for %v", l)
 		}
@@ -187,22 +187,18 @@ func TestEdgeOf(t *testing.T) {
 			t.Fatalf("EdgeOf(%v) in pod %d rack %d, host in pod %d rack %d",
 				h, ne.Pod, ne.Rack, nh.Pod, nh.Rack)
 		}
-		if _, ok := topo.LinkBetween(h, edge); !ok {
+		if _, ok := topo.linkBetween[h][edge]; !ok {
 			t.Fatalf("host %v not adjacent to its edge switch", h)
 		}
 	}
 }
 
-func TestUplinkDownlink(t *testing.T) {
+func TestUplinks(t *testing.T) {
 	topo := testTopo(t)
 	h := topo.HostAt(1, 2, 3)
 	up := topo.Link(topo.UplinkOf(h))
 	if up.From != h || up.To != topo.EdgeOf(h) {
 		t.Errorf("UplinkOf = %+v", up)
-	}
-	down := topo.Link(topo.DownlinkOf(h))
-	if down.From != topo.EdgeOf(h) || down.To != h {
-		t.Errorf("DownlinkOf = %+v", down)
 	}
 	ups := topo.EdgeUplinks(h)
 	if len(ups) != topo.Config().AggsPerPod {
