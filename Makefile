@@ -53,17 +53,19 @@ cover:
 	@cat cover.txt
 	$(GO) tool cover -func=cover.out | tail -1 | tee -a cover.txt
 
-# fuzz gives each fuzz target a short budget beyond its seed corpus.
+# fuzz gives each fuzz target a short budget beyond its seed corpus: the
+# two allocator targets and the wire frame decoder (attachment included).
 fuzz:
 	$(GO) test -fuzz=FuzzAllocate -fuzztime=30s ./internal/maxmin
 	$(GO) test -fuzz=FuzzSharesWithNewFlow -fuzztime=30s ./internal/maxmin
+	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire
 
 # bench runs the hot-path selection/churn/replication/RPC benchmarks and
 # records the result in BENCH_selection.json, the committed performance
 # baseline for the incremental allocator, the write path, and the
 # control-plane session layer.
 bench:
-	$(GO) test -run '^$$' -bench '^BenchmarkSelect$$|^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$' \
+	$(GO) test -run '^$$' -bench '^BenchmarkSelect$$|^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCAttach256k$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$' \
 		-benchmem -timeout 0 ./internal/flowserver ./internal/flowctl ./internal/netsim ./internal/experiment ./internal/dataserver ./internal/rpc ./internal/client ./internal/nameserver \
 		| $(GO) run ./cmd/bench2json > BENCH_selection.json
 	@cat BENCH_selection.json
@@ -76,7 +78,7 @@ bench:
 # warm-up allocations tip the allocs/op average. CI's bench-smoke job
 # runs this.
 bench-check:
-	$(GO) test -run '^$$' -bench '^BenchmarkSelect$$|^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$' \
+	$(GO) test -run '^$$' -bench '^BenchmarkSelect$$|^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCAttach256k$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$' \
 		-benchmem -timeout 0 ./internal/flowserver ./internal/flowctl ./internal/netsim ./internal/experiment ./internal/dataserver ./internal/rpc ./internal/client ./internal/nameserver \
 		| $(GO) run ./cmd/bench2json -compare BENCH_selection.json -max-regress 0.20
 

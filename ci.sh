@@ -1,7 +1,10 @@
 #!/bin/sh
 # CI entry point: build, vet, formatting, and the full test suite under
 # the race detector (the chaos fault-injection scenarios run as part of
-# it). Mirrors `make check` for environments without make.
+# it). Mirrors `make check` for environments without make. Not part of
+# it, being open-ended: `make fuzz` gives FuzzAllocate,
+# FuzzSharesWithNewFlow (internal/maxmin) and FuzzReadFrame
+# (internal/wire) 30 s each beyond the seed corpora this suite replays.
 set -eu
 
 cd "$(dirname "$0")"

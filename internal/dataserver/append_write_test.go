@@ -3,6 +3,8 @@ package dataserver
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"math"
 	"net"
@@ -35,11 +37,11 @@ func TestAppendSeqDedupe(t *testing.T) {
 	args := AppendArgs{FileID: c.info.ID, Data: payload, Seq: 7}
 
 	var reply AppendReply
-	if err := c.ctl[0].Call(context.Background(), string(MethodAppend), args, &reply); err != nil {
+	if err := appendVia(c.ctl[0], args, &reply); err != nil {
 		t.Fatal(err)
 	}
 	// A lost ack makes the client re-send the identical piece.
-	if err := c.ctl[0].Call(context.Background(), string(MethodAppend), args, &reply); err != nil {
+	if err := appendVia(c.ctl[0], args, &reply); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(len(payload))
@@ -76,8 +78,7 @@ func TestAppendSeqRetryHealsReplicas(t *testing.T) {
 	}
 
 	var reply AppendReply
-	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
-		AppendArgs{FileID: c.info.ID, Data: payload, Seq: 42}, &reply); err != nil {
+	if err := appendVia(c.ctl[0], AppendArgs{FileID: c.info.ID, Data: payload, Seq: 42}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(len(payload))
@@ -100,7 +101,7 @@ func TestPromotedPrimaryInheritsSeqDedupe(t *testing.T) {
 	args := AppendArgs{FileID: c.info.ID, Data: payload, Seq: 5}
 
 	var reply AppendReply
-	if err := c.ctl[0].Call(context.Background(), string(MethodAppend), args, &reply); err != nil {
+	if err := appendVia(c.ctl[0], args, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.servers[0].Close(); err != nil {
@@ -118,7 +119,7 @@ func TestPromotedPrimaryInheritsSeqDedupe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := c.ctl[1].Call(context.Background(), string(MethodAppend), args, &reply); err != nil {
+	if err := appendVia(c.ctl[1], args, &reply); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(len(payload))
@@ -241,8 +242,7 @@ func TestAppendRelayUsesFlowserver(t *testing.T) {
 
 	payload := bytes.Repeat([]byte("w"), 100)
 	var reply AppendReply
-	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
-		AppendArgs{FileID: c.info.ID, Data: payload, Seq: 1}, &reply); err != nil {
+	if err := appendVia(c.ctl[0], AppendArgs{FileID: c.info.ID, Data: payload, Seq: 1}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	for i, cc := range c.ctl {
@@ -289,8 +289,7 @@ func TestAppendRelayReleasesEveryFlow(t *testing.T) {
 	})
 	c := startScheduledCluster(t, fsAddr, []string{"h0", "h1", "h2"})
 	var reply AppendReply
-	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
-		AppendArgs{FileID: c.info.ID, Data: []byte("two relay hops"), Seq: 1}, &reply); err != nil {
+	if err := appendVia(c.ctl[0], AppendArgs{FileID: c.info.ID, Data: []byte("two relay hops"), Seq: 1}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -314,8 +313,7 @@ func TestAppendRelayFallsBackStatic(t *testing.T) {
 	c := startScheduledCluster(t, deadAddr, []string{"h0", "h1", "h2"})
 	payload := []byte("degraded but durable")
 	var reply AppendReply
-	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
-		AppendArgs{FileID: c.info.ID, Data: payload, Seq: 1}, &reply); err != nil {
+	if err := appendVia(c.ctl[0], AppendArgs{FileID: c.info.ID, Data: payload, Seq: 1}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	for i, cc := range c.ctl {
@@ -325,5 +323,83 @@ func TestAppendRelayFallsBackStatic(t *testing.T) {
 	}
 	if st := c.servers[0].WriteStats(); st.RelaysStatic != 1 || st.RelaysScheduled != 0 {
 		t.Errorf("WriteStats = %+v, want one static relay", st)
+	}
+}
+
+// recordingListener keeps every byte its server reads off the
+// connections it accepts: server i's is what the session into server i —
+// the client's into the primary, the primary's into each replica — put on
+// the wire.
+type recordingListener struct {
+	net.Listener
+	mu sync.Mutex
+	in bytes.Buffer
+}
+
+func (l *recordingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	return recordingConn{conn, l}, err
+}
+
+type recordingConn struct {
+	net.Conn
+	l *recordingListener
+}
+
+func (c recordingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.l.mu.Lock()
+	c.l.in.Write(p[:n])
+	c.l.mu.Unlock()
+	return n, err
+}
+
+// TestAppendPayloadCrossesRaw: a 256 KiB append costs each of its three
+// sessions the payload, once and verbatim, plus under 1 KiB of envelope —
+// not the 4/3 of it that base64 inside the JSON did — and the JSON has no
+// field for it to fall back into.
+func TestAppendPayloadCrossesRaw(t *testing.T) {
+	var recs []*recordingListener
+	c := startClusterOn(t, 3, 1<<20, func(ln net.Listener) net.Listener {
+		recs = append(recs, &recordingListener{Listener: ln})
+		return recs[len(recs)-1]
+	})
+	payload := make([]byte, 256<<10)
+	testRand().Read(payload)
+	for _, r := range recs {
+		r.mu.Lock()
+		r.in.Reset() // the prepare relay
+		r.mu.Unlock()
+	}
+	var reply AppendReply
+	if err := appendVia(c.ctl[0], AppendArgs{FileID: c.info.ID, Data: payload, Seq: 1}, &reply); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		r.mu.Lock()
+		got := bytes.Clone(r.in.Bytes())
+		r.mu.Unlock()
+		if len(got) >= len(payload)+1<<10 {
+			t.Errorf("session into ds-%d carried %d bytes for a %d-byte payload, want under %d", i, len(got), len(payload), len(payload)+1<<10)
+		}
+		if !bytes.Contains(got, payload) {
+			t.Errorf("session into ds-%d did not carry the payload verbatim", i)
+		}
+		if !bytes.Equal(readAll(t, c.servers[i], c.info.ID, 0, int64(len(payload))), payload) {
+			t.Errorf("ds-%d stored something other than the payload", i)
+		}
+	}
+	for _, args := range []any{AppendArgs{Data: payload[:8]}, AppendAtArgs{Data: payload[:8]}} {
+		body, err := json.Marshal(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]any
+		if err := json.Unmarshal(body, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fields["data"]; ok || bytes.Contains(body, []byte(base64.StdEncoding.EncodeToString(payload[:8]))) {
+			t.Errorf("%T still marshals its payload: %s", args, body)
+		}
 	}
 }

@@ -13,8 +13,15 @@ import (
 
 // BenchmarkAppendReplicated measures the primary's full append path over
 // loopback — local apply, chunk CRC, and the two-replica relay — which is
-// the hot path the write-scheduling work rides on.
+// the hot path the write-scheduling work rides on, at the piece size the
+// baseline has always recorded and at the end-to-end benchmark's.
 func BenchmarkAppendReplicated(b *testing.B) {
+	for _, size := range []int{64 << 10, 256 << 10} {
+		b.Run(fmt.Sprintf("%dk", size>>10), func(b *testing.B) { benchAppendReplicated(b, size) })
+	}
+}
+
+func benchAppendReplicated(b *testing.B, size int) {
 	var replicas []nameserver.ReplicaLoc
 	var servers []*Server
 	for i := 0; i < 3; i++ {
@@ -56,7 +63,7 @@ func BenchmarkAppendReplicated(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	payload := make([]byte, 64<<10)
+	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
@@ -64,8 +71,7 @@ func BenchmarkAppendReplicated(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var reply AppendReply
-		if err := cc.Call(context.Background(), string(MethodAppend),
-			AppendArgs{FileID: info.ID, Data: payload, Seq: uint64(i + 1)}, &reply); err != nil {
+		if err := appendVia(cc, AppendArgs{FileID: info.ID, Data: payload, Seq: uint64(i + 1)}, &reply); err != nil {
 			b.Fatal(err)
 		}
 	}

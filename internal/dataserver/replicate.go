@@ -57,12 +57,9 @@ func (s *Server) replicateFrom(ctx context.Context, a ReplicateArgs) (int64, err
 		return 0, err
 	}
 	offset := fs.localSize()
-	buf := make([]byte, MaxAppend)
+	buf := make([]byte, max(0, min(MaxAppend, a.SizeBytes-offset)))
 	for offset < a.SizeBytes {
-		n := a.SizeBytes - offset
-		if n > int64(len(buf)) {
-			n = int64(len(buf))
-		}
+		n := min(a.SizeBytes-offset, int64(len(buf)))
 		if err := s.fetchRange(ctx, a.SourceDataAddr, a.Info, offset, buf[:n]); err != nil {
 			return offset, fmt.Errorf("dataserver: replicate %s from %s: %w", a.Info.ID, a.SourceDataAddr, err)
 		}

@@ -17,8 +17,7 @@ func TestRebuildFromRealDataservers(t *testing.T) {
 	// Write some data so local sizes are non-trivial.
 	payload := bytes.Repeat([]byte("r"), 100)
 	var reply AppendReply
-	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
-		AppendArgs{FileID: c.info.ID, Data: payload}, &reply); err != nil {
+	if err := appendVia(c.ctl[0], AppendArgs{FileID: c.info.ID, Data: payload}, &reply); err != nil {
 		t.Fatal(err)
 	}
 

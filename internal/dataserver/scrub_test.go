@@ -117,8 +117,7 @@ func TestScrubSurvivesReopen(t *testing.T) {
 
 func TestScrubRPC(t *testing.T) {
 	c := startCluster(t, 1, 16)
-	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
-		AppendArgs{FileID: c.info.ID, Data: bytes.Repeat([]byte("z"), 64)}, &AppendReply{}); err != nil {
+	if err := appendVia(c.ctl[0], AppendArgs{FileID: c.info.ID, Data: bytes.Repeat([]byte("z"), 64)}, &AppendReply{}); err != nil {
 		t.Fatal(err)
 	}
 	var faults []ChunkFault

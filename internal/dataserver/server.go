@@ -352,24 +352,31 @@ type PrepareArgs struct {
 // AppendArgs appends data to a file through its primary. A nonzero Seq
 // identifies the piece for deduplication: a re-sent piece (lost ack or
 // client failover) with the same Seq is applied at the offset the first
-// delivery chose instead of being appended twice.
+// delivery chose instead of being appended twice. Data travels as the
+// frame's raw attachment (rpc.Attached), not in the JSON.
 type AppendArgs struct {
 	FileID uuid.UUID `json:"fileId"`
 	Name   string    `json:"name"`
-	Data   []byte    `json:"data"`
+	Data   []byte    `json:"-"`
 	Seq    uint64    `json:"seq,omitempty"`
 }
+
+func (a *AppendArgs) Attachment() []byte     { return a.Data }
+func (a *AppendArgs) SetAttachment(b []byte) { a.Data = b }
 
 // AppendAtArgs applies a relayed append at a fixed offset. Seq carries
 // the originating piece's sequence number so replicas inherit the dedupe
 // state (a replica promoted to primary must recognize re-sent pieces it
-// already holds).
+// already holds). Data is the primary's received slice, attached raw.
 type AppendAtArgs struct {
 	FileID uuid.UUID `json:"fileId"`
 	Offset int64     `json:"offset"`
-	Data   []byte    `json:"data"`
+	Data   []byte    `json:"-"`
 	Seq    uint64    `json:"seq,omitempty"`
 }
+
+func (a *AppendAtArgs) Attachment() []byte     { return a.Data }
+func (a *AppendAtArgs) SetAttachment(b []byte) { a.Data = b }
 
 // AppendReply reports the file size after an append.
 type AppendReply struct {

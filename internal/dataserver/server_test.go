@@ -28,6 +28,12 @@ type cluster struct {
 // startServer brings up one dataserver on ephemeral ports.
 func startServer(t *testing.T, id string, pacer Pacer) *Server {
 	t.Helper()
+	return startServerOn(t, id, pacer, func(ln net.Listener) net.Listener { return ln })
+}
+
+// startServerOn is startServer with the control listener wrapped.
+func startServerOn(t *testing.T, id string, pacer Pacer, wrap func(net.Listener) net.Listener) *Server {
+	t.Helper()
 	s, err := New(Config{ID: id, Root: t.TempDir(), Host: "host-" + id, Pacer: pacer})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +46,7 @@ func startServer(t *testing.T, id string, pacer Pacer) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Start(ctlLn, dataLn, ""); err != nil {
+	if err := s.Start(wrap(ctlLn), dataLn, ""); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
@@ -50,10 +56,17 @@ func startServer(t *testing.T, id string, pacer Pacer) *Server {
 // startCluster brings up n dataservers and a prepared, replicated file.
 func startCluster(t *testing.T, n int, chunkSize int64) *cluster {
 	t.Helper()
+	return startClusterOn(t, n, chunkSize, func(ln net.Listener) net.Listener { return ln })
+}
+
+// startClusterOn is startCluster with each server's control listener
+// wrapped, ds-0's first.
+func startClusterOn(t *testing.T, n int, chunkSize int64, wrap func(net.Listener) net.Listener) *cluster {
+	t.Helper()
 	c := &cluster{}
 	var replicas []nameserver.ReplicaLoc
 	for i := 0; i < n; i++ {
-		s := startServer(t, fmt.Sprintf("ds-%d", i), nil)
+		s := startServerOn(t, fmt.Sprintf("ds-%d", i), nil, wrap)
 		c.servers = append(c.servers, s)
 		replicas = append(replicas, nameserver.ReplicaLoc{
 			ServerID:    s.cfg.ID,
@@ -109,8 +122,7 @@ func TestAppendRelaysToReplicas(t *testing.T) {
 	payload := bytes.Repeat([]byte("ab"), 20) // 40 bytes across 3 chunks
 
 	var reply AppendReply
-	err := c.ctl[0].Call(context.Background(), string(MethodAppend),
-		AppendArgs{FileID: c.info.ID, Data: payload}, &reply)
+	err := appendVia(c.ctl[0], AppendArgs{FileID: c.info.ID, Data: payload}, &reply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +144,7 @@ func TestAppendRelaysToReplicas(t *testing.T) {
 func TestAppendRejectsNonPrimary(t *testing.T) {
 	c := startCluster(t, 3, 16)
 	var reply AppendReply
-	err := c.ctl[2].Call(context.Background(), string(MethodAppend),
-		AppendArgs{FileID: c.info.ID, Data: []byte("x")}, &reply)
+	err := appendVia(c.ctl[2], AppendArgs{FileID: c.info.ID, Data: []byte("x")}, &reply)
 	if err == nil || !strings.Contains(err.Error(), "not the file's primary") {
 		t.Errorf("err = %v, want not-primary", err)
 	}
@@ -142,8 +153,7 @@ func TestAppendRejectsNonPrimary(t *testing.T) {
 func TestAppendTooLarge(t *testing.T) {
 	c := startCluster(t, 1, 1<<20)
 	var reply AppendReply
-	err := c.ctl[0].Call(context.Background(), string(MethodAppend),
-		AppendArgs{FileID: c.info.ID, Data: make([]byte, MaxAppend+1)}, &reply)
+	err := appendVia(c.ctl[0], AppendArgs{FileID: c.info.ID, Data: make([]byte, MaxAppend+1)}, &reply)
 	if err == nil {
 		t.Error("oversized append accepted")
 	}
@@ -157,8 +167,7 @@ func TestAppendFailsWhenReplicaDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply AppendReply
-	err := c.ctl[0].Call(context.Background(), string(MethodAppend),
-		AppendArgs{FileID: c.info.ID, Data: []byte("x")}, &reply)
+	err := appendVia(c.ctl[0], AppendArgs{FileID: c.info.ID, Data: []byte("x")}, &reply)
 	if err == nil {
 		t.Error("append succeeded with a dead replica")
 	}
@@ -177,8 +186,7 @@ func TestConcurrentAppendsThroughPrimary(t *testing.T) {
 			defer cc.Close()
 			for i := 0; i < perWriter; i++ {
 				var reply AppendReply
-				if err := cc.Call(context.Background(), string(MethodAppend),
-					AppendArgs{FileID: c.info.ID, Data: []byte("0123456789")}, &reply); err != nil {
+				if err := appendVia(cc, AppendArgs{FileID: c.info.ID, Data: []byte("0123456789")}, &reply); err != nil {
 					t.Error(err)
 					return
 				}
@@ -233,8 +241,7 @@ func TestDataProtocolRoundTrip(t *testing.T) {
 	c := startCluster(t, 2, 32)
 	payload := bytes.Repeat([]byte("xyz"), 30) // 90 bytes
 	var reply AppendReply
-	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
-		AppendArgs{FileID: c.info.ID, Data: payload}, &reply); err != nil {
+	if err := appendVia(c.ctl[0], AppendArgs{FileID: c.info.ID, Data: payload}, &reply); err != nil {
 		t.Fatal(err)
 	}
 
@@ -252,8 +259,7 @@ func TestDataProtocolRoundTrip(t *testing.T) {
 
 func TestDataProtocolReportsSize(t *testing.T) {
 	c := startCluster(t, 1, 32)
-	if err := c.ctl[0].Call(context.Background(), string(MethodAppend),
-		AppendArgs{FileID: c.info.ID, Data: bytes.Repeat([]byte("q"), 77)}, &AppendReply{}); err != nil {
+	if err := appendVia(c.ctl[0], AppendArgs{FileID: c.info.ID, Data: bytes.Repeat([]byte("q"), 77)}, &AppendReply{}); err != nil {
 		t.Fatal(err)
 	}
 	conn, err := net.Dial("tcp", c.servers[0].DataAddr())
@@ -409,8 +415,7 @@ func TestPacerIsApplied(t *testing.T) {
 	if err := cc.Call(context.Background(), string(MethodPrepare), PrepareArgs{Info: info}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if err := cc.Call(context.Background(), string(MethodAppend),
-		AppendArgs{FileID: info.ID, Data: []byte("0123456789")}, &AppendReply{}); err != nil {
+	if err := appendVia(cc, AppendArgs{FileID: info.ID, Data: []byte("0123456789")}, &AppendReply{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -105,6 +105,12 @@ type Node struct {
 	peers map[int64]Transport // excludes self
 	apply func(slot int64, value []byte)
 
+	// applyMu serialises appliers: taken before mu and held across the
+	// apply calls, which are never made under mu. Without it two
+	// concurrent learns each release mu with a batch in hand and may
+	// apply them in either order.
+	applyMu sync.Mutex
+
 	mu        sync.Mutex
 	slots     map[int64]*acceptorSlot
 	chosen    map[int64][]byte
@@ -203,27 +209,27 @@ func (n *Node) HandleAccept(args AcceptArgs) AcceptReply {
 // HandleLearn records a chosen value (the learner role) and applies any
 // newly contiguous prefix of the log.
 func (n *Node) HandleLearn(args LearnArgs) {
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if _, dup := n.chosen[args.Slot]; dup {
-		n.mu.Unlock()
 		return
 	}
 	n.chosen[args.Slot] = args.Value
 	if args.Slot > n.maxSeen {
 		n.maxSeen = args.Slot
 	}
-	var ready []LearnArgs
 	for {
 		v, ok := n.chosen[n.nextApply]
 		if !ok {
-			break
+			return
 		}
-		ready = append(ready, LearnArgs{Slot: n.nextApply, Value: v})
+		slot := n.nextApply // moved only by the applyMu holder
+		n.mu.Unlock()
+		n.apply(slot, v)
+		n.mu.Lock()
 		n.nextApply++
-	}
-	n.mu.Unlock()
-	for _, e := range ready {
-		n.apply(e.Slot, e.Value)
 	}
 }
 

@@ -215,6 +215,52 @@ func TestConcurrentProposersAllCommitAllConverge(t *testing.T) {
 	}
 }
 
+// TestConcurrentLearnsApplyInSlotOrder: a learn that finds its prefix
+// ready while another goroutine is still inside Apply must wait for it,
+// not apply the later slot first. Slot 1 arrives before slot 0 (a gap),
+// slot 0's learner then blocks inside Apply(0), and a third goroutine
+// learns slot 2 meanwhile.
+func TestConcurrentLearnsApplyInSlotOrder(t *testing.T) {
+	var log appliedLog
+	entered, release := make(chan struct{}), make(chan struct{})
+	n, err := NewNode(Config{ID: 0, Apply: func(slot int64, v []byte) {
+		if slot == 0 {
+			close(entered)
+			<-release
+		}
+		log.add(slot, v)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.HandleLearn(LearnArgs{Slot: 1, Value: []byte("b")})
+	learned := func(slot int64, v string) chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			n.HandleLearn(LearnArgs{Slot: slot, Value: []byte(v)})
+		}()
+		return done
+	}
+	zero := learned(0, "a")
+	<-entered
+	two := learned(2, "c")
+	select {
+	case <-two:
+		t.Errorf("learn of slot 2 returned while Apply(0) was still running; applied so far: %v", log.snapshot())
+	case <-time.After(50 * time.Millisecond): // only gives the bug time to show
+	}
+	if got := n.Applied(); got != 0 {
+		t.Errorf("Applied() = %d while Apply(0) has not returned, want 0", got)
+	}
+	close(release)
+	<-zero
+	<-two
+	if got, want := fmt.Sprint(log.snapshot()), "[0:a 1:b 2:c]"; got != want {
+		t.Errorf("applied %s, want %s", got, want)
+	}
+}
+
 func TestCommitsWithMinorityDown(t *testing.T) {
 	nodes, logs, gates := cluster(t, 5)
 	gates[3].setDown(true)

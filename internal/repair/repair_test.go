@@ -93,9 +93,8 @@ func createFile(t *testing.T, f *fixture, name string, payload []byte) nameserve
 		dataserver.PrepareArgs{Info: fi, Relay: true}, &out); err != nil {
 		t.Fatal(err)
 	}
-	var reply dataserver.AppendReply
-	if err := cc.Call(context.Background(), string(dataserver.MethodAppend),
-		dataserver.AppendArgs{FileID: fi.ID, Name: name, Data: payload}, &reply); err != nil {
+	if _, err := dataserver.NewClient(cc).Append(context.Background(),
+		dataserver.AppendArgs{FileID: fi.ID, Name: name, Data: payload}); err != nil {
 		t.Fatal(err)
 	}
 	return fi
@@ -195,9 +194,9 @@ func TestRepairPromotesPrimary(t *testing.T) {
 	// surviving + replacement replicas.
 	cc := rpc.NewPeer(got.Primary().ControlAddr, rpc.Options{})
 	defer cc.Close()
-	var reply dataserver.AppendReply
-	if err := cc.Call(context.Background(), string(dataserver.MethodAppend),
-		dataserver.AppendArgs{FileID: fi.ID, Name: "promoted", Data: []byte("more")}, &reply); err != nil {
+	reply, err := dataserver.NewClient(cc).Append(context.Background(),
+		dataserver.AppendArgs{FileID: fi.ID, Name: "promoted", Data: []byte("more")})
+	if err != nil {
 		t.Fatalf("append through promoted primary: %v", err)
 	}
 	if reply.SizeBytes != 104 {

@@ -1,9 +1,14 @@
 package rpc
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,6 +42,67 @@ func TestNoRawHandlersOutsideTheSeam(t *testing.T) {
 	})
 	if len(offenders) > 0 {
 		t.Fatalf("json.RawMessage outside internal/rpc and internal/wire in: %v — declare the method as an rpc.Method[Req, Resp] and register it with Handle", offenders)
+	}
+}
+
+// TestNoJSONBytesInDataserverMessages keeps bulk bytes off base64: in
+// internal/dataserver, the one service whose messages carry payloads, a
+// []byte field of a message struct (one with json tags) must be tagged
+// `json:"-"` and travel as the frame's raw attachment (Attached) — a
+// JSON-named one is the 4/3-size, three-copy path PR 18 removed.
+func TestNoJSONBytesInDataserverMessages(t *testing.T) {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(root, "internal", "dataserver", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonName := func(f *ast.Field) (name string, tagged bool) {
+		if f.Tag == nil {
+			return "", false
+		}
+		tag, tagged := reflect.StructTag(strings.Trim(f.Tag.Value, "`")).Lookup("json")
+		name, _, _ = strings.Cut(tag, ",")
+		return name, tagged
+	}
+	messages := 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			spec, _ := n.(*ast.TypeSpec)
+			if spec == nil {
+				return true
+			}
+			st, _ := spec.Type.(*ast.StructType)
+			if st == nil || !slices.ContainsFunc(st.Fields.List, func(f *ast.Field) bool { _, tagged := jsonName(f); return tagged }) {
+				return true
+			}
+			messages++
+			for _, f := range st.Fields.List {
+				arr, _ := f.Type.(*ast.ArrayType)
+				if arr == nil || arr.Len != nil {
+					continue
+				}
+				if elem, _ := arr.Elt.(*ast.Ident); elem == nil || elem.Name != "byte" {
+					continue
+				}
+				if name, _ := jsonName(f); name != "-" {
+					t.Errorf("dataserver.%s.%s is a []byte that would cross the wire as base64 in JSON — tag it `json:\"-\"` and implement rpc.Attached", spec.Name.Name, f.Names[0].Name)
+				}
+			}
+			return true
+		})
+	}
+	if messages == 0 {
+		t.Fatal("found no message structs in internal/dataserver: the guard is looking in the wrong place")
 	}
 }
 

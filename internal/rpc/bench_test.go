@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"testing"
+
+	"github.com/mayflower-dfs/mayflower/internal/wire"
 )
 
 // BenchmarkRPCRoundTrip measures one pooled-session echo round trip over
@@ -23,6 +25,24 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 		var out int
 		if err := p.Call(ctx, "echo", i, &out); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRPCAttach256k is the same round trip with 256 KiB riding the
+// request frame's raw attachment — one crossing of an append's payload.
+func BenchmarkRPCAttach256k(b *testing.B) {
+	ts := startTestServer(b)
+	p := NewPeer(ts.addr, Options{})
+	defer p.Close()
+	blob := make([]byte, 256<<10)
+	ctx := wire.WithAttachment(context.Background(), blob)
+	b.SetBytes(int64(len(blob)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var n int
+		if err := p.Call(ctx, "attached", nil, &n); err != nil || n != len(blob) {
+			b.Fatalf("attached = %d, %v", n, err)
 		}
 	}
 }

@@ -47,6 +47,9 @@ func startTestServer(t testing.TB) *testServer {
 	must(ts.srv.Register("fail", func(context.Context, json.RawMessage) (any, error) {
 		return nil, errors.New("boom")
 	}))
+	must(ts.srv.Register("attached", func(ctx context.Context, _ json.RawMessage) (any, error) {
+		return len(wire.Attachment(ctx)), nil
+	}))
 	must(ts.srv.Register("hang", func(ctx context.Context, _ json.RawMessage) (any, error) {
 		ts.entered <- struct{}{}
 		select {

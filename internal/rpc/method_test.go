@@ -2,7 +2,9 @@ package rpc
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -15,14 +17,31 @@ type seamArgs struct {
 	N int `json:"n"`
 }
 
+// seamBlob opts in to the raw attachment, as ds.Append's params do.
+type seamBlob struct {
+	Tag  string `json:"tag"`
+	Data []byte `json:"-"`
+}
+
+func (b *seamBlob) Attachment() []byte     { return b.Data }
+func (b *seamBlob) SetAttachment(d []byte) { b.Data = d }
+
+// seamJSONBytes does not: its bytes stay a JSON field, as paxos values do.
+type seamJSONBytes struct {
+	V []byte `json:"v"`
+}
+
 // The scratch service the seam is tested on: one method per shape a real
-// service declares (struct params, no params, slice reply, failing).
+// service declares (struct params, no params, slice reply, failing, and
+// bulk bytes attached or not).
 const (
-	seamDouble Method[seamArgs, int]        = "seam.Double"
-	seamPing   Method[struct{}, string]     = "seam.Ping"
-	seamNone   Method[seamArgs, []string]   = "seam.None"
-	seamFail   Method[seamArgs, int]        = "seam.Fail"
-	seamShort  Method[struct{}, []seamArgs] = "seam.Short"
+	seamBlobSum Method[seamBlob, string]      = "seam.BlobSum"
+	seamJSONSum Method[seamJSONBytes, string] = "seam.JSONSum"
+	seamDouble  Method[seamArgs, int]         = "seam.Double"
+	seamPing    Method[struct{}, string]      = "seam.Ping"
+	seamNone    Method[seamArgs, []string]    = "seam.None"
+	seamFail    Method[seamArgs, int]         = "seam.Fail"
+	seamShort   Method[struct{}, []seamArgs]  = "seam.Short"
 )
 
 // TestMethodSeam pins what every service gets from declaring a method as
@@ -34,8 +53,26 @@ func TestMethodSeam(t *testing.T) {
 	// seam.Fail fails with the error its argument picks.
 	fails := []error{errors.New("boom"), context.DeadlineExceeded, context.Canceled}
 
+	// What a bytes-carrying handler saw: its tag, its bytes' digest, and
+	// how many bytes rode the frame's attachment to get there.
+	saw := func(ctx context.Context, tag string, b []byte) string {
+		return fmt.Sprintf("%s %d %x attached=%d", tag, len(b), sha256.Sum256(b), len(wire.Attachment(ctx)))
+	}
+	blob := make([]byte, 100_000)
+	for i := range blob {
+		blob[i] = byte(i * 31)
+	}
+
 	srv := wire.NewServer()
 	err := errors.Join(
+		seamBlobSum.Handle(srv, func(ctx context.Context, b seamBlob) (string, error) {
+			ran.Add(1)
+			return saw(ctx, b.Tag, b.Data), nil
+		}),
+		seamJSONSum.Handle(srv, func(ctx context.Context, b seamJSONBytes) (string, error) {
+			ran.Add(1)
+			return saw(ctx, "json", b.V), nil
+		}),
 		seamDouble.Handle(srv, func(_ context.Context, a seamArgs) (int, error) {
 			ran.Add(1)
 			return 2 * a.N, nil
@@ -74,6 +111,31 @@ func TestMethodSeam(t *testing.T) {
 		{"a declared method round-trips", func(t *testing.T) {
 			if got, err := seamDouble.Call(ctx, p, seamArgs{N: 21}); err != nil || got != 42 {
 				t.Errorf("Double(21) = %d, %v; want 42", got, err)
+			}
+		}, 1},
+		{"an Attached Req's bytes ride the attachment, beside its JSON fields", func(t *testing.T) {
+			want := fmt.Sprintf("t %d %x attached=%d", len(blob), sha256.Sum256(blob), len(blob))
+			if got, err := seamBlobSum.Call(ctx, p, seamBlob{Tag: "t", Data: blob}); err != nil || got != want {
+				t.Errorf("BlobSum = %q, %v; want %q", got, err, want)
+			}
+		}, 1},
+		{"an Attached Req with no bytes sends no attachment", func(t *testing.T) {
+			want := fmt.Sprintf("empty 0 %x attached=0", sha256.Sum256(nil))
+			if got, err := seamBlobSum.Call(ctx, p, seamBlob{Tag: "empty"}); err != nil || got != want {
+				t.Errorf("BlobSum = %q, %v; want %q", got, err, want)
+			}
+		}, 1},
+		{"a Req that is not Attached keeps its bytes in the JSON", func(t *testing.T) {
+			want := fmt.Sprintf("json %d %x attached=0", len(blob), sha256.Sum256(blob))
+			if got, err := seamJSONSum.Call(ctx, p, seamJSONBytes{V: blob}); err != nil || got != want {
+				t.Errorf("JSONSum = %q, %v; want %q", got, err, want)
+			}
+		}, 1},
+		{"only Method.Call attaches: a raw Call of the same Req sends its JSON fields alone", func(t *testing.T) {
+			var got string
+			want := fmt.Sprintf("raw 0 %x attached=0", sha256.Sum256(nil))
+			if err := p.Call(ctx, string(seamBlobSum), seamBlob{Tag: "raw", Data: blob}, &got); err != nil || got != want {
+				t.Errorf("raw BlobSum = %q, %v; want %q", got, err, want)
 			}
 		}, 1},
 		{"malformed params fail the call, naming the method, before the handler", func(t *testing.T) {

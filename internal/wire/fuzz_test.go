@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -17,10 +19,11 @@ func frameBytes(prefix uint32, body []byte) []byte {
 }
 
 // FuzzReadFrame throws corrupt, truncated, and oversized frames at the
-// decoder. The decoder must never panic, must reject length prefixes
-// beyond maxFrame, and — the finding that motivated the chunked read —
-// must not allocate prefix-sized buffers for data that never arrives: a
-// 4-byte input claiming a 16 MB body should cost roughly nothing.
+// decoder, attachment included. The decoder must never panic, must reject
+// length prefixes beyond maxFrame, and — the finding that motivated the
+// chunked read — must not allocate prefix-sized buffers for data that
+// never arrives: a 4-byte input claiming a 16 MB body, or a 40-byte one
+// claiming a 16 MB attachment, should cost roughly nothing.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(frameBytes(2, []byte(`{}`)))
 	f.Add(frameBytes(0, nil))
@@ -32,9 +35,36 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frameBytes(7, []byte("not json")))   // non-JSON body
 	f.Add([]byte{0x00})                        // truncated header
 	f.Add(frameBytes(3, []byte(`123`)))        // JSON, wrong shape
+	sumReq := request{ID: 1, Method: "sum", Params: json.RawMessage(`"x"`)}
+	f.Add(attachFrame(f, sumReq, 5, []byte("hello")))                       // honest attachment
+	f.Add(attachFrame(f, sumReq, 5, []byte("hel")))                         // short attachment
+	f.Add(attachFrame(f, sumReq, 3*readBufCap, make([]byte, readBufCap+1))) // cut after the first growth
+	f.Add(attachFrame(f, sumReq, maxFrame, []byte("abc")))                  // envelope + attachment over maxFrame
+	f.Add(attachFrame(f, sumReq, maxFrame-64, []byte("abc")))               // in bounds, 16 MB that never arrive
+	f.Add(attachFrame(f, sumReq, -7, []byte("abc")))                        // negative length
+	f.Add(attachFrame(f, request{ID: 1, Cancel: true}, 3, []byte("abc")))   // a length field on a cancel frame
+	f.Add(frameBytes(21, []byte(`{"id":1,"attach":"5"}hello`)))             // a length of the wrong type
+	f.Add(frameBytes(30, []byte(`{"id":1,"result":1,"attach":5}`)))         // a length field on a response
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req request
-		err := readFrame(bytes.NewReader(data), &req)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := bytes.NewReader(data)
+		att, err := readRequest(r, &req)
+		runtime.ReadMemStats(&after)
+		if spent, allowed := after.TotalAlloc-before.TotalAlloc, uint64(4*readBufCap+16*len(data)); spent > allowed {
+			t.Fatalf("allocated %d bytes reading a %d-byte input (allowed %d): memory reserved for bytes that never arrived", spent, len(data), allowed)
+		}
+		if err == nil && (int64(len(att)) != req.Attach || !bytes.HasSuffix(data[:len(data)-r.Len()], att)) {
+			t.Fatalf("claimed %d attached bytes, returned %d, consumed %d of %d", req.Attach, len(att), len(data)-r.Len(), len(data))
+		}
+		// A response has no attachment: a length field there consumes nothing.
+		var resp response
+		r.Reset(data)
+		if n, err := readFrame(r, &resp); err == nil && len(data)-r.Len() != 4+int(n) {
+			t.Fatalf("a response frame of %d bytes consumed %d", 4+n, len(data)-r.Len())
+		}
 		if len(data) < 4 {
 			if err == nil {
 				t.Fatal("decoded a frame from a truncated header")
@@ -57,6 +87,10 @@ func FuzzReadFrame(f *testing.F) {
 				// half a message as a graceful close.
 				t.Fatal("short body reported as clean EOF")
 			}
+		case err == nil && req.Attach != 0 && int64(n)+req.Attach > maxFrame:
+			t.Fatalf("accepted a %d-byte envelope with %d attached, over maxFrame", n, req.Attach)
+		case err == io.EOF:
+			t.Fatal("a stream cut inside the attachment reported as clean EOF")
 		}
 	})
 }
@@ -66,13 +100,13 @@ func FuzzReadFrame(f *testing.F) {
 // io.ErrUnexpectedEOF, and mid-body is io.ErrUnexpectedEOF.
 func TestReadFrameShortBody(t *testing.T) {
 	var req request
-	if err := readFrame(bytes.NewReader(nil), &req); err != io.EOF {
+	if _, err := readFrame(bytes.NewReader(nil), &req); err != io.EOF {
 		t.Errorf("empty stream: got %v, want io.EOF", err)
 	}
-	if err := readFrame(bytes.NewReader([]byte{0, 0}), &req); err != io.ErrUnexpectedEOF {
+	if _, err := readFrame(bytes.NewReader([]byte{0, 0}), &req); err != io.ErrUnexpectedEOF {
 		t.Errorf("mid-header cut: got %v, want io.ErrUnexpectedEOF", err)
 	}
-	if err := readFrame(bytes.NewReader(frameBytes(10, []byte("abc"))), &req); err != io.ErrUnexpectedEOF {
+	if _, err := readFrame(bytes.NewReader(frameBytes(10, []byte("abc"))), &req); err != io.ErrUnexpectedEOF {
 		t.Errorf("mid-body cut: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }

@@ -8,6 +8,13 @@
 // *RemoteError so callers can distinguish transport problems from
 // application errors.
 //
+// A frame is a 4-byte big-endian length and that many bytes of JSON. A
+// request frame may carry one raw attachment (DESIGN.md §12): its
+// envelope then states the length and that many bytes follow the JSON on
+// the stream, so bulk bytes (an append's payload) cross as themselves
+// rather than as base64 inside the JSON. A request without an attachment
+// is the bare frame, and responses never carry one.
+//
 // Deadlines and cancellation propagate across the wire (DESIGN.md §13):
 // a request frame carries the caller's remaining deadline, which the
 // server installs on the handler's context, and a client that abandons a
@@ -33,8 +40,9 @@ import (
 	"time"
 )
 
-// maxFrame bounds a single message; control messages are small, so this
-// is purely a defense against corrupt length prefixes.
+// maxFrame bounds a single message, JSON plus attachment; control
+// messages are small, so this is purely a defense against corrupt length
+// prefixes.
 const maxFrame = 16 << 20
 
 // ErrClosed is returned for operations on a closed client or server.
@@ -107,6 +115,9 @@ type request struct {
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 	// Cancel marks a cancel frame for an abandoned call.
 	Cancel bool `json:"cancel,omitempty"`
+	// Attach is the length of the raw attachment that follows this
+	// envelope on the stream (0 = none, and the field is absent).
+	Attach int64 `json:"attach,omitempty"`
 }
 
 type response struct {
@@ -116,13 +127,19 @@ type response struct {
 	ErrCode string          `json:"errCode,omitempty"`
 }
 
-func writeFrame(w io.Writer, mu *sync.Mutex, v any) error {
+// writeFrame sends v as one frame, followed by attach when it is not
+// empty (v is then a request whose Attach says so). Header, body and
+// attachment are separate writes under one hold of mu, deliberately not
+// one writev: a single write to a just-closed peer succeeds whole and the
+// failure surfaces on the read, where it is no longer an *UnsentError and
+// the session layer may not retry it.
+func writeFrame(w io.Writer, mu *sync.Mutex, v any, attach []byte) error {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("wire: marshal: %w", err)
 	}
-	if len(body) > maxFrame {
-		return fmt.Errorf("wire: frame too large (%d bytes)", len(body))
+	if len(body)+len(attach) > maxFrame {
+		return fmt.Errorf("wire: frame too large (%d bytes)", len(body)+len(attach))
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
@@ -131,7 +148,10 @@ func writeFrame(w io.Writer, mu *sync.Mutex, v any) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err = w.Write(body)
+	if _, err := w.Write(body); err != nil || len(attach) == 0 {
+		return err
+	}
+	_, err = w.Write(attach)
 	return err
 }
 
@@ -142,14 +162,15 @@ func writeFrame(w io.Writer, mu *sync.Mutex, v any) error {
 // small) grow the buffer as data arrives.
 const readBufCap = 64 << 10
 
-func readFrame(r io.Reader, v any) error {
+// readFrame decodes one frame's JSON into v and returns its length.
+func readFrame(r io.Reader, v any) (int64, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+		return 0, err
 	}
 	n := int64(binary.BigEndian.Uint32(hdr[:]))
 	if n > maxFrame {
-		return fmt.Errorf("wire: frame too large (%d bytes)", n)
+		return 0, fmt.Errorf("wire: frame too large (%d bytes)", n)
 	}
 	var body bytes.Buffer
 	grow := n
@@ -159,12 +180,42 @@ func readFrame(r io.Reader, v any) error {
 	body.Grow(int(grow))
 	m, err := body.ReadFrom(io.LimitReader(r, n))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if m < n {
-		return io.ErrUnexpectedEOF
+		return 0, io.ErrUnexpectedEOF
 	}
-	return json.Unmarshal(body.Bytes(), v)
+	return n, json.Unmarshal(body.Bytes(), v)
+}
+
+// readRequest reads one request frame and the attachment behind it, if
+// its envelope announces one. The announced length is believed only once
+// the envelope has parsed, is bounded with it by maxFrame, and — like a
+// frame's own prefix — reserves no memory for bytes that have not
+// arrived: the buffer starts at readBufCap and at most quadruples each
+// time it fills. A stream that ends inside the attachment is
+// io.ErrUnexpectedEOF, so a request is never seen without all of it.
+func readRequest(r io.Reader, req *request) ([]byte, error) {
+	n, err := readFrame(r, req)
+	if err != nil || req.Attach == 0 {
+		return nil, err
+	}
+	if req.Attach < 0 || n+req.Attach > maxFrame {
+		return nil, fmt.Errorf("wire: frame too large (%d bytes + %d attached)", n, req.Attach)
+	}
+	var buf []byte
+	for int64(len(buf)) < req.Attach {
+		grown := make([]byte, min(req.Attach, max(readBufCap, 4*int64(len(buf)))))
+		copy(grown, buf)
+		if _, err := io.ReadFull(r, grown[len(buf):]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		buf = grown
+	}
+	return buf, nil
 }
 
 // Handler processes one request's parameters and returns a result to be
@@ -172,6 +223,28 @@ func readFrame(r io.Reader, v any) error {
 // carries the caller's deadline (when the request frame had one) and is
 // cancelled when the caller abandons the call or the connection drops.
 type Handler func(ctx context.Context, params json.RawMessage) (any, error)
+
+// The attachment context keys, one per direction: a handler that passes
+// its own context to an outbound call must not forward what it was served.
+type (
+	sendKey struct{} // WithAttachment → Client.Call
+	recvKey struct{} // serveConn → Attachment
+)
+
+// WithAttachment returns a context under which Client.Call sends b raw
+// behind the request's JSON envelope. Call does not copy b: it must not
+// change until Call returns.
+func WithAttachment(ctx context.Context, b []byte) context.Context {
+	return context.WithValue(ctx, sendKey{}, b)
+}
+
+// Attachment returns the raw bytes that arrived behind the request a
+// handler is serving, nil if there were none. The handler is handed the
+// receive buffer itself and must not retain it past its return.
+func Attachment(ctx context.Context) []byte {
+	b, _ := ctx.Value(recvKey{}).([]byte)
+	return b
+}
 
 // Server dispatches wire requests to registered handlers.
 type Server struct {
@@ -342,7 +415,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer cancel()
 	for {
 		var req request
-		if err := readFrame(conn, &req); err != nil {
+		attach, err := readRequest(conn, &req)
+		if err != nil {
 			return
 		}
 		if req.Cancel {
@@ -362,7 +436,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			handlerWG.Add(1)
 			go func(id uint64, msg string) {
 				defer handlerWG.Done()
-				_ = writeFrame(conn, &writeMu, &response{ID: id, Error: msg})
+				_ = writeFrame(conn, &writeMu, &response{ID: id, Error: msg}, nil)
 			}(req.ID, reject)
 			continue
 		}
@@ -377,6 +451,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		liveMu.Lock()
 		live[req.ID] = stop
 		liveMu.Unlock()
+		if attach != nil {
+			callCtx = context.WithValue(callCtx, recvKey{}, attach)
+		}
 
 		handlerWG.Add(1)
 		go func(req request, callCtx context.Context, stop context.CancelFunc) {
@@ -407,7 +484,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			// A write failure means the connection is gone; the read
 			// loop will notice and clean up.
-			_ = writeFrame(conn, &writeMu, &resp)
+			_ = writeFrame(conn, &writeMu, &resp, nil)
 		}(req, callCtx, stop)
 	}
 }
@@ -519,7 +596,7 @@ func NewClient(conn net.Conn) *Client {
 func (c *Client) readLoop() {
 	for {
 		var resp response
-		if err := readFrame(c.conn, &resp); err != nil {
+		if _, err := readFrame(c.conn, &resp); err != nil {
 			c.failAll(fmt.Errorf("wire: connection lost: %w", err))
 			return
 		}
@@ -558,8 +635,9 @@ func (c *Client) Err() error {
 	return c.readErr
 }
 
-// Call invokes method with params (JSON-encoded) and decodes the result
-// into result (unless nil). It respects ctx cancellation and deadlines:
+// Call invokes method with params (JSON-encoded, followed raw by ctx's
+// WithAttachment bytes if any) and decodes the result into result (unless
+// nil). It respects ctx cancellation and deadlines:
 // the remaining deadline travels with the request frame (the server
 // bounds the handler context with it), and abandoning the call sends a
 // cancel frame so the server stops the handler. Failures from before the
@@ -591,7 +669,8 @@ func (c *Client) Call(ctx context.Context, method string, params, result any) er
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	req := request{ID: id, Method: method, Params: raw}
+	attach, _ := ctx.Value(sendKey{}).([]byte)
+	req := request{ID: id, Method: method, Params: raw, Attach: int64(len(attach))}
 	if deadline, ok := ctx.Deadline(); ok {
 		ms := time.Until(deadline).Milliseconds()
 		if ms < 1 {
@@ -602,11 +681,12 @@ func (c *Client) Call(ctx context.Context, method string, params, result any) er
 		}
 		req.TimeoutMs = ms
 	}
-	if err := writeFrame(c.conn, &c.writeMu, &req); err != nil {
+	if err := writeFrame(c.conn, &c.writeMu, &req, attach); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		// A partial frame is unparseable, so the handler cannot have run.
+		// A partial frame is unparseable and a request is dispatched only
+		// with its whole attachment, so the handler cannot have run.
 		return &UnsentError{Err: err}
 	}
 
@@ -617,7 +697,7 @@ func (c *Client) Call(ctx context.Context, method string, params, result any) er
 		c.mu.Unlock()
 		// Tell the server to stop working on the abandoned call.
 		// Best-effort: a dead connection cleans up server-side anyway.
-		_ = writeFrame(c.conn, &c.writeMu, &request{ID: id, Cancel: true})
+		_ = writeFrame(c.conn, &c.writeMu, &request{ID: id, Cancel: true}, nil)
 		return ctx.Err()
 	case resp, ok := <-ch:
 		if !ok {
