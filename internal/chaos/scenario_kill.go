@@ -13,7 +13,8 @@ import (
 // concurrent reads of every file are in flight, and asserts:
 //
 //   - every read completes successfully via client failover (no hangs,
-//     no partial data — checksums verified);
+//     no partial data — checksums verified), mid-stream or about to
+//     reuse a connection to the victim pooled by the warm-up pass;
 //   - a repair pass declares the victim dead exactly once and
 //     re-replicates every file that lost a replica (re-replication kick
 //     on confirmed death);
@@ -49,15 +50,18 @@ func KillDataserverMidRead(ctx context.Context, t *T) error {
 
 	var join func() error
 	sched := &Scheduler{}
-	sched.At(0, "start concurrent reads of 4 files", func() error {
+	sched.At(0, "read all files (warm-up)", func() error {
+		return readAll(ctx, t, cl, sums, "warm-up")
+	})
+	sched.At(2*time.Millisecond, "start concurrent reads of 4 files", func() error {
 		join = startReads(ctx, t, cl, sums, "during kill")
 		return nil
 	})
-	sched.At(2*time.Millisecond, fmt.Sprintf("kill dataserver %s", victim), func() error {
+	sched.At(4*time.Millisecond, fmt.Sprintf("kill dataserver %s", victim), func() error {
 		_, err := d.cluster.KillDataserver(host)
 		return err
 	})
-	sched.At(4*time.Millisecond, "join reads", func() error {
+	sched.At(6*time.Millisecond, "join reads", func() error {
 		return join()
 	})
 	// Past the heartbeat-silence threshold: the nameserver's liveness view

@@ -2,34 +2,31 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/client"
+	"github.com/mayflower-dfs/mayflower/internal/nameserver"
+	"github.com/mayflower-dfs/mayflower/internal/obs"
 	"github.com/mayflower-dfs/mayflower/internal/rpc"
 	"github.com/mayflower-dfs/mayflower/internal/testbed"
 	"github.com/mayflower-dfs/mayflower/internal/wire"
 )
 
 // partition is a client-side network partition: dials to blocked
-// addresses fail while active, and control connections already open to
-// them are severed on activation (a real partition kills established
-// flows too).
+// addresses fail while active, and connections already open to them —
+// control sessions and the client's pooled data connections alike — are
+// severed on activation (a real partition kills established flows too).
 type partition struct {
 	mu      sync.Mutex
 	active  bool
 	blocked map[string]bool
-	ctl     map[string][]*wire.Client // addr → conns opened through us
-}
-
-func newPartition(addrs []string) *partition {
-	p := &partition{blocked: make(map[string]bool), ctl: make(map[string][]*wire.Client)}
-	for _, a := range addrs {
-		p.blocked[a] = true
-	}
-	return p
+	open    []io.Closer // conns to blocked addrs opened through us
 }
 
 var errPartitioned = fmt.Errorf("chaos: host partitioned")
@@ -40,13 +37,28 @@ func (p *partition) cut(addr string) bool {
 	return p.active && p.blocked[addr]
 }
 
-// dialData is a client DialData hook honoring the partition.
+// track remembers a connection to a blocked address for activate to sever.
+func (p *partition) track(addr string, c io.Closer) {
+	p.mu.Lock()
+	if p.blocked[addr] {
+		p.open = append(p.open, c)
+	}
+	p.mu.Unlock()
+}
+
+// dialData is a client DialData hook honoring the partition. The client
+// pools what it returns: untracked, reads after activation would ride
+// pre-partition connections straight through it.
 func (p *partition) dialData(ctx context.Context, addr string) (net.Conn, error) {
 	if p.cut(addr) {
 		return nil, errPartitioned
 	}
 	var d net.Dialer
-	return d.DialContext(ctx, "tcp", addr)
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err == nil {
+		p.track(addr, conn)
+	}
+	return conn, err
 }
 
 // dialControl is a client DialControl hook honoring the partition: it
@@ -57,26 +69,18 @@ func (p *partition) dialControl(ctx context.Context, addr string) (*wire.Client,
 		return nil, errPartitioned
 	}
 	c, err := rpc.DialSession(ctx, addr)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		p.track(addr, c)
 	}
-	p.mu.Lock()
-	if p.blocked[addr] {
-		p.ctl[addr] = append(p.ctl[addr], c)
-	}
-	p.mu.Unlock()
-	return c, nil
+	return c, err
 }
 
 // activate starts the partition, severing tracked connections into it.
 func (p *partition) activate() {
 	p.mu.Lock()
 	p.active = true
-	var sever []*wire.Client
-	for addr, cs := range p.ctl {
-		sever = append(sever, cs...)
-		delete(p.ctl, addr)
-	}
+	sever := p.open
+	p.open = nil
 	p.mu.Unlock()
 	for _, c := range sever {
 		c.Close()
@@ -92,9 +96,12 @@ func (p *partition) heal() {
 
 // PartitionRack cuts a client off from every dataserver in a seed-chosen
 // rack holding a replica of f0 and asserts reads of every file still
-// succeed by failing over to replicas outside the partition — including
-// when the Flowserver (which cannot see the client's partition) assigns
-// the unreachable replica. After healing, reads succeed again.
+// succeed by failing over to replicas outside the partition. The client
+// pre-picks a replica inside the victim rack when a file has one (the
+// Flowserver, blind to the partition, schedules the path but would pick
+// that replica only on some seeds), so the baseline pass pools data
+// connections into the rack and the partitioned pass must fail over on
+// every seed. After healing, reads succeed again.
 func PartitionRack(ctx context.Context, t *T) error {
 	d, err := newDeployment(t, testbed.ModeMayflower)
 	if err != nil {
@@ -102,9 +109,8 @@ func PartitionRack(ctx context.Context, t *T) error {
 	}
 	defer d.Close()
 
-	// Build the partition before the client so its dialers can be wired
-	// in; the blocked set is filled once the victim rack is chosen.
-	part := newPartition(nil)
+	// The blocked set is filled once the victim rack is chosen.
+	part := &partition{blocked: make(map[string]bool)}
 	// Metadata bootstrap client (not partitioned) pins placements.
 	boot, err := d.cluster.Client(d.hosts[0])
 	if err != nil {
@@ -143,10 +149,16 @@ func PartitionRack(ctx context.Context, t *T) error {
 			break
 		}
 	}
+	reg := obs.NewRegistry()
 	cl, err := d.cluster.NewClient(clientNode, func(o *client.Options) {
 		o.DialData = part.dialData
 		o.DialControl = part.dialControl
 		o.RetryBackoff = 10 * time.Millisecond
+		o.Metrics = reg
+		o.PickReplica = func(info nameserver.FileInfo) nameserver.ReplicaLoc {
+			inRack := func(r nameserver.ReplicaLoc) bool { return d.rackOf[r.ServerID] == victimRack }
+			return info.Replicas[max(0, slices.IndexFunc(info.Replicas, inRack))] // else the primary
+		}
 	})
 	if err != nil {
 		return err
@@ -161,7 +173,15 @@ func PartitionRack(ctx context.Context, t *T) error {
 		return nil
 	})
 	sched.At(20*time.Millisecond, "read all files (partitioned)", func() error {
-		return readAll(ctx, t, cl, sums, "partitioned")
+		// The reads must meet the partition, not slip through it on data
+		// connections pooled during the baseline pass.
+		failed := reg.Counter("client.read_attempts_err")
+		before := failed.Value()
+		err := readAll(ctx, t, cl, sums, "partitioned")
+		if err == nil && failed.Value() == before {
+			err = errors.New("no read attempt failed across the partition: failover was not exercised")
+		}
+		return err
 	})
 	sched.At(30*time.Millisecond, "heal partition", func() error {
 		part.heal()

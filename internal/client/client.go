@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -88,8 +87,9 @@ type Options struct {
 	// emulation keeps the configured TTL instead of shrinking it by the
 	// speedup factor.
 	Clock fabric.Clock
-	// DialData opens bulk data connections; net.Dial if nil (the
-	// emulated network injects its paced dialer here).
+	// DialData opens a bulk data connection; a plain TCP dial if nil. It
+	// is called on a pool miss: the client keeps what it returns and
+	// reuses it across reads (dataserver.Bulk).
 	DialData func(ctx context.Context, addr string) (net.Conn, error)
 	// Rand drives replica selection fallback; seeded from the clock if
 	// nil.
@@ -161,6 +161,7 @@ type clientMetrics struct {
 	attemptsErr    obs.Counter
 	readsDegraded  obs.Counter
 	backoffSeconds *obs.Histogram
+	data           dataserver.BulkMetrics // bulk connections dialed, reused, replaced
 
 	// Write path: flows registered for appends, failover passes across
 	// primary re-election, per-piece attempt outcomes, and appends that
@@ -182,6 +183,9 @@ func (m *clientMetrics) register(r *obs.Registry) {
 	r.RegisterCounter("client.read_attempts_err", &m.attemptsErr)
 	r.RegisterCounter("client.reads_degraded", &m.readsDegraded)
 	r.RegisterHistogram("client.backoff_seconds", m.backoffSeconds)
+	r.RegisterCounter("client.data_dials", &m.data.Dials)
+	r.RegisterCounter("client.data_reuses", &m.data.Reuses)
+	r.RegisterCounter("client.data_redials", &m.data.Redials)
 	r.RegisterCounter("client.write_flows", &m.writeFlows)
 	r.RegisterCounter("client.write_failover_passes", &m.writeFailoverPasses)
 	r.RegisterCounter("client.append_attempts_ok", &m.appendAttemptsOK)
@@ -193,7 +197,8 @@ func (m *clientMetrics) register(r *obs.Registry) {
 // Client is a Mayflower filesystem client. It is safe for concurrent use.
 type Client struct {
 	opts Options
-	pool *rpc.Pool // one shared session per control-plane address
+	pool *rpc.Pool        // one shared session per control-plane address
+	bulk *dataserver.Bulk // every bulk read, over pooled data connections
 	ns   *nameserver.Client
 	fr   *flowctl.Router // nil: no Flowserver, degraded replica selection
 
@@ -216,12 +221,6 @@ func New(opts Options) (*Client, error) {
 	}
 	if opts.CacheTTL == 0 {
 		opts.CacheTTL = 30 * time.Second
-	}
-	if opts.DialData == nil {
-		opts.DialData = func(ctx context.Context, addr string) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr)
-		}
 	}
 	if opts.ReadTimeout == 0 {
 		opts.ReadTimeout = 2 * time.Minute
@@ -270,6 +269,7 @@ func New(opts Options) (*Client, error) {
 		rng:   rng,
 		retry: rpc.Backoff{Base: opts.RetryBackoff},
 	}
+	c.bulk = dataserver.NewBulk(opts.DialData, &c.met.data)
 	c.cache = newMetaCache(opts.CacheEntries, opts.CacheTTL.Seconds(), opts.Clock, &c.met.cache)
 	c.cache.lookup = func(ctx context.Context, name string) (nameserver.FileInfo, error) {
 		lctx, cancel := c.rpcCtx(ctx)
@@ -309,8 +309,9 @@ func New(opts Options) (*Client, error) {
 	return c, nil
 }
 
-// Close tears down every pooled control connection.
+// Close tears down every pooled control and idle data connection.
 func (c *Client) Close() error {
+	c.bulk.Close()
 	return c.pool.Close()
 }
 
@@ -703,33 +704,4 @@ func (c *Client) assignTagger(n int) flowTagger {
 	return func(rep nameserver.ReplicaLoc) (uint64, func()) {
 		return c.opts.AssignFlow(rep.Host, int64(n))
 	}
-}
-
-func (c *Client) readOnce(ctx context.Context, name string, info nameserver.FileInfo, rep nameserver.ReplicaLoc, flowID uint64, offset int64, buf []byte) error {
-	conn, err := c.opts.DialData(ctx, rep.DataAddr)
-	if err != nil {
-		return fmt.Errorf("client: dial %s: %w", rep.ServerID, err)
-	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	}
-	req := dataserver.EncodeReadRequest(dataserver.ReadRequest{
-		FlowID: flowID,
-		FileID: info.ID,
-		Offset: offset,
-		Length: int64(len(buf)),
-	})
-	if _, err := conn.Write(req); err != nil {
-		return fmt.Errorf("client: send read to %s: %w", rep.ServerID, err)
-	}
-	size, err := dataserver.ReadResponseHeader(conn)
-	if err != nil {
-		return fmt.Errorf("client: read %s from %s: %w", name, rep.ServerID, err)
-	}
-	c.observeSize(name, info.Version, size)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return fmt.Errorf("client: read %s body from %s: %w", name, rep.ServerID, err)
-	}
-	return nil
 }

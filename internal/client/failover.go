@@ -146,7 +146,12 @@ func (c *Client) readAttempt(ctx context.Context, name string, info nameserver.F
 		ctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
 	}
-	return c.readOnce(ctx, name, info, rep, flowID, offset, buf)
+	size, err := c.bulk.Read(ctx, rep.DataAddr, flowID, info.ID, offset, buf)
+	if err != nil {
+		return fmt.Errorf("client: read %s from %s: %w", name, rep.ServerID, err)
+	}
+	c.observeSize(name, info.Version, size)
+	return nil
 }
 
 // backoff sleeps the exponential retry delay for the given pass (1-based),

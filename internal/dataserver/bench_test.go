@@ -76,3 +76,32 @@ func benchAppendReplicated(b *testing.B, size int) {
 		}
 	}
 }
+
+// BenchmarkBulkRead4K and BenchmarkBulkRead8M measure one bulk read
+// through Bulk against a loopback dataserver with no pacing: the
+// data-path cost of the end-to-end benchmark's small and large reads
+// without any control plane around it.
+func BenchmarkBulkRead4K(b *testing.B) { benchBulkRead(b, 4<<10) }
+func BenchmarkBulkRead8M(b *testing.B) { benchBulkRead(b, 8<<20) }
+
+func benchBulkRead(b *testing.B, size int) {
+	s := startServer(b, "ds-read", nil)
+	info := nameserver.FileInfo{ID: uuid.MustNew(), Name: "bench-read", ChunkSize: 1 << 20}
+	if err := s.store.prepare(info); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.store.appendAt(info.ID, 0, make([]byte, size)); err != nil {
+		b.Fatal(err)
+	}
+	bulk := NewBulk(nil, new(BulkMetrics))
+	defer bulk.Close()
+	buf := make([]byte, size)
+	ctx := context.Background()
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bulk.Read(ctx, s.DataAddr(), 0, info.ID, 0, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

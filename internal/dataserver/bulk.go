@@ -1,0 +1,192 @@
+package dataserver
+
+import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"os"
+	"strings"
+	"sync"
+	"time"
+
+	"github.com/mayflower-dfs/mayflower/internal/obs"
+	"github.com/mayflower-dfs/mayflower/internal/uuid"
+)
+
+// The pool's rules are constants: nothing constrains them but each other.
+const (
+	// bulkIdlePerAddr caps the idle connections kept per address: a split
+	// read's two segments and a neighbour; each pins a goroutine there.
+	bulkIdlePerAddr = 4
+	// bulkIdleLimit is how long an idle connection stays reusable: half
+	// the server's dataIdleLimit, so the client drops it first.
+	bulkIdleLimit = 30 * time.Second
+)
+
+// BulkMetrics counts connections opened (pool misses and redials), reused
+// from the pool, and redialed because the server had closed a reused one.
+type BulkMetrics struct {
+	Dials, Reuses, Redials obs.Counter
+}
+
+// Bulk is the one client of the bulk read protocol (see server.go). It
+// pools connections per data address so a read does not start with a dial.
+// One goes back only after a success header and every promised byte were
+// consumed, deadline cleared; any error, an error reply included, closes
+// it. Safe for concurrent use.
+type Bulk struct {
+	dial      func(ctx context.Context, addr string) (net.Conn, error)
+	met       *BulkMetrics
+	idleLimit time.Duration // bulkIdleLimit; tests shorten it
+
+	mu   sync.Mutex
+	idle map[string][]*bulkConn // per address, oldest first; nil once closed
+}
+
+// bulkConn carries the scratch its headers are built in: one allocation
+// per connection, none per read.
+type bulkConn struct {
+	net.Conn
+	hdr       [40]byte
+	idleSince time.Time
+}
+
+// NewBulk returns a bulk reader that opens connections with dial (plain
+// TCP if nil) and counts into met.
+func NewBulk(dial func(ctx context.Context, addr string) (net.Conn, error), met *BulkMetrics) *Bulk {
+	if dial == nil {
+		dial = func(ctx context.Context, addr string) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr)
+		}
+	}
+	return &Bulk{dial: dial, met: met, idleLimit: bulkIdleLimit, idle: make(map[string][]*bulkConn)}
+}
+
+// Read fills buf from the file at offset on the dataserver at addr, as
+// flow flowID, within ctx's deadline, and returns the file size reported.
+//
+// A reused connection that fails before any reply byte, and not by
+// deadline, was closed by the server while idle: no verdict on the
+// replica, so the request is re-sent once on a fresh connection under the
+// same flow id. Every other failure is the caller's — a stalled replica
+// must cost it one timeout, not two.
+func (b *Bulk) Read(ctx context.Context, addr string, flowID uint64, fileID uuid.UUID, offset int64, buf []byte) (int64, error) {
+	c := b.checkout(addr)
+	for {
+		reused := c != nil
+		if !reused {
+			conn, err := b.dial(ctx, addr)
+			if err != nil {
+				return 0, err
+			}
+			b.met.Dials.Inc()
+			c = &bulkConn{Conn: conn}
+		}
+		size, replied, err := c.roundTrip(ctx, flowID, fileID, offset, buf)
+		if err == nil {
+			b.checkin(addr, c)
+			return size, nil
+		}
+		c.Close()
+		if !reused || replied || errors.Is(err, os.ErrDeadlineExceeded) || ctx.Err() != nil {
+			return 0, err
+		}
+		b.met.Redials.Inc()
+		c = nil
+	}
+}
+
+// Close closes the idle connections; reads in flight close their own.
+func (b *Bulk) Close() {
+	b.mu.Lock()
+	idle := b.idle
+	b.idle = nil
+	b.mu.Unlock()
+	for _, conns := range idle {
+		for _, c := range conns {
+			c.Close()
+		}
+	}
+}
+
+// checkout takes the newest idle connection to addr (warmest TCP state).
+// If that one idled past the limit so did the rest, and all are closed.
+func (b *Bulk) checkout(addr string) (c *bulkConn) {
+	b.mu.Lock()
+	idle := b.idle[addr]
+	if n := len(idle); n > 0 && time.Since(idle[n-1].idleSince) <= b.idleLimit {
+		c, b.idle[addr] = idle[n-1], idle[:n-1]
+		idle = nil // nothing to expire
+		b.met.Reuses.Inc()
+	} else {
+		delete(b.idle, addr)
+	}
+	b.mu.Unlock()
+	for _, old := range idle {
+		old.Close()
+	}
+	return c
+}
+
+// checkin pools a connection whose reply was consumed to the last byte.
+func (b *Bulk) checkin(addr string, c *bulkConn) {
+	c.idleSince = time.Now()
+	b.mu.Lock()
+	pooled := b.idle != nil && len(b.idle[addr]) < bulkIdlePerAddr
+	if pooled {
+		b.idle[addr] = append(b.idle[addr], c)
+	}
+	b.mu.Unlock()
+	if !pooled {
+		c.Close()
+	}
+}
+
+// roundTrip sends one request and fills buf from the reply; replied says
+// whether any of one arrived.
+func (c *bulkConn) roundTrip(ctx context.Context, flowID uint64, fileID uuid.UUID, offset int64, buf []byte) (size int64, replied bool, err error) {
+	deadline, _ := ctx.Deadline() // zero: none
+	if err := c.SetDeadline(deadline); err != nil {
+		return 0, false, err
+	}
+	binary.BigEndian.PutUint64(c.hdr[0:8], flowID)
+	copy(c.hdr[8:24], fileID[:])
+	binary.BigEndian.PutUint64(c.hdr[24:32], uint64(offset))
+	binary.BigEndian.PutUint64(c.hdr[32:40], uint64(len(buf)))
+	if _, err := c.Write(c.hdr[:]); err != nil {
+		return 0, false, err
+	}
+	// status(1) fileSize(8), or status(1) msgLen(2) msg: three bytes say
+	// which, and one read usually brings all nine.
+	n, err := io.ReadAtLeast(c, c.hdr[:9], 3)
+	if err != nil {
+		return 0, n > 0, err
+	}
+	switch c.hdr[0] {
+	case dataStatusOK:
+		_, err = io.ReadFull(c, c.hdr[n:9])
+	case dataStatusErr:
+		msg := make([]byte, binary.BigEndian.Uint16(c.hdr[1:3]))
+		if _, err = io.ReadFull(c, msg[copy(msg, c.hdr[3:n]):]); err == nil {
+			err = fmt.Errorf("dataserver: remote read: %s", msg)
+			for _, sentinel := range []error{ErrUnknownFile, ErrOutOfRange} { // map back where possible
+				if strings.Contains(string(msg), sentinel.Error()) {
+					err = fmt.Errorf("%w (remote: %s)", sentinel, msg)
+				}
+			}
+		}
+	default:
+		err = fmt.Errorf("dataserver: bad read status %d", c.hdr[0])
+	}
+	if err == nil {
+		_, err = io.ReadFull(c, buf)
+	}
+	if err == nil {
+		err = c.SetDeadline(time.Time{})
+	}
+	return int64(binary.BigEndian.Uint64(c.hdr[1:9])), true, err
+}

@@ -3,8 +3,6 @@ package dataserver
 import (
 	"context"
 	"fmt"
-	"io"
-	"net"
 	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
@@ -72,30 +70,10 @@ func (s *Server) replicateFrom(ctx context.Context, a ReplicateArgs) (int64, err
 }
 
 // fetchRange reads one byte range from a peer over the bulk data
-// protocol.
+// protocol, unscheduled (flow id 0).
 func (s *Server) fetchRange(ctx context.Context, addr string, info nameserver.FileInfo, offset int64, buf []byte) error {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	} else {
-		_ = conn.SetDeadline(time.Now().Add(5 * time.Minute))
-	}
-	req := EncodeReadRequest(ReadRequest{
-		FileID: info.ID,
-		Offset: offset,
-		Length: int64(len(buf)),
-	})
-	if _, err := conn.Write(req); err != nil {
-		return err
-	}
-	if _, err := ReadResponseHeader(conn); err != nil {
-		return err
-	}
-	_, err = io.ReadFull(conn, buf)
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Minute) // a caller's nearer deadline still wins
+	defer cancel()
+	_, err := s.bulk.Read(ctx, addr, 0, info.ID, offset, buf)
 	return err
 }

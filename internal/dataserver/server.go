@@ -8,7 +8,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -101,6 +100,8 @@ type dsMetrics struct {
 	appendDedups   obs.Counter
 	relayScheduled obs.Counter
 	relayStatic    obs.Counter
+	readsServed    obs.Counter // bulk reads streamed to their last byte
+	dataConns      obs.Gauge   // data connections open, idle pooled ones included
 }
 
 func (m *dsMetrics) register(r *obs.Registry, id string) {
@@ -109,6 +110,8 @@ func (m *dsMetrics) register(r *obs.Registry, id string) {
 	r.RegisterCounter(prefix+"append_dedups", &m.appendDedups)
 	r.RegisterCounter(prefix+"relays_scheduled", &m.relayScheduled)
 	r.RegisterCounter(prefix+"relays_static", &m.relayStatic)
+	r.RegisterCounter(prefix+"reads_served", &m.readsServed)
+	r.RegisterGauge(prefix+"data_conns", &m.dataConns)
 }
 
 // WriteStats is a snapshot of the server's write-path counters.
@@ -132,11 +135,13 @@ func (s *Server) WriteStats() WriteStats {
 // Server is a running dataserver: a control RPC endpoint, a bulk data
 // endpoint, and the chunk store.
 type Server struct {
-	cfg   Config
-	store *storage
-	ctl   *wire.Server
-	pool  *rpc.Pool       // all outbound control sessions (ns, fs, peers)
-	fr    *flowctl.Router // nil: static relay order, no flow registration
+	cfg      Config
+	store    *storage
+	ctl      *wire.Server
+	pool     *rpc.Pool       // all outbound control sessions (ns, fs, peers)
+	bulk     *Bulk           // bulk reads from peers (re-replication)
+	fr       *flowctl.Router // nil: static relay order, no flow registration
+	dataIdle time.Duration   // dataIdleLimit; tests shorten it
 
 	mu        sync.Mutex
 	dataLn    net.Listener
@@ -176,6 +181,8 @@ func New(cfg Config) (*Server, error) {
 			Metrics:        cfg.Metrics,
 			MetricsPrefix:  "dataserver." + cfg.ID + ".rpc",
 		}),
+		bulk:      NewBulk(nil, new(BulkMetrics)),
+		dataIdle:  dataIdleLimit,
 		dataConns: make(map[net.Conn]struct{}),
 		beatStop:  make(chan struct{}),
 	}
@@ -323,6 +330,7 @@ func (s *Server) Close() error {
 		conn.Close()
 	}
 	s.pool.Close()
+	s.bulk.Close()
 	s.wg.Wait()
 	return err
 }
@@ -597,49 +605,30 @@ func (s *Server) planRelay(ctx context.Context, info nameserver.FileInfo, bits f
 
 // --- data plane ----------------------------------------------------------
 
-// The bulk read protocol: the client sends a fixed 40-byte request
+// The bulk read protocol (Bulk in bulk.go is its one client): over a TCP
+// connection the client sends fixed 40-byte requests
 //
 //	flowID(8) fileID(16) offset(8) length(8)
 //
-// and the server replies with status(1); on success the reply continues
-// with fileSize(8) followed by exactly length bytes of data, written
-// through the pacer. On failure a message string follows (length-prefixed
-// with 2 bytes).
+// one after another, each once the previous reply is consumed. The server
+// answers each with status(1); on success the reply continues with
+// fileSize(8) followed by exactly length bytes of data, written through
+// the pacer. On failure a message string follows (length-prefixed with 2
+// bytes).
+//
+// Either side may close between requests, and does once the connection
+// idles past its limit (the client's is the shorter) or it shuts down.
+// Both close after any failure: an error reply, or a stream that broke
+// past its success header, where anything else would be taken for data.
 const (
 	dataStatusOK  = byte(0)
 	dataStatusErr = byte(1)
+
+	// dataIdleLimit is how long the server waits for the next request
+	// before closing a connection: twice the client's limit, so a pooled
+	// connection is dropped by its client first.
+	dataIdleLimit = 2 * bulkIdleLimit
 )
-
-// ReadRequest is the bulk read header (exported for the client package).
-type ReadRequest struct {
-	FlowID uint64
-	FileID uuid.UUID
-	Offset int64
-	Length int64
-}
-
-// EncodeReadRequest serializes the request header.
-func EncodeReadRequest(r ReadRequest) []byte {
-	buf := make([]byte, 40)
-	binary.BigEndian.PutUint64(buf[0:8], r.FlowID)
-	copy(buf[8:24], r.FileID[:])
-	binary.BigEndian.PutUint64(buf[24:32], uint64(r.Offset))
-	binary.BigEndian.PutUint64(buf[32:40], uint64(r.Length))
-	return buf
-}
-
-// DecodeReadRequest parses the request header.
-func DecodeReadRequest(buf []byte) (ReadRequest, error) {
-	if len(buf) != 40 {
-		return ReadRequest{}, errors.New("dataserver: bad read request")
-	}
-	var r ReadRequest
-	r.FlowID = binary.BigEndian.Uint64(buf[0:8])
-	copy(r.FileID[:], buf[8:24])
-	r.Offset = int64(binary.BigEndian.Uint64(buf[24:32]))
-	r.Length = int64(binary.BigEndian.Uint64(buf[32:40]))
-	return r, nil
-}
 
 func (s *Server) serveData(ln net.Listener) {
 	for {
@@ -655,104 +644,62 @@ func (s *Server) serveData(ln net.Listener) {
 		}
 		s.dataConns[conn] = struct{}{}
 		s.mu.Unlock()
+		s.met.dataConns.Add(1)
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.dataConns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.serveOneRead(conn)
+			// Requests are answered back to back until the peer closes, a
+			// read fails, or the connection idles out; the header array and
+			// the copy buffer are per connection, not per request.
+			var hdr [40]byte
+			buf := make([]byte, 32<<10) // io.Copy's own size: two pacing quanta
+			for s.serveRead(conn, &hdr, buf) {
+			}
+			s.mu.Lock()
+			delete(s.dataConns, conn)
+			s.mu.Unlock()
+			s.met.dataConns.Add(-1)
+			conn.Close()
 		}()
 	}
 }
 
-func (s *Server) serveOneRead(conn net.Conn) {
-	hdr := make([]byte, 40)
-	if _, err := io.ReadFull(conn, hdr); err != nil {
-		return
+// serveRead awaits and answers one request through hdr (request in, reply
+// header out) and reports whether the connection may carry another.
+func (s *Server) serveRead(conn net.Conn, hdr *[40]byte, buf []byte) bool {
+	_ = conn.SetReadDeadline(time.Now().Add(s.dataIdle)) // fails only on a closed conn, as the read then does
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		return false
 	}
-	req, err := DecodeReadRequest(hdr)
-	if err != nil {
-		return
-	}
-
-	fail := func(err error) {
-		msg := err.Error()
-		if len(msg) > 65535 {
-			msg = msg[:65535]
-		}
-		buf := make([]byte, 3+len(msg))
-		buf[0] = dataStatusErr
-		binary.BigEndian.PutUint16(buf[1:3], uint16(len(msg)))
-		copy(buf[3:], msg)
-		_, _ = conn.Write(buf)
-	}
-
+	flowID, fileID := binary.BigEndian.Uint64(hdr[0:8]), uuid.UUID(hdr[8:24])
+	offset, length := int64(binary.BigEndian.Uint64(hdr[24:32])), int64(binary.BigEndian.Uint64(hdr[32:40]))
 	// Validate before committing to a success header.
-	fs, err := s.store.get(req.FileID)
+	fs, err := s.store.get(fileID)
+	var size int64
+	if err == nil {
+		size = fs.localSize()
+		if offset < 0 || length < 0 || offset+length > size {
+			err = fmt.Errorf("%w: [%d, %d) of %d", ErrOutOfRange, offset, offset+length, size)
+		}
+	}
 	if err != nil {
-		fail(err)
-		return
-	}
-	size := fs.localSize()
-	if req.Offset < 0 || req.Length < 0 || req.Offset+req.Length > size {
-		fail(fmt.Errorf("%w: [%d, %d) of %d", ErrOutOfRange, req.Offset, req.Offset+req.Length, size))
-		return
+		msg := err.Error()
+		msg = msg[:min(len(msg), 65535)]
+		reply := binary.BigEndian.AppendUint16([]byte{dataStatusErr}, uint16(len(msg)))
+		_, _ = conn.Write(append(reply, msg...)) // best effort: the connection closes either way
+		return false
 	}
 
-	var ok [9]byte
-	ok[0] = dataStatusOK
-	binary.BigEndian.PutUint64(ok[1:9], uint64(size))
-	if _, err := conn.Write(ok[:]); err != nil {
-		return
+	hdr[0] = dataStatusOK
+	binary.BigEndian.PutUint64(hdr[1:9], uint64(size))
+	if _, err := conn.Write(hdr[:9]); err != nil {
+		return false
 	}
-	paced := s.cfg.Pacer.Writer(req.FlowID, conn)
-	if _, err := s.store.readAt(req.FileID, req.Offset, req.Length, paced); err != nil {
-		s.logf("dataserver %s: read %s: %v", s.cfg.ID, req.FileID, err)
+	paced := s.cfg.Pacer.Writer(flowID, conn)
+	if _, err := s.store.readAt(fileID, offset, length, paced, buf); err != nil {
+		s.logf("dataserver %s: read %s: %v", s.cfg.ID, fileID, err)
+		return false
 	}
-}
-
-// ReadResponseHeader parses the 9-byte success header or the error reply
-// from a bulk read stream (exported for the client package).
-func ReadResponseHeader(r io.Reader) (fileSize int64, err error) {
-	var status [1]byte
-	if _, err := io.ReadFull(r, status[:]); err != nil {
-		return 0, err
-	}
-	switch status[0] {
-	case dataStatusOK:
-		var sz [8]byte
-		if _, err := io.ReadFull(r, sz[:]); err != nil {
-			return 0, err
-		}
-		return int64(binary.BigEndian.Uint64(sz[:])), nil
-	case dataStatusErr:
-		var ln [2]byte
-		if _, err := io.ReadFull(r, ln[:]); err != nil {
-			return 0, err
-		}
-		msg := make([]byte, binary.BigEndian.Uint16(ln[:]))
-		if _, err := io.ReadFull(r, msg); err != nil {
-			return 0, err
-		}
-		return 0, remoteReadError(string(msg))
-	default:
-		return 0, fmt.Errorf("dataserver: bad read status %d", status[0])
-	}
-}
-
-// remoteReadError maps a remote failure string back to this package's
-// sentinels where possible.
-func remoteReadError(msg string) error {
-	switch {
-	case strings.Contains(msg, ErrUnknownFile.Error()):
-		return fmt.Errorf("%w (remote: %s)", ErrUnknownFile, msg)
-	case strings.Contains(msg, ErrOutOfRange.Error()):
-		return fmt.Errorf("%w (remote: %s)", ErrOutOfRange, msg)
-	default:
-		return fmt.Errorf("dataserver: remote read: %s", msg)
-	}
+	s.met.readsServed.Inc()
+	return true
 }

@@ -26,13 +26,13 @@ type cluster struct {
 }
 
 // startServer brings up one dataserver on ephemeral ports.
-func startServer(t *testing.T, id string, pacer Pacer) *Server {
+func startServer(t testing.TB, id string, pacer Pacer) *Server {
 	t.Helper()
 	return startServerOn(t, id, pacer, func(ln net.Listener) net.Listener { return ln })
 }
 
 // startServerOn is startServer with the control listener wrapped.
-func startServerOn(t *testing.T, id string, pacer Pacer, wrap func(net.Listener) net.Listener) *Server {
+func startServerOn(t testing.TB, id string, pacer Pacer, wrap func(net.Listener) net.Listener) *Server {
 	t.Helper()
 	s, err := New(Config{ID: id, Root: t.TempDir(), Host: "host-" + id, Pacer: pacer})
 	if err != nil {
@@ -218,20 +218,10 @@ func TestConcurrentAppendsThroughPrimary(t *testing.T) {
 // readAll fetches a byte range through the bulk data protocol.
 func readAll(t *testing.T, s *Server, id uuid.UUID, offset, length int64) []byte {
 	t.Helper()
-	conn, err := net.Dial("tcp", s.DataAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	req := EncodeReadRequest(ReadRequest{FlowID: 1, FileID: id, Offset: offset, Length: length})
-	if _, err := conn.Write(req); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadResponseHeader(conn); err != nil {
-		t.Fatal(err)
-	}
+	bulk := NewBulk(nil, new(BulkMetrics))
+	defer bulk.Close()
 	data := make([]byte, length)
-	if _, err := io.ReadFull(conn, data); err != nil {
+	if _, err := bulk.Read(context.Background(), s.DataAddr(), 1, id, offset, data); err != nil {
 		t.Fatal(err)
 	}
 	return data
@@ -262,16 +252,9 @@ func TestDataProtocolReportsSize(t *testing.T) {
 	if err := appendVia(c.ctl[0], AppendArgs{FileID: c.info.ID, Data: bytes.Repeat([]byte("q"), 77)}, &AppendReply{}); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", c.servers[0].DataAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	req := EncodeReadRequest(ReadRequest{FileID: c.info.ID, Offset: 0, Length: 10})
-	if _, err := conn.Write(req); err != nil {
-		t.Fatal(err)
-	}
-	size, err := ReadResponseHeader(conn)
+	bulk := NewBulk(nil, new(BulkMetrics))
+	defer bulk.Close()
+	size, err := bulk.Read(context.Background(), c.servers[0].DataAddr(), 0, c.info.ID, 0, make([]byte, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,16 +266,10 @@ func TestDataProtocolReportsSize(t *testing.T) {
 func TestDataProtocolErrors(t *testing.T) {
 	c := startCluster(t, 1, 32)
 
+	bulk := NewBulk(nil, new(BulkMetrics))
+	defer bulk.Close()
 	read := func(id uuid.UUID, off, length int64) error {
-		conn, err := net.Dial("tcp", c.servers[0].DataAddr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if _, err := conn.Write(EncodeReadRequest(ReadRequest{FileID: id, Offset: off, Length: length})); err != nil {
-			t.Fatal(err)
-		}
-		_, err = ReadResponseHeader(conn)
+		_, err := bulk.Read(context.Background(), c.servers[0].DataAddr(), 0, id, off, make([]byte, length))
 		return err
 	}
 

@@ -294,7 +294,9 @@ func (st *storage) appendAtLocked(fs *fileState, id uuid.UUID, offset int64, dat
 // file's current local size (Mayflower dataservers include the file size
 // with every read result so clients discover appended chunks, §3.3).
 // Reads that touch the last chunk serialize against in-flight appends.
-func (st *storage) readAt(id uuid.UUID, offset, length int64, w io.Writer) (int64, error) {
+// Bytes are copied through buf (nil: io.Copy's own) unless w takes them
+// from the file itself, as a bare TCP connection does with sendfile.
+func (st *storage) readAt(id uuid.UUID, offset, length int64, w io.Writer, buf []byte) (int64, error) {
 	fs, err := st.get(id)
 	if err != nil {
 		return 0, err
@@ -333,7 +335,11 @@ func (st *storage) readAt(id uuid.UUID, offset, length int64, w io.Writer) (int6
 			f.Close()
 			return size, fmt.Errorf("dataserver: seek chunk %d: %w", chunk, err)
 		}
-		if _, err := io.CopyN(w, f, n); err != nil {
+		m, err := io.CopyBuffer(w, io.LimitReader(f, n), buf)
+		if err == nil && m < n {
+			err = io.EOF // as io.CopyN: the chunk is shorter than the recorded size
+		}
+		if err != nil {
 			f.Close()
 			return size, fmt.Errorf("dataserver: read chunk %d: %w", chunk, err)
 		}

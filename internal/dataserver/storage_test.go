@@ -89,7 +89,7 @@ func TestAppendReadAcrossChunks(t *testing.T) {
 
 	// Whole-file read.
 	var buf bytes.Buffer
-	gotSize, err := st.readAt(info.ID, 0, 43, &buf)
+	gotSize, err := st.readAt(info.ID, 0, 43, &buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestAppendReadAcrossChunks(t *testing.T) {
 
 	// Unaligned range crossing a boundary.
 	buf.Reset()
-	if _, err := st.readAt(info.ID, 7, 9, &buf); err != nil {
+	if _, err := st.readAt(info.ID, 7, 9, &buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != string(payload[7:16]) {
@@ -120,7 +120,7 @@ func TestAppendContinuesLastChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := st.readAt(info.ID, 0, 13, &buf); err != nil {
+	if _, err := st.readAt(info.ID, 0, 13, &buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != "123456789abcd" {
@@ -147,7 +147,7 @@ func TestAppendOffsetChecks(t *testing.T) {
 		t.Errorf("duplicate append = %d, %v", size, err)
 	}
 	var buf bytes.Buffer
-	if _, err := st.readAt(info.ID, 0, 5, &buf); err != nil || buf.String() != "hello" {
+	if _, err := st.readAt(info.ID, 0, 5, &buf, nil); err != nil || buf.String() != "hello" {
 		t.Errorf("read after duplicate = %q, %v", buf.String(), err)
 	}
 }
@@ -162,16 +162,16 @@ func TestReadValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := st.readAt(info.ID, 0, 6, &buf); !errors.Is(err, ErrOutOfRange) {
+	if _, err := st.readAt(info.ID, 0, 6, &buf, nil); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("over-read err = %v", err)
 	}
-	if _, err := st.readAt(info.ID, -1, 1, &buf); !errors.Is(err, ErrOutOfRange) {
+	if _, err := st.readAt(info.ID, -1, 1, &buf, nil); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("negative offset err = %v", err)
 	}
-	if _, err := st.readAt(uuid.MustNew(), 0, 1, &buf); !errors.Is(err, ErrUnknownFile) {
+	if _, err := st.readAt(uuid.MustNew(), 0, 1, &buf, nil); !errors.Is(err, ErrUnknownFile) {
 		t.Errorf("unknown file err = %v", err)
 	}
-	size, err := st.readAt(info.ID, 5, 0, &buf)
+	size, err := st.readAt(info.ID, 5, 0, &buf, nil)
 	if err != nil || size != 5 {
 		t.Errorf("empty read = %d, %v", size, err)
 	}
@@ -288,7 +288,7 @@ func TestConcurrentAppendsSerialize(t *testing.T) {
 		t.Fatalf("size = %d, want %d", got, want)
 	}
 	var buf bytes.Buffer
-	if _, err := st.readAt(info.ID, 0, fs.localSize(), &buf); err != nil {
+	if _, err := st.readAt(info.ID, 0, fs.localSize(), &buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i+10 <= buf.Len(); i += 10 {
@@ -331,7 +331,7 @@ func TestConcurrentReadsDuringAppend(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		var buf bytes.Buffer
 		// Reads of immutable early chunks proceed during appends.
-		if _, err := st.readAt(info.ID, 0, 1024, &buf); err != nil {
+		if _, err := st.readAt(info.ID, 0, 1024, &buf, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), bytes.Repeat([]byte("a"), 1024)) {

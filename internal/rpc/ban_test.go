@@ -29,6 +29,24 @@ func TestNoRawWireDialsOutsideSessionLayer(t *testing.T) {
 	}
 }
 
+// TestNoRawTCPDialsOutsideTheTransports keeps every TCP connection behind
+// one of the transports that own its lifecycle: dataserver.Bulk for bulk
+// reads (its pool is why a read no longer starts with a dial), wire for
+// control sessions, the emulated switch's OpenFlow channel, and the chaos
+// injectors that stand in for the network itself. A net.Dialer anywhere
+// else under internal/ is a second bulk client (dial, one request, close)
+// growing back.
+func TestNoRawTCPDialsOutsideTheTransports(t *testing.T) {
+	allowed := []string{"internal/dataserver/bulk.go", "internal/wire/wire.go", "internal/sdn/switchdev.go", "internal/chaos/"}
+	offenders := goFilesMatching(t, `net\.Dialer|net\.Dial\(`, func(rel string) bool {
+		return !strings.HasPrefix(rel, "internal/") || strings.HasSuffix(rel, "_test.go") ||
+			slices.ContainsFunc(allowed, func(prefix string) bool { return strings.HasPrefix(rel, prefix) })
+	})
+	if len(offenders) > 0 {
+		t.Fatalf("raw TCP dial in: %v — read bulk data through dataserver.Bulk, reach the control plane through rpc.Pool", offenders)
+	}
+}
+
 // TestNoRawHandlersOutsideTheSeam keeps "how a control message becomes
 // a Go value" a decision of this package (DESIGN.md §13): a service that
 // mentions json.RawMessage is unmarshalling params by hand again instead

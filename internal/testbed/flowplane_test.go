@@ -3,6 +3,7 @@ package testbed
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -159,5 +160,88 @@ func TestColocatedReplicaReadIsScheduled(t *testing.T) {
 	// the read costs one controller round trip, not two.
 	if sel, fin := counters["client.rpc.method.fs.Select.calls"], counters["client.rpc.method.fs.Finished.calls"]; sel != 1 || fin != 0 {
 		t.Errorf("co-located read made %d fs.Select and %d fs.Finished calls, want 1 and 0", sel, fin)
+	}
+}
+
+// TestFaultFreeRunNeverRedials drives the bench workloads' four shapes in
+// miniature — warm small reads, whole-file reads, appends each followed
+// by another client's tail read, concurrent readers — and checks the data
+// pool the way the benchmark cannot (bench/ may only watch from outside):
+// reads reuse connections, and with no fault injected none is ever found
+// dead (client.data_redials), failed or failed over.
+func TestFaultFreeRunNeverRedials(t *testing.T) {
+	cluster, err := NewCluster(ClusterConfig{Mode: ModeMayflower, Topo: tinyTopo(), Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	payload := pinnedFile(t, ctx, cluster, "warm", cluster.Topo.HostAt(0, 0, 0), 256<<10)
+
+	var regs []*obs.Registry
+	newReader := func(h topology.NodeID) *client.Client {
+		reg := obs.NewRegistry()
+		regs = append(regs, reg)
+		cl, err := cluster.NewClient(h, func(o *client.Options) { o.Metrics = reg })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	reader, beside := newReader(cluster.Topo.HostAt(1, 1, 0)), newReader(cluster.Topo.HostAt(1, 0, 1))
+
+	for i := int64(0); i < 50; i++ { // read_small_ctl
+		got, err := reader.ReadAt(ctx, "warm", i*4096, 4096)
+		if err != nil || !bytes.Equal(got, payload[i*4096:(i+1)*4096]) {
+			t.Fatalf("small read %d: %d bytes, %v", i, len(got), err)
+		}
+	}
+	for i := 0; i < 3; i++ { // read_large_stream
+		got, err := reader.ReadAll(ctx, "warm")
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("whole-file read %d: %d bytes, %v", i, len(got), err)
+		}
+	}
+	if _, err := reader.Create(ctx, "grows", nameserver.CreateOptions{Replication: 3}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ { // append_beside_reads
+		size, err := reader.Append(ctx, "grows", payload[:32<<10])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := beside.ReadAt(ctx, "grows", size-4096, 4096)
+		if err != nil || !bytes.Equal(got, payload[(32<<10)-4096:32<<10]) {
+			t.Fatalf("tail read after append %d: %d bytes, %v", i, len(got), err)
+		}
+	}
+	errs := make(chan error, 8)
+	for i := 0; i < cap(errs); i++ { // fabric_contended
+		cl := []*client.Client{reader, beside}[i%2]
+		go func() {
+			got, err := cl.ReadAll(ctx, "warm")
+			if err == nil && !bytes.Equal(got, payload) {
+				err = errors.New("concurrent read returned the wrong bytes")
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < cap(errs); i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for i, reg := range regs {
+		c := reg.Snapshot().Counters
+		for _, name := range []string{"client.data_redials", "client.read_attempts_err", "client.failover_passes", "client.reads_degraded"} {
+			if c[name] != 0 {
+				t.Errorf("client %d: %s = %d on a fault-free run, want 0", i, name, c[name])
+			}
+		}
+		if c["client.data_reuses"] == 0 {
+			t.Errorf("client %d: %d dials and no reuse: reads are not riding pooled connections", i, c["client.data_dials"])
+		}
 	}
 }

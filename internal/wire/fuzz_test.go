@@ -110,3 +110,30 @@ func TestReadFrameShortBody(t *testing.T) {
 		t.Errorf("mid-body cut: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }
+
+// TestReadFrameAllocations pins what reading a control-sized frame costs
+// beyond decoding it: the 4-byte prefix and one body slice of exactly the
+// announced size. (bytes.Buffer.ReadFrom used to regrow the body for its
+// 512-byte read-ahead before and after it: five allocations, not two.)
+func TestReadFrameAllocations(t *testing.T) {
+	body := []byte(`{"id":7,"method":"fs.Finished","params":{"flowIds":[1234567]}}`)
+	frame := frameBytes(uint32(len(body)), body)
+	r := bytes.NewReader(frame)
+	var req request
+	read := testing.AllocsPerRun(100, func() {
+		r.Reset(frame)
+		req = request{}
+		if _, err := readFrame(r, &req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	decode := testing.AllocsPerRun(100, func() {
+		req = request{}
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if read > decode+2 {
+		t.Errorf("readFrame of a %d-byte frame: %v allocations, json.Unmarshal alone %v; want at most 2 more", len(body), read, decode)
+	}
+}

@@ -28,7 +28,6 @@
 package wire
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -155,12 +154,30 @@ func writeFrame(w io.Writer, mu *sync.Mutex, v any, attach []byte) error {
 	return err
 }
 
-// readBufCap caps the upfront buffer reservation while a frame's body
-// arrives. The length prefix is untrusted until that many bytes actually
-// show up, so a corrupt prefix must not cost a maxFrame-sized
-// allocation; frames larger than this (rare — control messages are
-// small) grow the buffer as data arrives.
+// readBufCap caps the buffer reserved for bytes a peer has announced but
+// not yet sent. A length (a frame's prefix, an attachment's envelope
+// field) is untrusted until that many bytes actually show up, so a corrupt
+// one must not cost a maxFrame-sized allocation.
 const readBufCap = 64 << 10
+
+// readN reads exactly n announced bytes into one slice: sized n up to
+// readBufCap (every control message: one allocation), then at most
+// quadrupling as it fills. A short stream is io.ErrUnexpectedEOF.
+func readN(r io.Reader, n int64) ([]byte, error) {
+	var buf []byte
+	for int64(len(buf)) < n {
+		grown := make([]byte, min(n, max(readBufCap, 4*int64(len(buf)))))
+		copy(grown, buf)
+		if _, err := io.ReadFull(r, grown[len(buf):]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		buf = grown
+	}
+	return buf, nil
+}
 
 // readFrame decodes one frame's JSON into v and returns its length.
 func readFrame(r io.Reader, v any) (int64, error) {
@@ -172,29 +189,18 @@ func readFrame(r io.Reader, v any) (int64, error) {
 	if n > maxFrame {
 		return 0, fmt.Errorf("wire: frame too large (%d bytes)", n)
 	}
-	var body bytes.Buffer
-	grow := n
-	if grow > readBufCap {
-		grow = readBufCap
-	}
-	body.Grow(int(grow))
-	m, err := body.ReadFrom(io.LimitReader(r, n))
+	body, err := readN(r, n)
 	if err != nil {
 		return 0, err
 	}
-	if m < n {
-		return 0, io.ErrUnexpectedEOF
-	}
-	return n, json.Unmarshal(body.Bytes(), v)
+	return n, json.Unmarshal(body, v)
 }
 
 // readRequest reads one request frame and the attachment behind it, if
 // its envelope announces one. The announced length is believed only once
-// the envelope has parsed, is bounded with it by maxFrame, and — like a
-// frame's own prefix — reserves no memory for bytes that have not
-// arrived: the buffer starts at readBufCap and at most quadruples each
-// time it fills. A stream that ends inside the attachment is
-// io.ErrUnexpectedEOF, so a request is never seen without all of it.
+// the envelope has parsed and is bounded with it by maxFrame; a stream
+// that ends inside the attachment is io.ErrUnexpectedEOF, so a request is
+// never seen without all of it.
 func readRequest(r io.Reader, req *request) ([]byte, error) {
 	n, err := readFrame(r, req)
 	if err != nil || req.Attach == 0 {
@@ -203,19 +209,7 @@ func readRequest(r io.Reader, req *request) ([]byte, error) {
 	if req.Attach < 0 || n+req.Attach > maxFrame {
 		return nil, fmt.Errorf("wire: frame too large (%d bytes + %d attached)", n, req.Attach)
 	}
-	var buf []byte
-	for int64(len(buf)) < req.Attach {
-		grown := make([]byte, min(req.Attach, max(readBufCap, 4*int64(len(buf)))))
-		copy(grown, buf)
-		if _, err := io.ReadFull(r, grown[len(buf):]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		buf = grown
-	}
-	return buf, nil
+	return readN(r, req.Attach)
 }
 
 // Handler processes one request's parameters and returns a result to be
