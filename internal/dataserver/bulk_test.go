@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mayflower-dfs/mayflower/internal/fabric"
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
 	"github.com/mayflower-dfs/mayflower/internal/uuid"
 )
@@ -125,10 +126,10 @@ type barrierPacer struct {
 	wg sync.WaitGroup
 }
 
-func (p *barrierPacer) Writer(_ uint64, w io.Writer) io.Writer {
+func (p *barrierPacer) Pace(uint64) fabric.Gate {
 	p.wg.Done()
 	p.wg.Wait()
-	return w
+	return nil
 }
 
 // TestBulk is the table for the pooled bulk client and the server's

@@ -41,16 +41,16 @@ const MaxAppend = 8 << 20
 // datacenter network implements it to enforce link sharing; NopPacer runs
 // at full speed.
 type Pacer interface {
-	// Writer wraps w so that writes count against (and are paced as)
-	// the given flow.
-	Writer(flowID uint64, w io.Writer) io.Writer
+	// Pace returns the gate a read for the given flow sends its quanta
+	// through, or nil to send the whole range at once.
+	Pace(flowID uint64) fabric.Gate
 }
 
 // NopPacer performs no pacing.
 type NopPacer struct{}
 
-// Writer returns w unchanged.
-func (NopPacer) Writer(_ uint64, w io.Writer) io.Writer { return w }
+// Pace returns no gate.
+func (NopPacer) Pace(uint64) fabric.Gate { return nil }
 
 var _ Pacer = NopPacer{}
 
@@ -612,9 +612,10 @@ func (s *Server) planRelay(ctx context.Context, info nameserver.FileInfo, bits f
 //
 // one after another, each once the previous reply is consumed. The server
 // answers each with status(1); on success the reply continues with
-// fileSize(8) followed by exactly length bytes of data, written through
-// the pacer. On failure a message string follows (length-prefixed with 2
-// bytes).
+// fileSize(8) followed by exactly length bytes of data, which leave the
+// page cache by sendfile(2), one call per quantum the flow's gate grants
+// (sendfile.go). On failure a message string follows (length-prefixed
+// with 2 bytes).
 //
 // Either side may close between requests, and does once the connection
 // idles past its limit (the client's is the shorter) or it shuts down.
@@ -636,6 +637,12 @@ func (s *Server) serveData(ln net.Listener) {
 		if err != nil {
 			return
 		}
+		out, err := newSender(conn)
+		if err != nil {
+			s.logf("dataserver %s: closing data connection from %s: %v", s.cfg.ID, conn.RemoteAddr(), err)
+			conn.Close()
+			continue
+		}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -650,10 +657,9 @@ func (s *Server) serveData(ln net.Listener) {
 			defer s.wg.Done()
 			// Requests are answered back to back until the peer closes, a
 			// read fails, or the connection idles out; the header array and
-			// the copy buffer are per connection, not per request.
+			// the send loop are per connection, not per request.
 			var hdr [40]byte
-			buf := make([]byte, 32<<10) // io.Copy's own size: two pacing quanta
-			for s.serveRead(conn, &hdr, buf) {
+			for s.serveRead(conn, out, &hdr) {
 			}
 			s.mu.Lock()
 			delete(s.dataConns, conn)
@@ -666,7 +672,7 @@ func (s *Server) serveData(ln net.Listener) {
 
 // serveRead awaits and answers one request through hdr (request in, reply
 // header out) and reports whether the connection may carry another.
-func (s *Server) serveRead(conn net.Conn, hdr *[40]byte, buf []byte) bool {
+func (s *Server) serveRead(conn net.Conn, out *sender, hdr *[40]byte) bool {
 	_ = conn.SetReadDeadline(time.Now().Add(s.dataIdle)) // fails only on a closed conn, as the read then does
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return false
@@ -695,8 +701,8 @@ func (s *Server) serveRead(conn net.Conn, hdr *[40]byte, buf []byte) bool {
 	if _, err := conn.Write(hdr[:9]); err != nil {
 		return false
 	}
-	paced := s.cfg.Pacer.Writer(flowID, conn)
-	if _, err := s.store.readAt(fileID, offset, length, paced, buf); err != nil {
+	out.gate = s.cfg.Pacer.Pace(flowID)
+	if _, err := s.store.readAt(fileID, offset, length, out.send); err != nil {
 		s.logf("dataserver %s: read %s: %v", s.cfg.ID, fileID, err)
 		return false
 	}

@@ -5,13 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/mayflower-dfs/mayflower/internal/fabric"
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
 	"github.com/mayflower-dfs/mayflower/internal/rpc"
 	"github.com/mayflower-dfs/mayflower/internal/uuid"
@@ -359,27 +360,27 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
-// slowPacer throttles to verify the pacer hook is honoured.
-type slowPacer struct {
-	delay time.Duration
+// quantumGate is a Pacer whose one gate grants fixed quanta, each after
+// a delay, and counts what it granted and was credited.
+type quantumGate struct {
+	quantum int64
+	delay   time.Duration
+	grants  atomic.Int64
+	sent    atomic.Int64
 }
 
-type slowWriter struct {
-	w     io.Writer
-	delay time.Duration
+func (g *quantumGate) Pace(uint64) fabric.Gate { return g }
+
+func (g *quantumGate) Next(limit int64) int64 {
+	time.Sleep(g.delay)
+	g.grants.Add(1)
+	return min(limit, g.quantum)
 }
 
-func (p *slowPacer) Writer(_ uint64, w io.Writer) io.Writer {
-	return &slowWriter{w: w, delay: p.delay}
-}
-
-func (sw *slowWriter) Write(b []byte) (int, error) {
-	time.Sleep(sw.delay)
-	return sw.w.Write(b)
-}
+func (g *quantumGate) Sent(n int64) { g.sent.Add(n) }
 
 func TestPacerIsApplied(t *testing.T) {
-	s := startServer(t, "paced-ds", &slowPacer{delay: 30 * time.Millisecond})
+	s := startServer(t, "paced-ds", &quantumGate{quantum: 1 << 20, delay: 30 * time.Millisecond})
 	info := nameserver.FileInfo{
 		ID:        uuid.MustNew(),
 		Name:      "paced",

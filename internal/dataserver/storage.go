@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -290,13 +289,13 @@ func (st *storage) appendAtLocked(fs *fileState, id uuid.UUID, offset int64, dat
 	return pos, nil
 }
 
-// readAt copies length bytes starting at offset into w. It returns the
-// file's current local size (Mayflower dataservers include the file size
-// with every read result so clients discover appended chunks, §3.3).
-// Reads that touch the last chunk serialize against in-flight appends.
-// Bytes are copied through buf (nil: io.Copy's own) unless w takes them
-// from the file itself, as a bare TCP connection does with sendfile.
-func (st *storage) readAt(id uuid.UUID, offset, length int64, w io.Writer, buf []byte) (int64, error) {
+// readAt hands send the length bytes starting at offset, as one open
+// chunk and range at a time; send must consume exactly that range or
+// fail. It returns the file's current local size (Mayflower dataservers
+// include the file size with every read result so clients discover
+// appended chunks, §3.3). Reads that touch the last chunk serialize
+// against in-flight appends.
+func (st *storage) readAt(id uuid.UUID, offset, length int64, send func(f *os.File, off, n int64) error) (int64, error) {
 	fs, err := st.get(id)
 	if err != nil {
 		return 0, err
@@ -331,19 +330,11 @@ func (st *storage) readAt(id uuid.UUID, offset, length int64, w io.Writer, buf [
 		if err != nil {
 			return size, fmt.Errorf("dataserver: open chunk %d: %w", chunk, err)
 		}
-		if _, err := f.Seek(within, io.SeekStart); err != nil {
-			f.Close()
-			return size, fmt.Errorf("dataserver: seek chunk %d: %w", chunk, err)
-		}
-		m, err := io.CopyBuffer(w, io.LimitReader(f, n), buf)
-		if err == nil && m < n {
-			err = io.EOF // as io.CopyN: the chunk is shorter than the recorded size
-		}
+		err = send(f, within, n)
+		f.Close()
 		if err != nil {
-			f.Close()
 			return size, fmt.Errorf("dataserver: read chunk %d: %w", chunk, err)
 		}
-		f.Close()
 		pos += n
 		remaining -= n
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -20,6 +21,14 @@ func newStorage(t *testing.T) *storage {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// into is a readAt sender that copies each chunk range into w.
+func into(w io.Writer) func(f *os.File, off, n int64) error {
+	return func(f *os.File, off, n int64) error {
+		_, err := io.Copy(w, io.NewSectionReader(f, off, n))
+		return err
+	}
 }
 
 func testInfo(t *testing.T, chunkSize int64) nameserver.FileInfo {
@@ -89,7 +98,7 @@ func TestAppendReadAcrossChunks(t *testing.T) {
 
 	// Whole-file read.
 	var buf bytes.Buffer
-	gotSize, err := st.readAt(info.ID, 0, 43, &buf, nil)
+	gotSize, err := st.readAt(info.ID, 0, 43, into(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +108,7 @@ func TestAppendReadAcrossChunks(t *testing.T) {
 
 	// Unaligned range crossing a boundary.
 	buf.Reset()
-	if _, err := st.readAt(info.ID, 7, 9, &buf, nil); err != nil {
+	if _, err := st.readAt(info.ID, 7, 9, into(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != string(payload[7:16]) {
@@ -120,7 +129,7 @@ func TestAppendContinuesLastChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := st.readAt(info.ID, 0, 13, &buf, nil); err != nil {
+	if _, err := st.readAt(info.ID, 0, 13, into(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != "123456789abcd" {
@@ -147,7 +156,7 @@ func TestAppendOffsetChecks(t *testing.T) {
 		t.Errorf("duplicate append = %d, %v", size, err)
 	}
 	var buf bytes.Buffer
-	if _, err := st.readAt(info.ID, 0, 5, &buf, nil); err != nil || buf.String() != "hello" {
+	if _, err := st.readAt(info.ID, 0, 5, into(&buf)); err != nil || buf.String() != "hello" {
 		t.Errorf("read after duplicate = %q, %v", buf.String(), err)
 	}
 }
@@ -162,16 +171,16 @@ func TestReadValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := st.readAt(info.ID, 0, 6, &buf, nil); !errors.Is(err, ErrOutOfRange) {
+	if _, err := st.readAt(info.ID, 0, 6, into(&buf)); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("over-read err = %v", err)
 	}
-	if _, err := st.readAt(info.ID, -1, 1, &buf, nil); !errors.Is(err, ErrOutOfRange) {
+	if _, err := st.readAt(info.ID, -1, 1, into(&buf)); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("negative offset err = %v", err)
 	}
-	if _, err := st.readAt(uuid.MustNew(), 0, 1, &buf, nil); !errors.Is(err, ErrUnknownFile) {
+	if _, err := st.readAt(uuid.MustNew(), 0, 1, into(&buf)); !errors.Is(err, ErrUnknownFile) {
 		t.Errorf("unknown file err = %v", err)
 	}
-	size, err := st.readAt(info.ID, 5, 0, &buf, nil)
+	size, err := st.readAt(info.ID, 5, 0, into(&buf))
 	if err != nil || size != 5 {
 		t.Errorf("empty read = %d, %v", size, err)
 	}
@@ -288,7 +297,7 @@ func TestConcurrentAppendsSerialize(t *testing.T) {
 		t.Fatalf("size = %d, want %d", got, want)
 	}
 	var buf bytes.Buffer
-	if _, err := st.readAt(info.ID, 0, fs.localSize(), &buf, nil); err != nil {
+	if _, err := st.readAt(info.ID, 0, fs.localSize(), into(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i+10 <= buf.Len(); i += 10 {
@@ -331,7 +340,7 @@ func TestConcurrentReadsDuringAppend(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		var buf bytes.Buffer
 		// Reads of immutable early chunks proceed during appends.
-		if _, err := st.readAt(info.ID, 0, 1024, &buf, nil); err != nil {
+		if _, err := st.readAt(info.ID, 0, 1024, into(&buf)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), bytes.Repeat([]byte("a"), 1024)) {

@@ -14,20 +14,19 @@
 // fabric.Table; all pacer timing goes through a fabric.Clock, so tests
 // can compress wall time deterministically with fabric.NewScaledClock.
 //
-// The package implements dataserver.Pacer: a dataserver constructed with
-// an emunet pacer streams each read through a token pacer whose rate is
-// recomputed whenever flows enter or leave the network. Optionally, a
-// fabric.CounterSink (e.g. sdn.CounterBridge wiring SDN switch agents to
-// topology switch nodes) can be attached; the pacer then credits
-// per-flow and per-port byte counters as traffic passes, which is what
-// the Flowserver's stats polling observes.
+// The package implements dataserver.Pacer: each registered flow is its
+// own fabric.Gate, which grants the dataserver time on the wire one
+// quantum at a time — 2 ms of the flow's fair share, recomputed whenever
+// flows enter or leave the network — while the dataserver moves the bytes
+// itself. Optionally, a fabric.CounterSink (e.g. sdn.CounterBridge wiring
+// SDN switch agents to topology switch nodes) can be attached; the gate
+// then credits per-flow and per-port byte counters as traffic passes,
+// which is what the Flowserver's stats polling observes.
 package emunet
 
 import (
 	"errors"
 	"fmt"
-	"io"
-
 	"sync"
 
 	"github.com/mayflower-dfs/mayflower/internal/fabric"
@@ -35,9 +34,14 @@ import (
 	"github.com/mayflower-dfs/mayflower/internal/topology"
 )
 
-// chunkBytes is the pacing quantum: small enough that rate changes take
-// effect quickly, large enough to keep syscall overhead negligible.
+// chunkBytes is the quantum floor: large enough to keep per-quantum
+// overhead negligible on slow links, and what every flow at or below
+// 65.5 Mbps (where 2 ms is exactly 16 KiB) is paced in.
 const chunkBytes = 16 << 10
+
+// quantaPerSecond makes a quantum 2 ms of the flow's current share, so a
+// reallocation takes hold within 2 ms of fabric time at any rate.
+const quantaPerSecond = 500
 
 // starvedPollSeconds is how often (in fabric time) a fully starved flow
 // rechecks its rate. A flow is starved when the arbiter allocates it
@@ -45,26 +49,27 @@ const chunkBytes = 16 << 10
 // progress at all, yet resume promptly when a fault heals.
 const starvedPollSeconds = 2e-3
 
-// ErrUnknownFlow is returned when pacing an unregistered flow.
-var ErrUnknownFlow = errors.New("emunet: unknown flow")
-
+// emuFlow is one registered flow, and the fabric.Gate that paces it.
 type emuFlow struct {
+	net   *Network
 	id    uint64
 	links []int
 
 	mu   sync.Mutex
 	rate float64 // bits per second
-	// released is set when the flow is unregistered; a pacer starved on
+	// released is set when the flow is unregistered; a gate starved on
 	// a dead link checks it so it can unblock instead of waiting for a
 	// reallocation that will never include the flow again.
 	released bool
-	// nextFree is the fabric time (seconds) before which the flow's
-	// pacer must not send more bytes.
+	// nextFree is the fabric time (seconds) before which the flow must
+	// not send more bytes.
 	nextFree float64
-	// transferredBits counts bits delivered through the pacer: the
+	// transferredBits counts bits credited through the gate: the
 	// per-flow byte counter an edge switch would export.
 	transferredBits float64
 }
+
+var _ fabric.Gate = (*emuFlow)(nil)
 
 func (f *emuFlow) currentRate() float64 {
 	f.mu.Lock()
@@ -161,7 +166,7 @@ func (n *Network) RegisterFlow(id uint64, path topology.Path) error {
 	n.mu.Lock()
 	f := n.flows[id]
 	if f == nil {
-		f = &emuFlow{id: id}
+		f = &emuFlow{net: n, id: id}
 		n.flows[id] = f
 	}
 	f.links = links
@@ -218,12 +223,16 @@ func (n *Network) NumFlows() int {
 	return len(n.flows)
 }
 
+func (n *Network) flow(id uint64) *emuFlow {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.flows[id]
+}
+
 // FlowRate returns a flow's current fair rate in bits per second.
 func (n *Network) FlowRate(id uint64) (float64, bool) {
-	n.mu.Lock()
-	f, ok := n.flows[id]
-	n.mu.Unlock()
-	if !ok {
+	f := n.flow(id)
+	if f == nil {
 		return 0, false
 	}
 	return f.currentRate(), true
@@ -233,10 +242,8 @@ func (n *Network) FlowRate(id uint64) (float64, bool) {
 // flow so far, or 0 for unknown flows (counters for finished flows are
 // gone, as when a switch evicts a flow-table entry).
 func (n *Network) FlowTransferred(id uint64) float64 {
-	n.mu.Lock()
-	f, ok := n.flows[id]
-	n.mu.Unlock()
-	if !ok {
+	f := n.flow(id)
+	if f == nil {
 		return 0
 	}
 	f.mu.Lock()
@@ -268,105 +275,70 @@ func (n *Network) reallocateLocked() func() {
 	return n.rateNotify
 }
 
-// Writer implements dataserver.Pacer: writes to the returned writer are
-// paced at the flow's fair share and credited to the fabric's byte
-// counters (and any attached CounterSink) along its path. Writes for
-// unregistered flows (including id 0) pass through unpaced and
+// Pace implements dataserver.Pacer: a registered flow is its own gate.
+// Unregistered flows (including id 0) get none and go out unpaced and
 // uncounted — such traffic is invisible to the control plane, like any
 // flow an operator forgot to schedule.
-func (n *Network) Writer(flowID uint64, w io.Writer) io.Writer {
-	n.mu.Lock()
-	f := n.flows[flowID]
-	n.mu.Unlock()
-	if f == nil {
-		return w
+func (n *Network) Pace(flowID uint64) fabric.Gate {
+	if f := n.flow(flowID); f != nil {
+		return f
 	}
-	return &pacedWriter{net: n, flow: f, w: w}
+	return nil // not a nil *emuFlow: callers test the interface
 }
 
-var _ interface {
-	Writer(uint64, io.Writer) io.Writer
-} = (*Network)(nil)
-
-type pacedWriter struct {
-	net  *Network
-	flow *emuFlow
-	w    io.Writer
-}
-
-// Write sends b in pacing quanta, sleeping so the flow's average rate
-// tracks its allocated share even as the share changes mid-transfer.
-func (p *pacedWriter) Write(b []byte) (int, error) {
-	written := 0
-	for written < len(b) {
-		nn := len(b) - written
-		if nn > chunkBytes {
-			nn = chunkBytes
-		}
-		p.pace(float64(nn * 8))
-		m, err := p.w.Write(b[written : written+nn])
-		written += m
-		if m > 0 {
-			p.credit(m)
-		}
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
-}
-
-// pace blocks until the flow may send another bits-sized quantum. A flow
-// whose rate is zero (dead link) makes no progress until a reallocation
-// grants it bandwidth again.
-func (p *pacedWriter) pace(bits float64) {
-	f := p.flow
-	clock := p.net.clock
+// Next blocks until the flow may send its next quantum — 2 ms of its fair
+// share, never under chunkBytes, at most limit — and returns its size, so
+// the flow's average rate tracks its share even as the share changes
+// mid-transfer. A flow whose rate is zero (dead link) makes no progress
+// until a reallocation grants it bandwidth again or it is released.
+func (f *emuFlow) Next(limit int64) int64 {
+	clock := f.net.clock
 	for {
 		f.mu.Lock()
 		rate := f.rate
 		if rate > 0 {
+			q := min(limit, max(chunkBytes, int64(rate/(8*quantaPerSecond))))
 			now := clock.Now()
 			if f.nextFree < now {
 				f.nextFree = now
 			}
 			start := f.nextFree
-			f.nextFree = start + bits/rate
+			f.nextFree = start + float64(q*8)/rate
 			f.mu.Unlock()
 			if d := start - clock.Now(); d > 0 {
 				clock.Sleep(d)
 			}
-			return
+			return q
 		}
 		released := f.released
 		f.mu.Unlock()
 		if released {
-			return // unregistered while starved; let the writer drain
+			return min(limit, chunkBytes) // unregistered while starved; let the sender drain
 		}
 		clock.Sleep(starvedPollSeconds)
 	}
 }
 
-// credit adds transmitted bytes to the flow's and path's byte counters,
+// Sent adds transmitted bytes to the flow's and path's byte counters,
 // mirroring them into the attached CounterSink (the SDN switch agents)
-// while the flow is registered. A writer still draining after
+// while the flow is registered. A sender still draining after
 // UnregisterFlow must not credit the sink: the control plane has already
 // retired the flow and removed its switch entries, and a late credit
 // would leave a per-flow counter nobody ever deletes.
-func (p *pacedWriter) credit(bytes int) {
+func (f *emuFlow) Sent(bytes int64) {
 	bits := float64(bytes) * 8
-	f := p.flow
 	f.mu.Lock()
 	f.transferredBits += bits
 	f.mu.Unlock()
 
-	p.net.mu.Lock()
-	defer p.net.mu.Unlock()
-	live := p.net.flows[f.id] == f
+	n := f.net
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	live := n.flows[f.id] == f
 	for _, l := range f.links {
-		p.net.linkBits[l] += bits
-		if p.net.sink != nil && live {
-			p.net.sink.CreditBytes(f.id, topology.LinkID(l), uint64(bytes))
+		n.linkBits[l] += bits
+		if n.sink != nil && live {
+			n.sink.CreditBytes(f.id, topology.LinkID(l), uint64(bytes))
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package emunet
 
 import (
-	"bytes"
-	"io"
 	"math"
 	"sync"
 	"testing"
@@ -116,6 +114,47 @@ func TestLinkCapacityChangeReallocates(t *testing.T) {
 	}
 }
 
+// send moves n bytes through g the way the dataserver's send loop does,
+// minus the bytes themselves.
+func send(g fabric.Gate, n int64) {
+	for n > 0 {
+		q := g.Next(n)
+		g.Sent(q)
+		n -= q
+	}
+}
+
+// TestGateQuantum: a quantum is 2 ms of the flow's share, never under the
+// 16 KiB floor — so every rate up to 65.5 Mbps keeps the floor byte for
+// byte — and never more than the caller has left to send.
+func TestGateQuantum(t *testing.T) {
+	for _, tc := range []struct {
+		bps   float64
+		limit int64
+		want  int64
+	}{
+		{8e6, 1 << 30, 16 << 10},
+		{16e6, 1 << 30, 16 << 10},
+		{64e6, 1 << 30, 16 << 10},
+		{1e9, 1 << 30, 250_000},
+		{100e9, 1 << 20, 1 << 20},
+		{8e6, 100, 100},
+	} {
+		n := testNetCompressed(t, 1000)
+		topo := n.Topology()
+		path := pathFor(t, n, topo.HostAt(0, 0, 0), topo.HostAt(0, 0, 1))
+		for _, l := range path {
+			n.SetLinkCapacity(l, tc.bps)
+		}
+		if err := n.RegisterFlow(1, path); err != nil {
+			t.Fatal(err)
+		}
+		if got := n.Pace(1).Next(tc.limit); got != tc.want {
+			t.Errorf("Next(%d) at %g bps = %d, want %d", tc.limit, tc.bps, got, tc.want)
+		}
+	}
+}
+
 func TestPacedWriterThroughput(t *testing.T) {
 	// Compressed 8x: the ≈200 ms fabric-time transfer takes ≈25 ms wall.
 	n := testNetCompressed(t, 8)
@@ -126,38 +165,27 @@ func TestPacedWriterThroughput(t *testing.T) {
 	}
 
 	// 8 Mbps = 1 MB/s; transferring 200 KB should take ≈200 ms fabric.
-	var sink bytes.Buffer
-	w := n.Writer(7, &sink)
-	payload := make([]byte, 200<<10)
+	const size = 200 << 10
 	start := n.Clock().Now()
-	if _, err := w.Write(payload); err != nil {
-		t.Fatal(err)
-	}
+	send(n.Pace(7), size)
 	elapsed := n.Clock().Now() - start
-	if sink.Len() != len(payload) {
-		t.Fatalf("wrote %d bytes", sink.Len())
-	}
 	if elapsed < 0.15 || elapsed > 0.6 {
 		t.Errorf("transfer took %.3fs fabric, want ≈0.2s", elapsed)
 	}
-	if bits := n.FlowTransferred(7); bits != float64(len(payload))*8 {
-		t.Errorf("FlowTransferred = %g bits, want %g", bits, float64(len(payload))*8)
+	if bits := n.FlowTransferred(7); bits != size*8 {
+		t.Errorf("FlowTransferred = %g bits, want %d", bits, size*8)
 	}
-	if bits := n.LinkTransferred(path[0]); bits != float64(len(payload))*8 {
-		t.Errorf("LinkTransferred = %g bits, want %g", bits, float64(len(payload))*8)
+	if bits := n.LinkTransferred(path[0]); bits != size*8 {
+		t.Errorf("LinkTransferred = %g bits, want %d", bits, size*8)
 	}
 }
 
 func TestUnregisteredFlowUnpaced(t *testing.T) {
 	n := testNet(t)
-	var sink bytes.Buffer
-	w := n.Writer(0, &sink)
-	start := time.Now()
-	if _, err := w.Write(make([]byte, 1<<20)); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Errorf("unregistered flow paced: %v", elapsed)
+	for _, id := range []uint64{0, 42} {
+		if g := n.Pace(id); g != nil {
+			t.Errorf("Pace(%d) = %v, want no gate: an unregistered flow goes out unpaced", id, g)
+		}
 	}
 }
 
@@ -173,19 +201,15 @@ func TestTwoFlowsShareLinkInTime(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	payload := make([]byte, 100<<10) // 100 KB each at 0.5 MB/s ≈ 200 ms fabric
+	const size = 100 << 10 // 100 KB each at 0.5 MB/s ≈ 200 ms fabric
 	var wg sync.WaitGroup
 	durations := make([]float64, 2)
 	for i, id := range []uint64{1, 2} {
-		i, id := i, id
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := n.Writer(id, io.Discard)
 			start := n.Clock().Now()
-			if _, err := w.Write(payload); err != nil {
-				t.Error(err)
-			}
+			send(n.Pace(id), size)
 			durations[i] = n.Clock().Now() - start
 		}()
 	}
@@ -207,12 +231,11 @@ func TestRateAdaptsMidTransfer(t *testing.T) {
 	}
 
 	// Start at full rate; halfway through, a competitor arrives.
-	payload := make([]byte, 200<<10) // alone: ≈200 ms fabric; competitor for 2nd half: ≈300 ms
+	const size = 200 << 10 // alone: ≈200 ms fabric; competitor for 2nd half: ≈300 ms
 	done := make(chan float64, 1)
 	go func() {
-		w := n.Writer(1, io.Discard)
 		start := n.Clock().Now()
-		_, _ = w.Write(payload)
+		send(n.Pace(1), size)
 		done <- n.Clock().Now() - start
 	}()
 	n.Clock().Sleep(0.1)
@@ -225,31 +248,43 @@ func TestRateAdaptsMidTransfer(t *testing.T) {
 	}
 }
 
+// TestStarvedFlowResumesAfterRestore: a gate on a dead link grants
+// nothing until the link is restored, or until the flow is released.
 func TestStarvedFlowResumesAfterRestore(t *testing.T) {
-	n := testNetCompressed(t, 8)
-	topo := n.Topology()
-	path := pathFor(t, n, topo.HostAt(0, 0, 0), topo.HostAt(0, 0, 1))
-	if err := n.RegisterFlow(1, path); err != nil {
-		t.Fatal(err)
-	}
-	n.SetLinkCapacity(path[0], 0)
+	for _, tc := range []struct {
+		name   string
+		revive func(n *Network, path topology.Path)
+	}{
+		{"link restored", func(n *Network, path topology.Path) { n.SetLinkCapacity(path[0], 8e6) }},
+		{"flow released", func(n *Network, _ topology.Path) { n.UnregisterFlow(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := testNetCompressed(t, 8)
+			topo := n.Topology()
+			path := pathFor(t, n, topo.HostAt(0, 0, 0), topo.HostAt(0, 0, 1))
+			if err := n.RegisterFlow(1, path); err != nil {
+				t.Fatal(err)
+			}
+			n.SetLinkCapacity(path[0], 0)
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		w := n.Writer(1, io.Discard)
-		_, _ = w.Write(make([]byte, 64<<10))
-	}()
-	select {
-	case <-done:
-		t.Fatal("write completed over a dead link")
-	case <-time.After(50 * time.Millisecond):
-	}
-	n.SetLinkCapacity(path[0], 8e6)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("write did not resume after the link was restored")
+			g := n.Pace(1)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				send(g, 64<<10)
+			}()
+			select {
+			case <-done:
+				t.Fatal("send completed over a dead link")
+			case <-time.After(50 * time.Millisecond):
+			}
+			tc.revive(n, path)
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("send did not resume")
+			}
+		})
 	}
 }
 
@@ -273,16 +308,12 @@ func TestSwitchCountersCredited(t *testing.T) {
 	if err := n.RegisterFlow(5, path); err != nil {
 		t.Fatal(err)
 	}
-	w := n.Writer(5, io.Discard)
-	if _, err := w.Write(make([]byte, 64<<10)); err != nil {
-		t.Fatal(err)
-	}
-	// A writer still draining after the flow was retired credits nothing:
+	g := n.Pace(5)
+	send(g, 64<<10)
+	// A sender still draining after the flow was retired credits nothing:
 	// the counter below must stay at the registered 64 KB.
 	n.UnregisterFlow(5)
-	if _, err := w.Write(make([]byte, 4<<10)); err != nil {
-		t.Fatal(err)
-	}
+	send(g, 4<<10)
 	// The edge switch forwards the flow on its second link (edge→agg).
 	port, _ := uint32(path[1]), error(nil)
 	if got, _ := sw.HasFlow(5); got != 0 {

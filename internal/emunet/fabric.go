@@ -1,7 +1,6 @@
 package emunet
 
 import (
-	"io"
 	"math"
 	"sync"
 
@@ -12,10 +11,11 @@ import (
 
 // Fabric adapts a Network to the full fabric.Backend driver contract:
 // where the testbed's dataservers push their own bytes through the
-// network's pacers, Fabric moves each admitted flow's bytes itself, from
-// a per-flow goroutine into io.Discard, paced exactly like dataserver
-// traffic. This is what lets the experiment driver run a simulation
-// trace on emulated bytes — same scheme code, same polling, real time.
+// network's gates, Fabric paces each admitted flow itself: a per-flow
+// goroutine takes the same quanta from the same gate as dataserver
+// traffic, with no bytes behind them. This is what lets the experiment
+// driver run a simulation trace on the emulator — same scheme code, same
+// polling, real time.
 //
 // Driver callbacks (Schedule functions and flow OnComplete functions)
 // are serialized on one mutex, honouring the fabric callback discipline.
@@ -76,8 +76,8 @@ func (f *Fabric) Schedule(t float64, fn func()) {
 	}()
 }
 
-// StartFlow admits a flow and starts a mover goroutine streaming its
-// bytes through the network's pacer into io.Discard.
+// StartFlow admits a flow and starts a mover goroutine pacing its bytes
+// through the flow's gate.
 func (f *Fabric) StartFlow(cfg fabric.FlowConfig) fabric.FlowID {
 	f.mu.Lock()
 	f.nextID++
@@ -99,16 +99,16 @@ func (f *Fabric) StartFlow(cfg fabric.FlowConfig) fabric.FlowID {
 	return id
 }
 
-// move streams bits through the paced writer, then reports completion.
+// move paces bits through the flow's gate, then reports completion.
 func (f *Fabric) move(id fabric.FlowID, ff *fabricFlow, bits float64) {
 	defer f.wg.Done()
 
 	regID := uint64(id)
-	w := f.net.Writer(regID, io.Discard)
 	remaining := int64(math.Ceil(bits / 8))
-	buf := make([]byte, chunkBytes)
 	cancelled := false
-	for remaining > 0 {
+	// A flow cancelled before its mover started has no gate and nothing
+	// left to move.
+	for g := f.net.Pace(regID); g != nil && remaining > 0; {
 		select {
 		case <-ff.cancel:
 			cancelled = true
@@ -117,22 +117,14 @@ func (f *Fabric) move(id fabric.FlowID, ff *fabricFlow, bits float64) {
 		if cancelled {
 			break
 		}
-		nn := int64(chunkBytes)
-		if remaining < nn {
-			nn = remaining
-		}
-		if _, err := w.Write(buf[:nn]); err != nil {
-			break // io.Discard never errors; defensive
-		}
-		remaining -= nn
+		n := g.Next(remaining)
+		g.Sent(n)
+		remaining -= n
 	}
 
-	// The pacer returns when the last chunk starts transmitting; the
-	// flow completes when its last bit lands, one chunk-time later.
-	f.net.mu.Lock()
-	ef := f.net.flows[regID]
-	f.net.mu.Unlock()
-	if !cancelled && ef != nil {
+	// The gate returns when the last quantum starts transmitting; the
+	// flow completes when its last bit lands, one quantum-time later.
+	if ef := f.net.flow(regID); !cancelled && ef != nil {
 		ef.mu.Lock()
 		tail := ef.nextFree - f.net.clock.Now()
 		ef.mu.Unlock()

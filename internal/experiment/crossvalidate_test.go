@@ -53,9 +53,11 @@ func crossConfig(t *testing.T, scheme Scheme, backend BackendKind) Config {
 // backend-parameterized driver on both substrates and asserts the mean
 // read-completion times agree.
 //
-// Tolerance: the emulator's pacer sends 16 KB chunks (128 Kbit ≈ 8 ms of
-// fabric time per chunk at 16 Mbps, the granularity at which rate changes
-// take hold) and sleeps on the OS timer through a 4x-compressed clock
+// Tolerance: the emulator's gate grants 16 KiB quanta here (128 Kbit ≈ 8
+// ms of fabric time per quantum at 16 Mbps, the granularity at which rate
+// changes take hold: a quantum is 2 ms of the flow's share, but never
+// under the 16 KiB floor, and every rate below 65.5 Mbps sits on the
+// floor) and sleeps on the OS timer through a 4x-compressed clock
 // (≈1-4 ms of fabric-time slop per sleep), and completion-callback
 // timing feeds back into selection, so per-job times genuinely diverge.
 // What must hold for the evaluation to be credible is that the schemes'

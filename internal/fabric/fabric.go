@@ -12,7 +12,8 @@
 //
 //   - Flow admission and removal on a directed link path, with a
 //     completion callback (Backend.StartFlow / CancelFlow, or the
-//     Admitter face for deployments that move their own bytes).
+//     Admitter face for deployments that move their own bytes, paced
+//     through the Gate face).
 //
 //   - Observability: the ground-truth per-flow rate, plus cumulative
 //     per-flow and per-link byte counters — exactly what an OpenFlow
@@ -130,6 +131,19 @@ type Admitter interface {
 	UnregisterFlow(id uint64)
 	// FlowRate returns a flow's current fair rate in bits per second.
 	FlowRate(id uint64) (float64, bool)
+}
+
+// Gate is the pacing face of such a backend: it grants a registered
+// flow time on the wire and counts what the external data plane sent in
+// it, but never touches the bytes, so a sender can hand each quantum to
+// the kernel in one call (the dataserver's sendfile loop).
+type Gate interface {
+	// Next blocks until the flow may send its next quantum and returns
+	// the quantum's size in bytes, at most max (max > 0).
+	Next(max int64) int64
+	// Sent credits n bytes that actually went out to the flow's and
+	// path's counters.
+	Sent(n int64)
 }
 
 // CounterSink receives byte credits as traffic crosses directed links.

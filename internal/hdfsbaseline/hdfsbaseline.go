@@ -10,6 +10,7 @@ package hdfsbaseline
 import (
 	"math/rand"
 	"strings"
+	"sync"
 
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
 )
@@ -21,9 +22,16 @@ type Locator func(host string) (pod, rack int, ok bool)
 // RackAwarePicker returns a replica picker implementing HDFS's rack-aware
 // read policy for a client at the given host: a replica on the client's
 // own host wins, then a replica in the client's rack, then a uniformly
-// random replica.
+// random replica. The picker is safe for concurrent use (a client's reads
+// run concurrently) and must own rng: it serializes its own draws only.
 func RackAwarePicker(clientHost string, locate Locator, rng *rand.Rand) func(nameserver.FileInfo) nameserver.ReplicaLoc {
 	clientPod, clientRack, clientKnown := locate(clientHost)
+	var mu sync.Mutex
+	intn := func(n int) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return rng.Intn(n)
+	}
 	return func(info nameserver.FileInfo) nameserver.ReplicaLoc {
 		for _, rep := range info.Replicas {
 			if rep.Host == clientHost {
@@ -38,10 +46,10 @@ func RackAwarePicker(clientHost string, locate Locator, rng *rand.Rand) func(nam
 				}
 			}
 			if len(local) > 0 {
-				return local[rng.Intn(len(local))]
+				return local[intn(len(local))]
 			}
 		}
-		return info.Replicas[rng.Intn(len(info.Replicas))]
+		return info.Replicas[intn(len(info.Replicas))]
 	}
 }
 

@@ -2,6 +2,7 @@ package hdfsbaseline
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
@@ -85,4 +86,22 @@ func TestRackAwarePickerUnknownClientHost(t *testing.T) {
 	if len(seen) != 2 {
 		t.Errorf("unknown client host should fall back to random: %v", seen)
 	}
+}
+
+// TestRackAwarePickerConcurrent: one HDFS-mode client reads from many
+// goroutines through one picker (run under -race).
+func TestRackAwarePickerConcurrent(t *testing.T) {
+	pick := RackAwarePicker("host-p3-r3-h0", NameLocator, rand.New(rand.NewSource(5)))
+	fi := info("host-p1-r0-h0", "host-p0-r1-h3", "host-p2-r0-h0")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				pick(fi)
+			}
+		}()
+	}
+	wg.Wait()
 }

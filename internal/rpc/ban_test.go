@@ -47,6 +47,19 @@ func TestNoRawTCPDialsOutsideTheTransports(t *testing.T) {
 	}
 }
 
+// TestOneSendLoop keeps bulk bytes on one path to the socket: the
+// dataserver's sendfile loop, paced by a fabric.Gate. A raw descriptor or
+// a sendfile call anywhere else under internal/ is a second send loop —
+// one the pacer does not see, or a copy loop beside the zero-copy one.
+func TestOneSendLoop(t *testing.T) {
+	offenders := goFilesMatching(t, `syscall\.Sendfile|\.SyscallConn\(`, func(rel string) bool {
+		return !strings.HasPrefix(rel, "internal/") || rel == "internal/dataserver/sendfile.go"
+	})
+	if len(offenders) > 0 {
+		t.Fatalf("sendfile or a raw socket descriptor in: %v — send bulk bytes through the dataserver's send loop (internal/dataserver/sendfile.go)", offenders)
+	}
+}
+
 // TestNoRawHandlersOutsideTheSeam keeps "how a control message becomes
 // a Go value" a decision of this package (DESIGN.md §13): a service that
 // mentions json.RawMessage is unmarshalling params by hand again instead

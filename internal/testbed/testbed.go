@@ -634,9 +634,9 @@ func (c *Cluster) clientOptionsLocked(name string) client.Options {
 		opts.FlowserverAddr = c.FlowserverAddr()
 	case ModeHDFSMayflower:
 		opts.FlowserverAddr = c.FlowserverAddr()
-		opts.PickReplica = hdfsbaseline.RackAwarePicker(name, hdfsbaseline.NameLocator, opts.Rand)
+		opts.PickReplica = hdfsbaseline.RackAwarePicker(name, hdfsbaseline.NameLocator, rand.New(rand.NewSource(c.rng.Int63())))
 	case ModeHDFSECMP:
-		opts.PickReplica = hdfsbaseline.RackAwarePicker(name, hdfsbaseline.NameLocator, opts.Rand)
+		opts.PickReplica = hdfsbaseline.RackAwarePicker(name, hdfsbaseline.NameLocator, rand.New(rand.NewSource(c.rng.Int63())))
 		opts.AssignFlow = func(replicaHost string, _ int64) (uint64, func()) {
 			return c.assignECMPFlow(replicaHost, name)
 		}
