@@ -233,7 +233,8 @@ func heartbeatLoop(pool *rpc.Pool, dirAddr string, shard *flowctl.Shard, pods in
 }
 
 // pollStats periodically collects per-flow byte counters from the edge
-// switches into the shard's bandwidth model and then refreshes the peer
+// switches into the shard's bandwidth model, retires the flows a poll
+// proves over (their release never came), and then refreshes the peer
 // digests, which is what bounds cross-shard staleness to the poll
 // cadence.
 func pollStats(shard *flowctl.Shard, switches *flowctl.Switches, interval time.Duration, now func() float64, stop <-chan struct{}, done chan<- struct{}) {
@@ -246,7 +247,7 @@ func pollStats(shard *flowctl.Shard, switches *flowctl.Switches, interval time.D
 			return
 		case <-ticker.C:
 		}
-		shard.Server().PollFrom(now(), switches)
+		switches.Hooks().Retire(shard, shard.Server().UpdateFlowStats(now(), switches.FlowStats())...)
 		shard.RefreshDigests()
 	}
 }

@@ -207,8 +207,32 @@ type Client struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 
+	quiet sync.RWMutex // see sequence
+
 	met   clientMetrics
 	retry rpc.Backoff
+}
+
+// sequence, the innermost interceptor, sends a lone release (a stub's
+// linger flush) only while no other control call of the client is on the
+// wire, never queueing ahead of one: background traffic never interleaves
+// with a closed-loop caller's exchanges.
+func (c *Client) sequence(_ string, next rpc.CallFunc) rpc.CallFunc {
+	return func(ctx context.Context, method string, args, reply any) error {
+		if method != string(flowserver.MethodFinished) {
+			c.quiet.RLock()
+			defer c.quiet.RUnlock()
+		} else {
+			for !c.quiet.TryLock() {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				time.Sleep(50 * time.Microsecond) // well under a round trip
+			}
+			defer c.quiet.Unlock()
+		}
+		return next(ctx, method, args, reply)
+	}
 }
 
 // New connects a client.
@@ -248,6 +272,11 @@ func New(opts Options) (*Client, error) {
 		rng = rand.New(rand.NewSource(time.Now().UnixNano()))
 	}
 
+	c := &Client{
+		opts:  opts,
+		rng:   rng,
+		retry: rpc.Backoff{Base: opts.RetryBackoff},
+	}
 	poolOpts := rpc.Options{
 		ConnectTimeout: 5 * time.Second,
 		Dial:           opts.DialControl,
@@ -261,15 +290,11 @@ func New(opts Options) (*Client, error) {
 		// saves.
 		poolOpts.Intercept = []rpc.Interceptor{rpc.MethodMetrics(opts.Metrics, "client.rpc")}
 	}
+	poolOpts.Intercept = append(poolOpts.Intercept, c.sequence)
 	pool := rpc.NewPool(poolOpts)
-	c := &Client{
-		opts:  opts,
-		pool:  pool,
-		ns:    nameserver.NewClient(pool.Peer(opts.NameserverAddr)),
-		rng:   rng,
-		retry: rpc.Backoff{Base: opts.RetryBackoff},
-	}
-	c.bulk = dataserver.NewBulk(opts.DialData, &c.met.data)
+	c.pool = pool
+	c.ns = nameserver.NewClient(pool.Peer(opts.NameserverAddr))
+	c.bulk = dataserver.NewBulk(opts.DialData, opts.ReadTimeout, &c.met.data)
 	c.cache = newMetaCache(opts.CacheEntries, opts.CacheTTL.Seconds(), opts.Clock, &c.met.cache)
 	c.cache.lookup = func(ctx context.Context, name string) (nameserver.FileInfo, error) {
 		lctx, cancel := c.rpcCtx(ctx)
@@ -309,8 +334,12 @@ func New(opts Options) (*Client, error) {
 	return c, nil
 }
 
-// Close tears down every pooled control and idle data connection.
+// Close sends the flow releases still queued, then tears down every
+// pooled control and idle data connection.
 func (c *Client) Close() error {
+	if c.fr != nil {
+		c.fr.Close()
+	}
 	c.bulk.Close()
 	return c.pool.Close()
 }
@@ -401,7 +430,7 @@ func (c *Client) Append(ctx context.Context, name string, data []byte) (int64, e
 	// traffic is scheduled (and visible) like reads; the primary registers
 	// the replication hops itself.
 	wf := c.registerWriteFlow(ctx, info.Primary().Host, float64(len(data))*8)
-	defer wf.finish(c)
+	defer wf.finish()
 
 	pieceMax := dataserver.MaxAppend
 	if p := c.opts.AppendPieceBytes; p > 0 && p < pieceMax {
@@ -661,11 +690,10 @@ func (c *Client) readSegment(ctx context.Context, name string, info nameserver.F
 		go func() {
 			defer wg.Done()
 			errs[i] = c.readWithFailover(ctx, name, info, c.orderCandidates(info, &rep), tag, off, sub, false)
-			// Always release the flow table entry, even when the read (or
-			// its context) failed. The release goes to the stub that
-			// issued the assignment: under directory routing only the
-			// coordinating shard knows the flow. A local assignment
-			// registered no flow, so there is nothing to release.
+			// Always release the flow, even when the read (or its
+			// context) failed: queued, no round trip, on the stub that
+			// issued it — under directory routing only the coordinating
+			// shard knows the flow. A local assignment registered none.
 			if !local {
 				fstub.Release(flowID)
 			}
@@ -679,7 +707,7 @@ func (c *Client) readSegment(ctx context.Context, name string, info nameserver.F
 // flowSelect runs one Select against the shard owning this client's
 // pod (re-routed once through the directory on failure, see
 // flowctl.Router.Do) and returns the stub that answered, which the
-// flow's release must go back to.
+// flow's release must be queued on.
 func (c *Client) flowSelect(ctx context.Context, args flowserver.SelectArgs) ([]flowserver.AssignmentDTO, *flowserver.RPCClient, error) {
 	var as []flowserver.AssignmentDTO
 	stub, err := c.fr.Do(ctx, func(fs *flowserver.RPCClient) (err error) {

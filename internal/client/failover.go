@@ -138,14 +138,10 @@ func (c *Client) readWithFailover(ctx context.Context, name string, info nameser
 	return fmt.Errorf("client: read %s failed on every replica: %w", name, errors.Join(errs...))
 }
 
-// readAttempt performs one bounded read attempt against one replica.
+// readAttempt performs one read attempt against one replica, bounded by
+// ReadTimeout (the bulk reader's).
 func (c *Client) readAttempt(ctx context.Context, name string, info nameserver.FileInfo,
 	rep nameserver.ReplicaLoc, flowID uint64, offset int64, buf []byte) error {
-	if t := c.opts.ReadTimeout; t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
 	size, err := c.bulk.Read(ctx, rep.DataAddr, flowID, info.ID, offset, buf)
 	if err != nil {
 		return fmt.Errorf("client: read %s from %s: %w", name, rep.ServerID, err)

@@ -95,9 +95,8 @@ func (c *Client) appendAttempt(ctx context.Context, name string, info nameserver
 // client→primary transfer, pinned to the stub that issued it so the
 // release reaches the coordinating shard under directory routing.
 type writeFlow struct {
-	id     flowserver.FlowID
-	fs     *flowserver.RPCClient
-	active bool
+	id flowserver.FlowID
+	fs *flowserver.RPCClient // nil: nothing to release
 }
 
 // registerWriteFlow registers the client→primary hop of an append with
@@ -128,21 +127,20 @@ func (c *Client) registerWriteFlow(ctx context.Context, primaryHost string, bits
 		return writeFlow{}
 	}
 	c.met.writeFlows.Inc()
-	return writeFlow{id: as[0].FlowID, fs: stub, active: true}
+	return writeFlow{id: as[0].FlowID, fs: stub}
 }
 
-// finish releases the flow-table entry, once.
-func (wf *writeFlow) finish(c *Client) {
-	if !wf.active {
-		return
+// finish releases the flow, once.
+func (wf *writeFlow) finish() {
+	if wf.fs != nil {
+		wf.fs.Release(wf.id)
+		wf.fs = nil
 	}
-	wf.active = false
-	wf.fs.Release(wf.id)
 }
 
 // rebind moves the registration to a newly promoted primary, sized to
 // the bits still to send.
 func (wf *writeFlow) rebind(c *Client, ctx context.Context, primaryHost string, bits float64) {
-	wf.finish(c)
+	wf.finish()
 	*wf = c.registerWriteFlow(ctx, primaryHost, bits)
 }

@@ -117,7 +117,7 @@ func benchBulkRead(b *testing.B, size int, pacer Pacer) {
 	if _, err := s.store.appendAt(info.ID, 0, make([]byte, size)); err != nil {
 		b.Fatal(err)
 	}
-	bulk := NewBulk(nil, new(BulkMetrics))
+	bulk := NewBulk(nil, 0, new(BulkMetrics))
 	defer bulk.Close()
 	buf := make([]byte, size)
 	ctx := context.Background()

@@ -39,6 +39,7 @@ type BulkMetrics struct {
 // it. Safe for concurrent use.
 type Bulk struct {
 	dial      func(ctx context.Context, addr string) (net.Conn, error)
+	timeout   time.Duration // bounds each Read beside ctx's deadline; <= 0: none
 	met       *BulkMetrics
 	idleLimit time.Duration // bulkIdleLimit; tests shorten it
 
@@ -55,38 +56,58 @@ type bulkConn struct {
 }
 
 // NewBulk returns a bulk reader that opens connections with dial (plain
-// TCP if nil) and counts into met.
-func NewBulk(dial func(ctx context.Context, addr string) (net.Conn, error), met *BulkMetrics) *Bulk {
+// TCP if nil), gives each Read at most timeout (none if <= 0) and counts
+// into met.
+func NewBulk(dial func(ctx context.Context, addr string) (net.Conn, error), timeout time.Duration, met *BulkMetrics) *Bulk {
 	if dial == nil {
 		dial = func(ctx context.Context, addr string) (net.Conn, error) {
 			var d net.Dialer
 			return d.DialContext(ctx, "tcp", addr)
 		}
 	}
-	return &Bulk{dial: dial, met: met, idleLimit: bulkIdleLimit, idle: make(map[string][]*bulkConn)}
+	return &Bulk{dial: dial, timeout: timeout, met: met, idleLimit: bulkIdleLimit, idle: make(map[string][]*bulkConn)}
 }
 
 // Read fills buf from the file at offset on the dataserver at addr, as
-// flow flowID, within ctx's deadline, and returns the file size reported.
+// flow flowID, and returns the file size reported. ctx's deadline and the
+// timeout become the connection's, so a read derives no context.
 //
 // A reused connection that fails before any reply byte, and not by
 // deadline, was closed by the server while idle: no verdict on the
 // replica, so the request is re-sent once on a fresh connection under the
 // same flow id. Every other failure is the caller's — a stalled replica
-// must cost it one timeout, not two.
+// must cost it one timeout, not two. A ctx cancelled mid-read ends it at
+// once with ctx.Err(), and its connection is closed, not pooled.
 func (b *Bulk) Read(ctx context.Context, addr string, flowID uint64, fileID uuid.UUID, offset int64, buf []byte) (int64, error) {
+	deadline, _ := ctx.Deadline() // zero: none
+	if d := time.Now().Add(b.timeout); b.timeout > 0 && (deadline.IsZero() || d.Before(deadline)) {
+		deadline = d
+	}
 	c := b.checkout(addr)
 	for {
 		reused := c != nil
 		if !reused {
-			conn, err := b.dial(ctx, addr)
+			dctx, cancel := ctx, context.CancelFunc(func() {})
+			if !deadline.IsZero() {
+				dctx, cancel = context.WithDeadline(ctx, deadline)
+			}
+			conn, err := b.dial(dctx, addr)
+			cancel()
 			if err != nil {
 				return 0, err
 			}
 			b.met.Dials.Inc()
 			c = &bulkConn{Conn: conn}
 		}
-		size, replied, err := c.roundTrip(ctx, flowID, fileID, offset, buf)
+		stop := func() bool { return true }
+		if ctx.Done() != nil {
+			conn := c.Conn
+			stop = context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
+		}
+		size, replied, err := c.roundTrip(deadline, flowID, fileID, offset, buf)
+		if !stop() && (err == nil || ctx.Err() == context.Canceled) {
+			err = ctx.Err() // ctx ended mid-read and expired the connection; an expiry reports the read's own deadline
+		}
 		if err == nil {
 			b.checkin(addr, c)
 			return size, nil
@@ -148,8 +169,7 @@ func (b *Bulk) checkin(addr string, c *bulkConn) {
 
 // roundTrip sends one request and fills buf from the reply; replied says
 // whether any of one arrived.
-func (c *bulkConn) roundTrip(ctx context.Context, flowID uint64, fileID uuid.UUID, offset int64, buf []byte) (size int64, replied bool, err error) {
-	deadline, _ := ctx.Deadline() // zero: none
+func (c *bulkConn) roundTrip(deadline time.Time, flowID uint64, fileID uuid.UUID, offset int64, buf []byte) (size int64, replied bool, err error) {
 	if err := c.SetDeadline(deadline); err != nil {
 		return 0, false, err
 	}

@@ -81,7 +81,7 @@ func newBulkFixture(t *testing.T, pacer Pacer, tweak func(*Server)) *bulkFixture
 	if _, err := f.srv.store.appendAt(f.info.ID, 0, f.payload); err != nil {
 		t.Fatal(err)
 	}
-	f.bulk = NewBulk(nil, f.met)
+	f.bulk = NewBulk(nil, 0, f.met)
 	t.Cleanup(func() { f.bulk.Close() })
 	return f
 }
@@ -295,7 +295,7 @@ func TestBulk(t *testing.T) {
 				}
 			}()
 			met := new(BulkMetrics)
-			bulk := NewBulk(nil, met)
+			bulk := NewBulk(nil, 0, met)
 			defer bulk.Close()
 			read := func(timeout time.Duration) error {
 				rctx, cancel := context.WithTimeout(ctx, timeout)
@@ -317,6 +317,39 @@ func TestBulk(t *testing.T) {
 			if a, d, r := accepts.Load(), met.Dials.Value(), met.Redials.Value(); a != 1 || d != 1 || r != 0 {
 				t.Errorf("%d accepts, %d dials, %d redials; want 1, 1, 0: a deadline must not be retried", a, d, r)
 			}
+		}},
+		{"a read cancelled mid-stream ends at once and its connection is not pooled", func(t *testing.T) {
+			gate := &quantumGate{quantum: 16 << 10, delay: 5 * time.Millisecond} // 1 MiB: 64 quanta, ≥ 320 ms
+			s, id, data, _ := pacedServer(t, "ds-cancel", gate, 1<<20)
+			bulk := NewBulk(nil, 0, new(BulkMetrics))
+			defer bulk.Close()
+			if _, err := bulk.Read(ctx, s.DataAddr(), 1, id, 0, make([]byte, 1)); err != nil {
+				t.Fatal(err) // warms the connection the slow read reuses
+			}
+			rctx, cancel := context.WithCancel(ctx)
+			errc := make(chan error, 1)
+			go func() {
+				_, err := bulk.Read(rctx, s.DataAddr(), 1, id, 0, make([]byte, len(data)))
+				errc <- err
+			}()
+			for gate.sent.Load() < 4*gate.quantum {
+				time.Sleep(time.Millisecond)
+			}
+			start := time.Now()
+			cancel()
+			if err := <-errc; !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled read: err = %v, want context.Canceled", err)
+			}
+			if took := time.Since(start); took > 50*time.Millisecond {
+				t.Errorf("the cancelled read returned %v after its cancel", took)
+			}
+			bulk.mu.Lock()
+			idle := len(bulk.idle[s.DataAddr()])
+			bulk.mu.Unlock()
+			if idle != 0 {
+				t.Errorf("%d idle connections after the cancel, want 0: a cancelled read's connection is closed", idle)
+			}
+			waitConns(t, s, 0)
 		}},
 		{"Server.Close severs idle pooled connections", func(t *testing.T) {
 			f := newBulkFixture(t, nil, nil)

@@ -23,6 +23,7 @@ type sender struct {
 	raw   syscall.RawConn
 	write func(fd uintptr) bool // s.sendfile, bound once
 	gate  fabric.Gate           // the current request's; nil: unpaced
+	stop  <-chan struct{}       // the server's: once closed, a starved send gives up
 
 	// The callback's arguments and results for the quantum in flight.
 	src  int   // chunk file descriptor
@@ -33,7 +34,7 @@ type sender struct {
 
 // newSender binds the send loop to conn, which must expose its file
 // descriptor: every listener in the repo yields *net.TCPConn.
-func newSender(conn net.Conn) (*sender, error) {
+func newSender(conn net.Conn, stop <-chan struct{}) (*sender, error) {
 	sc, ok := conn.(syscall.Conn)
 	if !ok {
 		return nil, fmt.Errorf("data connection %T is not a syscall.Conn", conn)
@@ -42,7 +43,7 @@ func newSender(conn net.Conn) (*sender, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &sender{raw: raw}
+	s := &sender{raw: raw, stop: stop}
 	s.write = s.sendfile
 	return s, nil
 }
@@ -55,7 +56,14 @@ func (s *sender) send(f *os.File, off, n int64) error {
 	for n > 0 {
 		q := n
 		if s.gate != nil {
-			q = s.gate.Next(n)
+			if q = s.gate.Next(n); q == 0 {
+				select {
+				case <-s.stop: // closing: do not wait for a dead link to heal
+					return net.ErrClosed
+				default:
+					continue // starved: ask again
+				}
+			}
 		}
 		s.left, s.err = q, nil
 		err := s.raw.Write(s.write) // a closed connection wakes and fails it

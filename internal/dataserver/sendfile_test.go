@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mayflower-dfs/mayflower/internal/emunet"
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
+	"github.com/mayflower-dfs/mayflower/internal/topology"
 	"github.com/mayflower-dfs/mayflower/internal/uuid"
 )
 
@@ -84,7 +86,7 @@ func pacedServer(t *testing.T, id string, pacer Pacer, size int) (*Server, uuid.
 func TestSendLoopAllocatesNothingPerQuantum(t *testing.T) {
 	gate := &quantumGate{quantum: 16 << 10}
 	s, id, data, _ := pacedServer(t, "ds-allocs", gate, 512<<10)
-	bulk := NewBulk(nil, new(BulkMetrics))
+	bulk := NewBulk(nil, 0, new(BulkMetrics))
 	defer bulk.Close()
 	buf := make([]byte, len(data))
 	ctx := context.Background()
@@ -120,7 +122,7 @@ func TestSendLoopTruncatedChunk(t *testing.T) {
 	if err := os.Truncate(s.store.chunkPath(id, 1), 100<<10); err != nil {
 		t.Fatal(err)
 	}
-	bulk := NewBulk(nil, new(BulkMetrics))
+	bulk := NewBulk(nil, 0, new(BulkMetrics))
 	defer bulk.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -142,16 +144,9 @@ func TestSendLoopTruncatedChunk(t *testing.T) {
 func TestServerCloseSeversPacedRead(t *testing.T) {
 	gate := &quantumGate{quantum: 16 << 10, delay: 5 * time.Millisecond} // 1 MiB: 64 quanta, ≥ 320 ms
 	slow, id, data, _ := pacedServer(t, "ds-slow", gate, 1<<20)
-	other := startServer(t, "ds-other", nil)
-	info := nameserver.FileInfo{ID: id, Name: "paced", ChunkSize: 1 << 20}
-	if err := other.store.prepare(info); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := other.store.appendAt(id, 0, data); err != nil {
-		t.Fatal(err)
-	}
+	other := replicaOf(t, id, data)
 
-	bulk := NewBulk(nil, new(BulkMetrics))
+	bulk := NewBulk(nil, 0, new(BulkMetrics))
 	defer bulk.Close()
 	buf := make([]byte, len(data))
 	errc := make(chan error, 1)
@@ -177,12 +172,78 @@ func TestServerCloseSeversPacedRead(t *testing.T) {
 	if took := time.Since(start); took > time.Second {
 		t.Errorf("Close and the severed read took %v", took)
 	}
+	failOver(t, bulk, other, id, data)
+}
+
+// replicaOf starts an unpaced dataserver holding a copy of a pacedServer
+// file.
+func replicaOf(t *testing.T, id uuid.UUID, data []byte) *Server {
+	t.Helper()
+	other := startServer(t, "ds-other", nil)
+	if err := other.store.prepare(nameserver.FileInfo{ID: id, Name: "paced", ChunkSize: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.store.appendAt(id, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	return other
+}
+
+// failOver reads the whole file back from the surviving replica.
+func failOver(t *testing.T, bulk *Bulk, other *Server, id uuid.UUID, data []byte) {
+	t.Helper()
+	buf := make([]byte, len(data))
 	if _, err := bulk.Read(context.Background(), other.DataAddr(), 1, id, 0, buf); err != nil {
 		t.Fatalf("failover read: %v", err)
 	}
 	if !bytes.Equal(buf, data) {
 		t.Error("failover read returned the wrong bytes")
 	}
+}
+
+// TestServerCloseUnblocksStarvedRead: a paced read whose link is cut
+// starves in its emunet gate, which grants nothing until the link heals.
+// Close still returns at once — the send loop checks for it between
+// starved polls — and the reader fails over to another replica.
+func TestServerCloseUnblocksStarvedRead(t *testing.T) {
+	topo, err := topology.New(topology.Config{
+		Pods: 1, RacksPerPod: 1, HostsPerRack: 2, AggsPerPod: 1, Cores: 1,
+		EdgeLinkBps: topology.Mbps(8), EdgeAggLinkBps: topology.Mbps(8), AggCoreLinkBps: topology.Mbps(8),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := topo.ShortestPaths(topo.HostAt(0, 0, 0), topo.HostAt(0, 0, 1))[0]
+	fab := emunet.New(topo)
+	if err := fab.RegisterFlow(1, path); err != nil {
+		t.Fatal(err)
+	}
+	slow, id, data, _ := pacedServer(t, "ds-starved", fab, 1<<20) // 1 s at 8 Mbps
+	other := replicaOf(t, id, data)
+	bulk := NewBulk(nil, 0, new(BulkMetrics))
+	defer bulk.Close()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := bulk.Read(context.Background(), slow.DataAddr(), 1, id, 0, make([]byte, len(data)))
+		errc <- err
+	}()
+	for fab.FlowTransferred(1) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	fab.SetLinkCapacity(path[0], 0)
+	time.Sleep(50 * time.Millisecond) // past the 16 ms quantum in flight: the sender waits in the gate
+
+	closed := make(chan struct{})
+	go func() { slow.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("Server.Close is blocked behind a gate starved on a cut link")
+	}
+	if err := <-errc; err == nil {
+		t.Fatal("a read severed by Close succeeded")
+	}
+	failOver(t, bulk, other, id, data)
 }
 
 // plainConnListener hands out connections that hide their file
@@ -200,7 +261,7 @@ func (l plainConnListener) Accept() (net.Conn, error) {
 // serving.
 func TestNonSyscallConnIsClosed(t *testing.T) {
 	s, logs := startLogged(t, Config{ID: "ds-plain"}, func(ln net.Listener) net.Listener { return plainConnListener{ln} })
-	bulk := NewBulk(nil, new(BulkMetrics))
+	bulk := NewBulk(nil, 0, new(BulkMetrics))
 	defer bulk.Close()
 	for i := 0; i < 2; i++ {
 		if _, err := bulk.Read(context.Background(), s.DataAddr(), 1, uuid.MustNew(), 0, make([]byte, 1)); err == nil {

@@ -152,7 +152,7 @@ type Server struct {
 	dataConns map[net.Conn]struct{}
 	closed    bool
 	wg        sync.WaitGroup
-	beatStop  chan struct{}
+	stop      chan struct{} // closed by Close: ends the heartbeats and any send loop starved on a dead link
 
 	met dsMetrics
 }
@@ -181,10 +181,10 @@ func New(cfg Config) (*Server, error) {
 			Metrics:        cfg.Metrics,
 			MetricsPrefix:  "dataserver." + cfg.ID + ".rpc",
 		}),
-		bulk:      NewBulk(nil, new(BulkMetrics)),
+		bulk:      NewBulk(nil, 0, new(BulkMetrics)),
 		dataIdle:  dataIdleLimit,
 		dataConns: make(map[net.Conn]struct{}),
-		beatStop:  make(chan struct{}),
+		stop:      make(chan struct{}),
 	}
 	if cfg.FlowserverAddr != "" {
 		s.fr = flowctl.NewRouter(s.pool, cfg.FlowserverAddr, cfg.Pod, 0, cfg.Clock)
@@ -266,7 +266,7 @@ func (s *Server) heartbeatLoop(peer *rpc.Peer, ns *nameserver.Client, info names
 	defer ticker.Stop()
 	for {
 		select {
-		case <-s.beatStop:
+		case <-s.stop:
 			return
 		case <-ticker.C:
 		}
@@ -319,7 +319,7 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 
-	close(s.beatStop)
+	close(s.stop)
 	err := s.ctl.Close()
 	if dataLn != nil {
 		dataLn.Close()
@@ -328,6 +328,9 @@ func (s *Server) Close() error {
 	// readers (so their failover fires), not leave them mid-stream.
 	for _, conn := range conns {
 		conn.Close()
+	}
+	if s.fr != nil {
+		s.fr.Close() // the relays' releases leave before the sessions they ride
 	}
 	s.pool.Close()
 	s.bulk.Close()
@@ -513,9 +516,9 @@ func (s *Server) handleAppend(ctx context.Context, a AppendArgs) (AppendReply, e
 		}
 	}
 	if flowStub != nil {
-		// Against the stub that issued them: under directory routing only
-		// the coordinating shard knows the flows, not whichever shard a
-		// later resolution would name.
+		// Queued (no round trip under the append order) on the stub that
+		// issued them: under directory routing only the coordinating shard
+		// knows the flows, not whichever shard a later resolution names.
 		flowStub.Release(flows...)
 	}
 	if relayErr != nil {
@@ -637,7 +640,7 @@ func (s *Server) serveData(ln net.Listener) {
 		if err != nil {
 			return
 		}
-		out, err := newSender(conn)
+		out, err := newSender(conn, s.stop)
 		if err != nil {
 			s.logf("dataserver %s: closing data connection from %s: %v", s.cfg.ID, conn.RemoteAddr(), err)
 			conn.Close()

@@ -219,7 +219,7 @@ func TestConcurrentAppendsThroughPrimary(t *testing.T) {
 // readAll fetches a byte range through the bulk data protocol.
 func readAll(t *testing.T, s *Server, id uuid.UUID, offset, length int64) []byte {
 	t.Helper()
-	bulk := NewBulk(nil, new(BulkMetrics))
+	bulk := NewBulk(nil, 0, new(BulkMetrics))
 	defer bulk.Close()
 	data := make([]byte, length)
 	if _, err := bulk.Read(context.Background(), s.DataAddr(), 1, id, offset, data); err != nil {
@@ -253,7 +253,7 @@ func TestDataProtocolReportsSize(t *testing.T) {
 	if err := appendVia(c.ctl[0], AppendArgs{FileID: c.info.ID, Data: bytes.Repeat([]byte("q"), 77)}, &AppendReply{}); err != nil {
 		t.Fatal(err)
 	}
-	bulk := NewBulk(nil, new(BulkMetrics))
+	bulk := NewBulk(nil, 0, new(BulkMetrics))
 	defer bulk.Close()
 	size, err := bulk.Read(context.Background(), c.servers[0].DataAddr(), 0, c.info.ID, 0, make([]byte, 10))
 	if err != nil {
@@ -267,7 +267,7 @@ func TestDataProtocolReportsSize(t *testing.T) {
 func TestDataProtocolErrors(t *testing.T) {
 	c := startCluster(t, 1, 32)
 
-	bulk := NewBulk(nil, new(BulkMetrics))
+	bulk := NewBulk(nil, 0, new(BulkMetrics))
 	defer bulk.Close()
 	read := func(id uuid.UUID, off, length int64) error {
 		_, err := bulk.Read(context.Background(), c.servers[0].DataAddr(), 0, id, off, make([]byte, length))

@@ -290,33 +290,33 @@ func (n *Network) Pace(flowID uint64) fabric.Gate {
 // share, never under chunkBytes, at most limit — and returns its size, so
 // the flow's average rate tracks its share even as the share changes
 // mid-transfer. A flow whose rate is zero (dead link) makes no progress
-// until a reallocation grants it bandwidth again or it is released.
+// until a reallocation grants it bandwidth again or it is released: Next
+// returns 0 after each starvedPollSeconds of waiting for either.
 func (f *emuFlow) Next(limit int64) int64 {
 	clock := f.net.clock
-	for {
-		f.mu.Lock()
-		rate := f.rate
-		if rate > 0 {
-			q := min(limit, max(chunkBytes, int64(rate/(8*quantaPerSecond))))
-			now := clock.Now()
-			if f.nextFree < now {
-				f.nextFree = now
-			}
-			start := f.nextFree
-			f.nextFree = start + float64(q*8)/rate
-			f.mu.Unlock()
-			if d := start - clock.Now(); d > 0 {
-				clock.Sleep(d)
-			}
-			return q
-		}
+	f.mu.Lock()
+	rate := f.rate
+	if rate <= 0 {
 		released := f.released
 		f.mu.Unlock()
 		if released {
 			return min(limit, chunkBytes) // unregistered while starved; let the sender drain
 		}
 		clock.Sleep(starvedPollSeconds)
+		return 0
 	}
+	q := min(limit, max(chunkBytes, int64(rate/(8*quantaPerSecond))))
+	now := clock.Now()
+	if f.nextFree < now {
+		f.nextFree = now
+	}
+	start := f.nextFree
+	f.nextFree = start + float64(q*8)/rate
+	f.mu.Unlock()
+	if d := start - clock.Now(); d > 0 {
+		clock.Sleep(d)
+	}
+	return q
 }
 
 // Sent adds transmitted bytes to the flow's and path's byte counters,

@@ -117,9 +117,10 @@ func (f *Fabric) move(id fabric.FlowID, ff *fabricFlow, bits float64) {
 		if cancelled {
 			break
 		}
-		n := g.Next(remaining)
-		g.Sent(n)
-		remaining -= n
+		if n := g.Next(remaining); n > 0 { // 0: starved, look at the cancel signal again
+			g.Sent(n)
+			remaining -= n
+		}
 	}
 
 	// The gate returns when the last quantum starts transmitting; the

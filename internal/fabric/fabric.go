@@ -139,7 +139,9 @@ type Admitter interface {
 // the kernel in one call (the dataserver's sendfile loop).
 type Gate interface {
 	// Next blocks until the flow may send its next quantum and returns
-	// the quantum's size in bytes, at most max (max > 0).
+	// the quantum's size in bytes, at most max (max > 0) — or 0 when none
+	// was granted within one starved poll (a dead link), so the sender
+	// can check whether to give up before it asks again.
 	Next(max int64) int64
 	// Sent credits n bytes that actually went out to the flow's and
 	// path's counters.

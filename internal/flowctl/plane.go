@@ -192,16 +192,18 @@ func (p *Plane) EstimatedBW(id flowserver.FlowID) (float64, bool) {
 	return p.coordinatorOf(id).Server().EstimatedBW(id)
 }
 
-// PollFrom ingests one stats cycle into every live shard and then
-// refreshes the cross-shard digests, in shard-index order — each shard
-// in a real deployment polls the edge switches of its own pods and
-// gossips on the same tick; the in-process plane hands every shard the
-// full batch and lets the model's flow tables pick out their own rows.
+// PollFrom ingests one stats cycle into every live shard, retiring the
+// flows it proves over, and then refreshes the cross-shard digests, in
+// shard-index order — each shard in a real deployment polls the edge
+// switches of its own pods and gossips on the same tick; the in-process
+// plane hands every shard the full batch and lets the model's flow
+// tables pick out their own rows. There are no switches or fabric to
+// tell of a retirement.
 func (p *Plane) PollFrom(now float64, src flowserver.StatsSource) {
 	batch := src.FlowStats()
 	for k, s := range p.shards {
 		if !p.isKilled(k) {
-			s.Server().UpdateFlowStats(now, batch)
+			flowserver.Hooks{}.Retire(s, s.Server().UpdateFlowStats(now, batch)...)
 		}
 	}
 	if len(p.shards) == 1 {

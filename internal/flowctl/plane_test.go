@@ -282,11 +282,13 @@ func TestDigestStalenessBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Commit a cross-pod flow so shard 1 has digest content.
+	// Commit a cross-pod flow so shard 1 has digest content. The polls
+	// carry no counters, so it is sized to stay short of its freeze
+	// horizon throughout: past it they would prove the flow over.
 	client := topo.HostAt(0, 0, 0)
 	rep := topo.HostAt(1, 0, 0)
 	if _, err := plane.SelectReplicaAndPath(flowserver.Request{
-		Client: client, Replicas: []topology.NodeID{rep}, Bits: 1e9}); err != nil {
+		Client: client, Replicas: []topology.NodeID{rep}, Bits: 1e12}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := plane.Shard(0).DigestAge(1, clock.t); ok {

@@ -35,6 +35,7 @@ type Router struct {
 
 	mu    sync.Mutex
 	cur   *flowserver.RPCClient
+	bound []*flowserver.RPCClient // every stub cur has been, for Close
 	addr  string
 	epoch int64
 	fresh float64 // route trusted until (clock seconds)
@@ -96,6 +97,7 @@ func (r *Router) stub(ctx context.Context) (*flowserver.RPCClient, error) {
 	// deposed-shard hazard the epoch exists to prevent.
 	if !r.have || rep.Epoch > r.epoch || (rep.Epoch == r.epoch && rep.Addr != r.addr) {
 		r.cur = flowserver.NewRPCClient(r.pool.Peer(rep.Addr))
+		r.bound = append(r.bound, r.cur)
 		r.addr = rep.Addr
 		r.epoch = rep.Epoch
 	}
@@ -117,8 +119,8 @@ func (r *Router) invalidate() {
 // re-routing: a failure invalidates the cached route, re-resolves
 // (picking up a freshly promoted shard), and retries once. It returns
 // the stub the successful call ran against — releases of the flows it
-// admitted must go back to that shard, the only one that knows them —
-// or the error that sends the caller to its degraded path.
+// admitted go to that stub, which delivers them to the only shard that
+// knows them — or the error that sends the caller to its degraded path.
 func (r *Router) Do(ctx context.Context, call func(*flowserver.RPCClient) error) (*flowserver.RPCClient, error) {
 	stub, err := r.stub(ctx)
 	if err != nil {
@@ -139,4 +141,16 @@ func (r *Router) Do(ctx context.Context, call func(*flowserver.RPCClient) error)
 		return nil, err
 	}
 	return stub, nil
+}
+
+// Close sends the releases still queued on every stub the router ever
+// bound, each to its own shard — the only one that knows its flows. A
+// caller runs it before closing the session pool the stubs ride.
+func (r *Router) Close() {
+	r.mu.Lock()
+	bound := r.bound
+	r.mu.Unlock()
+	for _, stub := range bound {
+		stub.Flush()
+	}
 }

@@ -193,3 +193,74 @@ func TestRouterDoRetriesOnce(t *testing.T) {
 		t.Fatalf("Do = %v after %d calls, want the shard's error after 2", err, calls)
 	}
 }
+
+// releaseLog is a shard that records every flow a release reached it
+// for, riding a Select or alone.
+type releaseLog struct {
+	mu  sync.Mutex
+	ids []flowserver.FlowID
+}
+
+func (l *releaseLog) add(ids ...flowserver.FlowID) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.ids = append(l.ids, ids...)
+}
+
+func (l *releaseLog) got() []flowserver.FlowID {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]flowserver.FlowID(nil), l.ids...)
+}
+
+func (l *releaseLog) serve(t *testing.T) string {
+	return serveWire(t, func(srv *wire.Server) error {
+		return errors.Join(
+			flowserver.MethodSelect.Handle(srv, func(_ context.Context, a flowserver.SelectArgs) ([]flowserver.AssignmentDTO, error) {
+				l.add(a.Done...)
+				return nil, nil
+			}),
+			flowserver.MethodFinished.Handle(srv, func(_ context.Context, a flowserver.FinishedArgs) (struct{}, error) {
+				l.add(a.FlowID)
+				return struct{}{}, nil
+			}),
+		)
+	})
+}
+
+// TestRouterReboundStubDeliversToItsShard: releases queued on a stub stay
+// with the shard that issued their flows. After the router rebinds to
+// another shard, the new stub's Selects do not carry them, and Close
+// still delivers them to the first shard.
+func TestRouterReboundStubDeliversToItsShard(t *testing.T) {
+	var a, b releaseLog
+	dir := &scriptedDirectory{}
+	dir.set(LookupReply{Shard: 0, Addr: a.serve(t), Epoch: 1}, nil)
+	pool := rpc.NewPool(rpc.Options{})
+	defer pool.Close()
+	clock := &fakeClock{}
+	r := NewRouter(pool, dir.serve(t), 0, time.Second, clock)
+	ctx := context.Background()
+	stubA, err := r.stub(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stubA.Release(41)
+
+	dir.set(LookupReply{Shard: 1, Addr: b.serve(t), Epoch: 2}, nil)
+	clock.t = 2
+	stubB, err := r.stub(ctx)
+	if err != nil || stubB == stubA {
+		t.Fatalf("no rebind after the epoch bump (err %v)", err)
+	}
+	if _, err := stubB.Select(ctx, flowserver.SelectArgs{}); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	if got := a.got(); len(got) != 1 || got[0] != 41 {
+		t.Errorf("shard A received releases %v, want [41]", got)
+	}
+	if got := b.got(); len(got) != 0 {
+		t.Errorf("shard B received releases %v for flows it never issued", got)
+	}
+}

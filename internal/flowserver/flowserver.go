@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -213,6 +214,8 @@ type flowState struct {
 	freezeUntil float64
 	transferred float64
 	lastPoll    float64
+	movedAt     float64 // model time of the last poll its counter grew in
+	stalled     int     // polls past freezeUntil since it last grew
 }
 
 // Server is the Flowserver: it runs inside the SDN controller and owns the
@@ -577,6 +580,7 @@ func (s *Server) commitAs(id FlowID, c candidate, bits float64) Assignment {
 		totalBits: bits,
 		remaining: bits,
 		lastPoll:  s.now(),
+		movedAt:   s.now(),
 	}
 	s.flows[id] = f
 	for _, l := range links {
@@ -745,11 +749,20 @@ type FlowStat struct {
 	TransferredBits float64
 }
 
+// StallPolls is how many polls past its freeze horizon a flow's counter
+// may stand still before a poll proves it over: 1 s at the testbed's
+// 250 ms interval, long enough that a flow the fabric only slows moves.
+const StallPolls = 4
+
 // UpdateFlowStats ingests a stats-poll cycle taken at time now: for each
 // flow, the measured bandwidth since the previous poll and the remaining
 // size are derived from the byte counter. Bandwidth estimates honour the
 // update-freeze state (Pseudocode 2, UPDATEBW); remaining sizes always
 // update, since counters are ground truth for progress.
+//
+// It returns, in id order, the flows the poll proves over — remaining 0,
+// or StallPolls polls past the freeze horizon without counter growth —
+// for the caller to retire (Hooks.Retire): a dead client leaves no ghost.
 //
 // Clock domains: freeze horizons (setBW) are stamped from the model clock
 // — opts.Now when injected, else s.clock, which only poll timestamps
@@ -760,14 +773,14 @@ type FlowStat struct {
 // horizons from a different clock. When Now is nil, a poll stamped before
 // the clock's high-water mark is a replay of the past and is rejected the
 // same way.
-func (s *Server) UpdateFlowStats(now float64, stats []FlowStat) {
+func (s *Server) UpdateFlowStats(now float64, stats []FlowStat) []FlowID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.met.polls.Inc()
 	if s.opts.Now == nil {
 		if now < s.clock {
 			s.met.pollDropsSkewPast.Inc()
-			return
+			return nil
 		}
 		s.clock = now
 	} else {
@@ -779,11 +792,11 @@ func (s *Server) UpdateFlowStats(now float64, stats []FlowStat) {
 		if tol >= 0 {
 			if now > model+tol {
 				s.met.pollDropsSkewFuture.Inc()
-				return
+				return nil
 			}
 			if now < model-tol {
 				s.met.pollDropsSkewPast.Inc()
-				return
+				return nil
 			}
 		}
 		// Within tolerance: re-stamp the poll onto the model clock so dt
@@ -815,6 +828,9 @@ func (s *Server) UpdateFlowStats(now float64, stats []FlowStat) {
 			f.remaining = 0
 		}
 		measured := (st.TransferredBits - f.transferred) / dt
+		if st.TransferredBits > f.transferred {
+			f.movedAt, f.stalled = now, 0
+		}
 		f.transferred = st.TransferredBits
 		f.lastPoll = now
 		// Pseudocode 2 freezes the estimate until the flow's expected
@@ -830,6 +846,17 @@ func (s *Server) UpdateFlowStats(now float64, stats []FlowStat) {
 			s.met.freezeHits.Inc()
 		}
 	}
+	var over []FlowID
+	for _, f := range s.flows {
+		if f.remaining > 0 && f.movedAt != now && now >= f.freezeUntil {
+			f.stalled++ // due to have finished, and did not move
+		}
+		if f.remaining <= 0 || f.stalled >= StallPolls {
+			over = append(over, f.id)
+		}
+	}
+	slices.Sort(over)
+	return over
 }
 
 // EstimatedBW returns the Flowserver's current bandwidth estimate for a

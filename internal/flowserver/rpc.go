@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/rpc"
@@ -23,10 +24,13 @@ const (
 
 // SelectArgs asks for a read assignment. Hosts are topology host names
 // (the prototype's stand-in for the IP addresses the paper's RPC takes).
+// Done carries the stub's queued releases (RPCClient.Release), retired
+// before the selection runs; a Select with none is the bare frame.
 type SelectArgs struct {
 	ClientHost   string   `json:"clientHost"`
 	ReplicaHosts []string `json:"replicaHosts"`
 	Bits         float64  `json:"bits"`
+	Done         []FlowID `json:"done,omitempty"`
 }
 
 // AssignmentDTO is the wire form of one Assignment. A local assignment
@@ -45,11 +49,13 @@ type AssignmentDTO struct {
 // of Bits bits from SourceHost to every target host, ordered by the
 // Flowserver (see Service.SelectWritePipeline). In the returned
 // assignments ReplicaHost names the *target* of each hop — the flow runs
-// source→target, the reverse of a read assignment.
+// source→target, the reverse of a read assignment. Done is as in
+// SelectArgs.
 type SelectWriteArgs struct {
 	SourceHost  string   `json:"sourceHost"`
 	TargetHosts []string `json:"targetHosts"`
 	Bits        float64  `json:"bits"`
+	Done        []FlowID `json:"done,omitempty"`
 }
 
 // FinishedArgs reports a completed flow.
@@ -63,8 +69,20 @@ type FinishedArgs struct {
 type Hooks struct {
 	// OnAssign runs after a non-local assignment is made.
 	OnAssign func(a Assignment)
-	// OnFinish runs when a flow is reported finished.
+	// OnFinish runs when a flow is retired.
 	OnFinish func(id FlowID)
+}
+
+// Retire takes flows out of fs's model, then out of the deployment
+// (OnFinish): the one way out, for a release riding a Select, a lone
+// fs.Finished or a poll proving a flow over. A retired id is a no-op.
+func (h Hooks) Retire(fs Service, ids ...FlowID) {
+	for _, id := range ids {
+		fs.FlowFinished(id)
+		if h.OnFinish != nil {
+			h.OnFinish(id)
+		}
+	}
 }
 
 // Service is the selection surface RegisterRPC serves; a flowctl.Shard
@@ -125,6 +143,7 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 
 	return errors.Join(
 		MethodSelect.Handle(srv, func(_ context.Context, a SelectArgs) ([]AssignmentDTO, error) {
+			hooks.Retire(fs, a.Done...) // first, so the selection sees the model a lone release would leave
 			client, ok := hostByName[a.ClientHost]
 			if !ok {
 				return nil, fmt.Errorf("flowserver: unknown client host %q", a.ClientHost)
@@ -140,6 +159,7 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 			return reply(as), nil
 		}),
 		MethodSelectWrite.Handle(srv, func(_ context.Context, a SelectWriteArgs) ([]AssignmentDTO, error) {
+			hooks.Retire(fs, a.Done...)
 			source, ok := hostByName[a.SourceHost]
 			if !ok {
 				return nil, fmt.Errorf("flowserver: unknown source host %q", a.SourceHost)
@@ -155,55 +175,118 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 			return reply(as), nil
 		}),
 		MethodFinished.Handle(srv, func(_ context.Context, a FinishedArgs) (struct{}, error) {
-			fs.FlowFinished(a.FlowID)
-			if hooks.OnFinish != nil {
-				hooks.OnFinish(a.FlowID)
-			}
+			hooks.Retire(fs, a.FlowID)
 			return struct{}{}, nil
 		}),
 	)
 }
 
+const (
+	// releaseLinger is how long a release waits for a selection to ride:
+	// one emunet gate quantum, so a finished flow holds its emulated share
+	// at most one quantum longer; a closed-loop reader selects sooner.
+	releaseLinger = 2 * time.Millisecond
+	// releaseTimeout bounds one flush against a slow controller.
+	releaseTimeout = 2 * time.Second
+)
+
 // RPCClient is the typed Flowserver stub over an rpc session (usually an
-// *rpc.Peer). Connection lifecycle — dialing, pooling, reconnection —
-// belongs to the session layer, not this stub.
+// *rpc.Peer), which owns connection lifecycle. The stub owns the
+// releases of the flows its calls admitted (see Release).
 type RPCClient struct {
 	c rpc.Caller
+
+	mu     sync.Mutex
+	done   []FlowID    // released, not yet sent; linger runs while non-empty
+	spare  []FlowID    // swapped in by take, so a steady caller allocates nothing
+	linger *time.Timer // nil until the first release
 }
 
 // NewRPCClient wraps a control-plane session.
 func NewRPCClient(c rpc.Caller) *RPCClient { return &RPCClient{c: c} }
 
-// Select asks the Flowserver for a read assignment.
+// Select asks the Flowserver for a read assignment; args.Done carries
+// the queued releases.
 func (c *RPCClient) Select(ctx context.Context, args SelectArgs) ([]AssignmentDTO, error) {
-	return MethodSelect.Call(ctx, c.c, args)
+	args.Done = c.take()
+	out, err := MethodSelect.Call(ctx, c.c, args)
+	c.settle(args.Done, err)
+	return out, err
 }
 
-// SelectWrite asks the Flowserver to order a replication pipeline.
+// SelectWrite asks the Flowserver to order a replication pipeline;
+// args.Done carries the queued releases.
 func (c *RPCClient) SelectWrite(ctx context.Context, args SelectWriteArgs) ([]AssignmentDTO, error) {
-	return MethodSelectWrite.Call(ctx, c.c, args)
+	args.Done = c.take()
+	out, err := MethodSelectWrite.Call(ctx, c.c, args)
+	c.settle(args.Done, err)
+	return out, err
 }
 
-// Finished reports a completed flow.
+// Finished reports one flow finished in a round trip of its own.
 func (c *RPCClient) Finished(ctx context.Context, id FlowID) error {
 	_, err := MethodFinished.Call(ctx, c.c, FinishedArgs{FlowID: id})
 	return err
 }
 
-// releaseTimeout bounds one Release: a slow controller may cost its
-// callers (a read about to return, a primary holding a file's append
-// order) this long, never more.
-const releaseTimeout = 2 * time.Second
-
-// Release reports every flow in ids finished. It is what a caller runs
-// when its transfer is over, however it ended, so it takes no context:
-// the caller's own may already be cancelled or expired, and a flow that
-// is not released stays in the model forever (flows never expire). For
-// the same reason one failed Finished does not stop the rest.
+// Release reports flows finished, however their transfer ended, without
+// a round trip: the ids queue on the stub and ride its next Select or
+// SelectWrite to the one shard that issued them, or leave alone (Flush)
+// after releaseLinger. A release that never arrives is the controller's
+// polls' to retire (Server.UpdateFlowStats).
 func (c *RPCClient) Release(ids ...FlowID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case len(c.done) > 0 || len(ids) == 0:
+	case c.linger == nil:
+		c.linger = time.AfterFunc(releaseLinger, c.Flush)
+	default:
+		c.linger.Reset(releaseLinger)
+	}
+	c.done = append(c.done, ids...)
+}
+
+// Flush sends the queued releases now, one fs.Finished each, best effort:
+// the linger's send, and what a closing caller runs before its sessions
+// go (flowctl.Router.Close).
+func (c *RPCClient) Flush() {
+	ids := c.take()
+	if len(ids) == 0 {
+		return
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), releaseTimeout)
 	defer cancel()
 	for _, id := range ids {
-		_ = c.Finished(ctx, id) // best effort: nothing to do about a lost release but try the next
+		_ = c.Finished(ctx, id) // the polls retire a lost release
 	}
+	c.settle(ids, nil)
+}
+
+// take hands the queue to a call leaving now.
+func (c *RPCClient) take() []FlowID {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ids := c.done
+	if len(ids) == 0 {
+		return nil
+	}
+	c.done, c.spare = c.spare[:0], nil
+	c.linger.Stop()
+	return ids
+}
+
+// settle takes back what a call carried: the slice as the spare once
+// answered, the ids into the queue again if the call failed (the
+// controller may have retired them; retiring twice is harmless).
+func (c *RPCClient) settle(ids []FlowID, err error) {
+	if err != nil {
+		c.Release(ids...)
+		return
+	}
+	c.mu.Lock()
+	if c.spare == nil && ids != nil {
+		c.spare = ids[:0]
+	}
+	c.mu.Unlock()
 }

@@ -12,9 +12,3 @@ type StatsSource interface {
 	// is owned by the caller once returned.
 	FlowStats() []FlowStat
 }
-
-// PollFrom performs one stats collection cycle at time now against a
-// counter source, feeding the samples through UpdateFlowStats.
-func (s *Server) PollFrom(now float64, src StatsSource) {
-	s.UpdateFlowStats(now, src.FlowStats())
-}

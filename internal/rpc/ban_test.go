@@ -60,6 +60,20 @@ func TestOneSendLoop(t *testing.T) {
 	}
 }
 
+// TestOneReleasePath keeps flow releases off the callers' critical paths:
+// a release is RPCClient.Release, queued to ride the stub's next Select,
+// and only the stub's own flush sends fs.Finished. A synchronous
+// fs.Finished anywhere else outside tests and bench/ is a round trip
+// growing back onto a read or an append.
+func TestOneReleasePath(t *testing.T) {
+	offenders := goFilesMatching(t, `MethodFinished\.Call|\.Finished\(`, func(rel string) bool {
+		return strings.HasSuffix(rel, "_test.go") || strings.HasPrefix(rel, "bench/") || rel == "internal/flowserver/rpc.go"
+	})
+	if len(offenders) > 0 {
+		t.Fatalf("synchronous fs.Finished in: %v — release flows with flowserver.RPCClient.Release", offenders)
+	}
+}
+
 // TestNoRawHandlersOutsideTheSeam keeps "how a control message becomes
 // a Go value" a decision of this package (DESIGN.md §13): a service that
 // mentions json.RawMessage is unmarshalling params by hand again instead

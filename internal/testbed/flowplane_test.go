@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +17,7 @@ import (
 	"github.com/mayflower-dfs/mayflower/internal/obs"
 	"github.com/mayflower-dfs/mayflower/internal/rpc"
 	"github.com/mayflower-dfs/mayflower/internal/topology"
+	"github.com/mayflower-dfs/mayflower/internal/wire"
 )
 
 // pinnedFile creates a single-replica file on the given host and fills
@@ -113,10 +117,7 @@ func TestSwitchTablesDrain(t *testing.T) {
 	// FlowMods a moment to land.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		rules := 0
-		for _, sw := range cluster.switches {
-			rules += sw.NumFlows()
-		}
+		rules := switchRules(cluster)
 		counters := len(cluster.ofSwitches.FlowStats())
 		if rules == 0 && counters == 0 {
 			return
@@ -243,5 +244,210 @@ func TestFaultFreeRunNeverRedials(t *testing.T) {
 		if c["client.data_reuses"] == 0 {
 			t.Errorf("client %d: %d dials and no reuse: reads are not riding pooled connections", i, c["client.data_dials"])
 		}
+	}
+}
+
+// releaseBound is how long a test gives released flows to leave the
+// plane: far beyond a linger and a round trip, and short of the polls'
+// safety net (StallPolls polls of the default 250 ms past the horizon),
+// so a drain inside it is the releases' doing.
+const releaseBound = 500 * time.Millisecond
+
+// switchRules counts the flow entries installed across every switch.
+func switchRules(c *Cluster) int {
+	n := 0
+	for _, sw := range c.switches {
+		n += sw.NumFlows()
+	}
+	return n
+}
+
+// waitDrained waits up to within for the plane to forget every flow: each
+// shard's model, the emulated fabric and every switch table.
+func waitDrained(t *testing.T, c *Cluster, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for {
+		models := 0
+		for k := 0; k < c.NumFlowShards(); k++ {
+			models += c.FlowShard(k).Server().NumFlows()
+		}
+		fabric, rules := c.Net.NumFlows(), switchRules(c)
+		if models+fabric+rules == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %v the models hold %d flows, emunet %d, the switches %d rules; want none", within, models, fabric, rules)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// killer stands in for a client's process: once kill runs, every
+// connection the client opened is severed and no new one opens, so
+// nothing it still meant to send — a release included — ever arrives.
+type killer struct {
+	mu    sync.Mutex
+	dead  bool
+	conns []io.Closer
+}
+
+var errKilled = errors.New("client killed")
+
+func (k *killer) track(c io.Closer) error {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.dead {
+		c.Close()
+		return errKilled
+	}
+	k.conns = append(k.conns, c)
+	return nil
+}
+
+func (k *killer) dialData(ctx context.Context, addr string) (net.Conn, error) {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err == nil {
+		err = k.track(conn)
+	}
+	return conn, err
+}
+
+func (k *killer) dialControl(ctx context.Context, addr string) (*wire.Client, error) {
+	c, err := rpc.DialSession(ctx, addr)
+	if err == nil {
+		err = k.track(c)
+	}
+	return c, err
+}
+
+func (k *killer) kill() {
+	k.mu.Lock()
+	k.dead = true
+	conns := k.conns
+	k.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
+}
+
+// TestGhostFlowsRetire: a flow whose release never comes leaves each
+// shard's model, emunet and every switch table within its freeze horizon
+// plus StallPolls polls, because the polls prove it over.
+func TestGhostFlowsRetire(t *testing.T) {
+	const poll = 50 * time.Millisecond
+	cfg := tinyTopo()
+	cfg.EdgeLinkBps, cfg.EdgeAggLinkBps, cfg.AggCoreLinkBps = topology.Mbps(8), topology.Mbps(8), topology.Mbps(8)
+	const size = 256 << 10
+	horizon := time.Duration(float64(size*8) / topology.Mbps(8) * float64(time.Second)) // the read at the bottleneck's full rate
+	within := horizon + (flowserver.StallPolls+2)*poll + time.Second
+
+	for _, tc := range []struct {
+		name  string
+		ghost func(t *testing.T, ctx context.Context, c *Cluster)
+	}{
+		{"a client selects and never releases", func(t *testing.T, ctx context.Context, c *Cluster) {
+			pool := rpc.NewPool(rpc.Options{})
+			defer pool.Close()
+			name := func(h topology.NodeID) string { return c.Topo.Node(h).Name }
+			as, err := flowserver.NewRPCClient(pool.Peer(c.FlowserverAddr())).Select(ctx, flowserver.SelectArgs{
+				ClientHost:   name(c.Topo.HostAt(0, 0, 0)),
+				ReplicaHosts: []string{name(c.Topo.HostAt(1, 0, 0))},
+				Bits:         size * 8,
+			})
+			if err != nil || len(as) != 1 || as[0].Local {
+				t.Fatalf("Select = %v, %v; want one network flow", as, err)
+			}
+			if n := c.Net.NumFlows(); n != 1 {
+				t.Fatalf("emunet holds %d flows after the Select, want the ghost", n)
+			}
+		}},
+		{"a reader is killed mid-transfer", func(t *testing.T, ctx context.Context, c *Cluster) {
+			pinnedFile(t, ctx, c, "victim", c.Topo.HostAt(0, 0, 0), size)
+			var k killer
+			reader, err := c.NewClient(c.Topo.HostAt(1, 0, 0), func(o *client.Options) {
+				o.DialData, o.DialControl = k.dialData, k.dialControl
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			errc := make(chan error, 1)
+			go func() {
+				_, err := reader.ReadAll(ctx, "victim")
+				errc <- err
+			}()
+			for moving := false; !moving; time.Sleep(time.Millisecond) {
+				for _, st := range c.ofSwitches.FlowStats() {
+					moving = moving || st.TransferredBits > 0
+				}
+			}
+			k.kill()
+			if err := <-errc; err == nil {
+				t.Fatal("a read whose client was killed mid-transfer succeeded")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(ClusterConfig{Mode: ModeMayflower, Topo: cfg, Seed: 9, StatsInterval: poll})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			start := time.Now()
+			tc.ghost(t, ctx, c)
+			waitDrained(t, c, within-time.Since(start))
+		})
+	}
+}
+
+// TestRetiringTwiceIsANoOp: a flow retired twice — by its release and
+// by a poll, say — leaves the model, emunet and the switch tables as the
+// first retirement did, and the flow beside it untouched.
+func TestRetiringTwiceIsANoOp(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Mode: ModeMayflower, Topo: tinyTopo(), Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	pool := rpc.NewPool(rpc.Options{})
+	defer pool.Close()
+	stub := flowserver.NewRPCClient(pool.Peer(c.FlowserverAddr()))
+	name := func(h topology.NodeID) string { return c.Topo.Node(h).Name }
+	var ids []flowserver.FlowID
+	for range 2 {
+		as, err := stub.Select(ctx, flowserver.SelectArgs{
+			ClientHost:   name(c.Topo.HostAt(0, 0, 0)),
+			ReplicaHosts: []string{name(c.Topo.HostAt(1, 0, 0))},
+			Bits:         8e9,
+		})
+		if err != nil || len(as) != 1 || as[0].Local {
+			t.Fatalf("Select = %v, %v", as, err)
+		}
+		ids = append(ids, as[0].FlowID)
+	}
+	// Switch rules leave by fire-and-forget FlowMods: let each
+	// retirement's land before reading the tables.
+	retire := func() [3]int {
+		t.Helper()
+		if err := stub.Finished(ctx, ids[0]); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(50 * time.Millisecond)
+		return [3]int{c.FlowShard(0).Server().NumFlows(), c.Net.NumFlows(), switchRules(c)}
+	}
+	once := retire()
+	if once[0] != 1 || once[1] != 1 || once[2] == 0 {
+		t.Fatalf("after one retirement (model, emunet, rules) = %v, want the other flow's alone", once)
+	}
+	if twice := retire(); twice != once {
+		t.Errorf("retiring again moved (model, emunet, rules) from %v to %v", once, twice)
+	}
+	if _, ok := c.Net.FlowRate(uint64(ids[1])); !ok {
+		t.Error("retiring one flow twice unregistered the other")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // controller partitioned into two shards behind a directory, runs a
 // cross-pod write + read (the read client sits in pod 1, the file's
 // primary in pod 0, so both shards coordinate selections), and checks
-// the sharded plane drained its per-shard flow tables.
+// the sharded plane drains its per-shard flow tables.
 func TestClusterShardedEndToEnd(t *testing.T) {
 	cluster, err := NewCluster(ClusterConfig{
 		Mode: ModeMayflower, Topo: tinyTopo(), Seed: 2, FlowShards: 2,
@@ -49,14 +49,7 @@ func TestClusterShardedEndToEnd(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("read returned wrong bytes")
 	}
-	for k := 0; k < cluster.NumFlowShards(); k++ {
-		if n := cluster.FlowShard(k).Server().NumFlows(); n != 0 {
-			t.Errorf("shard %d still tracks %d flows", k, n)
-		}
-	}
-	if n := cluster.Net.NumFlows(); n != 0 {
-		t.Errorf("emunet still tracks %d flows", n)
-	}
+	waitDrained(t, cluster, releaseBound)
 }
 
 // TestClusterKillFlowShard kills the shard owning the reader's pod

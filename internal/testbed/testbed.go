@@ -466,9 +466,10 @@ func (c *Cluster) pollLoop(interval time.Duration) {
 }
 
 // pollShards runs one stats cycle of the plane: every live shard
-// ingests the poll batch read off the edge switches, then pulls its
-// peers' digests over the ctl.* links in shard-index order — the cadence
-// that bounds cross-pod staleness to one poll interval.
+// ingests the poll batch read off the edge switches and retires the
+// flows it proves over, then pulls its peers' digests over the ctl.*
+// links in shard-index order — the cadence that bounds cross-pod
+// staleness to one poll interval.
 func (c *Cluster) pollShards(now float64) {
 	batch := c.ofSwitches.FlowStats()
 	c.shardMu.Lock()
@@ -476,7 +477,7 @@ func (c *Cluster) pollShards(now float64) {
 	c.shardMu.Unlock()
 	for k, s := range c.flowShards {
 		if !dead[k] {
-			s.Server().UpdateFlowStats(now, batch)
+			c.flowHooks().Retire(s, s.Server().UpdateFlowStats(now, batch)...)
 		}
 	}
 	for k, s := range c.flowShards {
