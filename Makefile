@@ -60,27 +60,27 @@ fuzz:
 	$(GO) test -fuzz=FuzzSharesWithNewFlow -fuzztime=30s ./internal/maxmin
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire
 
-# bench runs the hot-path selection/churn/replication/RPC benchmarks and
-# records the result in BENCH_selection.json, the committed performance
-# baseline for the incremental allocator, the write path, and the
-# control-plane session layer.
+# The hot-path selection/churn/replication/RPC benchmarks, each run five
+# times: bench2json keeps each one's median and range.
+BENCH_RUN = $(GO) test -run '^$$' -bench '^BenchmarkSelect$$|^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkBulkRead4K$$|^BenchmarkBulkRead8M$$|^BenchmarkBulkReadPaced4K$$|^BenchmarkBulkReadPaced8M$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCAttach256k$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$' \
+	-benchmem -count 5 -timeout 0 ./internal/flowserver ./internal/flowctl ./internal/netsim ./internal/experiment ./internal/dataserver ./internal/rpc ./internal/client ./internal/nameserver
+
+# bench records the benchmarks' medians in BENCH_selection.json, the
+# committed performance baseline for the incremental allocator, the write
+# path, and the control-plane session layer.
 bench:
-	$(GO) test -run '^$$' -bench '^BenchmarkSelect$$|^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkBulkRead4K$$|^BenchmarkBulkRead8M$$|^BenchmarkBulkReadPaced4K$$|^BenchmarkBulkReadPaced8M$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCAttach256k$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$' \
-		-benchmem -timeout 0 ./internal/flowserver ./internal/flowctl ./internal/netsim ./internal/experiment ./internal/dataserver ./internal/rpc ./internal/client ./internal/nameserver \
-		| $(GO) run ./cmd/bench2json > BENCH_selection.json
+	$(BENCH_RUN) | $(GO) run ./cmd/bench2json > BENCH_selection.json
 	@cat BENCH_selection.json
 
-# bench-check reruns the hot-path benchmarks and fails if any of them
-# regressed more than 20% ns/op (or grew allocs/op by more than one
-# allocation or 0.5%, bench2json's allocSlack) against the committed
-# BENCH_selection.json baseline. Runs at the same default 1s benchtime the
-# baseline was recorded with — shorter runs shrink N enough that one-time
-# warm-up allocations tip the allocs/op average. CI's bench-smoke job
-# runs this.
+# bench-check reruns the benchmarks and fails if any median regressed more
+# than 20% ns/op (or grew allocs/op by more than one allocation or 0.5%,
+# bench2json's allocSlack) against the committed BENCH_selection.json
+# baseline; each row prints its runs' ns/op range beside the median. Runs
+# at the same default 1s benchtime the baseline was recorded with —
+# shorter runs shrink N enough that one-time warm-up allocations tip the
+# allocs/op average. CI's bench-smoke job runs this.
 bench-check:
-	$(GO) test -run '^$$' -bench '^BenchmarkSelect$$|^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkBulkRead4K$$|^BenchmarkBulkRead8M$$|^BenchmarkBulkReadPaced4K$$|^BenchmarkBulkReadPaced8M$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCAttach256k$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$' \
-		-benchmem -timeout 0 ./internal/flowserver ./internal/flowctl ./internal/netsim ./internal/experiment ./internal/dataserver ./internal/rpc ./internal/client ./internal/nameserver \
-		| $(GO) run ./cmd/bench2json -compare BENCH_selection.json -max-regress 0.20
+	$(BENCH_RUN) | $(GO) run ./cmd/bench2json -compare BENCH_selection.json -max-regress 0.20
 
 # loc prints the number ROADMAP tracks: non-test Go lines outside bench/.
 loc:

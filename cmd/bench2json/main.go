@@ -3,30 +3,35 @@
 // benchmarks through it to produce BENCH_selection.json, the committed
 // performance baseline for the incremental allocator hot path.
 //
+// Repeated runs of a benchmark (go test -count N) fold into one row: the
+// medians of ns/op and allocs/op, with the ns/op range beside them.
+//
 // It also gates CI on that baseline: with -compare, instead of emitting
-// JSON it diffs the parsed results against a committed baseline and
+// JSON it diffs the parsed medians against a committed baseline and
 // exits nonzero when any baseline benchmark is missing, slows down by
 // more than -max-regress, or allocates more per op than allocSlack
 // allows.
 //
 // Usage:
 //
-//	go test -bench . -benchmem ./... | bench2json > bench.json
-//	go test -bench . -benchmem ./... | bench2json -compare BENCH_selection.json -max-regress 0.20
+//	go test -bench . -benchmem -count 5 ./... | bench2json > bench.json
+//	go test -bench . -benchmem -count 5 ./... | bench2json -compare BENCH_selection.json -max-regress 0.20
 package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Benchmark is one parsed result line.
+// Benchmark is one benchmark's result: the medians of its runs.
 type Benchmark struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped,
 	// e.g. "BenchmarkNetsimChurn/10k".
@@ -34,6 +39,10 @@ type Benchmark struct {
 	Package string  `json:"package,omitempty"`
 	Iters   int64   `json:"iterations"`
 	NsPerOp float64 `json:"ns_per_op"`
+	// Runs counts the runs; NsMin and NsMax are the fastest and slowest.
+	Runs  int     `json:"runs,omitempty"`
+	NsMin float64 `json:"ns_per_op_min,omitempty"`
+	NsMax float64 `json:"ns_per_op_max,omitempty"`
 	// BytesPerOp and AllocsPerOp are present when -benchmem was set.
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
@@ -121,12 +130,12 @@ func compare(w io.Writer, base, cur *Report, maxRegress float64) error {
 	for _, b := range cur.Benchmarks {
 		byName[b.Name] = b
 	}
-	fmt.Fprintf(w, "%-28s %14s %14s %8s  %s\n", "benchmark", "base ns/op", "cur ns/op", "delta", "verdict")
+	fmt.Fprintf(w, "%-28s %14s %14s %8s  %-23s %s\n", "benchmark", "base ns/op", "cur ns/op", "delta", "cur min–max", "verdict")
 	var failures []string
 	for _, b := range base.Benchmarks {
 		c, ok := byName[b.Name]
 		if !ok {
-			fmt.Fprintf(w, "%-28s %14.0f %14s %8s  MISSING\n", b.Name, b.NsPerOp, "-", "-")
+			fmt.Fprintf(w, "%-28s %14.0f %14s %8s  %-23s MISSING\n", b.Name, b.NsPerOp, "-", "-", "-")
 			failures = append(failures, fmt.Sprintf("%s: missing from current run", b.Name))
 			continue
 		}
@@ -143,10 +152,11 @@ func compare(w io.Writer, base, cur *Report, maxRegress float64) error {
 			failures = append(failures, fmt.Sprintf("%s: %.0f allocs/op vs %.0f baseline (more than %.0f over)",
 				b.Name, *c.AllocsPerOp, *b.AllocsPerOp, allocSlack(*b.AllocsPerOp)))
 		}
-		fmt.Fprintf(w, "%-28s %14.0f %14.0f %+7.1f%%  %s\n", b.Name, b.NsPerOp, c.NsPerOp, delta*100, verdict)
+		spread := fmt.Sprintf("%.0f–%.0f", c.NsMin, c.NsMax)
+		fmt.Fprintf(w, "%-28s %14.0f %14.0f %+7.1f%%  %-23s %s\n", b.Name, b.NsPerOp, c.NsPerOp, delta*100, spread, verdict)
 	}
 	for name := range byName {
-		fmt.Fprintf(w, "%-28s %14s %14.0f %8s  new\n", name, "-", byName[name].NsPerOp, "-")
+		fmt.Fprintf(w, "%-28s %14s %14.0f %8s  %-23s new\n", name, "-", byName[name].NsPerOp, "-", "-")
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("%d regression(s):\n  %s", len(failures), strings.Join(failures, "\n  "))
@@ -187,7 +197,32 @@ func parse(r io.Reader) (*Report, error) {
 	if len(rep.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark result lines found")
 	}
+	rep.Benchmarks = medians(rep.Benchmarks)
 	return rep, nil
+}
+
+// medians folds each benchmark's runs into one row, in first-seen order:
+// the run with the median ns/op (the upper one of an even count), with
+// the runs' ns/op range and their median allocs/op.
+func medians(runs []Benchmark) []Benchmark {
+	var out []Benchmark
+	byName := map[string][]Benchmark{}
+	for _, b := range runs {
+		if byName[b.Name] == nil {
+			out = append(out, b)
+		}
+		byName[b.Name] = append(byName[b.Name], b)
+	}
+	allocs := func(b Benchmark) float64 { return *cmp.Or(b.AllocsPerOp, new(float64)) }
+	for i := range out {
+		rs := byName[out[i].Name]
+		slices.SortFunc(rs, func(a, b Benchmark) int { return cmp.Compare(allocs(a), allocs(b)) })
+		mid := rs[len(rs)/2].AllocsPerOp
+		slices.SortFunc(rs, func(a, b Benchmark) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+		out[i] = rs[len(rs)/2]
+		out[i].Runs, out[i].NsMin, out[i].NsMax, out[i].AllocsPerOp = len(rs), rs[0].NsPerOp, rs[len(rs)-1].NsPerOp, mid
+	}
+	return out
 }
 
 // parseLine parses one result line of the form

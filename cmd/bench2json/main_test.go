@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -140,5 +141,33 @@ func TestCompareFailsOnMissingBenchmark(t *testing.T) {
 	err := compare(&out, baselineReport(), cur, 0.20)
 	if err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("missing baseline benchmark not flagged: %v\n%s", err, out.String())
+	}
+}
+
+// TestRepeatedRunsCompareByMedian: with -count 5 a benchmark is one row,
+// the median of its runs beside their ns/op range, so one stalled run
+// neither fails the gate nor moves the baseline.
+func TestRepeatedRunsCompareByMedian(t *testing.T) {
+	in := "pkg: example.com/p\nBenchmarkNetsimChurn/1k-8 10 2000 ns/op 7 allocs/op\n"
+	for i, ns := range []int{1000, 1010, 5000, 990, 1020} {
+		in += fmt.Sprintf("BenchmarkSelect/1k-8 100 %d ns/op 64 B/op %d allocs/op\n", ns, []int{3, 3, 9, 3, 4}[i])
+	}
+	rep, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("parsed %d rows, want one per benchmark: %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	b := rep.Benchmarks[1]
+	if b.Runs != 5 || b.NsPerOp != 1010 || b.NsMin != 990 || b.NsMax != 5000 || *b.AllocsPerOp != 3 {
+		t.Errorf("row = %+v (allocs %v): want 5 runs, median 1010 ns and 3 allocs, range 990–5000", b, *b.AllocsPerOp)
+	}
+	var out strings.Builder
+	if err := compare(&out, baselineReport(), rep, 0.20); err != nil {
+		t.Fatalf("a stalled run among five failed the gate: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "990–5000") {
+		t.Errorf("compare does not print the row's range:\n%s", out.String())
 	}
 }

@@ -13,7 +13,8 @@ import (
 )
 
 // Chunk checksums: every chunk file has a sidecar "<n>.crc" holding the
-// CRC-32 (IEEE) of its contents, maintained incrementally on append.
+// CRC-32 (IEEE) of its contents, extended in memory on append by the
+// open tail (writeTail) and stored with one 4-byte positional write.
 // Scrub recomputes every chunk's checksum and reports mismatches — the
 // background integrity verification a production chunk server performs
 // (HDFS block scanner equivalent), guarding the immutable chunks that
@@ -39,25 +40,48 @@ func (st *storage) loadChunkCRC(id uuid.UUID, chunk int) (uint32, bool, error) {
 	return binary.BigEndian.Uint32(raw), true, nil
 }
 
-func (st *storage) storeChunkCRC(id uuid.UUID, chunk int, crc uint32) error {
+// writeCRC stores crc in an open sidecar with one positional write: a
+// sidecar is always exactly 4 bytes, so it is never truncated.
+func writeCRC(sidecar *os.File, crc uint32) error {
 	var buf [4]byte
 	binary.BigEndian.PutUint32(buf[:], crc)
-	return os.WriteFile(st.crcPath(id, chunk), buf[:], 0o644)
+	_, err := sidecar.WriteAt(buf[:], 0)
+	return err
 }
 
-// updateChunkCRC folds freshly appended bytes into a chunk's running
-// checksum. CRC-32 extends over appended data directly, so no re-read of
-// the chunk is needed.
-func (st *storage) updateChunkCRC(id uuid.UUID, chunk int, appended []byte) error {
-	prev, ok, err := st.loadChunkCRC(id, chunk)
+// chunkCRC computes the CRC-32 of f's first n bytes.
+func chunkCRC(f *os.File, n int64) (uint32, error) {
+	sum := crc32.NewIEEE()
+	_, err := io.CopyN(sum, io.NewSectionReader(f, 0, n), n)
+	return sum.Sum32(), err
+}
+
+// fileCRC computes the CRC-32 of the whole file at path.
+func fileCRC(path string) (uint32, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	sum := crc32.NewIEEE()
+	_, err = io.Copy(sum, f)
+	return sum.Sum32(), err
+}
+
+// healTail stores a partial last chunk's checksum if its sidecar
+// disagrees: a crash between a chunk write and its sidecar write leaves
+// healthy bytes under a stale sidecar. Restarts run it, so they also
+// adopt any corruption of a partial last chunk.
+func (st *storage) healTail(id uuid.UUID, chunk int) error {
+	crc, err := fileCRC(st.chunkPath(id, chunk))
+	if want, ok, _ := st.loadChunkCRC(id, chunk); err != nil || ok && crc == want {
+		return err
+	}
+	sum, err := os.OpenFile(st.crcPath(id, chunk), os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
-	if !ok {
-		prev = 0
-	}
-	next := crc32.Update(prev, crc32.IEEETable, appended)
-	return st.storeChunkCRC(id, chunk, next)
+	return errors.Join(writeCRC(sum, crc), sum.Close())
 }
 
 // ChunkFault describes one integrity problem found by Scrub.
@@ -83,18 +107,11 @@ func (st *storage) scrub() ([]ChunkFault, error) {
 	var faults []ChunkFault
 	for _, id := range ids {
 		for chunk := 1; ; chunk++ {
-			f, err := os.Open(st.chunkPath(id, chunk))
+			crc, err := fileCRC(st.chunkPath(id, chunk))
 			if errors.Is(err, os.ErrNotExist) {
 				break
 			}
 			if err != nil {
-				faults = append(faults, ChunkFault{FileID: id, Chunk: chunk, Reason: "unreadable"})
-				continue
-			}
-			sum := crc32.NewIEEE()
-			_, copyErr := io.Copy(sum, f)
-			f.Close()
-			if copyErr != nil {
 				faults = append(faults, ChunkFault{FileID: id, Chunk: chunk, Reason: "unreadable"})
 				continue
 			}
@@ -103,7 +120,7 @@ func (st *storage) scrub() ([]ChunkFault, error) {
 				faults = append(faults, ChunkFault{FileID: id, Chunk: chunk, Reason: "missing-sidecar"})
 				continue
 			}
-			if sum.Sum32() != want {
+			if crc != want {
 				faults = append(faults, ChunkFault{FileID: id, Chunk: chunk, Reason: "checksum-mismatch"})
 			}
 		}

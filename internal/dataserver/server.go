@@ -335,6 +335,7 @@ func (s *Server) Close() error {
 	s.pool.Close()
 	s.bulk.Close()
 	s.wg.Wait()
+	s.store.close() // after the send loops: a chunk handle closes only when no send holds it
 	return err
 }
 
@@ -416,7 +417,7 @@ func (s *Server) registerHandlers() error {
 				return AppendReply{}, err
 			}
 			fs.appendMu.Lock()
-			size, err := s.store.appendAtLocked(fs, a.FileID, a.Offset, a.Data)
+			size, err := s.store.appendAtLocked(fs, a.Offset, a.Data)
 			fs.appendMu.Unlock()
 			if err != nil {
 				return AppendReply{}, err
@@ -502,7 +503,7 @@ func (s *Server) handleAppend(ctx context.Context, a AppendArgs) (AppendReply, e
 		// the piece again after the locally applied bytes.
 		fs.recordSeq(a.Seq, offset)
 	}
-	size, err := s.store.appendAtLocked(fs, a.FileID, offset, a.Data)
+	size, err := s.store.appendAtLocked(fs, offset, a.Data)
 	if err != nil {
 		return AppendReply{}, err
 	}

@@ -74,6 +74,20 @@ func TestOneReleasePath(t *testing.T) {
 	}
 }
 
+// TestNoTruncatingWritesInTheChunkStore keeps the dataserver's writes
+// positional: os.WriteFile and O_TRUNC empty a file before refilling it.
+// Rewriting a chunk's checksum sidecar that way cost every append piece
+// ~75 µs against ~15 µs for a positional write, and rewriting meta.json
+// that way let a reader see it empty.
+func TestNoTruncatingWritesInTheChunkStore(t *testing.T) {
+	offenders := goFilesMatching(t, `os\.WriteFile|O_TRUNC`, func(rel string) bool {
+		return !strings.HasPrefix(rel, "internal/dataserver/") || strings.HasSuffix(rel, "_test.go")
+	})
+	if len(offenders) > 0 {
+		t.Fatalf("truncating write in: %v — write chunks and sidecars in place with WriteAt, and metadata by rename", offenders)
+	}
+}
+
 // TestNoRawHandlersOutsideTheSeam keeps "how a control message becomes
 // a Go value" a decision of this package (DESIGN.md §13): a service that
 // mentions json.RawMessage is unmarshalling params by hand again instead
