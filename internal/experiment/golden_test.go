@@ -156,6 +156,21 @@ func TestSweepFigure9WorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestGoldenMultiRead pins the §4.3 split-read comparison: which reads
+// split, their subflow sizes and finish skew all flow from the split's
+// trial commit and rollback.
+func TestGoldenMultiRead(t *testing.T) {
+	res, err := MultiRead(goldenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var txt bytes.Buffer
+	if err := WriteMultiRead(&txt, res); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "multiread.golden", txt.Bytes())
+}
+
 // TestGoldenTrials pins a two-trial table so the trial-merge path
 // (Student-t over per-trial paired ratios) is golden-covered too.
 func TestGoldenTrials(t *testing.T) {
