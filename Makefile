@@ -62,8 +62,8 @@ fuzz:
 
 # The hot-path selection/churn/replication/RPC benchmarks, each run five
 # times: bench2json keeps each one's median and range.
-BENCH_RUN = $(GO) test -run '^$$' -bench '^BenchmarkSelect$$|^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkBulkRead4K$$|^BenchmarkBulkRead8M$$|^BenchmarkBulkReadPaced4K$$|^BenchmarkBulkReadPaced8M$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCAttach256k$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$' \
-	-benchmem -count 5 -timeout 0 ./internal/flowserver ./internal/flowctl ./internal/netsim ./internal/experiment ./internal/dataserver ./internal/rpc ./internal/client ./internal/nameserver
+BENCH_RUN = $(GO) test -run '^$$' -bench '^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkBulkRead4K$$|^BenchmarkBulkRead8M$$|^BenchmarkBulkReadPaced4K$$|^BenchmarkBulkReadPaced8M$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCAttach256k$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$' \
+	-benchmem -count 5 -timeout 0 ./internal/flowctl ./internal/netsim ./internal/experiment ./internal/dataserver ./internal/rpc ./internal/client ./internal/nameserver
 
 # bench records the benchmarks' medians in BENCH_selection.json, the
 # committed performance baseline for the incremental allocator, the write

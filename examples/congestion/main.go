@@ -62,7 +62,7 @@ func run() error {
 		}
 		// Eq. 2 cost of insisting on the nearest replica...
 		nearPath := topo.ShortestPaths(nearReplica, client)[0]
-		nearCost, nearBw := probe.Shard(0).Server().PathCost(nearReplica, nearPath, readBits)
+		nearCost, nearBw := probe.Shard(0).Server().PathCost(nearPath, readBits)
 
 		// ...versus what joint replica-path selection chooses.
 		as, err := probe.SelectReplicaAndPath(flowserver.Request{

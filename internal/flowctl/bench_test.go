@@ -1,6 +1,7 @@
 package flowctl
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
@@ -8,63 +9,90 @@ import (
 	"github.com/mayflower-dfs/mayflower/internal/topology"
 )
 
-// BenchmarkSelectSharded measures one read selection against a plane
-// already holding ~1k live flows, at 1, 2 and 4 shards. The 1-shard
-// case is the path every default deployment takes: every candidate
-// wholly owned, scored exactly, committed without a split. At N >= 2 the
-// measured work adds digest scoring of the remote sub-path and the
-// foreign commit to the owning shard (direct in-process links here, so
-// the delta is the partitioning machinery itself, not wire latency).
+// BenchmarkSelectSharded measures one read selection — the loop every
+// deployment runs — against a plane already holding 1k or 10k live
+// flows, at 1, 2 and 4 shards. The 1-shard case is every default
+// deployment: every candidate wholly owned, scored exactly, committed
+// without a split. At N >= 2 the measured work adds digest scoring of
+// the remote sub-paths, and a foreign commit whenever a cross-pod
+// replica wins (direct in-process links here, so the delta is the
+// partitioning machinery itself, not wire latency).
 func BenchmarkSelectSharded(b *testing.B) {
-	for _, bc := range []struct {
-		name   string
-		shards int
-	}{{"1", 1}, {"2", 2}, {"4", 4}} {
-		b.Run(bc.name, func(b *testing.B) {
-			topo, err := topology.New(topology.PaperTestbed(8))
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, err := NewPlane(topo, Options{Shards: bc.shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := testutil.Rand(b, 7)
-			hosts := topo.Hosts()
-			for i := 0; i < 1000; i++ {
-				src := hosts[r.Intn(len(hosts))]
-				dst := hosts[r.Intn(len(hosts))]
-				if src == dst {
-					i--
-					continue
+	for _, flows := range []int{1000, 10000} {
+		for _, shards := range []int{1, 2, 4} {
+			var p *Plane // loaded once, on the first of b.Run's rounds
+			b.Run(fmt.Sprintf("%dk/%d", flows/1000, shards), func(b *testing.B) {
+				if p == nil {
+					p = loadedPlane(b, shards, flows)
 				}
-				if _, err := p.SelectPath(src, dst, 1e6*(1+r.Float64()*2000)); err != nil {
-					b.Fatal(err)
+				topo := p.topo
+				// Cross-pod on the paper testbed: client in pod 0, replicas
+				// spread over pods 0, 1 and 2, so N >= 2 planes always score
+				// at least one remote sub-path from digests.
+				client := topo.HostAt(0, 0, 0)
+				replicas := []topology.NodeID{
+					topo.HostAt(0, 1, 0), topo.HostAt(1, 0, 0), topo.HostAt(2, 2, 3),
 				}
-			}
-			p.PollFrom(1.0, staticStats{})
-			// Cross-pod on the paper testbed: client in pod 0, replicas
-			// spread over pods 0, 1 and 2, so N >= 2 planes always score
-			// at least one remote sub-path from digests.
-			client := topo.HostAt(0, 0, 0)
-			replicas := []topology.NodeID{
-				topo.HostAt(0, 1, 0), topo.HostAt(1, 0, 0), topo.HostAt(2, 2, 3),
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				as, err := p.SelectReplicaAndPath(flowserver.Request{
-					Client: client, Replicas: replicas, Bits: 256 * 8e6,
-				})
-				if err != nil {
-					b.Fatal(err)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					as, err := p.SelectReplicaAndPath(flowserver.Request{
+						Client: client, Replicas: replicas, Bits: 256 * 8e6,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, a := range as {
+						p.FlowFinished(a.FlowID)
+					}
 				}
-				for _, a := range as {
-					p.FlowFinished(a.FlowID)
-				}
-			}
-		})
+			})
+		}
 	}
+}
+
+// loadedPlane builds a plane over the paper testbed holding n flows on
+// random shortest paths, registered directly in the model of every
+// shard owning part of each path with demands capped at random shares,
+// and polled once so every shard holds its peers' digests. The flows'
+// ids -n…-1 sort below every id a selection draws, so measured commits
+// append to the per-link flow lists, as in a long-running plane.
+func loadedPlane(b *testing.B, shards, n int) *Plane {
+	topo, err := topology.New(topology.PaperTestbed(8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := NewPlane(topo, Options{Shards: shards})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := testutil.Rand(b, 7)
+	hosts := p.topo.Hosts()
+	pods := LinkPods(p.topo)
+	owner, _ := p.dir.Owners()
+	for i := 0; i < n; {
+		src, dst := hosts[r.Intn(len(hosts))], hosts[r.Intn(len(hosts))]
+		if src == dst {
+			continue
+		}
+		paths := p.topo.ShortestPaths(src, dst)
+		path := paths[r.Intn(len(paths))]
+		bits, capBw := 1e6*(1+r.Float64()*2000), 1e6*(1+r.Float64()*999)
+		for g, s := range p.shards {
+			var own topology.Path
+			for _, l := range path {
+				if owner[pods[l]] == g {
+					own = append(own, l)
+				}
+			}
+			if len(own) > 0 {
+				s.srv.CommitForeign(flowserver.FlowID(i-n), own, bits, capBw)
+			}
+		}
+		i++
+	}
+	p.PollFrom(1.0, staticStats{})
+	return p
 }
 
 // staticStats is an empty poll source: PollFrom still rebuilds and

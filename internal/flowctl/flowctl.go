@@ -16,11 +16,12 @@
 //
 // Selections are coordinated by the requester-side shard — the shard
 // owning the client's pod for reads, the writing host's pod for write
-// pipelines. The coordinator scores the links it owns exactly against
-// its own model (flowserver.EvalPathCost) and the remote sub-path from
-// gossiped per-link utilization digests (bounded staleness: digests
-// refresh on the stats-poll cadence, so a digest is never older than
-// one poll interval plus the time since the last poll). Commits are
+// pipelines. The coordinator lists the candidate paths, each split into
+// the links it owns and a cap estimated from gossiped per-link
+// utilization digests for the rest (bounded staleness: digests refresh
+// on the stats-poll cadence, so a digest is never older than one poll
+// interval plus the time since the last poll); its embedded Flowserver
+// scores the owned links exactly (flowserver.Server.Select). Commits are
 // exact everywhere: the coordinator commits its own sub-path and pushes
 // the remote sub-path to its owning shard under the same globally
 // unique flow id (flowserver.CommitForeign), so every shard's model

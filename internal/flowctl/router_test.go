@@ -10,6 +10,7 @@ import (
 
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
 	"github.com/mayflower-dfs/mayflower/internal/rpc"
+	"github.com/mayflower-dfs/mayflower/internal/topology"
 	"github.com/mayflower-dfs/mayflower/internal/wire"
 )
 
@@ -262,5 +263,42 @@ func TestRouterReboundStubDeliversToItsShard(t *testing.T) {
 	}
 	if got := b.got(); len(got) != 0 {
 		t.Errorf("shard B received releases %v for flows it never issued", got)
+	}
+}
+
+// TestCommitForeignRejectsMalformed: a ctl.Commit naming a link outside
+// the topology or one link twice, or carrying a negative size or cap,
+// is refused with an error before it reaches the model, and the shard
+// process keeps serving.
+func TestCommitForeignRejectsMalformed(t *testing.T) {
+	topo := testTopo(t)
+	shard := oneShard(t, topo)
+	addr := serveWire(t, func(srv *wire.Server) error {
+		return RegisterShardRPC(srv, shard, flowserver.Hooks{})
+	})
+	pool := rpc.NewPool(rpc.Options{})
+	defer pool.Close()
+	link := NewRPCShardLink(pool.Peer(addr), nil)
+	path := topo.ShortestPaths(topo.HostAt(0, 0, 0), topo.HostAt(0, 1, 0))[0]
+	for _, tc := range []struct {
+		name        string
+		links       topology.Path
+		bits, capBw float64
+	}{
+		{"a link past the topology", topology.Path{1 << 20}, 8, 1},
+		{"a negative link", topology.Path{-1}, 8, 1},
+		{"one link twice", topology.Path{path[0], path[0]}, 8, 1},
+		{"a negative size", path, -8, 1},
+		{"a negative cap", path, 8, -1},
+	} {
+		if _, err := link.CommitForeign(7, tc.links, tc.bits, tc.capBw); err == nil {
+			t.Errorf("a commit with %s was accepted", tc.name)
+		}
+	}
+	if bw, err := link.CommitForeign(7, path, 8, 1); err != nil || bw != 1 {
+		t.Fatalf("a well-formed commit = (%g, %v), want (1, nil)", bw, err)
+	}
+	if n := shard.Server().NumFlows(); n != 1 {
+		t.Errorf("NumFlows = %d, want only the well-formed commit", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
 	"github.com/mayflower-dfs/mayflower/internal/rpc"
@@ -123,12 +124,22 @@ func wirePath(links topology.Path) []int32 {
 	return out
 }
 
-func pathFromWire(links []int32) topology.Path {
-	out := make(topology.Path, len(links))
-	for i, l := range links {
-		out[i] = topology.LinkID(l)
+// foreignPath validates a ctl.Commit before it reaches the model, whose
+// link table an unknown link would index past and whose state a
+// repeated link or a negative size or cap would corrupt, and returns its
+// links.
+func foreignPath(a CommitForeignArgs, numLinks int) (topology.Path, error) {
+	if !(a.Bits >= 0) || !(a.CapBw >= 0) {
+		return nil, fmt.Errorf("flowctl: commit of flow %d: negative size %g or cap %g", a.FlowID, a.Bits, a.CapBw)
 	}
-	return out
+	out := make(topology.Path, len(a.Links))
+	for i, l := range a.Links {
+		out[i] = topology.LinkID(l)
+		if l < 0 || int(l) >= numLinks || slices.Contains(out[:i], out[i]) {
+			return nil, fmt.Errorf("flowctl: commit of flow %d: bad link %d in %v", a.FlowID, l, a.Links)
+		}
+	}
+	return out, nil
 }
 
 // RegisterShardRPC serves one shard on a wire server: the fs.*
@@ -141,8 +152,11 @@ func RegisterShardRPC(srv *wire.Server, s *Shard, hooks flowserver.Hooks) error 
 	}
 	return errors.Join(
 		MethodCommitForeign.Handle(srv, func(_ context.Context, a CommitForeignArgs) (CommitForeignReply, error) {
-			bw := s.srv.CommitForeign(a.FlowID, pathFromWire(a.Links), a.Bits, a.CapBw)
-			return CommitForeignReply{EstimatedBw: bw}, nil
+			links, err := foreignPath(a, s.topo.NumLinks())
+			if err != nil {
+				return CommitForeignReply{}, err
+			}
+			return CommitForeignReply{EstimatedBw: s.srv.CommitForeign(a.FlowID, links, a.Bits, a.CapBw)}, nil
 		}),
 		MethodFinishForeign.Handle(srv, func(_ context.Context, a FinishForeignArgs) (struct{}, error) {
 			s.srv.FlowFinished(a.FlowID)

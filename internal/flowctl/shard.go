@@ -3,6 +3,7 @@ package flowctl
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,7 +66,10 @@ type Shard struct {
 	// coordinated maps flows this shard coordinated to the remote
 	// shards holding their other half, for fan-out on Finished.
 	coordinated map[flowserver.FlowID][]int
-	localLinks  []topology.LinkID // scratch
+	// cands is the candidate list of the selection in progress; owned
+	// backs the Own of candidates this shard does not wholly own.
+	cands []flowserver.Candidate
+	owned []topology.LinkID
 }
 
 // ShardConfig parameterizes one shard.
@@ -138,7 +142,6 @@ func NewShard(topo *topology.Topology, cfg ShardConfig) (*Shard, error) {
 		coordinated: make(map[flowserver.FlowID][]int),
 	}
 	s.srv = flowserver.New(topo, flowserver.Options{
-		MultiReplica:      cfg.MultiReplica,
 		DisableImpactTerm: cfg.DisableImpactTerm,
 		DisableFreeze:     cfg.DisableFreeze,
 		Now:               cfg.Now,
@@ -192,86 +195,78 @@ func (s *Shard) OwnsPod(pod int) bool {
 	return pod >= 0 && pod < len(s.owner) && s.owner[pod] == s.idx
 }
 
-// candidate is one scored replica/path option of a sharded selection.
-type shardCandidate struct {
-	replica topology.NodeID
-	path    topology.Path
-	cost    float64
-	bw      float64
-	cap     float64 // remote sub-path cap used in the evaluation
-	cross   bool
-}
-
-// evalSharded scores one path: links this shard owns exactly, remote
-// links from the merged digest view. The remote estimate carries no
-// impact term — the completion-time increase of flows another shard
-// models is exactly the information the digest compresses away — which
-// is the bounded-staleness approximation the shard-count sweep
-// quantifies. Caller must hold selMu.
-func (s *Shard) evalSharded(path topology.Path, bits float64) shardCandidate {
-	local := s.localLinks[:0]
-	remoteCap := math.Inf(1)
+// addCandidates appends one candidate per path to the selection in
+// progress, endpoint naming the replica (reads) or target (writes) the
+// path serves. Own is the path itself when this shard owns every link —
+// always, on a one-shard plane — and else the links it owns. Cap is the
+// share the merged digest view estimates for the links it does not own:
+// exact scoring stops at the ownership boundary, so the remote estimate
+// carries no impact term — the completion-time increase of flows another
+// shard models is exactly what the digest compresses away, the
+// bounded-staleness approximation the shard-count sweep quantifies.
+// Caller must hold selMu.
+func (s *Shard) addCandidates(endpoint topology.NodeID, paths []topology.Path) {
 	s.ownMu.RLock()
-	for _, lid := range path {
-		if s.owner[s.linkPod[lid]] == s.idx {
-			local = append(local, lid)
-			continue
+	defer s.ownMu.RUnlock()
+	for _, path := range paths {
+		start, capBw := len(s.owned), math.Inf(1)
+		for _, lid := range path {
+			if s.owner[s.linkPod[lid]] == s.idx {
+				s.owned = append(s.owned, lid)
+			} else if est := ShareEstimate(s.capacity[lid], s.view[lid]); est < capBw {
+				capBw = est
+			}
 		}
-		if est := ShareEstimate(s.capacity[lid], s.view[lid]); est < remoteCap {
-			remoteCap = est
+		own := s.owned[start:]
+		if len(own) == len(path) {
+			own, s.owned = path, s.owned[:start]
 		}
+		s.cands = append(s.cands, flowserver.Candidate{Endpoint: endpoint, Path: path, Own: own, Cap: capBw})
 	}
-	s.ownMu.RUnlock()
-	s.localLinks = local
-	var cost, bw float64
-	if len(local) > 0 {
-		cost, bw = s.srv.EvalPathCost(local, bits, remoteCap)
-	} else {
-		bw = remoteCap
-		if bw > 0 {
-			cost = bits / bw
-		} else {
-			cost = math.Inf(1)
-		}
-	}
-	return shardCandidate{path: path, cost: cost, bw: bw, cap: remoteCap, cross: len(local) < len(path)}
 }
 
-// commitSharded registers the winning candidate: the owned sub-path
-// exactly (allocating the flow id), then the remote sub-path with its
-// owning shard under the same id, capped at the granted share. A
-// remote commit failure (peer dead or unreachable) is counted and
-// tolerated: the flow still runs, the remote model just cannot see it
-// until its counters do — the same blindness background traffic
-// already inflicts. Caller must hold selMu.
-func (s *Shard) commitSharded(c shardCandidate, bits float64) flowserver.Assignment {
-	if !c.cross {
-		// Wholly owned — every path of a one-shard plane: the candidate's
-		// own path is the commit, with no split to build and no peer to
-		// tell.
+// selectFlow runs the embedded server's Select over the candidate list
+// and pushes the winner's remote sub-path, if any, to the shards owning
+// it. Caller must hold selMu.
+func (s *Shard) selectFlow(bits float64) (flowserver.Assignment, error) {
+	a, won, err := s.srv.Select(s.cands, bits)
+	if err != nil {
+		return a, err
+	}
+	c := s.cands[won]
+	if len(c.Own) == len(c.Path) {
 		s.met.PodLocal.Inc()
-		a := s.srv.CommitPath(c.path, bits, c.cap)
-		a.Replica = c.replica
-		return a
+		return a, nil
 	}
 	s.met.CrossShard.Inc()
-	local := make(topology.Path, 0, len(c.path))
+	s.commitRemote(a.FlowID, c, bits, a.EstimatedBw)
+	return a, nil
+}
+
+// commitRemote registers the links of c outside its Own with their
+// owning shards under the coordinator's flow id, capped at the share
+// this shard granted. A remote commit failure (peer dead or
+// unreachable) is counted and tolerated: the flow still runs, the
+// remote model just cannot see it until its counters do — the same
+// blindness background traffic already inflicts. Caller must hold
+// selMu.
+func (s *Shard) commitRemote(id flowserver.FlowID, c flowserver.Candidate, bits, bw float64) {
 	remoteLinks := make(map[int]topology.Path)
 	var remoteOrder []int
+	own := c.Own
 	s.ownMu.RLock()
-	for _, lid := range c.path {
-		g := s.owner[s.linkPod[lid]]
-		if g == s.idx {
-			local = append(local, lid)
+	for _, lid := range c.Path {
+		if len(own) > 0 && own[0] == lid {
+			own = own[1:]
 			continue
 		}
+		g := s.owner[s.linkPod[lid]]
 		if _, ok := remoteLinks[g]; !ok {
 			remoteOrder = append(remoteOrder, g)
 		}
 		remoteLinks[g] = append(remoteLinks[g], lid)
 	}
 	s.ownMu.RUnlock()
-	a := s.srv.CommitPath(local, bits, c.cap)
 	var committed []int
 	for _, g := range remoteOrder {
 		if d := s.remote[g]; d != nil && s.now != nil {
@@ -282,7 +277,7 @@ func (s *Shard) commitSharded(c shardCandidate, bits float64) flowserver.Assignm
 			s.met.RemoteCommitErrors.Inc()
 			continue
 		}
-		if _, err := peer.CommitForeign(a.FlowID, remoteLinks[g], bits, a.EstimatedBw); err != nil {
+		if _, err := peer.CommitForeign(id, remoteLinks[g], bits, bw); err != nil {
 			s.met.RemoteCommitErrors.Inc()
 			continue
 		}
@@ -290,10 +285,8 @@ func (s *Shard) commitSharded(c shardCandidate, bits float64) flowserver.Assignm
 		committed = append(committed, g)
 	}
 	if len(committed) > 0 {
-		s.coordinated[a.FlowID] = committed
+		s.coordinated[id] = committed
 	}
-	a.Replica, a.Path = c.replica, c.path
-	return a
 }
 
 // localAssignment is the zero-network-cost answer for a replica or
@@ -308,35 +301,31 @@ func (s *Shard) localAssignment(host topology.NodeID, bits float64) flowserver.A
 	}
 }
 
-// SelectReplicaAndPath is joint replica and path selection coordinated
-// by this shard (which must own the client's pod).
-func (s *Shard) SelectReplicaAndPath(req flowserver.Request) ([]flowserver.Assignment, error) {
-	if s.multi {
-		// §4.3 splits trial-commit and roll back against one model, so
-		// they run in the embedded server — which, NewShard guarantees,
-		// models the whole network here. The one place the shard count
-		// bears on a decision.
-		s.selMu.Lock()
-		defer s.selMu.Unlock()
-		return s.srv.SelectReplicaAndPath(req)
+// observe counts one selection request and its latency, the one place
+// flowserver.selections, write_selections and select_seconds move.
+func (s *Shard) observe(start time.Time, write bool) {
+	m := s.met.Flowserver
+	m.Selections.Inc()
+	if write {
+		m.WriteSelections.Inc()
 	}
-	return s.selectOne(req)
+	m.SelectSeconds.Observe(time.Since(start).Seconds())
 }
 
-// selectOne picks the minimum-cost (replica, path) candidate and commits
-// it as one flow.
-func (s *Shard) selectOne(req flowserver.Request) ([]flowserver.Assignment, error) {
+// SelectReplicaAndPath is joint replica and path selection coordinated
+// by this shard (which must own the client's pod): every shortest path
+// from every replica to the client is a candidate of one Select. With
+// MultiReplica a read of two or more replicas may split (§4.3).
+func (s *Shard) SelectReplicaAndPath(req flowserver.Request) ([]flowserver.Assignment, error) {
 	if len(req.Replicas) == 0 {
 		return nil, flowserver.ErrNoReplicas
 	}
 	if req.Bits < 0 {
 		return nil, fmt.Errorf("flowctl: negative read size %g", req.Bits)
 	}
-	start := time.Now()
+	defer s.observe(time.Now(), false)
 	s.selMu.Lock()
 	defer s.selMu.Unlock()
-	s.met.Flowserver.Selections.Inc()
-	defer func() { s.met.Flowserver.SelectSeconds.Observe(time.Since(start).Seconds()) }()
 
 	// A co-located replica costs nothing; every policy prefers it.
 	for _, r := range req.Replicas {
@@ -344,31 +333,28 @@ func (s *Shard) selectOne(req flowserver.Request) ([]flowserver.Assignment, erro
 			return []flowserver.Assignment{s.localAssignment(r, req.Bits)}, nil
 		}
 	}
-	var best shardCandidate
-	found := false
-	evaluated := int64(0)
+	s.cands, s.owned = s.cands[:0], s.owned[:0]
 	for _, rep := range req.Replicas {
-		for _, path := range s.topo.ShortestPaths(rep, req.Client) {
-			c := s.evalSharded(path, req.Bits)
-			c.replica = rep
-			evaluated++
-			if !found || c.cost < best.cost {
-				best = c
-				found = true
-			}
-		}
+		s.addCandidates(rep, s.topo.ShortestPaths(rep, req.Client))
 	}
-	s.met.Flowserver.Candidates.Add(evaluated)
-	if !found {
-		return nil, fmt.Errorf("flowctl: no path from any replica to client %d", req.Client)
+	if s.multi && len(req.Replicas) > 1 {
+		// NewShard allows MultiReplica on one shard only, so every
+		// candidate is wholly owned and the split rolls back one model.
+		as, err := s.srv.SelectSplit(s.cands, req.Bits)
+		s.met.PodLocal.Add(int64(len(as)))
+		return as, err
 	}
-	return []flowserver.Assignment{s.commitSharded(best, req.Bits)}, nil
+	a, err := s.selectFlow(req.Bits)
+	if err != nil {
+		return nil, fmt.Errorf("flowctl: no path from any replica to client %d: %w", req.Client, err)
+	}
+	return []flowserver.Assignment{a}, nil
 }
 
 // SelectPath is the path-only scheduler for a pre-chosen replica; it
 // never splits.
 func (s *Shard) SelectPath(client, replica topology.NodeID, bits float64) (flowserver.Assignment, error) {
-	as, err := s.selectOne(flowserver.Request{Client: client, Replicas: []topology.NodeID{replica}, Bits: bits})
+	as, err := s.SelectReplicaAndPath(flowserver.Request{Client: client, Replicas: []topology.NodeID{replica}, Bits: bits})
 	if err != nil {
 		return flowserver.Assignment{}, err
 	}
@@ -376,19 +362,18 @@ func (s *Shard) SelectPath(client, replica topology.NodeID, bits float64) (flows
 }
 
 // SelectWritePipeline schedules a replication fan-out: one flow of the
-// given size from source to each target, ordered cheapest-first by
-// repeated Eq. 2 evaluation. Each round scores every shortest path from
-// the source to every remaining target with evalSharded, commits the
-// minimum-cost one, and re-evaluates the rest against the updated model
-// — so later hops see the bandwidth the earlier hops already claimed.
-// This extends the read-side co-design of Pseudocode 1 to replication
-// traffic (§3.3's "collaboratively with the Flowserver" direction): the
-// primary learns both which replica to stream to first and which path
-// each hop takes.
+// given size from source to each target, ordered cheapest-first. Each
+// round is one Select over every shortest path from the source to every
+// remaining target, so later hops see the bandwidth the earlier hops
+// already claimed. This extends the read-side co-design of Pseudocode 1
+// to replication traffic (§3.3's "collaboratively with the Flowserver"
+// direction): the primary learns both which replica to stream to first
+// and which path each hop takes.
 //
 // Assignments are returned in the chosen pipeline order. The caller must
 // report each non-local flow's completion with FlowFinished. A target
-// co-located with the source yields a local assignment (no flow).
+// co-located with the source yields a local assignment (no flow) before
+// any hop is scored.
 func (s *Shard) SelectWritePipeline(source topology.NodeID, targets []topology.NodeID, bits float64) ([]flowserver.Assignment, error) {
 	if len(targets) == 0 {
 		return nil, flowserver.ErrNoReplicas
@@ -396,45 +381,30 @@ func (s *Shard) SelectWritePipeline(source topology.NodeID, targets []topology.N
 	if bits < 0 {
 		return nil, fmt.Errorf("flowctl: negative write size %g", bits)
 	}
-	start := time.Now()
+	defer s.observe(time.Now(), true)
 	s.selMu.Lock()
 	defer s.selMu.Unlock()
-	s.met.Flowserver.Selections.Inc()
-	s.met.Flowserver.WriteSelections.Inc()
 
 	remaining := append([]topology.NodeID(nil), targets...)
 	out := make([]flowserver.Assignment, 0, len(targets))
 	for len(remaining) > 0 {
-		bestIdx, local := -1, false
-		var best shardCandidate
-		evaluated := int64(0)
-		for i, tgt := range remaining {
-			if tgt == source {
-				bestIdx, local = i, true
-				break
-			}
-			for _, path := range s.topo.ShortestPaths(source, tgt) {
-				c := s.evalSharded(path, bits)
-				c.replica = tgt
-				evaluated++
-				if bestIdx < 0 || c.cost < best.cost {
-					best = c
-					bestIdx = i
-				}
-			}
-		}
-		s.met.Flowserver.Candidates.Add(evaluated)
-		if bestIdx < 0 {
-			return nil, fmt.Errorf("flowctl: no path from source %d to targets %v", source, remaining)
-		}
-		if local {
+		i := slices.Index(remaining, source)
+		if i >= 0 {
 			out = append(out, s.localAssignment(source, bits))
 		} else {
-			out = append(out, s.commitSharded(best, bits))
+			s.cands, s.owned = s.cands[:0], s.owned[:0]
+			for _, tgt := range remaining {
+				s.addCandidates(tgt, s.topo.ShortestPaths(source, tgt))
+			}
+			a, err := s.selectFlow(bits)
+			if err != nil {
+				return nil, fmt.Errorf("flowctl: no path from source %d to targets %v: %w", source, remaining, err)
+			}
+			out = append(out, a)
+			i = slices.Index(remaining, a.Replica)
 		}
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
+		remaining = slices.Delete(remaining, i, i+1)
 	}
-	s.met.Flowserver.SelectSeconds.Observe(time.Since(start).Seconds())
 	return out, nil
 }
 

@@ -68,7 +68,7 @@ func (s *Server) CheckInvariants() error {
 }
 
 // InstallRestoreAudit runs the invariant checker immediately after every
-// snapshot rollback (the selectMulti reject path), panicking on a
+// snapshot rollback (SelectSplit's reject path), panicking on a
 // violation since restore has no error return. It returns an uninstall
 // func for defer. The hook is package-global: don't use with t.Parallel.
 func InstallRestoreAudit() func() {

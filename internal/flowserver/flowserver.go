@@ -5,8 +5,9 @@
 // The Flowserver keeps a model of every filesystem read flow it has
 // scheduled: the path it was assigned, its most recent bandwidth-share
 // estimate, and its remaining bytes. When a client asks where to read a
-// file from, the Flowserver evaluates every shortest path from every
-// replica to the client and picks the one minimizing Eq. 2:
+// file from, Select scores every candidate path — internal/flowctl lists
+// every shortest path from every replica to the client — and commits the
+// one minimizing Eq. 2:
 //
 //	Cost(p) = d_j/b_j + Σ_{f ∈ F_p} ( r_f/b'_f − r_f/b_f )
 //
@@ -29,7 +30,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/maxmin"
 	"github.com/mayflower-dfs/mayflower/internal/obs"
@@ -43,12 +43,8 @@ type FlowID int64
 var ErrNoReplicas = errors.New("flowserver: request has no replicas")
 
 // Options tune the selection algorithm; the zero value is the full paper
-// algorithm with multi-replica reads disabled (they are an explicit
-// optimization, enabled by MultiReplica).
+// algorithm.
 type Options struct {
-	// MultiReplica enables splitting a read across two replicas when the
-	// combined estimated bandwidth beats the best single replica (§4.3).
-	MultiReplica bool
 	// DisableImpactTerm drops the second term of Eq. 2 (the increase in
 	// completion time of existing flows), reducing the cost to the new
 	// flow's own completion time. Ablation only.
@@ -61,15 +57,6 @@ type Options struct {
 	// only advances via stats polls (simulation callers inject the
 	// simulator clock).
 	Now func() float64
-	// MaxPollSkew bounds how far a poll's caller-supplied timestamp may
-	// disagree with the model clock (Now) before the whole poll is
-	// rejected, in seconds. Freeze horizons are set from the model clock,
-	// so a poll stamped far in the model's future would expire every
-	// freeze early and one stamped in the past would never expire any;
-	// neither can be interpreted safely. 0 means DefaultMaxPollSkew;
-	// negative disables the check. Only consulted when Now is injected —
-	// without Now the poll timestamps *are* the clock.
-	MaxPollSkew float64
 	// Metrics is the instrumentation set the server counts into; a fresh
 	// private one when nil. Servers that are shards of one in-process
 	// control plane share a set, so its counters cover the whole plane
@@ -85,23 +72,27 @@ type Options struct {
 	IDStride int64
 }
 
-// DefaultMaxPollSkew is the poll-timestamp skew tolerance when
-// Options.MaxPollSkew is zero. Real deployments poll every ~1s with
-// microsecond-level clock agreement; 5 seconds rejects only polls that
-// are unambiguously from a different clock domain.
-const DefaultMaxPollSkew = 5.0
+// MaxPollSkew bounds, in seconds, how far a poll's caller-supplied
+// timestamp may disagree with an injected model clock (Options.Now)
+// before the whole poll is rejected. Freeze horizons are set from the
+// model clock, so a poll stamped far in the model's future would expire
+// every freeze early and one stamped in the past would never expire any.
+// Real deployments poll every ~1s with microsecond-level clock agreement;
+// 5 seconds rejects only polls that are unambiguously from a different
+// clock domain.
+const MaxPollSkew = 5.0
 
 // Metrics holds a controller's instrumentation. Counters are plain atomic
 // words touched directly on the hot path; a registry (see Register) holds
-// pointers to these same fields. The exported fields are the selection
-// counters a flowctl coordinator bumps itself: its selections run above
-// the embedded Server, which only sees the commits.
+// pointers to these same fields. The exported fields are the per-request
+// counters a flowctl coordinator bumps: it sees a request whole, while
+// Select runs once per read and once per write hop.
 type Metrics struct {
 	Selections      obs.Counter
 	WriteSelections obs.Counter
-	Candidates      obs.Counter
 	SelectSeconds   *obs.Histogram
 
+	candidates          obs.Counter
 	multiAccepts        obs.Counter
 	multiRejects        obs.Counter
 	freezeHits          obs.Counter
@@ -124,7 +115,7 @@ func NewMetrics() *Metrics {
 func (m *Metrics) Register(r *obs.Registry) {
 	r.RegisterCounter("flowserver.selections", &m.Selections)
 	r.RegisterCounter("flowserver.write_selections", &m.WriteSelections)
-	r.RegisterCounter("flowserver.candidates_evaluated", &m.Candidates)
+	r.RegisterCounter("flowserver.candidates_evaluated", &m.candidates)
 	r.RegisterCounter("flowserver.multi_accepts", &m.multiAccepts)
 	r.RegisterCounter("flowserver.multi_rejects", &m.multiRejects)
 	r.RegisterCounter("flowserver.freeze_hits", &m.freezeHits)
@@ -162,7 +153,7 @@ func (m *Metrics) Counters() StatsCounters {
 	return StatsCounters{
 		Selections:          m.Selections.Value(),
 		WriteSelections:     m.WriteSelections.Value(),
-		CandidatesEvaluated: m.Candidates.Value(),
+		CandidatesEvaluated: m.candidates.Value(),
 		MultiAccepts:        m.multiAccepts.Value(),
 		MultiRejects:        m.multiRejects.Value(),
 		FreezeHits:          m.freezeHits.Value(),
@@ -204,6 +195,18 @@ type Assignment struct {
 // Local reports whether the assignment is a local (zero network cost) read.
 func (a Assignment) Local() bool { return len(a.Path) == 0 }
 
+// Candidate is one option Select scores: a flow to or from Endpoint (the
+// replica of a read, the target of a write hop) over Path.
+type Candidate struct {
+	Endpoint topology.NodeID
+	Path     topology.Path
+	// Own is the part of Path this server models, in path order, and Cap
+	// the share the rest of the path grants the flow. On a one-shard
+	// plane Own is Path and Cap is +Inf.
+	Own topology.Path
+	Cap float64
+}
+
 type flowState struct {
 	id          FlowID
 	links       []int
@@ -221,7 +224,6 @@ type flowState struct {
 // Server is the Flowserver: it runs inside the SDN controller and owns the
 // global flow model. All methods are safe for concurrent use.
 type Server struct {
-	topo     *topology.Topology
 	capacity []float64
 	opts     Options
 
@@ -242,7 +244,7 @@ type Server struct {
 	// evalBufs double-buffers the changed-flow sets: the set held by the
 	// current best candidate lives in one slot (two ping-pong buffers for
 	// merging) while the next candidate is evaluated into the other
-	// (bestPath swaps slots on every new best).
+	// (argmin swaps slots on every new best).
 	evalBufs [2][2]changeSet
 	evalIdx  int
 
@@ -272,7 +274,6 @@ func New(topo *topology.Topology, opts Options) *Server {
 		base = 1
 	}
 	s := &Server{
-		topo:      topo,
 		capacity:  capacity,
 		opts:      opts,
 		idStep:    step,
@@ -325,128 +326,119 @@ func (s *Server) NumFlows() int {
 	return len(s.flows)
 }
 
-// SelectReplicaAndPath runs the replica–path selection algorithm
-// (Pseudocode 1) and registers the resulting flow(s) in the model. The
-// caller must report flow completion with FlowFinished and should feed
-// switch counters via UpdateFlowStats.
-func (s *Server) SelectReplicaAndPath(req Request) ([]Assignment, error) {
-	if len(req.Replicas) == 0 {
-		return nil, ErrNoReplicas
-	}
-	if req.Bits < 0 {
-		return nil, fmt.Errorf("flowserver: negative read size %g", req.Bits)
-	}
-	start := time.Now()
+// ErrNoCandidates is returned by a selection given no candidate path.
+var ErrNoCandidates = errors.New("flowserver: no candidate path")
+
+// noEndpoint is an argmin skip that skips nothing.
+const noEndpoint topology.NodeID = -1
+
+// Select is Pseudocode 1: it scores every candidate by Eq. 2 and
+// registers the cheapest (the first of equals) as a new flow of bits on
+// the links it owns, applying SETBW to the flow and to every modeled
+// flow the admission squeezes, all under one hold of the model lock. It
+// returns the flow's assignment and the winner's index in cands. bits
+// must not be negative; the caller reports the flow's completion with
+// FlowFinished and feeds switch counters via UpdateFlowStats.
+func (s *Server) Select(cands []Candidate, bits float64) (Assignment, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	as, err := s.selectLocked(req, s.opts.MultiReplica)
-	s.met.Selections.Inc()
-	s.met.SelectSeconds.Observe(time.Since(start).Seconds())
-	return as, err
-}
-
-// selectLocked runs selection with an explicit multi-replica setting.
-// Caller must hold s.mu.
-func (s *Server) selectLocked(req Request, allowMulti bool) ([]Assignment, error) {
-	// A co-located replica costs nothing; every policy prefers it.
-	for _, r := range req.Replicas {
-		if r == req.Client {
-			s.nextID += s.idStep
-			return []Assignment{{
-				FlowID:      s.nextID,
-				Replica:     r,
-				Bits:        req.Bits,
-				EstimatedBw: math.Inf(1),
-			}}, nil
-		}
-	}
-
-	best, ok := s.bestPath(req.Client, req.Replicas, req.Bits, nil)
+	best, ok := s.argmin(cands, bits, noEndpoint)
 	if !ok {
-		return nil, fmt.Errorf("flowserver: no path from any replica to client %d", req.Client)
+		return Assignment{}, -1, ErrNoCandidates
 	}
-
-	if !allowMulti || len(req.Replicas) < 2 {
-		a := s.commit(best, req.Bits)
-		return []Assignment{a}, nil
-	}
-	return s.selectMulti(req, best), nil
+	return s.commit(cands[best.idx], best, bits), best.idx, nil
 }
 
-// SelectPath is the path-only scheduler: the replica is already chosen and
-// only the network path is optimized (used by the Nearest-Mayflower and
-// Sinbad-R-Mayflower baselines, §6.2). It registers the flow like
-// SelectReplicaAndPath.
-func (s *Server) SelectPath(client, replica topology.NodeID, bits float64) (Assignment, error) {
-	if bits < 0 {
-		return Assignment{}, fmt.Errorf("flowserver: negative read size %g", bits)
-	}
-	start := time.Now()
+// SelectSplit is Select with the §4.3 split read: it commits the
+// winner, runs the same loop again over the other endpoints'
+// candidates, and keeps the pair only if their combined share beats the
+// winner's alone, sized so both subflows finish together. Otherwise the
+// model rolls back to the winner as a single flow. Every candidate must
+// be wholly owned: the rollback restores this model only.
+func (s *Server) SelectSplit(cands []Candidate, bits float64) ([]Assignment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	as, err := s.selectLocked(Request{Client: client, Replicas: []topology.NodeID{replica}, Bits: bits}, false)
-	s.met.Selections.Inc()
-	s.met.SelectSeconds.Observe(time.Since(start).Seconds())
-	if err != nil {
-		return Assignment{}, err
+	best, ok := s.argmin(cands, bits, noEndpoint)
+	if !ok {
+		return nil, ErrNoCandidates
 	}
-	return as[0], nil
+	first := cands[best.idx]
+	snap := s.snapshot()
+	a1 := s.commit(first, best, bits)
+	second, ok := s.argmin(cands, bits, first.Endpoint)
+	if !ok {
+		return []Assignment{a1}, nil
+	}
+	a2 := s.commit(cands[second.idx], second, bits)
+
+	// The second subflow may have squeezed the first one.
+	b1p := s.flows[a1.FlowID].bw
+	combined := b1p + second.bw
+	if combined <= best.bw+bwEps {
+		// Roll back everything the tentative pair touched. The model is
+		// back to its pre-selection state, so re-scoring the winner
+		// reproduces it exactly (best.changed itself may have been
+		// recycled while scoring the second subflow).
+		s.restore(snap)
+		a1 = s.commit(first, s.evalPathCapped(first.Own, bits, first.Cap), bits)
+		s.met.multiRejects.Inc()
+		return []Assignment{a1}, nil
+	}
+	s.met.multiAccepts.Inc()
+
+	// Split sizes proportionally to bandwidth so subflows finish together.
+	s1 := bits * b1p / combined
+	s2 := bits - s1
+	s.resize(a1.FlowID, s1)
+	s.resize(a2.FlowID, s2)
+	a1.Bits, a1.EstimatedBw = s1, b1p
+	a2.Bits = s2
+	return []Assignment{a1, a2}, nil
 }
 
-// candidate is a scored replica-path option.
-type candidate struct {
-	replica topology.NodeID
-	path    topology.Path
-	bw      float64
-	cost    float64
+// scored is one candidate's Eq. 2 evaluation.
+type scored struct {
+	idx  int // the candidate's index in the list argmin scored
+	bw   float64
+	cost float64
 	// changed holds the post-admission share of each existing flow whose
-	// estimate changes if this path is chosen. It aliases one of the
-	// server's eval buffers: valid until the second evalPath after this
-	// candidate becomes best (bestPath swaps slots on every new best),
-	// and consumed by commit.
+	// estimate changes if this candidate is chosen. It aliases one of the
+	// server's eval buffers: valid until the second evaluation after this
+	// one becomes best (argmin swaps slots on every new best), and
+	// consumed by commit.
 	changed *changeSet
 }
 
-// bestPath evaluates all shortest paths from the replicas to the client
-// and returns the minimum-cost candidate. exclude removes replicas from
-// consideration (used when picking the second subflow).
-// Caller must hold s.mu.
-func (s *Server) bestPath(client topology.NodeID, replicas []topology.NodeID, bits float64, exclude map[topology.NodeID]bool) (candidate, bool) {
-	var best candidate
+// argmin scores every candidate whose endpoint is not skip and returns
+// the cheapest, the first of equals. Caller must hold s.mu.
+func (s *Server) argmin(cands []Candidate, bits float64, skip topology.NodeID) (scored, bool) {
+	var best scored
 	found := false
 	evaluated := int64(0)
-	for _, rep := range replicas {
-		if exclude[rep] || rep == client {
+	for i := range cands {
+		c := &cands[i]
+		if c.Endpoint == skip {
 			continue
 		}
-		for _, path := range s.topo.ShortestPaths(rep, client) {
-			c := s.evalPath(rep, path, bits)
-			evaluated++
-			if !found || c.cost < best.cost {
-				best = c
-				found = true
-				// Protect the new best's changed set from being
-				// overwritten by the next evaluation.
-				s.evalIdx ^= 1
-			}
+		sc := s.evalPathCapped(c.Own, bits, c.Cap)
+		evaluated++
+		if !found || sc.cost < best.cost {
+			best, best.idx, found = sc, i, true
+			// Protect the new best's changed set from being overwritten
+			// by the next evaluation.
+			s.evalIdx ^= 1
 		}
 	}
-	s.met.Candidates.Add(evaluated)
+	s.met.candidates.Add(evaluated)
 	return best, found
 }
 
-// evalPath computes the Eq. 2 cost of placing a new flow of the given size
-// on the path (Pseudocode 2, FLOWCOST). Caller must hold s.mu.
-func (s *Server) evalPath(replica topology.NodeID, path topology.Path, bits float64) candidate {
-	return s.evalPathCapped(replica, path, bits, math.Inf(1))
-}
-
-// evalPathCapped is evalPath with the new flow's demand capped at capBw:
-// the share granted by links outside this server's model (a flowctl
-// coordinator passes the bottleneck estimate of the remote sub-path).
-// With capBw = +Inf it is exactly the historical evalPath. Caller must
+// evalPathCapped computes the Eq. 2 cost of placing a new flow of the
+// given size on the links of path this server models (Pseudocode 2,
+// FLOWCOST), the flow's demand capped at capBw: the share granted by
+// the links outside the model, +Inf when there are none. Caller must
 // hold s.mu.
-func (s *Server) evalPathCapped(replica topology.NodeID, path topology.Path, bits, capBw float64) candidate {
+func (s *Server) evalPathCapped(path topology.Path, bits, capBw float64) scored {
 	// Estimated share of the new flow: water-fill each link with existing
 	// flows demanding their current share and the new flow demanding
 	// infinity; the path share is the bottleneck minimum (MAXMINSHARE).
@@ -540,7 +532,7 @@ func (s *Server) evalPathCapped(replica topology.NodeID, path topology.Path, bit
 		keep++
 	}
 	cur.flows, cur.shares = cur.flows[:keep], cur.shares[:keep]
-	return candidate{replica: replica, path: path, bw: bw, cost: cost, changed: cur}
+	return scored{bw: bw, cost: cost, changed: cur}
 }
 
 const bwEps = 1e-9
@@ -558,39 +550,39 @@ func (s *Server) demandsOn(link int) []float64 {
 	return d
 }
 
-// commit registers the winning candidate as a live flow and applies SETBW
-// to it and to every existing flow whose estimate changed (Pseudocode 1,
-// lines 9-11). Caller must hold s.mu.
-func (s *Server) commit(c candidate, bits float64) Assignment {
+// commit registers the scored candidate as a live flow under the next
+// id and applies SETBW to it and to every existing flow whose estimate
+// changed (Pseudocode 1, lines 9-11). Caller must hold s.mu.
+func (s *Server) commit(c Candidate, sc scored, bits float64) Assignment {
 	s.nextID += s.idStep
-	return s.commitAs(s.nextID, c, bits)
+	s.commitAs(s.nextID, c.Own, sc, bits)
+	return Assignment{FlowID: s.nextID, Replica: c.Endpoint, Path: c.Path, Bits: bits, EstimatedBw: sc.bw}
 }
 
-// commitAs registers the candidate under an explicit flow id without
-// touching the id sequence (foreign commits carry the coordinator's id).
-// Caller must hold s.mu.
-func (s *Server) commitAs(id FlowID, c candidate, bits float64) Assignment {
-	links := make([]int, len(c.path))
-	for i, l := range c.path {
-		links[i] = int(l)
+// commitAs registers a scored flow on links under an explicit id
+// without touching the id sequence (foreign commits carry the
+// coordinator's id). Caller must hold s.mu.
+func (s *Server) commitAs(id FlowID, links topology.Path, sc scored, bits float64) {
+	ls := make([]int, len(links))
+	for i, l := range links {
+		ls[i] = int(l)
 	}
 	f := &flowState{
 		id:        id,
-		links:     links,
+		links:     ls,
 		totalBits: bits,
 		remaining: bits,
 		lastPoll:  s.now(),
 		movedAt:   s.now(),
 	}
 	s.flows[id] = f
-	for _, l := range links {
+	for _, l := range ls {
 		s.linkFlows[l] = insertFlow(s.linkFlows[l], f)
 	}
-	s.setBW(f, c.bw)
-	for i, cf := range c.changed.flows {
-		s.setBW(cf, c.changed.shares[i])
+	s.setBW(f, sc.bw)
+	for i, cf := range sc.changed.flows {
+		s.setBW(cf, sc.changed.shares[i])
 	}
-	return Assignment{FlowID: id, Replica: c.replica, Path: c.path, Bits: bits, EstimatedBw: c.bw}
 }
 
 // setBW implements SETBW from Pseudocode 2: record the estimate and freeze
@@ -606,51 +598,6 @@ func (s *Server) setBW(f *flowState, bw float64) {
 		f.freezeUntil = s.now()
 	}
 	f.frozen = true
-}
-
-// selectMulti implements the §4.3 multi-replica split: commit the best
-// single candidate, try a second subflow from a different replica, and
-// keep the pair only if the combined share beats the single flow.
-// Caller must hold s.mu.
-func (s *Server) selectMulti(req Request, best candidate) []Assignment {
-	snap := s.snapshot()
-
-	b1 := best.bw
-	a1 := s.commit(best, req.Bits)
-
-	second, ok := s.bestPath(req.Client, req.Replicas, req.Bits,
-		map[topology.NodeID]bool{best.replica: true})
-	if !ok {
-		return []Assignment{a1}
-	}
-	a2 := s.commit(second, req.Bits)
-
-	// The second subflow may have squeezed the first one.
-	b1p := s.flows[a1.FlowID].bw
-	b2 := second.bw
-	combined := b1p + b2
-	if combined <= b1+bwEps {
-		// Roll back everything the tentative pair touched. The model is
-		// back to its pre-selection state, so re-evaluating the winning
-		// path reproduces the original candidate exactly (best.changed
-		// itself may have been recycled while scoring the second
-		// subflow).
-		s.restore(snap)
-		c := s.evalPath(best.replica, best.path, req.Bits)
-		a1 = s.commit(c, req.Bits)
-		s.met.multiRejects.Inc()
-		return []Assignment{a1}
-	}
-	s.met.multiAccepts.Inc()
-
-	// Split sizes proportionally to bandwidth so subflows finish together.
-	s1 := req.Bits * b1p / combined
-	s2 := req.Bits - s1
-	s.resize(a1.FlowID, s1)
-	s.resize(a2.FlowID, s2)
-	a1.Bits, a1.EstimatedBw = s1, b1p
-	a2.Bits = s2
-	return []Assignment{a1, a2}
 }
 
 // resize adjusts a freshly committed flow's size and refreshes its freeze
@@ -785,19 +732,13 @@ func (s *Server) UpdateFlowStats(now float64, stats []FlowStat) []FlowID {
 		s.clock = now
 	} else {
 		model := s.opts.Now()
-		tol := s.opts.MaxPollSkew
-		if tol == 0 {
-			tol = DefaultMaxPollSkew
+		if now > model+MaxPollSkew {
+			s.met.pollDropsSkewFuture.Inc()
+			return nil
 		}
-		if tol >= 0 {
-			if now > model+tol {
-				s.met.pollDropsSkewFuture.Inc()
-				return nil
-			}
-			if now < model-tol {
-				s.met.pollDropsSkewPast.Inc()
-				return nil
-			}
+		if now < model-MaxPollSkew {
+			s.met.pollDropsSkewPast.Inc()
+			return nil
 		}
 		// Within tolerance: re-stamp the poll onto the model clock so dt
 		// and freeze-expiry checks share one time base.
@@ -871,12 +812,13 @@ func (s *Server) EstimatedBW(id FlowID) (bw float64, ok bool) {
 	return f.bw, true
 }
 
-// PathCost exposes the Eq. 2 cost of one candidate path given the current
-// flow model, without registering anything. It is the FLOWCOST procedure
-// and exists for tests, tooling and what-if analysis.
-func (s *Server) PathCost(replica topology.NodeID, path topology.Path, bits float64) (cost, estimatedBw float64) {
+// PathCost scores path as Select's only candidate, wholly owned, and
+// registers nothing: the Eq. 2 cost and estimated share of a new flow of
+// the given size, given the current model. It exists for tests, tooling
+// and what-if analysis.
+func (s *Server) PathCost(path topology.Path, bits float64) (cost, estimatedBw float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := s.evalPath(replica, path, bits)
-	return c.cost, c.bw
+	sc, _ := s.argmin([]Candidate{{Path: path, Own: path, Cap: math.Inf(1)}}, bits, noEndpoint)
+	return sc.cost, sc.bw
 }

@@ -1,6 +1,7 @@
 package flowserver
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -11,6 +12,28 @@ import (
 const tol = 1e-6
 
 func near(a, b float64) bool { return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b)) }
+
+// candidates lists every shortest path from each replica to client,
+// wholly owned: a one-shard plane's candidate list for a read.
+func candidates(topo *topology.Topology, client topology.NodeID, replicas ...topology.NodeID) []Candidate {
+	var cs []Candidate
+	for _, r := range replicas {
+		for _, p := range topo.ShortestPaths(r, client) {
+			cs = append(cs, Candidate{Endpoint: r, Path: p, Own: p, Cap: math.Inf(1)})
+		}
+	}
+	return cs
+}
+
+// selectOne runs Select over cands and fails the test on error.
+func selectOne(t *testing.T, srv *Server, cands []Candidate, bits float64) Assignment {
+	t.Helper()
+	a, _, err := srv.Select(cands, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
 
 // figure2 builds the §4.2 worked example: one pod, two racks, two
 // aggregation switches, 10 Mbps links (units here are Mb and Mbps). The
@@ -66,10 +89,15 @@ func newFigure2(t *testing.T, opts Options) *figure2 {
 	return f
 }
 
+// read selects the worked example's 9 Mb read over paths A and B.
+func (f *figure2) read(t *testing.T) Assignment {
+	return selectOne(t, f.srv, candidates(f.topo, f.reader, f.source), 9)
+}
+
 func TestFigure2PathCosts(t *testing.T) {
 	f := newFigure2(t, Options{})
 
-	costA, bwA := f.srv.PathCost(f.source, f.pathA, 9)
+	costA, bwA := f.srv.PathCost(f.pathA, 9)
 	// C1 = 9/3 + (6/3 − 6/6) + (6/7 − 6/10) = 4.2571... ("4.25").
 	wantA := 3.0 + 1.0 + (6.0/7 - 0.6)
 	if !near(costA, wantA) {
@@ -79,7 +107,7 @@ func TestFigure2PathCosts(t *testing.T) {
 		t.Errorf("bw(path A) = %g, want 3", bwA)
 	}
 
-	costB, bwB := f.srv.PathCost(f.source, f.pathB, 9)
+	costB, bwB := f.srv.PathCost(f.pathB, 9)
 	// C2 = 9/3 + (6/3 − 6/4) + (6/7 − 6/8) = 3.6071... ("3.6").
 	wantB := 3.0 + 0.5 + (6.0/7 - 0.75)
 	if !near(costB, wantB) {
@@ -92,18 +120,13 @@ func TestFigure2PathCosts(t *testing.T) {
 
 func TestFigure2SelectsSecondPath(t *testing.T) {
 	f := newFigure2(t, Options{})
-	as, err := f.srv.SelectReplicaAndPath(Request{
-		Client:   f.reader,
-		Replicas: []topology.NodeID{f.source},
-		Bits:     9,
-	})
+	a, won, err := f.srv.Select(candidates(f.topo, f.reader, f.source), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(as) != 1 {
-		t.Fatalf("got %d assignments, want 1", len(as))
+	if won != 1 {
+		t.Errorf("winner = candidate %d, want 1 (path B)", won)
 	}
-	a := as[0]
 	if a.Path[1] != f.pathB[1] {
 		t.Errorf("selected path via link %d, want path B (link %d)", a.Path[1], f.pathB[1])
 	}
@@ -124,7 +147,7 @@ func TestFigure2HeterogeneousCapacityFlipsChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	costA, bwA := f.srv.PathCost(f.source, f.pathA, 9)
+	costA, bwA := f.srv.PathCost(f.pathA, 9)
 	if !near(bwA, 5) {
 		t.Errorf("bw(path A) = %g, want 5 (bottleneck moves to third link)", bwA)
 	}
@@ -136,13 +159,7 @@ func TestFigure2HeterogeneousCapacityFlipsChoice(t *testing.T) {
 		t.Errorf("cost(path A) = %g, want < 2.5", costA)
 	}
 
-	as, err := f.srv.SelectReplicaAndPath(Request{
-		Client: f.reader, Replicas: []topology.NodeID{f.source}, Bits: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if as[0].Path[1] != f.pathA[1] {
+	if a := f.read(t); a.Path[1] != f.pathA[1] {
 		t.Error("selection did not flip to path A with 20 Mbps second link")
 	}
 }
@@ -161,14 +178,9 @@ func TestCommitFreezesChangedFlows(t *testing.T) {
 	clock := 0.0
 	f := newFigure2(t, Options{Now: func() float64 { return clock }})
 
-	as, err := f.srv.SelectReplicaAndPath(Request{
-		Client: f.reader, Replicas: []topology.NodeID{f.source}, Bits: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := f.read(t)
 	// The new flow is frozen for its expected completion (9/3 = 3 s).
-	frozen, until := f.srv.FlowFrozen(as[0].FlowID)
+	frozen, until := f.srv.FlowFrozen(a.FlowID)
 	if !frozen || !near(until, 3) {
 		t.Errorf("new flow frozen=%v until=%g, want true until 3", frozen, until)
 	}
@@ -184,13 +196,7 @@ func TestCommitFreezesChangedFlows(t *testing.T) {
 func TestUpdateFlowStatsRespectsFreeze(t *testing.T) {
 	clock := 0.0
 	f := newFigure2(t, Options{Now: func() float64 { return clock }})
-	as, err := f.srv.SelectReplicaAndPath(Request{
-		Client: f.reader, Replicas: []topology.NodeID{f.source}, Bits: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := as[0].FlowID
+	id := f.read(t).FlowID
 
 	// A poll at t=1 measuring 5 Mb transferred implies 5 Mbps, but the
 	// flow is frozen until t=3, so the estimate must hold at 3.
@@ -215,13 +221,7 @@ func TestUpdateFlowStatsRespectsFreeze(t *testing.T) {
 func TestUpdateFlowStatsDisableFreeze(t *testing.T) {
 	clock := 0.0
 	f := newFigure2(t, Options{Now: func() float64 { return clock }, DisableFreeze: true})
-	as, err := f.srv.SelectReplicaAndPath(Request{
-		Client: f.reader, Replicas: []topology.NodeID{f.source}, Bits: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := as[0].FlowID
+	id := f.read(t).FlowID
 	clock = 1
 	f.srv.UpdateFlowStats(1, []FlowStat{{ID: id, TransferredBits: 5}})
 	if bw, _ := f.srv.EstimatedBW(id); !near(bw, 5) {
@@ -299,13 +299,7 @@ func TestUpdateFlowStatsReorderedPolls(t *testing.T) {
 func TestFreezeExpiresAtBoundary(t *testing.T) {
 	clock := 0.0
 	f := newFigure2(t, Options{Now: func() float64 { return clock }})
-	as, err := f.srv.SelectReplicaAndPath(Request{
-		Client: f.reader, Replicas: []topology.NodeID{f.source}, Bits: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := as[0].FlowID
+	id := f.read(t).FlowID
 	if _, until := f.srv.FlowFrozen(id); !near(until, 3) {
 		t.Fatalf("freezeUntil = %g, want 3", until)
 	}
@@ -343,9 +337,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	snap := s.snapshot()
 	// Mutate every part of the model: admit flows on both paths (new ids,
 	// new index entries, squeezed estimates on existing flows).
-	for _, p := range []topology.Path{f.pathA, f.pathB} {
-		c := s.evalPath(f.source, p, 9)
-		s.commit(c, 9)
+	for _, c := range candidates(f.topo, f.reader, f.source) {
+		s.commit(c, s.evalPathCapped(c.Own, 9, c.Cap), 9)
 	}
 	if s.nextID == wantNext {
 		t.Fatal("commits did not advance nextID; test is vacuous")
@@ -408,72 +401,33 @@ func TestDisableImpactTermChangesChoice(t *testing.T) {
 	}
 
 	full, f := build(Options{})
-	as, err := full.SelectReplicaAndPath(Request{
-		Client: f.reader, Replicas: []topology.NodeID{f.source}, Bits: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if as[0].Path[1] != f.pathA[1] {
+	if a := selectOne(t, full, candidates(f.topo, f.reader, f.source), 9); a.Path[1] != f.pathA[1] {
 		t.Error("full cost should avoid squeezing the long-lived flow (path A)")
 	}
 
 	ablated, f2 := build(Options{DisableImpactTerm: true})
-	as, err = ablated.SelectReplicaAndPath(Request{
-		Client: f2.reader, Replicas: []topology.NodeID{f2.source}, Bits: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if as[0].Path[1] != f2.pathB[1] {
+	if a := selectOne(t, ablated, candidates(f2.topo, f2.reader, f2.source), 9); a.Path[1] != f2.pathB[1] {
 		t.Error("ablated cost should chase raw bandwidth (path B)")
-	}
-}
-
-func TestLocalReplicaWinsImmediately(t *testing.T) {
-	f := newFigure2(t, Options{})
-	as, err := f.srv.SelectReplicaAndPath(Request{
-		Client:   f.reader,
-		Replicas: []topology.NodeID{f.source, f.reader},
-		Bits:     9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(as) != 1 || !as[0].Local() || as[0].Replica != f.reader {
-		t.Errorf("assignments = %+v, want single local read", as)
-	}
-	if !math.IsInf(as[0].EstimatedBw, 1) {
-		t.Errorf("local EstimatedBw = %g, want +Inf", as[0].EstimatedBw)
-	}
-	// Local reads register nothing.
-	if n := f.srv.NumFlows(); n != 8 {
-		t.Errorf("NumFlows = %d, want the 8 background flows", n)
 	}
 }
 
 func TestSelectErrors(t *testing.T) {
 	f := newFigure2(t, Options{})
-	if _, err := f.srv.SelectReplicaAndPath(Request{Client: f.reader}); err == nil {
-		t.Error("empty replica list accepted")
+	if _, _, err := f.srv.Select(nil, 9); !errors.Is(err, ErrNoCandidates) {
+		t.Errorf("Select with no candidates: got %v, want ErrNoCandidates", err)
 	}
-	if _, err := f.srv.SelectReplicaAndPath(Request{
-		Client: f.reader, Replicas: []topology.NodeID{f.source}, Bits: -1,
-	}); err == nil {
-		t.Error("negative size accepted")
+	if _, err := f.srv.SelectSplit(nil, 9); !errors.Is(err, ErrNoCandidates) {
+		t.Errorf("SelectSplit with no candidates: got %v, want ErrNoCandidates", err)
 	}
-	if _, err := f.srv.SelectPath(f.reader, f.source, -1); err == nil {
-		t.Error("SelectPath negative size accepted")
+	if n := f.srv.NumFlows(); n != 8 {
+		t.Errorf("NumFlows = %d, want the 8 background flows", n)
 	}
 }
 
 func TestFlowFinishedRemoves(t *testing.T) {
 	f := newFigure2(t, Options{})
 	before := f.srv.NumFlows()
-	as, err := f.srv.SelectPath(f.reader, f.source, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	as := f.read(t)
 	if f.srv.NumFlows() != before+1 {
 		t.Fatalf("NumFlows = %d, want %d", f.srv.NumFlows(), before+1)
 	}
@@ -505,9 +459,9 @@ func multiTopo(t *testing.T) (*topology.Topology, topology.NodeID, []topology.No
 
 func TestMultiReplicaSplit(t *testing.T) {
 	topo, client, replicas := multiTopo(t)
-	srv := New(topo, Options{MultiReplica: true})
+	srv := New(topo, Options{})
 
-	as, err := srv.SelectReplicaAndPath(Request{Client: client, Replicas: replicas, Bits: 18})
+	as, err := srv.SelectSplit(candidates(topo, client, replicas...), 18)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,9 +501,9 @@ func TestMultiReplicaRollback(t *testing.T) {
 	}
 	client := topo.HostAt(0, 0, 0)
 	replicas := []topology.NodeID{topo.HostAt(1, 0, 0), topo.HostAt(1, 0, 1)}
-	srv := New(topo, Options{MultiReplica: true})
+	srv := New(topo, Options{})
 
-	as, err := srv.SelectReplicaAndPath(Request{Client: client, Replicas: replicas, Bits: 20})
+	as, err := srv.SelectSplit(candidates(topo, client, replicas...), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,8 +525,8 @@ func TestMultiReplicaRollback(t *testing.T) {
 
 func TestMultiReplicaSingleReplicaFallback(t *testing.T) {
 	topo, client, replicas := multiTopo(t)
-	srv := New(topo, Options{MultiReplica: true})
-	as, err := srv.SelectReplicaAndPath(Request{Client: client, Replicas: replicas[:1], Bits: 10})
+	srv := New(topo, Options{})
+	as, err := srv.SelectSplit(candidates(topo, client, replicas[0]), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,10 +538,7 @@ func TestMultiReplicaSingleReplicaFallback(t *testing.T) {
 func TestSelectPathRegistersFlow(t *testing.T) {
 	topo, client, replicas := multiTopo(t)
 	srv := New(topo, Options{})
-	a, err := srv.SelectPath(client, replicas[0], 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := selectOne(t, srv, candidates(topo, client, replicas[0]), 10)
 	if a.Replica != replicas[0] || len(a.Path) == 0 {
 		t.Errorf("assignment = %+v", a)
 	}
@@ -611,48 +562,9 @@ func TestSequentialSelectionsSpreadLoad(t *testing.T) {
 	srv := New(topo, Options{})
 	src, dst := topo.HostAt(0, 0, 0), topo.HostAt(0, 1, 0)
 
-	a1, err := srv.SelectPath(dst, src, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := srv.SelectPath(dst, src, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1 := selectOne(t, srv, candidates(topo, dst, src), 100)
+	a2 := selectOne(t, srv, candidates(topo, dst, src), 100)
 	if a1.Path[1] == a2.Path[1] {
 		t.Error("second flow stacked onto the first flow's path")
-	}
-}
-
-func BenchmarkSelectReplicaPath(b *testing.B) {
-	topo, err := topology.New(topology.PaperTestbed(8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := New(topo, Options{})
-	client := topo.HostAt(0, 0, 0)
-	replicas := []topology.NodeID{
-		topo.HostAt(0, 1, 0), topo.HostAt(1, 0, 0), topo.HostAt(2, 2, 3),
-	}
-	// Populate a realistic base load.
-	for i := 0; i < 100; i++ {
-		dst := topo.HostAt(i%4, (i/4)%4, i%4)
-		src := topo.HostAt((i+1)%4, (i/3)%4, (i+2)%4)
-		if src == dst {
-			continue
-		}
-		if _, err := srv.SelectPath(dst, src, 256*8e6); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		as, err := srv.SelectReplicaAndPath(Request{Client: client, Replicas: replicas, Bits: 256 * 8e6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, a := range as {
-			srv.FlowFinished(a.FlowID)
-		}
 	}
 }

@@ -24,10 +24,8 @@ func TestRandomOperationSequences(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		clock := 0.0
-		srv := New(topo, Options{
-			MultiReplica: r.Intn(2) == 0,
-			Now:          func() float64 { return clock },
-		})
+		split := r.Intn(2) == 0
+		srv := New(topo, Options{Now: func() float64 { return clock }})
 		var live []FlowID
 		for step := 0; step < 60; step++ {
 			clock += r.Float64()
@@ -41,11 +39,17 @@ func TestRandomOperationSequences(t *testing.T) {
 						replicas = append(replicas, h)
 					}
 				}
-				as, err := srv.SelectReplicaAndPath(Request{
-					Client:   client,
-					Replicas: replicas,
-					Bits:     1e6 * (1 + r.Float64()*2000),
-				})
+				cands := candidates(topo, client, replicas...)
+				bits := 1e6 * (1 + r.Float64()*2000)
+				var as []Assignment
+				var err error
+				if split {
+					as, err = srv.SelectSplit(cands, bits)
+				} else {
+					var a Assignment
+					a, _, err = srv.Select(cands, bits)
+					as = []Assignment{a}
+				}
 				if err != nil {
 					t.Logf("seed %d step %d: select: %v", seed, step, err)
 					return false
@@ -109,7 +113,7 @@ func TestEstimateBoundsUnderLoad(t *testing.T) {
 	for load := 0; load < 12; load++ {
 		paths := topo.ShortestPaths(src, dst)
 		for _, p := range paths {
-			_, bw := srv.PathCost(src, p, 256*8e6)
+			_, bw := srv.PathCost(p, 256*8e6)
 			if bw <= 0 {
 				t.Fatalf("load %d: estimate %g", load, bw)
 			}
@@ -128,9 +132,7 @@ func TestEstimateBoundsUnderLoad(t *testing.T) {
 				t.Fatalf("load %d: estimate %g above bottleneck", load, bw)
 			}
 		}
-		if _, err := srv.SelectPath(dst, src, 256*8e6); err != nil {
-			t.Fatal(err)
-		}
+		selectOne(t, srv, candidates(topo, dst, src), 256*8e6)
 	}
 }
 
@@ -147,7 +149,7 @@ func TestMultiReplicaSplitConservation(t *testing.T) {
 
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		srv := New(topo, Options{MultiReplica: true})
+		srv := New(topo, Options{})
 		// Random background load.
 		for i := 0; i < r.Intn(20); i++ {
 			a := hosts[r.Intn(len(hosts))]
@@ -155,7 +157,7 @@ func TestMultiReplicaSplitConservation(t *testing.T) {
 			if a == b {
 				continue
 			}
-			if _, err := srv.SelectPath(a, b, 1e6*(1+r.Float64()*2000)); err != nil {
+			if _, _, err := srv.Select(candidates(topo, a, b), 1e6*(1+r.Float64()*2000)); err != nil {
 				return false
 			}
 		}
@@ -168,7 +170,7 @@ func TestMultiReplicaSplitConservation(t *testing.T) {
 			}
 		}
 		bits := 1e6 * (1 + r.Float64()*4000)
-		as, err := srv.SelectReplicaAndPath(Request{Client: client, Replicas: replicas, Bits: bits})
+		as, err := srv.SelectSplit(candidates(topo, client, replicas...), bits)
 		if err != nil {
 			return false
 		}
@@ -212,7 +214,7 @@ func TestPathCostMatchesManualExample(t *testing.T) {
 	path := topo.ShortestPaths(src, dst)[0]
 	srv.ForceFlow([]topology.LinkID{path[1]}, 8, 4)
 
-	cost, bw := srv.PathCost(src, path, 12)
+	cost, bw := srv.PathCost(path, 12)
 	// Water-fill {4, ∞} on 10: new flow gets 6, existing keeps 4 (its
 	// demand) — no squeeze, so cost is just 12/6 = 2.
 	if math.Abs(bw-6) > 1e-9 {
@@ -225,7 +227,7 @@ func TestPathCostMatchesManualExample(t *testing.T) {
 	// Add another background flow at 5: demands {4,5} on 10 → new flow
 	// share water-fills to 3.33...; 4-flow drops to 3.33, 5-flow to 3.33.
 	srv.ForceFlow([]topology.LinkID{path[1]}, 9, 5)
-	cost, bw = srv.PathCost(src, path, 12)
+	cost, bw = srv.PathCost(path, 12)
 	third := 10.0 / 3
 	if math.Abs(bw-third) > 1e-9 {
 		t.Errorf("bw = %g, want %g", bw, third)

@@ -264,15 +264,6 @@ func (s *Sim) Now() float64 { return s.now }
 // NumActiveFlows returns the number of in-flight flows.
 func (s *Sim) NumActiveFlows() int { return len(s.flows) }
 
-// ActiveFlows returns the ids of all in-flight flows (unordered).
-func (s *Sim) ActiveFlows() []FlowID {
-	out := make([]FlowID, 0, len(s.activeList))
-	for _, f := range s.activeList {
-		out = append(out, f.id)
-	}
-	return out
-}
-
 // Schedule runs fn inside the simulation at time t (>= Now).
 func (s *Sim) Schedule(t float64, fn func()) {
 	if t < s.now {

@@ -214,15 +214,6 @@ func (c *Controller) FlowStats(ctx context.Context, dpid uint64) ([]FlowStat, er
 	return decodeFlowStats(m.Payload)
 }
 
-// Echo round-trips an opaque payload (liveness probe).
-func (c *Controller) Echo(ctx context.Context, dpid uint64, payload []byte) ([]byte, error) {
-	m, err := c.roundTrip(ctx, dpid, TypeEchoRequest, payload, TypeEchoReply)
-	if err != nil {
-		return nil, err
-	}
-	return m.Payload, nil
-}
-
 func (c *Controller) roundTrip(ctx context.Context, dpid uint64, reqType MsgType, payload []byte, wantType MsgType) (message, error) {
 	sc, err := c.lookup(dpid)
 	if err != nil {

@@ -47,8 +47,8 @@ const (
 	TypePortStatsReply
 	TypeFlowStatsRequest
 	TypeFlowStatsReply
-	TypeEchoRequest
-	TypeEchoReply
+	_ // 7 and 8 were an echo request and reply; the numbers stay reserved
+	_
 	TypeError
 )
 

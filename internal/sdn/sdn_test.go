@@ -1,9 +1,9 @@
 package sdn
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -147,15 +147,14 @@ func TestFlowDeleteClearsCounters(t *testing.T) {
 	})
 }
 
-func TestEcho(t *testing.T) {
-	c, switches := startPlane(t, 1)
-	payload := []byte("ping-payload")
-	got, err := c.Echo(ctxShort(t), switches[0].DatapathID(), payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Errorf("echo = %q, want %q", got, payload)
+// TestMessageTypeNumbers pins the wire numbers: a retired message keeps
+// its number reserved, so every other type means what it always meant.
+func TestMessageTypeNumbers(t *testing.T) {
+	got := []MsgType{TypeHello, TypeFlowMod, TypePortStatsRequest, TypePortStatsReply,
+		TypeFlowStatsRequest, TypeFlowStatsReply, TypeError}
+	want := []MsgType{1, 2, 3, 4, 5, 6, 9}
+	if !slices.Equal(got, want) {
+		t.Errorf("message types = %v, want %v", got, want)
 	}
 }
 

@@ -118,8 +118,6 @@ func (sw *Switch) handle(conn net.Conn, m message) {
 		}
 		sw.mu.Unlock()
 		reply(TypeFlowStatsReply, encodeFlowStats(stats))
-	case TypeEchoRequest:
-		reply(TypeEchoReply, m.Payload)
 	default:
 		reply(TypeError, encodeError(2, fmt.Sprintf("unsupported type %d", m.Type)))
 	}

@@ -611,16 +611,6 @@ func (c *Cluster) Client(host topology.NodeID) (*client.Client, error) {
 	return cl, nil
 }
 
-// ClientOptions returns the client options the cluster would use for a
-// client on the given host, so harnesses can tweak them (fault-injection
-// dialers, shorter timeouts) and build their own clients via NewClient.
-func (c *Cluster) ClientOptions(host topology.NodeID) client.Options {
-	name := c.Topo.Node(host).Name
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.clientOptionsLocked(name)
-}
-
 func (c *Cluster) clientOptionsLocked(name string) client.Options {
 	opts := client.Options{
 		NameserverAddr: c.nsAddr,
