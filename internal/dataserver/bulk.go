@@ -43,8 +43,9 @@ type Bulk struct {
 	met       *BulkMetrics
 	idleLimit time.Duration // bulkIdleLimit; tests shorten it
 
-	mu   sync.Mutex
-	idle map[string][]*bulkConn // per address, oldest first; nil once closed
+	mu    sync.Mutex
+	idle  map[string][]*bulkConn // per address, oldest first; nil once closed
+	swept time.Time              // when checkout last swept every address
 }
 
 // bulkConn carries the scratch its headers are built in: one allocation
@@ -134,23 +135,45 @@ func (b *Bulk) Close() {
 	}
 }
 
-// checkout takes the newest idle connection to addr (warmest TCP state).
-// If that one idled past the limit so did the rest, and all are closed.
+// checkout takes the newest idle connection to addr (warmest TCP state)
+// after closing those idled past the limit: addr's always, and at most
+// once per limit every address's, so a dataserver the pool stopped using
+// is not left holding them half-closed.
 func (b *Bulk) checkout(addr string) (c *bulkConn) {
+	now := time.Now()
 	b.mu.Lock()
-	idle := b.idle[addr]
-	if n := len(idle); n > 0 && time.Since(idle[n-1].idleSince) <= b.idleLimit {
-		c, b.idle[addr] = idle[n-1], idle[:n-1]
-		idle = nil // nothing to expire
+	expired := b.expire(addr, now, nil)
+	if now.Sub(b.swept) > b.idleLimit {
+		b.swept = now
+		for a := range b.idle {
+			expired = b.expire(a, now, expired)
+		}
+	}
+	if idle := b.idle[addr]; len(idle) > 0 {
+		c, b.idle[addr] = idle[len(idle)-1], idle[:len(idle)-1]
 		b.met.Reuses.Inc()
-	} else {
-		delete(b.idle, addr)
 	}
 	b.mu.Unlock()
-	for _, old := range idle {
+	for _, old := range expired {
 		old.Close()
 	}
 	return c
+}
+
+// expire moves addr's connections idled past the limit (the oldest ones)
+// onto expired. The caller holds b.mu.
+func (b *Bulk) expire(addr string, now time.Time, expired []*bulkConn) []*bulkConn {
+	idle := b.idle[addr]
+	stale := 0
+	for stale < len(idle) && now.Sub(idle[stale].idleSince) > b.idleLimit {
+		stale++
+	}
+	if stale == len(idle) {
+		delete(b.idle, addr)
+	} else {
+		b.idle[addr] = idle[stale:]
+	}
+	return append(expired, idle[:stale]...)
 }
 
 // checkin pools a connection whose reply was consumed to the last byte.

@@ -252,6 +252,24 @@ func TestBulk(t *testing.T) {
 			}
 			waitConns(t, f.srv, 1)
 		}},
+		{"reads of one server close another server's connections idle past the limit", func(t *testing.T) {
+			f := newBulkFixture(t, nil, nil)
+			f.bulk.idleLimit = time.Millisecond
+			other, _ := startBulkServer(t, t.TempDir(), "127.0.0.1:0", nil, nil)
+			if err := other.store.prepare(f.info); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.read(ctx, 0, 90); err != nil {
+				t.Fatal(err)
+			}
+			waitConns(t, f.srv, 1)
+			time.Sleep(5 * time.Millisecond)
+			if _, err := f.bulk.Read(ctx, other.DataAddr(), 7, f.info.ID, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+			waitConns(t, other, 1)
+			waitConns(t, f.srv, 0)
+		}},
 		{"a server restarted on the same address costs one redial", func(t *testing.T) {
 			f := newBulkFixture(t, nil, nil)
 			if err := f.read(ctx, 0, 90); err != nil {

@@ -23,7 +23,8 @@ type Method[Req, Resp any] string
 // instead of in the JSON, where the field is tagged `json:"-"`. The
 // handler's Req holds the connection's receive buffer itself, shared with
 // nobody else: the handler may pass it on (the primary relays it to the
-// replicas uncopied) but must not retain it past its return.
+// replicas uncopied) but must not retain it past its return, when the
+// buffer is recycled for a later request.
 type Attached interface {
 	Attachment() []byte
 	SetAttachment([]byte)

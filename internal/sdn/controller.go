@@ -28,6 +28,7 @@ type switchConn struct {
 	conn net.Conn
 
 	writeMu sync.Mutex
+	frame   [flowModLen]byte // FlowMods are built here, under writeMu
 
 	mu      sync.Mutex
 	nextXid uint32
@@ -76,7 +77,9 @@ func (c *Controller) Listen(addr string) (net.Addr, error) {
 func (c *Controller) serveSwitch(conn net.Conn) {
 	defer conn.Close()
 
-	hello, err := readMessage(conn)
+	// Replies cross a channel to their caller, so only headers reuse buf.
+	buf := make([]byte, hdrLen)
+	hello, err := readMessage(conn, buf)
 	if err != nil || hello.Type != TypeHello {
 		return
 	}
@@ -103,7 +106,7 @@ func (c *Controller) serveSwitch(conn net.Conn) {
 	}()
 
 	for {
-		m, err := readMessage(conn)
+		m, err := readMessage(conn, buf)
 		if err != nil {
 			return
 		}
@@ -124,35 +127,6 @@ func (sc *switchConn) failAll() {
 		delete(sc.pending, xid)
 		close(ch)
 	}
-}
-
-// send transmits a message and, if wantReply, returns a channel the reply
-// will arrive on.
-func (sc *switchConn) send(t MsgType, payload []byte, wantReply bool) (chan message, error) {
-	var ch chan message
-	var xid uint32
-	if wantReply {
-		ch = make(chan message, 1)
-		sc.mu.Lock()
-		sc.nextXid++
-		xid = sc.nextXid
-		sc.pending[xid] = ch
-		sc.mu.Unlock()
-	}
-	err := func() error {
-		sc.writeMu.Lock()
-		defer sc.writeMu.Unlock()
-		return writeMessage(sc.conn, message{Type: t, Xid: xid, Payload: payload})
-	}()
-	if err != nil {
-		if wantReply {
-			sc.mu.Lock()
-			delete(sc.pending, xid)
-			sc.mu.Unlock()
-		}
-		return nil, err
-	}
-	return ch, nil
 }
 
 func (c *Controller) lookup(dpid uint64) (*switchConn, error) {
@@ -178,27 +152,31 @@ func (c *Controller) Switches() []uint64 {
 
 // InstallFlow adds a flow entry (flowID → outPort) on a switch.
 func (c *Controller) InstallFlow(dpid, flowID uint64, outPort uint32) error {
-	sc, err := c.lookup(dpid)
-	if err != nil {
-		return err
-	}
-	_, err = sc.send(TypeFlowMod, encodeFlowMod(FlowAdd, flowID, outPort), false)
-	return err
+	return c.flowMod(dpid, FlowAdd, flowID, outPort)
 }
 
 // RemoveFlow deletes a flow entry from a switch.
 func (c *Controller) RemoveFlow(dpid, flowID uint64) error {
+	return c.flowMod(dpid, FlowDelete, flowID, 0)
+}
+
+// flowMod sends one FlowMod, built in the switch connection's scratch: a
+// rule install or removal allocates nothing.
+func (c *Controller) flowMod(dpid uint64, cmd uint8, flowID uint64, outPort uint32) error {
 	sc, err := c.lookup(dpid)
 	if err != nil {
 		return err
 	}
-	_, err = sc.send(TypeFlowMod, encodeFlowMod(FlowDelete, flowID, 0), false)
+	sc.writeMu.Lock()
+	defer sc.writeMu.Unlock()
+	putFlowMod(sc.frame[:], cmd, flowID, outPort)
+	_, err = sc.conn.Write(sc.frame[:])
 	return err
 }
 
 // PortStats fetches the transmit byte counters of every port on a switch.
 func (c *Controller) PortStats(ctx context.Context, dpid uint64) ([]PortStat, error) {
-	m, err := c.roundTrip(ctx, dpid, TypePortStatsRequest, nil, TypePortStatsReply)
+	m, err := c.roundTrip(ctx, dpid, TypePortStatsRequest, TypePortStatsReply)
 	if err != nil {
 		return nil, err
 	}
@@ -207,20 +185,31 @@ func (c *Controller) PortStats(ctx context.Context, dpid uint64) ([]PortStat, er
 
 // FlowStats fetches the byte counters of every flow entry on a switch.
 func (c *Controller) FlowStats(ctx context.Context, dpid uint64) ([]FlowStat, error) {
-	m, err := c.roundTrip(ctx, dpid, TypeFlowStatsRequest, nil, TypeFlowStatsReply)
+	m, err := c.roundTrip(ctx, dpid, TypeFlowStatsRequest, TypeFlowStatsReply)
 	if err != nil {
 		return nil, err
 	}
 	return decodeFlowStats(m.Payload)
 }
 
-func (c *Controller) roundTrip(ctx context.Context, dpid uint64, reqType MsgType, payload []byte, wantType MsgType) (message, error) {
+func (c *Controller) roundTrip(ctx context.Context, dpid uint64, reqType, wantType MsgType) (message, error) {
 	sc, err := c.lookup(dpid)
 	if err != nil {
 		return message{}, err
 	}
-	ch, err := sc.send(reqType, payload, true)
+	ch := make(chan message, 1)
+	sc.mu.Lock()
+	sc.nextXid++
+	xid := sc.nextXid
+	sc.pending[xid] = ch
+	sc.mu.Unlock()
+	sc.writeMu.Lock()
+	err = writeMessage(sc.conn, message{Type: reqType, Xid: xid})
+	sc.writeMu.Unlock()
 	if err != nil {
+		sc.mu.Lock()
+		delete(sc.pending, xid)
+		sc.mu.Unlock()
 		return message{}, err
 	}
 	select {

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Version is the protocol version carried in every header.
@@ -71,22 +72,35 @@ type message struct {
 	Payload []byte
 }
 
+// hdrLen is a frame's header; flowModLen is a whole FlowMod frame.
+const (
+	hdrLen     = 10
+	flowModLen = hdrLen + 13
+)
+
+func putHeader(b []byte, t MsgType, payloadLen int, xid uint32) {
+	b[0] = Version
+	b[1] = byte(t)
+	binary.BigEndian.PutUint32(b[2:6], uint32(payloadLen))
+	binary.BigEndian.PutUint32(b[6:10], xid)
+}
+
 func writeMessage(w io.Writer, m message) error {
 	if len(m.Payload) > maxPayload {
 		return fmt.Errorf("sdn: payload too large (%d)", len(m.Payload))
 	}
-	hdr := make([]byte, 10, 10+len(m.Payload))
-	hdr[0] = Version
-	hdr[1] = byte(m.Type)
-	binary.BigEndian.PutUint32(hdr[2:6], uint32(len(m.Payload)))
-	binary.BigEndian.PutUint32(hdr[6:10], m.Xid)
-	_, err := w.Write(append(hdr, m.Payload...))
+	frame := make([]byte, hdrLen, hdrLen+len(m.Payload))
+	putHeader(frame, m.Type, len(m.Payload), m.Xid)
+	_, err := w.Write(append(frame, m.Payload...))
 	return err
 }
 
-func readMessage(r io.Reader) (message, error) {
-	var hdr [10]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readMessage reads one frame. buf (at least hdrLen bytes) takes its
+// header, and its payload too when that fits: the payload then aliases
+// buf until the next read. A larger payload gets a slice of its own.
+func readMessage(r io.Reader, buf []byte) (message, error) {
+	hdr := buf[:hdrLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return message{}, err
 	}
 	if hdr[0] != Version {
@@ -96,15 +110,11 @@ func readMessage(r io.Reader) (message, error) {
 	if n > maxPayload {
 		return message{}, fmt.Errorf("%w: payload length %d", ErrBadMessage, n)
 	}
-	payload := make([]byte, n)
+	payload := slices.Grow(buf[hdrLen:hdrLen], int(n))[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return message{}, err
 	}
-	return message{
-		Type:    MsgType(hdr[1]),
-		Xid:     binary.BigEndian.Uint32(hdr[6:10]),
-		Payload: payload,
-	}, nil
+	return message{Type: MsgType(hdr[1]), Xid: binary.BigEndian.Uint32(hdr[6:10]), Payload: payload}, nil
 }
 
 // PortStat is one port's transmit byte counter.
@@ -132,12 +142,12 @@ func decodeHello(p []byte) (uint64, error) {
 	return binary.BigEndian.Uint64(p), nil
 }
 
-func encodeFlowMod(cmd uint8, flowID uint64, outPort uint32) []byte {
-	buf := make([]byte, 13)
-	buf[0] = cmd
-	binary.BigEndian.PutUint64(buf[1:9], flowID)
-	binary.BigEndian.PutUint32(buf[9:13], outPort)
-	return buf
+// putFlowMod builds a whole FlowMod frame (xid 0) in b, flowModLen bytes.
+func putFlowMod(b []byte, cmd uint8, flowID uint64, outPort uint32) {
+	putHeader(b, TypeFlowMod, flowModLen-hdrLen, 0)
+	b[hdrLen] = cmd
+	binary.BigEndian.PutUint64(b[hdrLen+1:], flowID)
+	binary.BigEndian.PutUint32(b[hdrLen+9:], outPort)
 }
 
 func decodeFlowMod(p []byte) (cmd uint8, flowID uint64, outPort uint32, err error) {

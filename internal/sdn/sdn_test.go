@@ -85,6 +85,32 @@ func TestInstallAndRemoveFlow(t *testing.T) {
 	}
 }
 
+// TestFlowModAllocatesNothing: a rule install and its removal cost no
+// allocation at either end — each iteration waits until the switch has
+// applied both, so its side is counted too.
+func TestFlowModAllocatesNothing(t *testing.T) {
+	c, switches := startPlane(t, 1)
+	sw := switches[0]
+	applied := func(want bool) {
+		for _, ok := sw.HasFlow(5); ok != want; _, ok = sw.HasFlow(5) {
+			time.Sleep(10 * time.Microsecond)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := c.InstallFlow(sw.DatapathID(), 5, 1); err != nil {
+			t.Fatal(err)
+		}
+		applied(true)
+		if err := c.RemoveFlow(sw.DatapathID(), 5); err != nil {
+			t.Fatal(err)
+		}
+		applied(false)
+	})
+	if allocs != 0 {
+		t.Errorf("a FlowMod install and removal allocate %v times, want 0", allocs)
+	}
+}
+
 func TestStatsRoundTrip(t *testing.T) {
 	c, switches := startPlane(t, 1)
 	sw := switches[0]

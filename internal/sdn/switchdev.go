@@ -70,8 +70,11 @@ func (sw *Switch) Connect(addr string) error {
 
 func (sw *Switch) serve(conn net.Conn) {
 	defer close(sw.done)
+	// Only FlowMods and stats requests arrive, and neither keeps its
+	// payload past handle, so one buffer serves every message.
+	buf := make([]byte, flowModLen)
 	for {
-		m, err := readMessage(conn)
+		m, err := readMessage(conn, buf)
 		if err != nil {
 			return
 		}

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -277,4 +278,107 @@ func TestAttachmentFrame(t *testing.T) {
 			t.Errorf("handler ran %d times on half an attachment", got)
 		}
 	})
+}
+
+// serveAttached serves one "sum" method that checks its attachment stays
+// put while the handler runs, and returns a client on one session to it.
+func serveAttached(t *testing.T) *Client {
+	s := NewServer()
+	mustRegister(t, s, "sum", func(ctx context.Context, params json.RawMessage) (any, error) {
+		att := Attachment(ctx)
+		first := sum(att)
+		runtime.Gosched() // let the other calls' buffers come and go
+		if sum(att) != first {
+			return nil, errors.New("attachment changed under its handler")
+		}
+		return first, nil
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln) //nolint:errcheck // Serve returns on Close
+	t.Cleanup(func() { s.Close() })
+	return dial(t, ln.Addr().String())
+}
+
+// TestConcurrentAttachmentsKeepTheirBytes puts 8 attached calls with
+// distinct payloads on one session at once, round after round, so receive
+// buffers are recycled between them: each handler sees its own bytes for
+// its whole run (and, under -race, no buffer is written while read).
+func TestConcurrentAttachmentsKeepTheirBytes(t *testing.T) {
+	c := serveAttached(t)
+	payloads := make([][]byte, 8)
+	for i := range payloads {
+		payloads[i] = bytes.Repeat([]byte{byte(i)}, 256<<10>>(i%2)-i) // two classes, all distinct
+	}
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		for _, p := range payloads {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var got string
+				if err := c.Call(WithAttachment(context.Background(), p), "sum", nil, &got); err != nil || got != sum(p) {
+					t.Errorf("round %d: handler of a %d-byte call saw sum %.8s, %v; want %.8s", round, len(p), got, err, sum(p))
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestAttachmentBufferIsReused: steady-state attached calls of one size
+// recycle the receive buffer instead of allocating and zeroing a new one.
+func TestAttachmentBufferIsReused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers on purpose")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P's pool, as the benchmark runs
+	c := serveAttached(t)
+	ctx := WithAttachment(context.Background(), pattern(256<<10))
+	call := func() {
+		var got string
+		if err := c.Call(ctx, "sum", nil, &got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		call()
+	}
+	const calls = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 4<<10 {
+		t.Errorf("a 256 KiB attached call allocates %d bytes, want under 4 KiB: the receive buffer is not recycled", per)
+	}
+}
+
+// TestFreshAttachmentBufferFillsItsClass: with no free buffer, the one an
+// attachment grows into is its class's full size, so handing it back
+// serves the next attachment of that size whatever the size is.
+func TestFreshAttachmentBufferFillsItsClass(t *testing.T) {
+	for _, tc := range []struct{ n, cap int }{
+		{1, readBufCap}, {readBufCap, readBufCap}, {readBufCap + 1, 2 * readBufCap},
+		{100 << 10, 2 * readBufCap}, {256 << 10, 256 << 10}, {1<<20 + 3, 2 << 20},
+		{maxAppend, maxAppend}, {maxFrame - 100, maxFrame},
+	} {
+		emptyAttachPools()
+		att := pattern(tc.n)
+		var req request
+		p, err := readRequest(bytes.NewReader(attachFrame(t, request{ID: 1, Method: "m"}, int64(tc.n), att)), &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(*p, att) || cap(*p) != tc.cap {
+			t.Errorf("%d attached bytes: %d read into a %d-byte buffer, want them in a %d-byte one", tc.n, len(*p), cap(*p), tc.cap)
+		}
+	}
+	if got := len(attachPools) - 1; readBufCap<<got != maxFrame {
+		t.Errorf("the largest class holds %d bytes, want maxFrame", readBufCap<<got)
+	}
 }

@@ -18,12 +18,20 @@ func frameBytes(prefix uint32, body []byte) []byte {
 	return append(hdr[:], body...)
 }
 
+// emptyAttachPools drops every recycled attachment buffer: two collections
+// clear a sync.Pool, its victim cache included.
+func emptyAttachPools() {
+	runtime.GC()
+	runtime.GC()
+}
+
 // FuzzReadFrame throws corrupt, truncated, and oversized frames at the
 // decoder, attachment included. The decoder must never panic, must reject
 // length prefixes beyond maxFrame, and — the finding that motivated the
 // chunked read — must not allocate prefix-sized buffers for data that
 // never arrives: a 4-byte input claiming a 16 MB body, or a 40-byte one
-// claiming a 16 MB attachment, should cost roughly nothing.
+// claiming a 16 MB attachment, should cost roughly nothing. The pools are
+// emptied first, so an attachment always takes the fresh-buffer path.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(frameBytes(2, []byte(`{}`)))
 	f.Add(frameBytes(0, nil))
@@ -49,12 +57,17 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req request
 		var before, after runtime.MemStats
+		emptyAttachPools()
 		runtime.ReadMemStats(&before)
 		r := bytes.NewReader(data)
-		att, err := readRequest(r, &req)
+		p, err := readRequest(r, &req)
 		runtime.ReadMemStats(&after)
 		if spent, allowed := after.TotalAlloc-before.TotalAlloc, uint64(4*readBufCap+16*len(data)); spent > allowed {
 			t.Fatalf("allocated %d bytes reading a %d-byte input (allowed %d): memory reserved for bytes that never arrived", spent, len(data), allowed)
+		}
+		var att []byte
+		if p != nil {
+			att = *p
 		}
 		if err == nil && (int64(len(att)) != req.Attach || !bytes.HasSuffix(data[:len(data)-r.Len()], att)) {
 			t.Fatalf("claimed %d attached bytes, returned %d, consumed %d of %d", req.Attach, len(att), len(data)-r.Len(), len(data))

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"time"
@@ -160,23 +161,44 @@ func writeFrame(w io.Writer, mu *sync.Mutex, v any, attach []byte) error {
 // one must not cost a maxFrame-sized allocation.
 const readBufCap = 64 << 10
 
-// readN reads exactly n announced bytes into one slice: sized n up to
-// readBufCap (every control message: one allocation), then at most
-// quadrupling as it fills. A short stream is io.ErrUnexpectedEOF.
-func readN(r io.Reader, n int64) ([]byte, error) {
+// attachPools recycles attachment receive buffers (DESIGN.md §13): class
+// i holds buffers of at least readBufCap<<i bytes, up to maxFrame at i = 8.
+// They hold *[]byte: putting a bare slice would box it, an allocation.
+var attachPools [9]sync.Pool
+
+// readN reads exactly n announced bytes into one slice of capacity up to
+// limit (>= n): sized up to readBufCap (every control message: one
+// allocation), then at most quadrupling as it fills.
+func readN(r io.Reader, n, limit int64) ([]byte, error) {
 	var buf []byte
 	for int64(len(buf)) < n {
-		grown := make([]byte, min(n, max(readBufCap, 4*int64(len(buf)))))
+		c := min(limit, max(readBufCap, 4*int64(len(buf))))
+		grown := make([]byte, min(n, c), c)
 		copy(grown, buf)
-		if _, err := io.ReadFull(r, grown[len(buf):]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
+		if err := readFull(r, grown[len(buf):]); err != nil {
 			return nil, err
 		}
 		buf = grown
 	}
 	return buf, nil
+}
+
+// readFull fills b with announced bytes: a stream that ends first is
+// io.ErrUnexpectedEOF, never a clean io.EOF.
+func readFull(r io.Reader, b []byte) error {
+	_, err := io.ReadFull(r, b)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// putAttachment recycles a buffer readRequest returned (nil: none) into
+// the largest class it fills; one smaller than every class is dropped.
+func putAttachment(p *[]byte) {
+	if p != nil && cap(*p) >= readBufCap {
+		attachPools[bits.Len64(uint64(cap(*p))/readBufCap)-1].Put(p)
+	}
 }
 
 // readFrame decodes one frame's JSON into v and returns its length.
@@ -189,7 +211,7 @@ func readFrame(r io.Reader, v any) (int64, error) {
 	if n > maxFrame {
 		return 0, fmt.Errorf("wire: frame too large (%d bytes)", n)
 	}
-	body, err := readN(r, n)
+	body, err := readN(r, n, n)
 	if err != nil {
 		return 0, err
 	}
@@ -200,8 +222,10 @@ func readFrame(r io.Reader, v any) (int64, error) {
 // its envelope announces one. The announced length is believed only once
 // the envelope has parsed and is bounded with it by maxFrame; a stream
 // that ends inside the attachment is io.ErrUnexpectedEOF, so a request is
-// never seen without all of it.
-func readRequest(r io.Reader, req *request) ([]byte, error) {
+// never seen without all of it. The attachment lands in a free buffer of
+// its class, or else in one readN grows to that class's size as bytes
+// arrive; the caller hands it back with putAttachment.
+func readRequest(r io.Reader, req *request) (*[]byte, error) {
 	n, err := readFrame(r, req)
 	if err != nil || req.Attach == 0 {
 		return nil, err
@@ -209,7 +233,21 @@ func readRequest(r io.Reader, req *request) ([]byte, error) {
 	if req.Attach < 0 || n+req.Attach > maxFrame {
 		return nil, fmt.Errorf("wire: frame too large (%d bytes + %d attached)", n, req.Attach)
 	}
-	return readN(r, req.Attach)
+	class := bits.Len64(uint64(req.Attach-1) / readBufCap)
+	p, _ := attachPools[class].Get().(*[]byte)
+	if p == nil {
+		b, err := readN(r, req.Attach, readBufCap<<class)
+		if err != nil {
+			return nil, err
+		}
+		return &b, nil
+	}
+	*p = (*p)[:req.Attach]
+	if err := readFull(r, *p); err != nil {
+		putAttachment(p)
+		return nil, err
+	}
+	return p, nil
 }
 
 // Handler processes one request's parameters and returns a result to be
@@ -234,10 +272,13 @@ func WithAttachment(ctx context.Context, b []byte) context.Context {
 
 // Attachment returns the raw bytes that arrived behind the request a
 // handler is serving, nil if there were none. The handler is handed the
-// receive buffer itself and must not retain it past its return.
+// receive buffer itself and must not retain it past its return: the
+// buffer then takes a later request's attachment.
 func Attachment(ctx context.Context) []byte {
-	b, _ := ctx.Value(recvKey{}).([]byte)
-	return b
+	if p, _ := ctx.Value(recvKey{}).(*[]byte); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Server dispatches wire requests to registered handlers.
@@ -417,6 +458,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// The caller abandoned the call: cancel its handler context.
 			// The handler still writes a response (which the caller
 			// ignores); an id with no live handler is a no-op.
+			putAttachment(attach)
 			liveMu.Lock()
 			if stop := live[req.ID]; stop != nil {
 				stop()
@@ -427,6 +469,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 		h, release, reject := s.admit(req.Method)
 		if reject != "" {
+			putAttachment(attach)
 			handlerWG.Add(1)
 			go func(id uint64, msg string) {
 				defer handlerWG.Done()
@@ -450,17 +493,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 
 		handlerWG.Add(1)
-		go func(req request, callCtx context.Context, stop context.CancelFunc) {
+		go func(id uint64, params json.RawMessage, callCtx context.Context, stop context.CancelFunc, attach *[]byte) {
 			defer handlerWG.Done()
 			defer release()
 			defer func() {
 				liveMu.Lock()
-				delete(live, req.ID)
+				delete(live, id)
 				liveMu.Unlock()
 				stop()
 			}()
-			resp := response{ID: req.ID}
-			if result, err := h(callCtx, req.Params); err != nil {
+			resp := response{ID: id}
+			if result, err := h(callCtx, params); err != nil {
 				resp.Error = err.Error()
 				switch {
 				case errors.Is(err, context.DeadlineExceeded):
@@ -476,10 +519,12 @@ func (s *Server) serveConn(conn net.Conn) {
 					resp.Result = body
 				}
 			}
+			// Free before the reply, so the caller's next piece finds it.
+			putAttachment(attach)
 			// A write failure means the connection is gone; the read
 			// loop will notice and clean up.
 			_ = writeFrame(conn, &writeMu, &resp, nil)
-		}(req, callCtx, stop)
+		}(req.ID, req.Params, callCtx, stop, attach)
 	}
 }
 
