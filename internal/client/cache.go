@@ -109,9 +109,6 @@ type metaCache struct {
 }
 
 func newMetaCache(capEntries int, ttl float64, clock fabric.Clock, met *cacheMetrics) *metaCache {
-	if capEntries <= 0 {
-		capEntries = 4096
-	}
 	if clock == nil {
 		clock = fabric.NewWallClock()
 	}

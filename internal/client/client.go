@@ -33,6 +33,7 @@ import (
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
 	"github.com/mayflower-dfs/mayflower/internal/obs"
 	"github.com/mayflower-dfs/mayflower/internal/rpc"
+	"github.com/mayflower-dfs/mayflower/internal/topology"
 	"github.com/mayflower-dfs/mayflower/internal/wire"
 )
 
@@ -58,7 +59,8 @@ type Options struct {
 	// caches the route under the directory epoch for FlowRouteTTL, and
 	// rebinds whenever a Lookup returns a higher epoch — a failed-over
 	// shard must not keep serving new Selects from a stale cached peer.
-	// Requires Host to parse under Locate (the pod is the routing key).
+	// Requires Host to parse under topology.ParseHostName (the pod is the
+	// routing key).
 	// When empty the client picks replicas uniformly at random (the
 	// degraded mode the paper compares against).
 	FlowserverAddr string
@@ -79,13 +81,9 @@ type Options struct {
 	// measured on Clock, so under a compressed fabric clock the TTL means
 	// fabric seconds, not wall seconds.
 	CacheTTL time.Duration
-	// CacheEntries caps the metadata cache; least-recently-used entries
-	// are evicted beyond it (4096 if zero).
-	CacheEntries int
 	// Clock supplies the time base for lease expiry; the wall clock if
-	// nil. The testbed injects its fabric clock so compressed-clock
-	// emulation keeps the configured TTL instead of shrinking it by the
-	// speedup factor.
+	// nil. The testbed injects its fabric clock, so leases tick on the
+	// deployment's one time base.
 	Clock fabric.Clock
 	// DialData opens a bulk data connection; a plain TCP dial if nil. It
 	// is called on a pool miss: the client keeps what it returns and
@@ -112,15 +110,6 @@ type Options struct {
 	// rpc.DialSession with a bounded connect if nil. Fault-injection
 	// harnesses substitute a partition-aware dialer here.
 	DialControl func(ctx context.Context, addr string) (*wire.Client, error)
-	// ReadTimeout bounds each per-replica read attempt (2 min if zero,
-	// <0 disables). On expiry the read fails over to the next candidate
-	// instead of hanging on a stalled or partitioned replica.
-	ReadTimeout time.Duration
-	// ReadRetries is how many full passes over the replica candidate
-	// list a read makes before giving up (2 if zero). File metadata is
-	// refreshed between passes so repaired replica sets and promoted
-	// primaries are picked up mid-failure.
-	ReadRetries int
 	// RetryBackoff is the base delay before the second failover pass,
 	// doubled each further pass and capped at 2 s (50 ms if zero).
 	RetryBackoff time.Duration
@@ -139,18 +128,30 @@ type Options struct {
 	// locality-order replica selection; the Flowserver is an optimizer,
 	// not a dependency.
 	FlowserverTimeout time.Duration
-	// RPCTimeout is the default deadline applied to small metadata and
-	// control RPCs when the caller's context has none (10 s if zero,
-	// <0 disables), so a stalled nameserver cannot hang the client.
-	RPCTimeout time.Duration
-	// Locate maps host names to (pod, rack) for locality-order replica
-	// selection; defaults to parsing the canonical
-	// "host-p<pod>-r<rack>-h<idx>" scheme. Unknown hosts sort last.
-	Locate Locator
 	// Metrics optionally publishes the client's failover and attempt
 	// counters under "client." names. Instrumentation is always on.
 	Metrics *obs.Registry
 }
+
+// The client's fixed limits.
+const (
+	// cacheEntries caps the metadata cache; least-recently-used entries
+	// are evicted beyond it.
+	cacheEntries = 4096
+	// readTimeout bounds each per-replica read attempt: on expiry the
+	// read fails over to the next candidate instead of hanging on a
+	// stalled or partitioned replica.
+	readTimeout = 2 * time.Minute
+	// readPasses is how many full passes over the replica candidates a
+	// read makes before giving up. File metadata is refreshed between
+	// passes so repaired replica sets and promoted primaries are picked
+	// up mid-failure.
+	readPasses = 2
+	// rpcTimeout is the deadline applied to small metadata and control
+	// RPCs when the caller's context has none, so a stalled nameserver
+	// cannot hang the client.
+	rpcTimeout = 10 * time.Second
+)
 
 // clientMetrics counts the fault-handling read path: failover passes,
 // per-replica attempt outcomes, time spent backing off, and reads that
@@ -202,6 +203,12 @@ type Client struct {
 	ns   *nameserver.Client
 	fr   *flowctl.Router // nil: no Flowserver, degraded replica selection
 
+	// pod and rack locate Host for locality-order replica selection;
+	// located is false when Host does not parse (every replica then
+	// ranks as remote).
+	pod, rack int
+	located   bool
+
 	cache *metaCache
 
 	mu  sync.Mutex
@@ -246,12 +253,6 @@ func New(opts Options) (*Client, error) {
 	if opts.CacheTTL == 0 {
 		opts.CacheTTL = 30 * time.Second
 	}
-	if opts.ReadTimeout == 0 {
-		opts.ReadTimeout = 2 * time.Minute
-	}
-	if opts.ReadRetries == 0 {
-		opts.ReadRetries = 2
-	}
 	if opts.RetryBackoff == 0 {
 		opts.RetryBackoff = 50 * time.Millisecond
 	}
@@ -260,12 +261,6 @@ func New(opts Options) (*Client, error) {
 	}
 	if opts.FlowserverTimeout == 0 {
 		opts.FlowserverTimeout = 2 * time.Second
-	}
-	if opts.RPCTimeout == 0 {
-		opts.RPCTimeout = 10 * time.Second
-	}
-	if opts.Locate == nil {
-		opts.Locate = defaultLocate
 	}
 	rng := opts.Rand
 	if rng == nil {
@@ -277,6 +272,7 @@ func New(opts Options) (*Client, error) {
 		rng:   rng,
 		retry: rpc.Backoff{Base: opts.RetryBackoff},
 	}
+	c.pod, c.rack, c.located = topology.ParseHostName(opts.Host)
 	poolOpts := rpc.Options{
 		ConnectTimeout: 5 * time.Second,
 		Dial:           opts.DialControl,
@@ -294,8 +290,8 @@ func New(opts Options) (*Client, error) {
 	pool := rpc.NewPool(poolOpts)
 	c.pool = pool
 	c.ns = nameserver.NewClient(pool.Peer(opts.NameserverAddr))
-	c.bulk = dataserver.NewBulk(opts.DialData, opts.ReadTimeout, &c.met.data)
-	c.cache = newMetaCache(opts.CacheEntries, opts.CacheTTL.Seconds(), opts.Clock, &c.met.cache)
+	c.bulk = dataserver.NewBulk(opts.DialData, readTimeout, &c.met.data)
+	c.cache = newMetaCache(cacheEntries, opts.CacheTTL.Seconds(), opts.Clock, &c.met.cache)
 	c.cache.lookup = func(ctx context.Context, name string) (nameserver.FileInfo, error) {
 		lctx, cancel := c.rpcCtx(ctx)
 		defer cancel()
@@ -324,12 +320,11 @@ func New(opts Options) (*Client, error) {
 		// lazily and every Select is bounded by FlowserverTimeout, so an
 		// unreachable control plane degrades reads to locality-order
 		// replica selection instead of failing them.
-		pod, _, ok := opts.Locate(opts.Host)
-		if !ok {
+		if !c.located {
 			pool.Close()
 			return nil, fmt.Errorf("client: FlowserverAddr routing needs a locatable Host, got %q", opts.Host)
 		}
-		c.fr = flowctl.NewRouter(pool, opts.FlowserverAddr, pod, opts.FlowRouteTTL, opts.Clock)
+		c.fr = flowctl.NewRouter(pool, opts.FlowserverAddr, c.pod, opts.FlowRouteTTL, opts.Clock)
 	}
 	return c, nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
+	"github.com/mayflower-dfs/mayflower/internal/topology"
 )
 
 // This file is the client's fault-handling read path: per-replica attempt
@@ -16,38 +17,20 @@ import (
 // unreachable. The Flowserver is an optimizer, not a dependency (§3.3 of
 // the paper); losing it must degrade read placement, never availability.
 
-// Locator maps a topology host name to its (pod, rack) coordinates; ok is
-// false for unknown hosts.
-type Locator func(host string) (pod, rack int, ok bool)
-
-// defaultLocate parses the repository's canonical host naming scheme,
-// "host-p<pod>-r<rack>-h<idx>".
-func defaultLocate(host string) (pod, rack int, ok bool) {
-	var h int
-	if _, err := fmt.Sscanf(host, "host-p%d-r%d-h%d", &pod, &rack, &h); err != nil {
-		return 0, 0, false
-	}
-	return pod, rack, true
-}
-
 // localityRank scores a replica host's network distance from this client:
 // 0 same host, 1 same rack, 2 same pod, 3 other pod or unknown.
 func (c *Client) localityRank(host string) int {
 	if host != "" && host == c.opts.Host {
 		return 0
 	}
-	cp, cr, ok := c.opts.Locate(c.opts.Host)
-	if !ok {
-		return 3
-	}
-	p, r, ok := c.opts.Locate(host)
-	if !ok {
+	p, r, ok := topology.ParseHostName(host)
+	if !ok || !c.located {
 		return 3
 	}
 	switch {
-	case p == cp && r == cr:
+	case p == c.pod && r == c.rack:
 		return 1
-	case p == cp:
+	case p == c.pod:
 		return 2
 	default:
 		return 3
@@ -92,9 +75,8 @@ type flowTagger func(rep nameserver.ReplicaLoc) (flowID uint64, done func())
 func (c *Client) readWithFailover(ctx context.Context, name string, info nameserver.FileInfo,
 	cands []nameserver.ReplicaLoc, tag flowTagger, offset int64, buf []byte, primaryOnly bool) error {
 
-	retries := c.opts.ReadRetries
 	var errs []error
-	for pass := 0; pass < retries; pass++ {
+	for pass := 0; pass < readPasses; pass++ {
 		if pass > 0 {
 			c.met.failoverPasses.Inc()
 			if err := c.backoff(ctx, pass); err != nil {
@@ -139,7 +121,7 @@ func (c *Client) readWithFailover(ctx context.Context, name string, info nameser
 }
 
 // readAttempt performs one read attempt against one replica, bounded by
-// ReadTimeout (the bulk reader's).
+// readTimeout (the bulk reader's).
 func (c *Client) readAttempt(ctx context.Context, name string, info nameserver.FileInfo,
 	rep nameserver.ReplicaLoc, flowID uint64, offset int64, buf []byte) error {
 	size, err := c.bulk.Read(ctx, rep.DataAddr, flowID, info.ID, offset, buf)
@@ -185,11 +167,8 @@ func (c *Client) statReplicas(ctx context.Context, info nameserver.FileInfo) (in
 // timeout when the caller supplied no deadline, so a stalled nameserver or
 // dataserver surfaces as an error instead of a hang.
 func (c *Client) rpcCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.opts.RPCTimeout <= 0 {
-		return ctx, func() {}
-	}
 	if _, ok := ctx.Deadline(); ok {
 		return ctx, func() {}
 	}
-	return context.WithTimeout(ctx, c.opts.RPCTimeout)
+	return context.WithTimeout(ctx, rpcTimeout)
 }

@@ -80,7 +80,7 @@ func (c *Client) appendAttempt(ctx context.Context, name string, info nameserver
 
 	// Deliberately the caller's ctx, not rpcCtx: this RPC carries up to
 	// MaxAppend of bulk data plus the replication relay, so the metadata
-	// RPCTimeout would cut off large pieces on slow links. A dead primary
+	// rpcTimeout would cut off large pieces on slow links. A dead primary
 	// still fails fast (connection error), which is what the retry loop
 	// keys on.
 	return c.control(info.Primary().ControlAddr).Append(ctx, dataserver.AppendArgs{

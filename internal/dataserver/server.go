@@ -82,9 +82,6 @@ type Config struct {
 	// clock if nil. The testbed injects its fabric clock, as it does for
 	// the client's leases.
 	Clock fabric.Clock
-	// ConnectTimeout bounds each control-plane TCP connect (nameserver,
-	// flowserver, replica peers); rpc.DefaultConnectTimeout if zero.
-	ConnectTimeout time.Duration
 	// Metrics optionally publishes the server's write-path counters under
 	// "dataserver.<ID>." names. Instrumentation is always on.
 	Metrics *obs.Registry
@@ -177,9 +174,8 @@ func New(cfg Config) (*Server, error) {
 		store: st,
 		ctl:   wire.NewServer(),
 		pool: rpc.NewPool(rpc.Options{
-			ConnectTimeout: cfg.ConnectTimeout,
-			Metrics:        cfg.Metrics,
-			MetricsPrefix:  "dataserver." + cfg.ID + ".rpc",
+			Metrics:       cfg.Metrics,
+			MetricsPrefix: "dataserver." + cfg.ID + ".rpc",
 		}),
 		bulk:      NewBulk(nil, 0, new(BulkMetrics)),
 		dataIdle:  dataIdleLimit,

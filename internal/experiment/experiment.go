@@ -150,16 +150,6 @@ type Config struct {
 	// ID), so the decision is identical across schemes and worker
 	// counts.
 	WriteFraction float64
-	// MetaLeaseSeconds models the client metadata lease cache on the
-	// simulated metadata path: every job charges its client one
-	// nameserver Lookup the first time it touches a file, a (cheap,
-	// batched) Validate when an expired lease is renewed, and nothing
-	// while the lease is live. 0 (the default, and the historical
-	// behaviour) models no cache: every job costs one Lookup. The model
-	// is pure bookkeeping — it reads the fabric clock but starts no
-	// flows and draws no randomness — so completion-time results are
-	// identical for every value; only Result.NSLookups/NSValidates move.
-	MetaLeaseSeconds float64
 	// DisableImpactTerm / DisableFreeze are the DESIGN.md ablations.
 	DisableImpactTerm bool
 	DisableFreeze     bool
@@ -248,8 +238,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("experiment: Shards must be >= 0, got %d", c.Shards)
 	case c.WriteFraction < 0 || c.WriteFraction > 1:
 		return fmt.Errorf("experiment: WriteFraction must be in [0, 1], got %g", c.WriteFraction)
-	case c.MetaLeaseSeconds < 0:
-		return fmt.Errorf("experiment: MetaLeaseSeconds must be >= 0, got %g", c.MetaLeaseSeconds)
 	case c.Trials < 0:
 		return fmt.Errorf("experiment: Trials must be >= 0, got %d", c.Trials)
 	case c.Workers < 0:
@@ -276,14 +264,6 @@ type Result struct {
 	// WriteJobs counts measured jobs that ran as appends (see
 	// Config.WriteFraction).
 	WriteJobs int
-	// NSLookups counts modeled full nameserver Lookup RPCs over the whole
-	// trace (warmup included): one per job without a metadata lease
-	// cache, one per first (client, file) touch with it. See
-	// Config.MetaLeaseSeconds.
-	NSLookups int
-	// NSValidates counts modeled batched lease renewals (ns.Validate):
-	// charged when a job finds its lease expired. Zero without a cache.
-	NSValidates int
 	// Summary aggregates CompletionTimes.
 	Summary stats.Summary
 	// Drift is the flow-model drift audit for schemes that ran a
@@ -361,11 +341,6 @@ func Run(cfg Config) (*Result, error) {
 	r.jobsLocal = reg.Counter("experiment.jobs_local")
 	r.jobsSplit = reg.Counter("experiment.jobs_split")
 	r.jobsWrite = reg.Counter("experiment.jobs_write")
-	r.nsLookups = reg.Counter("experiment.ns_lookups")
-	r.nsValidates = reg.Counter("experiment.ns_validates")
-	if cfg.MetaLeaseSeconds > 0 {
-		r.leases = make(map[leaseKey]float64)
-	}
 	if err := r.setupPolicies(); err != nil {
 		return nil, err
 	}
@@ -443,13 +418,7 @@ type runner struct {
 	jobsLocal     *obs.Counter
 	jobsSplit     *obs.Counter
 	jobsWrite     *obs.Counter
-	nsLookups     *obs.Counter
-	nsValidates   *obs.Counter
 	completed     int // jobs finished, for the progress line
-
-	// Metadata-path model: per-(client, file) lease expiries in fabric
-	// time. Nil when Config.MetaLeaseSeconds is zero (no cache).
-	leases map[leaseKey]float64
 
 	skipped int // failed selections (should stay zero)
 	polling bool
@@ -606,44 +575,9 @@ func (r *runner) FlowStats() []flowserver.FlowStat {
 	return batch
 }
 
-// leaseKey identifies one client's cached metadata for one file.
-type leaseKey struct {
-	client topology.NodeID
-	file   int
-}
-
-// metaLookup charges the metadata-path cost of one job against the
-// modeled nameserver: a full Lookup on the first touch (or always,
-// without a cache), a batched Validate to renew an expired lease, and
-// nothing while the lease is live. The catalog is immutable during a
-// run, so a renewal never changes the record — the model stays pure
-// bookkeeping and cannot perturb completion times.
-func (r *runner) metaLookup(job workload.Job) {
-	if r.leases == nil {
-		r.res.NSLookups++
-		r.nsLookups.Inc()
-		return
-	}
-	key := leaseKey{client: job.Client, file: job.FileIndex}
-	now := r.fab.Now()
-	exp, ok := r.leases[key]
-	switch {
-	case ok && now < exp:
-		return // live lease: no nameserver traffic
-	case ok:
-		r.res.NSValidates++
-		r.nsValidates.Inc()
-	default:
-		r.res.NSLookups++
-		r.nsLookups.Inc()
-	}
-	r.leases[key] = now + r.cfg.MetaLeaseSeconds
-}
-
 // startJob performs replica/path selection for one job and launches its
 // flow(s) on the fabric.
 func (r *runner) startJob(job workload.Job) {
-	r.metaLookup(job)
 	if r.isWriteJob(job.ID) {
 		r.startWriteJob(job)
 		return

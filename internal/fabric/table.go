@@ -105,15 +105,6 @@ func (t *Table) Reallocate() {
 	copy(t.rates, t.alloc.Allocate(t.capacity, flows))
 }
 
-// Rate returns a flow's rate as of the last Reallocate.
-func (t *Table) Rate(id uint64) (float64, bool) {
-	i, ok := t.pos[id]
-	if !ok {
-		return 0, false
-	}
-	return t.rates[i], true
-}
-
 // Each visits every admitted flow with its current rate, in the table's
 // dense (deterministic) order. fn must not mutate the table.
 func (t *Table) Each(fn func(id uint64, rate float64)) {

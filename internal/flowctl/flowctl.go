@@ -31,12 +31,11 @@
 // A small directory maps pods to shards under an epoch-numbered lease:
 // every ownership change bumps the epoch, and clients and dataservers
 // cache (shard, epoch) routes they must revalidate on epoch change (see
-// Router). When a shard dies — missed heartbeats in the
-// deployed form, an explicit kill in tests — the directory promotes its
-// pods to the next live shard and bumps the epoch; the promoted shard
-// adopts the links with an empty model that repopulates from counter
-// polls, and in-flight clients fall back to the degraded locality-order
-// read path until they re-resolve.
+// Router). When a shard misses its heartbeats, the directory promotes
+// its pods to the next live shard and bumps the epoch; the promoted
+// shard adopts the links with an empty model that repopulates from
+// counter polls, and in-flight clients fall back to the degraded
+// locality-order read path until they re-resolve.
 package flowctl
 
 import (
@@ -50,7 +49,7 @@ import (
 // shard of one process and published once under "flowserver." names
 // whatever the shard count; the fields here are what only a plane has:
 // selection routing (pod-local vs cross-shard), foreign-commit traffic,
-// digest freshness, and failovers, published under "flowctl." names.
+// and digest freshness, published under "flowctl." names.
 type Metrics struct {
 	Flowserver *flowserver.Metrics
 
@@ -59,7 +58,6 @@ type Metrics struct {
 	RemoteCommits      obs.Counter
 	RemoteCommitErrors obs.Counter
 	DigestRefreshes    obs.Counter
-	Failovers          obs.Counter
 	// DigestAge observes, at every cross-shard commit, how stale the
 	// consulted remote digest was (seconds on the model clock).
 	DigestAge *obs.Histogram
@@ -81,7 +79,6 @@ func (m *Metrics) Register(r *obs.Registry) {
 	r.RegisterCounter("flowctl.remote_commits", &m.RemoteCommits)
 	r.RegisterCounter("flowctl.remote_commit_errors", &m.RemoteCommitErrors)
 	r.RegisterCounter("flowctl.digest_refreshes", &m.DigestRefreshes)
-	r.RegisterCounter("flowctl.failovers", &m.Failovers)
 	r.RegisterHistogram("flowctl.digest_age_seconds", m.DigestAge)
 	m.epoch = r.Gauge("flowctl.epoch")
 }

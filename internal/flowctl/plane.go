@@ -2,7 +2,6 @@ package flowctl
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
 	"github.com/mayflower-dfs/mayflower/internal/obs"
@@ -37,37 +36,24 @@ type Plane struct {
 	dir    *Directory
 	shards []*Shard
 	met    *Metrics
-
-	mu     sync.Mutex
-	killed []bool
 }
 
-// planeLink wires shard-to-shard calls directly, refusing calls to
-// killed shards so a dead peer looks unreachable, not absent.
+// planeLink wires shard-to-shard calls directly.
 type planeLink struct {
 	p      *Plane
 	target int
 }
 
 func (l planeLink) CommitForeign(id flowserver.FlowID, links topology.Path, bits, capBw float64) (float64, error) {
-	if l.p.isKilled(l.target) {
-		return 0, fmt.Errorf("flowctl: shard %d is down", l.target)
-	}
 	return l.p.shards[l.target].srv.CommitForeign(id, links, bits, capBw), nil
 }
 
 func (l planeLink) FinishForeign(id flowserver.FlowID) error {
-	if l.p.isKilled(l.target) {
-		return fmt.Errorf("flowctl: shard %d is down", l.target)
-	}
 	l.p.shards[l.target].srv.FlowFinished(id)
 	return nil
 }
 
 func (l planeLink) Digest() (*Digest, error) {
-	if l.p.isKilled(l.target) {
-		return nil, fmt.Errorf("flowctl: shard %d is down", l.target)
-	}
 	s := l.p.shards[l.target]
 	return s.BuildDigest(s.clock()), nil
 }
@@ -83,7 +69,6 @@ func NewPlane(topo *topology.Topology, opts Options) (*Plane, error) {
 		p.met.Register(opts.Metrics)
 	}
 	p.shards = make([]*Shard, opts.Shards)
-	p.killed = make([]bool, opts.Shards)
 	for k := range p.shards {
 		s, err := NewShard(topo, ShardConfig{
 			Index:             k,
@@ -122,18 +107,12 @@ func (p *Plane) Shard(k int) *Shard {
 	return p.shards[k]
 }
 
-func (p *Plane) isKilled(k int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.killed[k]
-}
-
 // coordinatorFor resolves the shard coordinating selections for a
 // requester host via the directory.
 func (p *Plane) coordinatorFor(host topology.NodeID) (*Shard, error) {
 	pod := p.topo.Node(host).Pod
 	g, _, _, ok := p.dir.Lookup(pod)
-	if !ok || p.isKilled(g) {
+	if !ok {
 		return nil, fmt.Errorf("flowctl: no live shard owns pod %d", pod)
 	}
 	return p.shards[g], nil
@@ -180,9 +159,8 @@ func (p *Plane) coordinatorOf(id flowserver.FlowID) *Shard {
 	return p.shards[k]
 }
 
-// FlowFinished retires a flow everywhere it was committed. Routing is
-// id arithmetic, so it works even for flows whose coordinator has been
-// killed (the in-process state survives; only new work is refused).
+// FlowFinished retires a flow everywhere it was committed; routing is
+// id arithmetic.
 func (p *Plane) FlowFinished(id flowserver.FlowID) {
 	p.coordinatorOf(id).FlowFinished(id)
 }
@@ -192,7 +170,7 @@ func (p *Plane) EstimatedBW(id flowserver.FlowID) (float64, bool) {
 	return p.coordinatorOf(id).Server().EstimatedBW(id)
 }
 
-// PollFrom ingests one stats cycle into every live shard, retiring the
+// PollFrom ingests one stats cycle into every shard, retiring the
 // flows it proves over, and then refreshes the cross-shard digests, in
 // shard-index order — each shard in a real deployment polls the edge
 // switches of its own pods and gossips on the same tick; the in-process
@@ -201,24 +179,18 @@ func (p *Plane) EstimatedBW(id flowserver.FlowID) (float64, bool) {
 // tell of a retirement.
 func (p *Plane) PollFrom(now float64, src flowserver.StatsSource) {
 	batch := src.FlowStats()
-	for k, s := range p.shards {
-		if !p.isKilled(k) {
-			flowserver.Hooks{}.Retire(s, s.Server().UpdateFlowStats(now, batch)...)
-		}
+	for _, s := range p.shards {
+		flowserver.Hooks{}.Retire(s, s.Server().UpdateFlowStats(now, batch)...)
 	}
 	if len(p.shards) == 1 {
 		return // a lone shard has nobody to gossip with
 	}
 	ds := make([]*Digest, len(p.shards))
 	for k, s := range p.shards {
-		if !p.isKilled(k) {
-			ds[k] = s.BuildDigest(now)
-		}
+		ds[k] = s.BuildDigest(now)
 	}
-	for k, s := range p.shards {
-		if !p.isKilled(k) {
-			s.InstallDigests(ds)
-		}
+	for _, s := range p.shards {
+		s.InstallDigests(ds)
 	}
 }
 
@@ -234,36 +206,6 @@ func (p *Plane) NumFlows() int {
 		n += s.Server().NumFlows()
 	}
 	return n
-}
-
-// KillShard declares shard k dead: the directory promotes its pods to
-// the next live shard (bumping the epoch) and every surviving shard
-// learns the new ownership. Selections for the promoted pods route to
-// the successor, whose model for the adopted links starts empty and
-// repopulates from counter polls.
-func (p *Plane) KillShard(k int) error {
-	if len(p.shards) == 1 {
-		return fmt.Errorf("flowctl: cannot kill the only shard")
-	}
-	if k < 0 || k >= len(p.shards) {
-		return fmt.Errorf("flowctl: no shard %d", k)
-	}
-	p.mu.Lock()
-	if p.killed[k] {
-		p.mu.Unlock()
-		return nil
-	}
-	p.killed[k] = true
-	p.mu.Unlock()
-	p.dir.MarkDead(k)
-	owner, epoch := p.dir.Owners()
-	for g, s := range p.shards {
-		if !p.isKilled(g) {
-			s.SetOwners(owner, epoch)
-		}
-	}
-	p.met.Failovers.Inc()
-	return nil
 }
 
 // Metrics exposes the plane's flowctl instrumentation.

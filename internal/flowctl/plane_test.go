@@ -215,63 +215,6 @@ func TestCrossPodDeterminism(t *testing.T) {
 	}
 }
 
-// TestKillShardFailover: killing a shard promotes its pods (one epoch
-// bump), selections for those pods route to the successor, and retiring
-// pre-kill flows stays safe.
-func TestKillShardFailover(t *testing.T) {
-	topo := testTopo(t)
-	clock := &fakeClock{}
-	plane, err := NewPlane(topo, Options{Shards: 2, Now: clock.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pod 1 is owned by shard 1. A cross-pod read from a pod-1 client.
-	client := topo.HostAt(1, 0, 0)
-	rep := topo.HostAt(2, 1, 1)
-	as, err := plane.SelectReplicaAndPath(flowserver.Request{
-		Client: client, Replicas: []topology.NodeID{rep}, Bits: 1e8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := plane.Shard(1); !got.OwnsPod(1) {
-		t.Fatal("precondition: shard 1 should own pod 1")
-	}
-
-	epochBefore := plane.Directory().Epoch()
-	if err := plane.KillShard(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := plane.Directory().Epoch(); got != epochBefore+1 {
-		t.Errorf("epoch after kill = %d, want %d", got, epochBefore+1)
-	}
-	g, _, _, ok := plane.Directory().Lookup(1)
-	if !ok || g != 0 {
-		t.Fatalf("pod 1 after kill routes to shard %d (ok=%v), want 0", g, ok)
-	}
-	// New selection for the promoted pod succeeds via the successor.
-	as2, err := plane.SelectReplicaAndPath(flowserver.Request{
-		Client: client, Replicas: []topology.NodeID{rep}, Bits: 1e8})
-	if err != nil {
-		t.Fatalf("post-failover select: %v", err)
-	}
-	if as2[0].FlowID%2 != 1 {
-		t.Errorf("post-failover flow id %d not from shard 0's sequence", as2[0].FlowID)
-	}
-	// Retiring the pre-kill flow (coordinated by the dead shard) is safe.
-	plane.FlowFinished(as[0].FlowID)
-	if got := plane.Metrics().Failovers.Value(); got != 1 {
-		t.Errorf("failovers counter = %d, want 1", got)
-	}
-	// Killing the last shard leaves the pods orphaned: selects fail.
-	if err := plane.KillShard(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plane.SelectReplicaAndPath(flowserver.Request{
-		Client: client, Replicas: []topology.NodeID{rep}, Bits: 1e8}); err == nil {
-		t.Error("select succeeded with every shard dead")
-	}
-}
-
 // TestDigestStalenessBound pins the freshness contract: digests refresh
 // on every poll, so the age a coordinator sees never exceeds the time
 // since the last poll.
@@ -332,12 +275,8 @@ func TestNewPlaneValidation(t *testing.T) {
 	if _, err := NewPlane(topo, Options{Shards: 8}); err == nil {
 		t.Error("more shards than pods accepted")
 	}
-	plane, err := NewPlane(topo, Options{Shards: 1})
-	if err != nil {
+	if _, err := NewPlane(topo, Options{Shards: 1}); err != nil {
 		t.Fatal(err)
-	}
-	if err := plane.KillShard(0); err == nil {
-		t.Error("killed the only shard")
 	}
 }
 

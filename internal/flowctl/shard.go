@@ -188,13 +188,6 @@ func (s *Shard) SetOwners(owner []int, epoch int64) {
 	s.met.setEpoch(epoch)
 }
 
-// OwnsPod reports whether this shard currently owns the pod.
-func (s *Shard) OwnsPod(pod int) bool {
-	s.ownMu.RLock()
-	defer s.ownMu.RUnlock()
-	return pod >= 0 && pod < len(s.owner) && s.owner[pod] == s.idx
-}
-
 // addCandidates appends one candidate per path to the selection in
 // progress, endpoint naming the replica (reads) or target (writes) the
 // path serves. Own is the path itself when this shard owns every link —

@@ -9,23 +9,20 @@ package hdfsbaseline
 
 import (
 	"math/rand"
-	"strings"
 	"sync"
 
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
+	"github.com/mayflower-dfs/mayflower/internal/topology"
 )
-
-// Locator maps a topology host name to its (pod, rack) coordinates; ok is
-// false for unknown hosts.
-type Locator func(host string) (pod, rack int, ok bool)
 
 // RackAwarePicker returns a replica picker implementing HDFS's rack-aware
 // read policy for a client at the given host: a replica on the client's
 // own host wins, then a replica in the client's rack, then a uniformly
-// random replica. The picker is safe for concurrent use (a client's reads
-// run concurrently) and must own rng: it serializes its own draws only.
-func RackAwarePicker(clientHost string, locate Locator, rng *rand.Rand) func(nameserver.FileInfo) nameserver.ReplicaLoc {
-	clientPod, clientRack, clientKnown := locate(clientHost)
+// random replica; racks come from topology.ParseHostName. The picker is
+// safe for concurrent use (a client's reads run concurrently) and must
+// own rng: it serializes its own draws only.
+func RackAwarePicker(clientHost string, rng *rand.Rand) func(nameserver.FileInfo) nameserver.ReplicaLoc {
+	clientPod, clientRack, clientKnown := topology.ParseHostName(clientHost)
 	var mu sync.Mutex
 	intn := func(n int) int {
 		mu.Lock()
@@ -41,7 +38,7 @@ func RackAwarePicker(clientHost string, locate Locator, rng *rand.Rand) func(nam
 		if clientKnown {
 			var local []nameserver.ReplicaLoc
 			for _, rep := range info.Replicas {
-				if pod, rack, ok := locate(rep.Host); ok && pod == clientPod && rack == clientRack {
+				if pod, rack, ok := topology.ParseHostName(rep.Host); ok && pod == clientPod && rack == clientRack {
 					local = append(local, rep)
 				}
 			}
@@ -51,35 +48,4 @@ func RackAwarePicker(clientHost string, locate Locator, rng *rand.Rand) func(nam
 		}
 		return info.Replicas[intn(len(info.Replicas))]
 	}
-}
-
-// NameLocator derives (pod, rack) from this repository's canonical host
-// naming scheme ("host-p<pod>-r<rack>-h<idx>"), avoiding a topology
-// dependency for deployments that follow it.
-func NameLocator(host string) (pod, rack int, ok bool) {
-	parts := strings.Split(host, "-")
-	if len(parts) != 4 || parts[0] != "host" {
-		return 0, 0, false
-	}
-	p, okP := parseCoord(parts[1], 'p')
-	r, okR := parseCoord(parts[2], 'r')
-	if !okP || !okR {
-		return 0, 0, false
-	}
-	return p, r, true
-}
-
-func parseCoord(s string, prefix byte) (int, bool) {
-	if len(s) < 2 || s[0] != prefix {
-		return 0, false
-	}
-	n := 0
-	for i := 1; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
 }

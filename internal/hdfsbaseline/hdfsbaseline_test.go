@@ -16,32 +16,8 @@ func info(hosts ...string) nameserver.FileInfo {
 	return fi
 }
 
-func TestNameLocator(t *testing.T) {
-	tests := []struct {
-		host      string
-		pod, rack int
-		ok        bool
-	}{
-		{"host-p0-r0-h0", 0, 0, true},
-		{"host-p3-r12-h1", 3, 12, true},
-		{"host-p10-r2-h40", 10, 2, true},
-		{"gateway-1", 0, 0, false},
-		{"host-x0-r0-h0", 0, 0, false},
-		{"host-p0-rX-h0", 0, 0, false},
-		{"host-p-r1-h0", 0, 0, false},
-		{"", 0, 0, false},
-	}
-	for _, tt := range tests {
-		pod, rack, ok := NameLocator(tt.host)
-		if ok != tt.ok || (ok && (pod != tt.pod || rack != tt.rack)) {
-			t.Errorf("NameLocator(%q) = (%d, %d, %v), want (%d, %d, %v)",
-				tt.host, pod, rack, ok, tt.pod, tt.rack, tt.ok)
-		}
-	}
-}
-
 func TestRackAwarePickerPrefersLocalHost(t *testing.T) {
-	pick := RackAwarePicker("host-p0-r0-h0", NameLocator, rand.New(rand.NewSource(1)))
+	pick := RackAwarePicker("host-p0-r0-h0", rand.New(rand.NewSource(1)))
 	fi := info("host-p1-r0-h0", "host-p0-r0-h0", "host-p2-r0-h0")
 	got := pick(fi)
 	if got.Host != "host-p0-r0-h0" {
@@ -50,7 +26,7 @@ func TestRackAwarePickerPrefersLocalHost(t *testing.T) {
 }
 
 func TestRackAwarePickerPrefersRack(t *testing.T) {
-	pick := RackAwarePicker("host-p0-r1-h0", NameLocator, rand.New(rand.NewSource(2)))
+	pick := RackAwarePicker("host-p0-r1-h0", rand.New(rand.NewSource(2)))
 	fi := info("host-p1-r0-h0", "host-p0-r1-h3", "host-p2-r0-h0")
 	for i := 0; i < 20; i++ {
 		if got := pick(fi); got.Host != "host-p0-r1-h3" {
@@ -60,7 +36,7 @@ func TestRackAwarePickerPrefersRack(t *testing.T) {
 }
 
 func TestRackAwarePickerRandomFallback(t *testing.T) {
-	pick := RackAwarePicker("host-p3-r3-h0", NameLocator, rand.New(rand.NewSource(3)))
+	pick := RackAwarePicker("host-p3-r3-h0", rand.New(rand.NewSource(3)))
 	fi := info("host-p1-r0-h0", "host-p0-r1-h3", "host-p2-r0-h0")
 	seen := make(map[string]int)
 	for i := 0; i < 600; i++ {
@@ -77,7 +53,7 @@ func TestRackAwarePickerRandomFallback(t *testing.T) {
 }
 
 func TestRackAwarePickerUnknownClientHost(t *testing.T) {
-	pick := RackAwarePicker("mystery-host", NameLocator, rand.New(rand.NewSource(4)))
+	pick := RackAwarePicker("mystery-host", rand.New(rand.NewSource(4)))
 	fi := info("host-p1-r0-h0", "host-p2-r0-h0")
 	seen := make(map[string]bool)
 	for i := 0; i < 100; i++ {
@@ -91,7 +67,7 @@ func TestRackAwarePickerUnknownClientHost(t *testing.T) {
 // TestRackAwarePickerConcurrent: one HDFS-mode client reads from many
 // goroutines through one picker (run under -race).
 func TestRackAwarePickerConcurrent(t *testing.T) {
-	pick := RackAwarePicker("host-p3-r3-h0", NameLocator, rand.New(rand.NewSource(5)))
+	pick := RackAwarePicker("host-p3-r3-h0", rand.New(rand.NewSource(5)))
 	fi := info("host-p1-r0-h0", "host-p0-r1-h3", "host-p2-r0-h0")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

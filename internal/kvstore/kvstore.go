@@ -57,11 +57,10 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu      sync.RWMutex
-	mem     map[string][]byte
-	wal     *os.File
-	walRecs int
-	closed  bool
+	mu     sync.RWMutex
+	mem    map[string][]byte
+	wal    *os.File
+	closed bool
 }
 
 // Open opens (or creates) the store in dir.
@@ -242,7 +241,6 @@ func (s *Store) appendLocked(op byte, key, val []byte) error {
 	if _, err := s.wal.Write(rec); err != nil {
 		return fmt.Errorf("kvstore: wal append: %w", err)
 	}
-	s.walRecs++
 	if s.opts.SyncWrites {
 		if err := s.wal.Sync(); err != nil {
 			return fmt.Errorf("kvstore: wal sync: %w", err)
@@ -299,17 +297,6 @@ func (s *Store) Len() (int, error) {
 	return len(s.mem), nil
 }
 
-// WALRecords reports how many records have been appended to the WAL since
-// it was last compacted (observability and compaction-policy hook).
-func (s *Store) WALRecords() (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	return s.walRecs, nil
-}
-
 // Compact writes the current state to a fresh snapshot (atomically
 // replacing the old one) and truncates the WAL.
 func (s *Store) Compact() error {
@@ -352,7 +339,6 @@ func (s *Store) Compact() error {
 	if _, err := s.wal.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("kvstore: rewind wal: %w", err)
 	}
-	s.walRecs = 0
 	return nil
 }
 

@@ -58,14 +58,13 @@ type FileInfo struct {
 	ChunkSize int64        `json:"chunkSize"`
 	Replicas  []ReplicaLoc `json:"replicas"`
 	// Version stamps the record's last mutation (install, size report,
-	// replica replacement). Versions are drawn from the nameserver's
-	// global namespace epoch, so they are monotonic per file AND unique
-	// across a delete/re-create of the same name — a client holding a
-	// pre-delete version can never mistake the re-created file for its
-	// cached record. Clients cache FileInfo under a lease and revalidate
-	// with a cheap batched Validate carrying (name, version) pairs instead
-	// of a full Lookup; an unchanged version renews the lease without
-	// re-sending the record.
+	// replica replacement). Versions are drawn from one global sequence,
+	// so they are monotonic per file AND unique across a delete/re-create
+	// of the same name — a client holding a pre-delete version can never
+	// mistake the re-created file for its cached record. Clients cache
+	// FileInfo under a lease and revalidate with a cheap batched Validate
+	// carrying (name, version) pairs instead of a full Lookup; an
+	// unchanged version renews the lease without re-sending the record.
 	Version int64 `json:"version,omitempty"`
 }
 
@@ -117,14 +116,15 @@ type Service struct {
 	lastBeat  map[string]time.Time  // id → last heartbeat (in-memory only)
 	deadAfter time.Duration         // placement skips servers silent this long (0 = no filter)
 
-	// epoch counts namespace-shape mutations (InstallFile, Delete,
-	// ReplaceReplica) — the events that can invalidate a cached replica
-	// set. A client whose last observed epoch still matches can have every
-	// lease renewed without per-entry version checks (sizes may have moved,
-	// but sizes only grow and are corrected by every dataserver read).
+	// epoch is the version of the last namespace-shape mutation
+	// (InstallFile, Delete, ReplaceReplica, Rebuild) — the events that can
+	// invalidate a cached replica set. A client whose last observed epoch
+	// still matches can have every lease renewed without per-entry version
+	// checks (sizes may have moved, but sizes only grow and are corrected
+	// by every dataserver read).
 	epoch int64
 	// verSeq issues FileInfo versions: a global sequence bumped on every
-	// record mutation (epoch events plus size reports), so versions are
+	// record mutation (shape mutations plus size reports), so versions are
 	// monotonic per file and never reused across a delete/re-create.
 	verSeq int64
 }
@@ -132,7 +132,8 @@ type Service struct {
 const (
 	filePrefix   = "file/"
 	serverPrefix = "server/"
-	epochKey     = "meta/epoch"
+	// checkpointKey holds the version checkpoint (see checkpointLocked).
+	checkpointKey = "meta/epoch"
 )
 
 // NewService opens a nameserver over the given metadata store. Existing
@@ -169,31 +170,20 @@ func NewService(store *kvstore.Store, rng *rand.Rand) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Epoch and version sequence survive graceful restarts. The sequence
-	// restores to the maximum of every persisted file version and the
-	// checkpointed sequence — the checkpoint covers versions burned by
-	// deletes, which live in no file record but must never be re-issued.
-	if v, ok, err := store.Get([]byte(epochKey)); err != nil {
+	// The version sequence restores to the maximum of every persisted
+	// file version and the checkpoint, which covers the versions of
+	// deleted records. The epoch restarts there too: at worst it is ahead
+	// of the last shape mutation, which costs each client one per-entry
+	// Validate.
+	if v, ok, err := store.Get([]byte(checkpointKey)); err != nil {
 		return nil, err
 	} else if ok {
-		var rec epochRecord
-		if err := json.Unmarshal(v, &rec); err == nil {
-			if rec.Epoch > s.epoch {
-				s.epoch = rec.Epoch
-			}
-			if rec.VerSeq > s.verSeq {
-				s.verSeq = rec.VerSeq
-			}
+		var rec versionCheckpoint
+		if err := json.Unmarshal(v, &rec); err == nil && rec.VerSeq > s.verSeq {
+			s.verSeq = rec.VerSeq
 		}
 	}
-	if s.verSeq > s.epoch {
-		// A crash between persisting a mutated record and its epoch bump
-		// leaves file versions ahead of the checkpoint. Raise the epoch to
-		// match: a too-large epoch only disables the Validate fast path,
-		// while a too-small one could blanket-renew leases that predate the
-		// unpersisted mutation.
-		s.epoch = s.verSeq
-	}
+	s.epoch = s.verSeq
 	return s, nil
 }
 
@@ -347,7 +337,8 @@ func (s *Service) ReplaceReplica(name, oldServerID string, repl ReplicaLoc) erro
 		return err
 	}
 	s.files[name] = fi
-	return s.bumpEpochLocked()
+	s.epoch = fi.Version
+	return nil
 }
 
 // Servers lists registered dataservers sorted by id.
@@ -424,27 +415,27 @@ func (s *Service) nextVersionLocked() int64 {
 	return s.verSeq
 }
 
-// epochRecord is the persisted epoch checkpoint. It carries the version
-// sequence too: versions burned by deletes live in no file record, so
-// without the checkpoint a restart could re-issue them — and a client
-// still holding a deleted file's version could then get a false OK from
-// Validate against an unrelated record that reached the same number.
-type epochRecord struct {
-	Epoch  int64 `json:"epoch"`
+// versionCheckpoint is the persisted version sequence. Every issued
+// version lives in a file record until that record is deleted, so the
+// checkpoint is written before any record delete: without it a restart
+// could re-issue a deleted record's version, and a client still holding
+// it could then get a false OK from Validate against an unrelated record
+// that reached the same number.
+type versionCheckpoint struct {
 	VerSeq int64 `json:"verSeq"`
 }
 
-// bumpEpochLocked advances and persists the namespace epoch (with the
-// current version sequence). Caller holds s.mu and has already applied
-// the mutation the bump announces.
-func (s *Service) bumpEpochLocked() error {
-	s.epoch++
-	return s.persist(epochKey, epochRecord{Epoch: s.epoch, VerSeq: s.verSeq})
+// checkpointLocked burns a version, so the shape mutation about to
+// delete records has one of its own, and persists the sequence. Caller
+// holds s.mu.
+func (s *Service) checkpointLocked() error {
+	s.nextVersionLocked()
+	return s.persist(checkpointKey, versionCheckpoint{VerSeq: s.verSeq})
 }
 
-// Epoch returns the current namespace epoch: it advances exactly when a
-// file is installed, deleted, or has a replica replaced — the mutations
-// that can make a cached replica set stale.
+// Epoch returns the current namespace epoch: it advances when a file is
+// installed, deleted, or has a replica replaced — the mutations that can
+// make a cached replica set stale — and on Rebuild and restart.
 func (s *Service) Epoch() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -466,9 +457,7 @@ func (s *Service) InstallFile(fi FileInfo) (FileInfo, error) {
 		return FileInfo{}, err
 	}
 	s.files[fi.Name] = fi
-	if err := s.bumpEpochLocked(); err != nil {
-		return FileInfo{}, err
-	}
+	s.epoch = fi.Version
 	return fi, nil
 }
 
@@ -679,16 +668,14 @@ func (s *Service) Delete(name string) (FileInfo, error) {
 	if !ok {
 		return FileInfo{}, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
+	if err := s.checkpointLocked(); err != nil {
+		return FileInfo{}, err
+	}
 	if err := s.store.Delete([]byte(filePrefix + name)); err != nil {
 		return FileInfo{}, err
 	}
 	delete(s.files, name)
-	// Burn a version so a future re-create of the same name can never
-	// reuse one a stale client still holds, then announce the shape change.
-	s.nextVersionLocked()
-	if err := s.bumpEpochLocked(); err != nil {
-		return FileInfo{}, err
-	}
+	s.epoch = s.verSeq
 	return fi, nil
 }
 
@@ -761,6 +748,9 @@ func (s *Service) Rebuild(ctx context.Context, sc Scanner) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Clear persisted file records, then write the rebuilt table.
+	if err := s.checkpointLocked(); err != nil {
+		return err
+	}
 	for name := range s.files {
 		if err := s.store.Delete([]byte(filePrefix + name)); err != nil {
 			return err
@@ -783,7 +773,8 @@ func (s *Service) Rebuild(ctx context.Context, sc Scanner) error {
 		}
 		s.files[name] = fi
 	}
-	return s.bumpEpochLocked()
+	s.epoch = s.verSeq
+	return nil
 }
 
 // NumFiles returns the number of files.

@@ -1,8 +1,11 @@
 package nameserver
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/mayflower-dfs/mayflower/internal/kvstore"
@@ -183,7 +186,7 @@ func TestValidateEpochFastPath(t *testing.T) {
 // TestVersionSeqSurvivesRestart: a restarted nameserver must keep
 // issuing versions above everything it ever issued, even for files that
 // were deleted before the restart (their versions are gone from the
-// store). The epoch persists to cover exactly that.
+// store). The persisted version checkpoint covers exactly that.
 func TestVersionSeqSurvivesRestart(t *testing.T) {
 	store, err := kvstore.Open(t.TempDir(), kvstore.Options{})
 	if err != nil {
@@ -217,6 +220,92 @@ func TestVersionSeqSurvivesRestart(t *testing.T) {
 	if again.Version <= deletedVer {
 		t.Errorf("post-restart version %d not above deleted file's %d", again.Version, deletedVer)
 	}
+}
+
+// crashInside runs a mutation, then simulates a crash that loses the
+// mutation's last store write: it closes the store, tears the WAL's last
+// record (kvstore replay drops a torn tail) and restarts the nameserver
+// over the same directory. Before the mutation, f is created and grown,
+// and the returned record is what a client caches from that.
+func crashInside(t *testing.T, mutate func(*Service)) (cached FileInfo, restarted *Service) {
+	t.Helper()
+	dir := t.TempDir()
+	store, err := kvstore.Open(dir, kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(store, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerCluster(t, svc)
+	if _, err := svc.Create("c/f", CreateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// The size report's version lives only in f's record.
+	if err := svc.ReportSize("c/f", 4096); err != nil {
+		t.Fatal(err)
+	}
+	if cached, err = svc.Lookup("c/f"); err != nil {
+		t.Fatal(err)
+	}
+	mutate(svc)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal := filepath.Join(dir, "WAL")
+	st, err := os.Stat(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(wal, st.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	return cached, newService(t, dir)
+}
+
+// assertNoReissue re-creates f on the restarted nameserver (deleting it
+// first if the crash lost its deletion) and checks that the client's
+// cached record cannot validate against the new incarnation.
+func assertNoReissue(t *testing.T, cached FileInfo, svc *Service) {
+	t.Helper()
+	if _, err := svc.Delete("c/f"); err != nil && !errors.Is(err, ErrNotFound) {
+		t.Fatal(err)
+	}
+	again, err := svc.Create("c/f", CreateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Version <= cached.Version {
+		t.Errorf("re-created f at version %d, not above the cached %d", again.Version, cached.Version)
+	}
+	res, _ := svc.Validate(0, []ValidateEntry{{Name: "c/f", Version: cached.Version}})
+	if res[0].Status == ValidateOK {
+		t.Errorf("Validate answered ok for the deleted file's record (id %s); the new file is %s",
+			cached.ID, again.ID)
+	}
+}
+
+// TestDeleteCrashNeverReissuesAVersion: a crash inside Delete must not
+// let a restarted nameserver issue a version the deleted record held.
+func TestDeleteCrashNeverReissuesAVersion(t *testing.T) {
+	cached, svc := crashInside(t, func(svc *Service) {
+		if _, err := svc.Delete("c/f"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	assertNoReissue(t, cached, svc)
+}
+
+// TestRebuildCrashNeverReissuesAVersion: the same for a Rebuild whose
+// scan no longer finds the file.
+func TestRebuildCrashNeverReissuesAVersion(t *testing.T) {
+	cached, svc := crashInside(t, func(svc *Service) {
+		if err := svc.Rebuild(context.Background(), &fakeScanner{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	assertNoReissue(t, cached, svc)
 }
 
 func TestLookupMissingIsNotFound(t *testing.T) {

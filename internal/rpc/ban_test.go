@@ -165,6 +165,316 @@ func TestNoJSONBytesInDataserverMessages(t *testing.T) {
 	}
 }
 
+// TestEveryOptionIsSet keeps knobs from growing back: every exported
+// field of the repo's option structs must be set by code that ships —
+// a non-test file anywhere in the repo, bench/, cmd/, examples/ and the
+// chaos scenarios included. A field counts as set when a composite
+// literal of its type names it as a key, or when code outside the
+// declaring file assigns it or takes its address (a flag binding). A
+// field nobody sets is a constant at its default: make it one.
+//
+// The check is syntactic but keyed by type, not field name: it follows
+// each variable's declared or inferred type through parameters,
+// declarations, composite literals, function and method results,
+// struct fields, indexing and range, so rpc.Options.ConnectTimeout being
+// set says nothing about dataserver.Config.ConnectTimeout.
+func TestEveryOptionIsSet(t *testing.T) {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := parseTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracked := []string{
+		"internal/client.Options", "internal/dataserver.Config",
+		"internal/testbed.ClusterConfig", "internal/testbed.ExperimentConfig",
+		"internal/experiment.Config", "internal/flowctl.Options", "internal/flowctl.ShardConfig",
+		"internal/flowserver.Options", "internal/rpc.Options", "internal/kvstore.Options",
+	}
+	set := tree.setFields()
+	var unset []string
+	for _, name := range tracked {
+		key := tree.module + "/" + name
+		fields := tree.structs[key]
+		if len(fields) == 0 {
+			t.Fatalf("%s declares no fields: the guard is looking in the wrong place", name)
+		}
+		for _, f := range fields {
+			if ast.IsExported(f) && !set[key+"."+f] {
+				unset = append(unset, strings.TrimPrefix(name, "internal/")+"."+f)
+			}
+		}
+	}
+	if len(unset) > 0 {
+		t.Errorf("options no shipped code sets: %v — replace each with a constant at its default", unset)
+	}
+}
+
+// goTree is every non-test Go file under the module root, with enough of
+// an index to type selector expressions syntactically. Type keys are
+// "<import path>.<name>"; slices and maps key as "[]" + element key.
+type goTree struct {
+	module  string
+	files   []*goFile
+	structs map[string][]string // type key → field names, in order
+	fields  map[string]string   // type key + "." + field → field type key
+	results map[string]string   // func key (or type key + "." + method) → first result type key
+	declIn  map[string]string   // type key → declaring file
+}
+
+type goFile struct {
+	rel, pkg string
+	ast      *ast.File
+	imports  map[string]string // local name → import path
+}
+
+func parseTree(root string) (*goTree, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	module := strings.TrimSpace(strings.TrimPrefix(strings.SplitN(string(mod), "\n", 2)[0], "module"))
+	tr := &goTree{module: module, structs: map[string][]string{}, fields: map[string]string{},
+		results: map[string]string{}, declIn: map[string]string{}}
+	err = filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		if info.IsDir() && path != root && (strings.HasPrefix(info.Name(), ".") || info.Name() == "testdata") {
+			return filepath.SkipDir // .git, the benchmark's build cache
+		}
+		if info.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		f := &goFile{rel: rel, pkg: module + "/" + filepath.ToSlash(filepath.Dir(rel)), ast: file, imports: map[string]string{}}
+		for _, imp := range file.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			f.imports[name] = p
+		}
+		tr.files = append(tr.files, f)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, f := range tr.files {
+		for _, decl := range f.ast.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, _ := spec.(*ast.TypeSpec)
+					if ts == nil {
+						continue
+					}
+					st, _ := ts.Type.(*ast.StructType)
+					if st == nil {
+						continue
+					}
+					key := f.pkg + "." + ts.Name.Name
+					tr.declIn[key] = f.rel
+					for _, fld := range st.Fields.List {
+						names := fld.Names
+						if len(names) == 0 { // embedded: named after its type
+							k := tr.typeKey(f, fld.Type)
+							names = []*ast.Ident{ast.NewIdent(k[strings.LastIndex(k, ".")+1:])}
+						}
+						for _, n := range names {
+							tr.structs[key] = append(tr.structs[key], n.Name)
+							tr.fields[key+"."+n.Name] = tr.typeKey(f, fld.Type)
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if d.Type.Results == nil || len(d.Type.Results.List) == 0 {
+					continue
+				}
+				key := f.pkg + "." + d.Name.Name
+				if d.Recv != nil {
+					key = tr.typeKey(f, d.Recv.List[0].Type) + "." + d.Name.Name
+				}
+				tr.results[key] = tr.typeKey(f, d.Type.Results.List[0].Type)
+			}
+		}
+	}
+	return tr, nil
+}
+
+// typeKey resolves a type expression written in f.
+func (tr *goTree) typeKey(f *goFile, e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return f.pkg + "." + e.Name
+	case *ast.SelectorExpr:
+		if x, ok := e.X.(*ast.Ident); ok && f.imports[x.Name] != "" {
+			return f.imports[x.Name] + "." + e.Sel.Name
+		}
+	case *ast.StarExpr:
+		return tr.typeKey(f, e.X)
+	case *ast.ArrayType:
+		return "[]" + tr.typeKey(f, e.Elt)
+	case *ast.MapType:
+		return "[]" + tr.typeKey(f, e.Value)
+	}
+	return ""
+}
+
+// setFields returns "<type key>.<field>" for every field some file sets.
+func (tr *goTree) setFields() map[string]bool {
+	set := map[string]bool{}
+	var markLit func(lit *ast.CompositeLit, key string)
+	markLit = func(lit *ast.CompositeLit, key string) {
+		for _, elt := range lit.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				if k, ok := kv.Key.(*ast.Ident); ok && !strings.HasPrefix(key, "[]") {
+					set[key+"."+k.Name] = true
+				}
+				elt = kv.Value
+			}
+			if u, ok := elt.(*ast.UnaryExpr); ok {
+				elt = u.X
+			}
+			if inner, ok := elt.(*ast.CompositeLit); ok && inner.Type == nil && strings.HasPrefix(key, "[]") {
+				markLit(inner, key[2:])
+			}
+		}
+	}
+	for _, f := range tr.files {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok && lit.Type != nil {
+				markLit(lit, tr.typeKey(f, lit.Type))
+			}
+			return true
+		})
+		for _, decl := range f.ast.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				env := map[string]string{}
+				if fn.Recv != nil {
+					tr.bind(f, env, fn.Recv)
+				}
+				tr.walk(f, env, fn.Type, fn.Body, set)
+			}
+		}
+	}
+	return set
+}
+
+func (tr *goTree) bind(f *goFile, env map[string]string, params *ast.FieldList) {
+	for _, p := range params.List {
+		for _, n := range p.Names {
+			env[n.Name] = tr.typeKey(f, p.Type)
+		}
+	}
+}
+
+// walk follows one function body, typing its variables in source order
+// and marking the tracked fields it assigns. A function literal gets its
+// own copy of the enclosing scope.
+func (tr *goTree) walk(f *goFile, env map[string]string, sig *ast.FuncType, body *ast.BlockStmt, set map[string]bool) {
+	tr.bind(f, env, sig.Params)
+	mark := func(e ast.Expr) {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			if key := tr.typeOf(f, env, sel.X); key != "" && tr.declIn[key] != f.rel {
+				set[key+"."+sel.Sel.Name] = true
+			}
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			inner := make(map[string]string, len(env))
+			for k, v := range env {
+				inner[k] = v
+			}
+			tr.walk(f, inner, n.Type, n.Body, set)
+			return false
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				mark(lhs)
+				id, ok := lhs.(*ast.Ident)
+				if !ok || (i > 0 && len(n.Rhs) != len(n.Lhs)) {
+					continue
+				}
+				if key := tr.typeOf(f, env, n.Rhs[min(i, len(n.Rhs)-1)]); key != "" {
+					env[id.Name] = key
+				}
+			}
+		case *ast.IncDecStmt:
+			mark(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				mark(n.X)
+			}
+		case *ast.ValueSpec:
+			for i, id := range n.Names {
+				if n.Type != nil {
+					env[id.Name] = tr.typeKey(f, n.Type)
+				} else if i < len(n.Values) {
+					env[id.Name] = tr.typeOf(f, env, n.Values[i])
+				}
+			}
+		case *ast.RangeStmt:
+			if id, ok := n.Value.(*ast.Ident); ok {
+				if key := tr.typeOf(f, env, n.X); strings.HasPrefix(key, "[]") {
+					env[id.Name] = key[2:]
+				}
+			}
+		}
+		return true
+	})
+}
+
+// typeOf infers the type key of an expression, "" when it cannot.
+func (tr *goTree) typeOf(f *goFile, env map[string]string, e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return env[e.Name]
+	case *ast.ParenExpr:
+		return tr.typeOf(f, env, e.X)
+	case *ast.StarExpr:
+		return tr.typeOf(f, env, e.X)
+	case *ast.UnaryExpr:
+		return tr.typeOf(f, env, e.X)
+	case *ast.CompositeLit:
+		return tr.typeKey(f, e.Type)
+	case *ast.IndexExpr:
+		if key := tr.typeOf(f, env, e.X); strings.HasPrefix(key, "[]") {
+			return key[2:]
+		}
+	case *ast.SelectorExpr:
+		if key := tr.typeOf(f, env, e.X); key != "" {
+			return tr.fields[key+"."+e.Sel.Name]
+		}
+	case *ast.CallExpr:
+		switch fn := e.Fun.(type) {
+		case *ast.Ident:
+			if fn.Name == "new" && len(e.Args) == 1 {
+				return tr.typeKey(f, e.Args[0])
+			}
+			return tr.results[f.pkg+"."+fn.Name]
+		case *ast.SelectorExpr:
+			if x, ok := fn.X.(*ast.Ident); ok && f.imports[x.Name] != "" && env[x.Name] == "" {
+				return tr.results[f.imports[x.Name]+"."+fn.Sel.Name]
+			}
+			if key := tr.typeOf(f, env, fn.X); key != "" {
+				return tr.results[key+"."+fn.Sel.Name]
+			}
+		}
+	}
+	return ""
+}
+
 // goFilesMatching returns the repo's .go files (slash-separated, relative
 // to the module root) whose text matches pattern, leaving out those skip
 // accepts.

@@ -166,7 +166,7 @@ func TestPeerReconnectsAcrossServerRestart(t *testing.T) {
 // handler may have run and the method may not be idempotent.
 func TestPostSendFailureIsNotRetried(t *testing.T) {
 	ts := startTestServer(t)
-	p := NewPeer(ts.addr, Options{Reconnects: 3})
+	p := NewPeer(ts.addr, Options{})
 	defer p.Close()
 
 	errCh := make(chan error, 1)
@@ -186,8 +186,8 @@ func TestPostSendFailureIsNotRetried(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("call hung after server death")
 	}
-	// Exactly one hang handler ran: the budget of 3 reconnects did not
-	// replay the request.
+	// Exactly one hang handler ran: the reconnect budget did not replay
+	// the request.
 	if got := len(ts.entered); got != 0 {
 		t.Fatalf("%d extra handler invocations after failure", got)
 	}
@@ -254,7 +254,7 @@ func TestPeerCancelStopsHandlerAndSessionSurvives(t *testing.T) {
 // or deadlock (run under -race).
 func TestConcurrentCallResetClose(t *testing.T) {
 	ts := startTestServer(t)
-	p := NewPeer(ts.addr, Options{Reconnects: 2})
+	p := NewPeer(ts.addr, Options{})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

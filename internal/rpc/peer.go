@@ -172,6 +172,9 @@ func (p *Peer) drop(sess *wire.Client) {
 	sess.Close()
 }
 
+// reconnectBudget is how many transparent redials one call may make.
+const reconnectBudget = 1
+
 // transportCall is the innermost CallFunc: acquire the shared session,
 // send, and handle transport death. A failed call is transparently
 // retried on a fresh connection only when wire proves the request never
@@ -180,7 +183,6 @@ func (p *Peer) drop(sess *wire.Client) {
 // frame was sent is returned as-is, because the handler may have run and
 // the method may not be idempotent. Dial failures share the same budget.
 func (p *Peer) transportCall(ctx context.Context, method string, args, reply any) error {
-	budget := p.opts.Reconnects
 	for pass := 0; ; pass++ {
 		if pass > 0 {
 			p.met.retries.Inc()
@@ -212,7 +214,7 @@ func (p *Peer) transportCall(ctx context.Context, method string, args, reply any
 		} else if errors.Is(err, ErrClosed) {
 			return err
 		}
-		if pass >= budget {
+		if pass >= reconnectBudget {
 			return err
 		}
 	}

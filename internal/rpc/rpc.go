@@ -65,10 +65,6 @@ type Options struct {
 	// Dial establishes the underlying session (nil: DialSession). Chaos
 	// scenarios inject partition-aware dialers here.
 	Dial func(ctx context.Context, addr string) (*wire.Client, error)
-	// Reconnects is the per-call budget of transparent redial attempts
-	// when the pooled session is dead or the request provably never hit
-	// the wire (0: one attempt; negative: none).
-	Reconnects int
 	// Backoff spaces reconnect attempts within one call.
 	Backoff Backoff
 	// Metrics, when set, publishes per-peer counters and the inflight
@@ -89,9 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Dial == nil {
 		o.Dial = DialSession
-	}
-	if o.Reconnects == 0 {
-		o.Reconnects = 1
 	}
 	if o.MetricsPrefix == "" {
 		o.MetricsPrefix = "rpc"

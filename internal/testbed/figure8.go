@@ -11,7 +11,6 @@ import (
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
 	"github.com/mayflower-dfs/mayflower/internal/obs"
 	"github.com/mayflower-dfs/mayflower/internal/stats"
-	"github.com/mayflower-dfs/mayflower/internal/topology"
 	"github.com/mayflower-dfs/mayflower/internal/workload"
 )
 
@@ -20,8 +19,6 @@ import (
 type ExperimentConfig struct {
 	// Mode is the filesystem configuration under test.
 	Mode Mode
-	// Topo is the emulated topology; ScaledTestbed() if zero.
-	Topo topology.Config
 	// Lambda is the Poisson arrival rate per server per second, in the
 	// scaled timebase.
 	Lambda float64
@@ -40,8 +37,6 @@ type ExperimentConfig struct {
 	Seed int64
 	// MultiReplica enables §4.3 split reads (ModeMayflower only).
 	MultiReplica bool
-	// Verify re-checks every read's payload length.
-	Verify bool
 	// Metrics, when non-nil, receives the run's cluster metrics and
 	// drift audit (see ClusterConfig.Metrics). Sharing one registry
 	// across runs accumulates drift histograms; plain server counters
@@ -91,7 +86,6 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	}
 	cluster, err := NewCluster(ClusterConfig{
 		Mode:         cfg.Mode,
-		Topo:         cfg.Topo,
 		Seed:         cfg.Seed,
 		MultiReplica: cfg.MultiReplica,
 		Metrics:      cfg.Metrics,
@@ -190,7 +184,7 @@ func replay(cluster *Cluster, cfg ExperimentConfig, jobs []workload.Job) (*Exper
 			t0 := time.Now()
 			data, err := cl.ReadAll(ctx, fileName(job.FileIndex))
 			d := time.Since(t0).Seconds()
-			if err == nil && cfg.Verify && int64(len(data)) != cfg.FileBytes {
+			if err == nil && int64(len(data)) != cfg.FileBytes {
 				err = fmt.Errorf("testbed: read %d bytes, want %d", len(data), cfg.FileBytes)
 			}
 			results[i] = outcome{job: job, duration: d, err: err}

@@ -336,12 +336,11 @@ func (k *killer) kill() {
 // shard's model, emunet and every switch table within its freeze horizon
 // plus StallPolls polls, because the polls prove it over.
 func TestGhostFlowsRetire(t *testing.T) {
-	const poll = 50 * time.Millisecond
 	cfg := tinyTopo()
 	cfg.EdgeLinkBps, cfg.EdgeAggLinkBps, cfg.AggCoreLinkBps = topology.Mbps(8), topology.Mbps(8), topology.Mbps(8)
 	const size = 256 << 10
 	horizon := time.Duration(float64(size*8) / topology.Mbps(8) * float64(time.Second)) // the read at the bottleneck's full rate
-	within := horizon + (flowserver.StallPolls+2)*poll + time.Second
+	within := horizon + (flowserver.StallPolls+2)*statsInterval + time.Second
 
 	for _, tc := range []struct {
 		name  string
@@ -389,7 +388,7 @@ func TestGhostFlowsRetire(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewCluster(ClusterConfig{Mode: ModeMayflower, Topo: cfg, Seed: 9, StatsInterval: poll})
+			c, err := NewCluster(ClusterConfig{Mode: ModeMayflower, Topo: cfg, Seed: 9})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -93,6 +93,11 @@ func ScaledTestbed() topology.Config {
 	}
 }
 
+// statsInterval is the Flowserver's switch polling period: the scaled
+// testbed compresses time ~8x relative to the paper's testbed, which
+// polled at seconds granularity.
+const statsInterval = 250 * time.Millisecond
+
 // Cluster is a running deployment.
 type Cluster struct {
 	Topo *topology.Topology
@@ -103,11 +108,10 @@ type Cluster struct {
 	admit fabric.Admitter
 	clock fabric.Clock
 
-	mode          Mode
-	controller    *sdn.Controller
-	switches      []*sdn.Switch
-	bridge        *sdn.CounterBridge
-	statsInterval time.Duration
+	mode       Mode
+	controller *sdn.Controller
+	switches   []*sdn.Switch
+	bridge     *sdn.CounterBridge
 
 	// Flow control plane (the flow-scheduled modes): one flowctl shard
 	// per wire endpoint — shard 0's also serves the shard directory — and
@@ -160,10 +164,6 @@ type ClusterConfig struct {
 	// WorkDir holds chunk stores and the nameserver database; a fresh
 	// temporary directory (removed on Close) if empty.
 	WorkDir string
-	// StatsInterval is the Flowserver's switch polling period
-	// (250 ms if zero; the scaled testbed compresses time ~8x relative
-	// to the paper's testbed, which polled at seconds granularity).
-	StatsInterval time.Duration
 	// Seed drives placement and selection randomness.
 	Seed int64
 	// MultiReplica enables §4.3 split reads (ModeMayflower only).
@@ -178,11 +178,6 @@ type ClusterConfig struct {
 	// (dataserver default if zero). Fault-injection tests shrink it so
 	// death detection fits in test time.
 	HeartbeatInterval time.Duration
-	// Speedup compresses the emulated network's clock: pacing, the
-	// Flowserver's notion of time, and stats polling all run Speedup
-	// times faster than the wall clock, with the fabric-time behaviour
-	// unchanged. <= 0 or unset means real time.
-	Speedup float64
 	// Metrics, when non-nil, receives the deployment's counters: the
 	// Flowserver's selection/poll metrics, the emulated fabric's
 	// reallocation metrics, each dataserver's write-path and per-peer
@@ -202,35 +197,25 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Topo.Pods == 0 {
 		cfg.Topo = ScaledTestbed()
 	}
-	if cfg.StatsInterval == 0 {
-		cfg.StatsInterval = 250 * time.Millisecond
-	}
 	topo, err := topology.New(cfg.Topo)
 	if err != nil {
 		return nil, err
 	}
-	net := emunet.NewWithClock(topo, fabric.NewScaledClock(cfg.Speedup))
-	// The polling period is configured in fabric seconds; under a
-	// compressed clock the wall-clock ticker shrinks to match.
-	wallPoll := cfg.StatsInterval
-	if cfg.Speedup > 1 {
-		wallPoll = time.Duration(float64(wallPoll) / cfg.Speedup)
-	}
+	net := emunet.New(topo)
 	c := &Cluster{
-		Topo:          topo,
-		Net:           net,
-		admit:         net,
-		clock:         net.Clock(),
-		mode:          cfg.Mode,
-		statsInterval: wallPoll,
-		servers:       make(map[string]*dataserver.Server),
-		serverIDs:     make(map[topology.NodeID]string),
-		clients:       make(map[string]*client.Client),
-		rng:           rand.New(rand.NewSource(cfg.Seed + 1)),
-		pollStop:      make(chan struct{}),
-		pollDone:      make(chan struct{}),
-		workDir:       cfg.WorkDir,
-		reg:           cfg.Metrics,
+		Topo:      topo,
+		Net:       net,
+		admit:     net,
+		clock:     net.Clock(),
+		mode:      cfg.Mode,
+		servers:   make(map[string]*dataserver.Server),
+		serverIDs: make(map[topology.NodeID]string),
+		clients:   make(map[string]*client.Client),
+		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
+		pollStop:  make(chan struct{}),
+		pollDone:  make(chan struct{}),
+		workDir:   cfg.WorkDir,
+		reg:       cfg.Metrics,
 	}
 	if c.reg != nil {
 		net.AttachMetrics(c.reg)
@@ -308,7 +293,7 @@ func (c *Cluster) boot(cfg ClusterConfig) error {
 		if err := c.bootFlowplane(cfg); err != nil {
 			return err
 		}
-		go c.pollLoop(c.statsInterval)
+		go c.pollLoop()
 	} else {
 		close(c.pollDone)
 		c.ecmp = selection.NewECMP(c.Topo)
@@ -356,8 +341,7 @@ func (c *Cluster) boot(cfg ClusterConfig) error {
 }
 
 // nowSeconds is the deployment's time base: the fabric clock, so the
-// Flowserver's freeze horizons and stats timestamps stay consistent with
-// pacing even under a compressed clock.
+// Flowserver's freeze horizons and stats timestamps share pacing's clock.
 func (c *Cluster) nowSeconds() float64 { return c.clock.Now() }
 
 // flowHooks bridges selection commits into the emulated fabric and the
@@ -394,7 +378,7 @@ func (c *Cluster) bootFlowplane(cfg ClusterConfig) error {
 		return err
 	}
 	c.flowDir = dir
-	c.ofSwitches = flowctl.NewSwitches(c.Topo, c.controller, c.statsInterval)
+	c.ofSwitches = flowctl.NewSwitches(c.Topo, c.controller, statsInterval)
 	c.shardPool = rpc.NewPool(rpc.Options{})
 	met := flowctl.NewMetrics()
 	if c.reg != nil {
@@ -450,9 +434,9 @@ func (c *Cluster) bootFlowplane(cfg ClusterConfig) error {
 
 // pollLoop periodically feeds switch flow counters to the Flowserver
 // through the shared stats seam.
-func (c *Cluster) pollLoop(interval time.Duration) {
+func (c *Cluster) pollLoop() {
 	defer close(c.pollDone)
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(statsInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -616,8 +600,7 @@ func (c *Cluster) clientOptionsLocked(name string) client.Options {
 		NameserverAddr: c.nsAddr,
 		Host:           name,
 		Rand:           rand.New(rand.NewSource(c.rng.Int63())),
-		// Lease expiry must tick in fabric time: under a compressed clock
-		// a wall-clock TTL would effectively shrink by the speedup factor.
+		// Leases expire on the fabric clock, like everything else here.
 		Clock: c.clock,
 	}
 	switch c.mode {
@@ -625,9 +608,9 @@ func (c *Cluster) clientOptionsLocked(name string) client.Options {
 		opts.FlowserverAddr = c.FlowserverAddr()
 	case ModeHDFSMayflower:
 		opts.FlowserverAddr = c.FlowserverAddr()
-		opts.PickReplica = hdfsbaseline.RackAwarePicker(name, hdfsbaseline.NameLocator, rand.New(rand.NewSource(c.rng.Int63())))
+		opts.PickReplica = hdfsbaseline.RackAwarePicker(name, rand.New(rand.NewSource(c.rng.Int63())))
 	case ModeHDFSECMP:
-		opts.PickReplica = hdfsbaseline.RackAwarePicker(name, hdfsbaseline.NameLocator, rand.New(rand.NewSource(c.rng.Int63())))
+		opts.PickReplica = hdfsbaseline.RackAwarePicker(name, rand.New(rand.NewSource(c.rng.Int63())))
 		opts.AssignFlow = func(replicaHost string, _ int64) (uint64, func()) {
 			return c.assignECMPFlow(replicaHost, name)
 		}

@@ -124,7 +124,6 @@ func TestRunExperimentSmall(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := ExperimentConfig{
 				Mode:        mode,
-				Topo:        tinyTopo(),
 				Lambda:      1.5,
 				NumJobs:     30,
 				WarmupJobs:  5,
@@ -133,7 +132,6 @@ func TestRunExperimentSmall(t *testing.T) {
 				Replication: 3,
 				Locality:    workload.LocalityRackHeavy,
 				Seed:        4,
-				Verify:      true,
 			}
 			res, err := RunExperiment(cfg)
 			if err != nil {

@@ -194,6 +194,31 @@ type Topology struct {
 // hostPair keys the shortest-path cache.
 type hostPair struct{ src, dst NodeID }
 
+// ParseHostName inverts New's host naming, "host-p<pod>-r<rack>-h<idx>",
+// for code that holds a name but no Topology; ok is false for any other
+// string. It allocates nothing: the client ranks replicas by it on every
+// read.
+func ParseHostName(name string) (pod, rack int, ok bool) {
+	var coord [3]int
+	rest := name
+	for i, part := range [3]string{"host-p", "-r", "-h"} {
+		if len(rest) < len(part) || rest[:len(part)] != part {
+			return 0, 0, false
+		}
+		rest = rest[len(part):]
+		n := 0
+		for n < len(rest) && rest[n] >= '0' && rest[n] <= '9' {
+			coord[i] = coord[i]*10 + int(rest[n]-'0')
+			n++
+		}
+		if n == 0 || n > 9 { // no digits, or more than an int32 holds
+			return 0, 0, false
+		}
+		rest = rest[n:]
+	}
+	return coord[0], coord[1], rest == ""
+}
+
 // New builds the topology described by cfg.
 func New(cfg Config) (*Topology, error) {
 	if err := cfg.Validate(); err != nil {

@@ -127,6 +127,47 @@ func TestHostAtRoundTrip(t *testing.T) {
 	}
 }
 
+func TestParseHostName(t *testing.T) {
+	tests := []struct {
+		host      string
+		pod, rack int
+		ok        bool
+	}{
+		{"host-p0-r0-h0", 0, 0, true},
+		{"host-p3-r12-h1", 3, 12, true},
+		{"host-p10-r2-h40", 10, 2, true},
+		{"gateway-1", 0, 0, false},
+		{"host-x0-r0-h0", 0, 0, false},
+		{"host-p0-rX-h0", 0, 0, false},
+		{"host-p-r1-h0", 0, 0, false},
+		{"host-p-1-r0-h0", 0, 0, false},
+		{"host-p0-r0-h0x", 0, 0, false},
+		{"host-p0-r0-h0-", 0, 0, false},
+		{"host-p0-r0-h", 0, 0, false},
+		{"host-p0-r0", 0, 0, false},
+		{"host-p9999999999-r0-h0", 0, 0, false},
+		{"", 0, 0, false},
+	}
+	for _, tt := range tests {
+		pod, rack, ok := ParseHostName(tt.host)
+		if ok != tt.ok || (ok && (pod != tt.pod || rack != tt.rack)) {
+			t.Errorf("ParseHostName(%q) = (%d, %d, %v), want (%d, %d, %v)",
+				tt.host, pod, rack, ok, tt.pod, tt.rack, tt.ok)
+		}
+	}
+	// Every name New generates parses back to its node's coordinates.
+	topo := testTopo(t)
+	for _, id := range topo.Hosts() {
+		n := topo.Node(id)
+		if pod, rack, ok := ParseHostName(n.Name); !ok || pod != n.Pod || rack != n.Rack {
+			t.Errorf("ParseHostName(%q) = (%d, %d, %v), want (%d, %d, true)", n.Name, pod, rack, ok, n.Pod, n.Rack)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ParseHostName("host-p3-r12-h1") }); n != 0 {
+		t.Errorf("ParseHostName allocates %v times, want 0", n)
+	}
+}
+
 func TestLocalityPredicates(t *testing.T) {
 	topo := testTopo(t)
 	a := topo.HostAt(0, 0, 0)

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
-	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -28,9 +26,6 @@ func TestRegisterAfterServe(t *testing.T) {
 	}
 	if err := s.Register("late", func(context.Context, json.RawMessage) (any, error) { return nil, nil }); err == nil {
 		t.Fatal("Register after Serve succeeded")
-	}
-	if err := s.SetInflightLimit("early", 1); err == nil {
-		t.Fatal("SetInflightLimit after Serve succeeded")
 	}
 }
 
@@ -176,135 +171,6 @@ func TestCancelFrameStopsHandler(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancel frame did not stop the handler")
-	}
-}
-
-// TestInflightLimitRejects: the per-method cap answers excess calls with
-// an immediate error instead of queueing them behind the slow ones, and
-// capacity frees once a call finishes.
-func TestInflightLimitRejects(t *testing.T) {
-	release := make(chan struct{})
-	entered := make(chan struct{}, 8)
-	s := NewServer()
-	mustRegister(t, s, "slow", func(ctx context.Context, _ json.RawMessage) (any, error) {
-		entered <- struct{}{}
-		select {
-		case <-release:
-		case <-ctx.Done():
-		}
-		return "done", nil
-	})
-	if err := s.SetInflightLimit("slow", 2); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.Serve(ln) //nolint:errcheck // Serve returns on Close
-	defer s.Close()
-	c := dial(t, ln.Addr().String())
-
-	errs := make(chan error, 2)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i := 0; i < 2; i++ {
-		go func() {
-			var out string
-			errs <- c.Call(ctx, "slow", nil, &out)
-		}()
-	}
-	<-entered
-	<-entered // both slots occupied
-	if got := s.Inflight(); got != 2 {
-		t.Fatalf("Inflight = %d, want 2", got)
-	}
-
-	// The third call is rejected immediately, not queued.
-	err = c.Call(ctx, "slow", nil, nil)
-	var re *RemoteError
-	if !errors.As(err, &re) || !strings.Contains(re.Msg, "in-flight") {
-		t.Fatalf("over-limit call err = %v, want in-flight rejection", err)
-	}
-
-	close(release)
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("admitted call failed: %v", err)
-		}
-	}
-	// Capacity is free again.
-	var out string
-	if err := c.Call(ctx, "slow", nil, &out); err != nil {
-		t.Fatalf("call after release: %v", err)
-	}
-}
-
-// TestDrainFinishesInflight: Drain stops accepting work — new calls get
-// a "draining" rejection — but in-flight handlers finish and their
-// responses still reach the caller.
-func TestDrainFinishesInflight(t *testing.T) {
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	s := NewServer()
-	mustRegister(t, s, "work", func(ctx context.Context, _ json.RawMessage) (any, error) {
-		entered <- struct{}{}
-		<-release
-		return "finished", nil
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.Serve(ln) //nolint:errcheck // Serve returns on Close or Drain
-	defer s.Close()
-	c := dial(t, ln.Addr().String())
-
-	callErr := make(chan error, 1)
-	var out string
-	go func() { callErr <- c.Call(context.Background(), "work", nil, &out) }()
-	<-entered
-
-	drained := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		drained <- s.Drain(ctx)
-	}()
-	// Draining: a new call on the existing connection is rejected.
-	var rejected atomic.Bool
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		err := c.Call(context.Background(), "work", nil, nil)
-		var re *RemoteError
-		if errors.As(err, &re) && strings.Contains(re.Msg, "draining") {
-			rejected.Store(true)
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !rejected.Load() {
-		t.Fatal("new call was not rejected while draining")
-	}
-
-	close(release)
-	if err := <-drained; err != nil {
-		t.Fatalf("Drain = %v", err)
-	}
-	if err := <-callErr; err != nil {
-		t.Fatalf("in-flight call failed across Drain: %v", err)
-	}
-	if out != "finished" {
-		t.Fatalf("in-flight result = %q, want finished", out)
-	}
-	// Drain is bounded: a second drain with nothing in flight returns at
-	// once, and a drain on a closed server errors.
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatalf("idle Drain = %v", err)
-	}
-	s.Close()
-	if err := s.Drain(context.Background()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Drain after Close = %v, want ErrClosed", err)
 	}
 }
 

@@ -285,23 +285,17 @@ func Attachment(ctx context.Context) []byte {
 type Server struct {
 	mu       sync.Mutex
 	handlers map[string]Handler
-	limits   map[string]int // per-method inflight caps
-	inflight map[string]int // per-method live handler counts
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
 	serving  bool
-	draining bool
 	closed   bool
 	wg       sync.WaitGroup // connection goroutines
-	calls    sync.WaitGroup // in-flight handler goroutines (for Drain)
 }
 
 // NewServer creates an empty server.
 func NewServer() *Server {
 	return &Server{
 		handlers: make(map[string]Handler),
-		limits:   make(map[string]int),
-		inflight: make(map[string]int),
 		conns:    make(map[net.Conn]struct{}),
 	}
 }
@@ -324,36 +318,6 @@ func (s *Server) Register(method string, h Handler) error {
 	return nil
 }
 
-// SetInflightLimit caps concurrent in-flight calls of one method; excess
-// requests are rejected immediately with a *RemoteError instead of
-// queueing, so one slow method cannot absorb every handler goroutine.
-// Zero (the default) means unlimited. Like Register, limits must be set
-// before Serve starts.
-func (s *Server) SetInflightLimit(method string, max int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.serving {
-		return fmt.Errorf("wire: set limit for %q after Serve started", method)
-	}
-	if max <= 0 {
-		delete(s.limits, method)
-		return nil
-	}
-	s.limits[method] = max
-	return nil
-}
-
-// Inflight returns the number of currently executing handlers.
-func (s *Server) Inflight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, c := range s.inflight {
-		n += c
-	}
-	return n
-}
-
 // Serve accepts connections on ln until the server is closed. It blocks.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
@@ -369,7 +333,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		conn, err := ln.Accept()
 		if err != nil {
 			s.mu.Lock()
-			stopped := s.closed || s.draining
+			stopped := s.closed
 			s.mu.Unlock()
 			if stopped {
 				return nil
@@ -402,33 +366,19 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(ln)
 }
 
-// admit decides how to dispatch one request: it resolves the handler,
-// applies draining and per-method inflight caps, and (when admitted)
-// counts the call in. The returned release func must be called when the
-// handler finishes; reject is a non-"" error message to answer with
-// instead of running a handler.
-func (s *Server) admit(method string) (h Handler, release func(), reject string) {
+// admit resolves the handler for one request; reject is a non-"" error
+// message to answer with instead of running a handler.
+func (s *Server) admit(method string) (h Handler, reject string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining || s.closed {
-		return nil, nil, "server draining"
+	if s.closed {
+		return nil, "server closed"
 	}
 	h = s.handlers[method]
 	if h == nil {
-		return nil, nil, fmt.Sprintf("unknown method %q", method)
+		return nil, fmt.Sprintf("unknown method %q", method)
 	}
-	if max := s.limits[method]; max > 0 && s.inflight[method] >= max {
-		return nil, nil, fmt.Sprintf("too many in-flight %s calls (limit %d)", method, max)
-	}
-	s.inflight[method]++
-	s.calls.Add(1)
-	release = func() {
-		s.mu.Lock()
-		s.inflight[method]--
-		s.mu.Unlock()
-		s.calls.Done()
-	}
-	return h, release, ""
+	return h, ""
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -467,7 +417,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 
-		h, release, reject := s.admit(req.Method)
+		h, reject := s.admit(req.Method)
 		if reject != "" {
 			putAttachment(attach)
 			handlerWG.Add(1)
@@ -495,7 +445,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		handlerWG.Add(1)
 		go func(id uint64, params json.RawMessage, callCtx context.Context, stop context.CancelFunc, attach *[]byte) {
 			defer handlerWG.Done()
-			defer release()
 			defer func() {
 				liveMu.Lock()
 				delete(live, id)
@@ -536,36 +485,6 @@ func (s *Server) Addr() net.Addr {
 		return nil
 	}
 	return s.ln.Addr()
-}
-
-// Drain gracefully quiesces the server: the listener closes, new
-// requests on existing connections are answered with a "server draining"
-// error, and Drain waits — bounded by ctx — for in-flight handlers to
-// finish so their responses still reach callers. Connections stay open
-// until Close. Draining is terminal: there is no undrain.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.draining = true
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.calls.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // Close stops the listener, closes every connection, and waits for
