@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet vet-bench fmt-check test race figures-smoke fuzz bench bench-check cover loc check clean
+.PHONY: all build vet vet-bench fmt-check test race figures-smoke fuzz bench bench-check bench-ab cover loc check clean
 
 all: build
 
@@ -62,8 +62,9 @@ fuzz:
 
 # The hot-path selection/churn/replication/RPC benchmarks, each run five
 # times: bench2json keeps each one's median and range.
-BENCH_RUN = $(GO) test -run '^$$' -bench '^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkBulkRead4K$$|^BenchmarkBulkRead8M$$|^BenchmarkBulkReadPaced4K$$|^BenchmarkBulkReadPaced8M$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCAttach256k$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$' \
-	-benchmem -count 5 -timeout 0 ./internal/flowctl ./internal/netsim ./internal/experiment ./internal/dataserver ./internal/rpc ./internal/client ./internal/nameserver
+BENCH_NAMES = ^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkBulkRead4K$$|^BenchmarkBulkRead8M$$|^BenchmarkBulkReadPaced4K$$|^BenchmarkBulkReadPaced8M$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCAttach256k$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$|^BenchmarkSelectRPC$$
+BENCH_PKGS = ./internal/flowctl ./internal/netsim ./internal/experiment ./internal/dataserver ./internal/rpc ./internal/client ./internal/nameserver ./internal/flowserver
+BENCH_RUN = $(GO) test -run '^$$' -bench '$(BENCH_NAMES)' -benchmem -count 5 -timeout 0 $(BENCH_PKGS)
 
 # bench records the benchmarks' medians in BENCH_selection.json, the
 # committed performance baseline for the incremental allocator, the write
@@ -82,9 +83,41 @@ bench:
 bench-check:
 	$(BENCH_RUN) | $(GO) run ./cmd/bench2json -compare BENCH_selection.json -max-regress 0.20
 
+# bench-ab A/B-tests the benchmarks against a commit on this host:
+#
+#	make bench-ab REF=HEAD~ [AB_BENCH='^BenchmarkSelectRPC$$'] [AB_ROUNDS=5] [AB_BENCHTIME=200x]
+#
+# It extracts REF with git archive, builds each package's test binary on
+# both sides with go test -c, deletes REF's source (so tree-walking tests
+# never meet a second tree), then runs the binaries alternately, REF then
+# the working tree, from the package directories, AB_ROUNDS times: host
+# drift lands on both sides alike. -benchtime is a fixed count because
+# b.N must not differ between sides: BenchmarkSelectSharded's cost grows
+# with it. bench2json -ab prints each row's two medians, ranges, pairs won
+# and allocs/op, and fails as bench-check does on a row over -max-regress.
+# It needs no network: the module has no dependencies.
+AB = .bench_build/ab
+AB_ROUNDS ?= 5
+AB_BENCHTIME ?= 200x
+AB_BENCH ?= $(BENCH_NAMES)
+bench-ab:
+	@test -n "$(REF)" || { echo 'usage: make bench-ab REF=<commit>' >&2; exit 2; }
+	rm -rf $(AB) && mkdir -p $(AB)/ref $(AB)/bin
+	git archive $(REF) | tar -x -C $(AB)/ref
+	set -e; for p in $(BENCH_PKGS); do n=$$(basename $$p); \
+		(cd $(AB)/ref && GOWORK=off $(GO) test -c -o ../bin/ref.$$n.test $$p); \
+		GOWORK=off $(GO) test -c -o $(AB)/bin/cur.$$n.test $$p; \
+	done
+	rm -rf $(AB)/ref
+	set -e; for i in $$(seq $(AB_ROUNDS)); do for side in ref cur; do for p in $(BENCH_PKGS); do \
+		(cd $$p && $(CURDIR)/$(AB)/bin/$$side.$$(basename $$p).test -test.run '^$$' \
+			-test.bench '$(AB_BENCH)' -test.benchmem -test.benchtime $(AB_BENCHTIME)) >> $(AB)/$$side.txt; \
+	done; done; done
+	$(GO) run ./cmd/bench2json -ab $(AB)/ref.txt < $(AB)/cur.txt
+
 # loc prints the number ROADMAP tracks: non-test Go lines outside bench/.
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 check: build vet vet-bench fmt-check race
 

@@ -10,12 +10,15 @@
 // JSON it diffs the parsed medians against a committed baseline and
 // exits nonzero when any baseline benchmark is missing, slows down by
 // more than -max-regress, or allocates more per op than allocSlack
-// allows.
+// allows. With -ab the baseline is instead another commit's raw output,
+// its runs made alternately with standard input's on one host (make
+// bench-ab), and each row also counts the pairs the current side won.
 //
 // Usage:
 //
 //	go test -bench . -benchmem -count 5 ./... | bench2json > bench.json
 //	go test -bench . -benchmem -count 5 ./... | bench2json -compare BENCH_selection.json -max-regress 0.20
+//	bench2json -ab ref.txt < cur.txt
 package main
 
 import (
@@ -46,6 +49,8 @@ type Benchmark struct {
 	// BytesPerOp and AllocsPerOp are present when -benchmem was set.
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+	// runs is each run's ns/op in run order, for pairing (not in the JSON).
+	runs []float64
 }
 
 // Report is the top-level JSON document.
@@ -59,7 +64,8 @@ type Report struct {
 func main() {
 	var (
 		compareFile = flag.String("compare", "", "baseline JSON to diff against instead of emitting JSON; exit 1 on regression")
-		maxRegress  = flag.Float64("max-regress", 0.20, "with -compare: allowed fractional ns/op slowdown per benchmark")
+		maxRegress  = flag.Float64("max-regress", 0.20, "with -compare or -ab: allowed fractional ns/op slowdown per benchmark")
+		abFile      = flag.String("ab", "", "like -compare, against another commit's raw `go test -bench` output, pairing run i with run i")
 	)
 	flag.Parse()
 
@@ -69,8 +75,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *compareFile != "" {
-		base, err := loadReport(*compareFile)
+	if *compareFile != "" || *abFile != "" {
+		load := loadReport
+		if *abFile != "" {
+			load = parseFile
+		}
+		base, err := load(*compareFile + *abFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench2json:", err)
 			os.Exit(1)
@@ -107,6 +117,16 @@ func loadReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
+// parseFile parses a file of `go test -bench` output.
+func parseFile(path string) (*Report, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return parse(f)
+}
+
 // allocSlack is how far allocs/op may rise above the baseline before the
 // gate fails: one allocation, or 0.5% of the baseline if that is more.
 // allocs/op is an average over b.N that includes one-time warm-up
@@ -121,6 +141,8 @@ func allocSlack(base float64) float64 {
 // missing from cur, slowed down by more than maxRegress, or allocates
 // more per op than the baseline plus allocSlack. Benchmarks present only in cur are
 // noted but never fail the gate (the baseline defines the contract).
+// Where both sides kept their runs (-ab), a row also counts the pairs cur
+// won, run i against run i.
 // Iteration counts and absolute machine speed vary between hosts, so
 // the gate is relative: cur ns/op vs baseline ns/op on the same run's
 // machine is only meaningful when both sides ran on comparable hardware
@@ -130,12 +152,12 @@ func compare(w io.Writer, base, cur *Report, maxRegress float64) error {
 	for _, b := range cur.Benchmarks {
 		byName[b.Name] = b
 	}
-	fmt.Fprintf(w, "%-28s %14s %14s %8s  %-23s %s\n", "benchmark", "base ns/op", "cur ns/op", "delta", "cur min–max", "verdict")
+	fmt.Fprintf(w, "%-28s %14s %14s %8s  %-23s %-23s %5s %9s  %s\n", "benchmark", "base ns/op", "cur ns/op", "delta", "base min–max", "cur min–max", "won", "allocs/op", "verdict")
 	var failures []string
 	for _, b := range base.Benchmarks {
 		c, ok := byName[b.Name]
 		if !ok {
-			fmt.Fprintf(w, "%-28s %14.0f %14s %8s  %-23s MISSING\n", b.Name, b.NsPerOp, "-", "-", "-")
+			fmt.Fprintf(w, "%-28s %14.0f %14s %8s  %-23s %-23s %5s %9s  MISSING\n", b.Name, b.NsPerOp, "-", "-", "-", "-", "-", "-")
 			failures = append(failures, fmt.Sprintf("%s: missing from current run", b.Name))
 			continue
 		}
@@ -152,16 +174,31 @@ func compare(w io.Writer, base, cur *Report, maxRegress float64) error {
 			failures = append(failures, fmt.Sprintf("%s: %.0f allocs/op vs %.0f baseline (more than %.0f over)",
 				b.Name, *c.AllocsPerOp, *b.AllocsPerOp, allocSlack(*b.AllocsPerOp)))
 		}
-		spread := fmt.Sprintf("%.0f–%.0f", c.NsMin, c.NsMax)
-		fmt.Fprintf(w, "%-28s %14.0f %14.0f %+7.1f%%  %-23s %s\n", b.Name, b.NsPerOp, c.NsPerOp, delta*100, spread, verdict)
+		won, pairs := 0, min(len(b.runs), len(c.runs))
+		for i := range pairs {
+			if c.runs[i] < b.runs[i] {
+				won++
+			}
+		}
+		fmt.Fprintf(w, "%-28s %14.0f %14.0f %+7.1f%%  %-23s %-23s %5s %9s  %s\n", b.Name, b.NsPerOp, c.NsPerOp, delta*100,
+			fmt.Sprintf("%.0f–%.0f", b.NsMin, b.NsMax), fmt.Sprintf("%.0f–%.0f", c.NsMin, c.NsMax),
+			fmt.Sprintf("%d/%d", won, pairs), fmtAllocs(b)+"→"+fmtAllocs(c), verdict)
 	}
 	for name := range byName {
-		fmt.Fprintf(w, "%-28s %14s %14.0f %8s  %-23s new\n", name, "-", byName[name].NsPerOp, "-", "-")
+		fmt.Fprintf(w, "%-28s %14s %14.0f %8s  %-23s %-23s %5s %9s  new\n", name, "-", byName[name].NsPerOp, "-", "-", "-", "-", "-")
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("%d regression(s):\n  %s", len(failures), strings.Join(failures, "\n  "))
 	}
 	return nil
+}
+
+// fmtAllocs formats a row's median allocs/op, "-" without -benchmem.
+func fmtAllocs(b Benchmark) string {
+	if b.AllocsPerOp == nil {
+		return "-"
+	}
+	return strconv.FormatFloat(*b.AllocsPerOp, 'f', 0, 64)
 }
 
 // parse reads `go test -bench` output and collects every benchmark result
@@ -203,7 +240,8 @@ func parse(r io.Reader) (*Report, error) {
 
 // medians folds each benchmark's runs into one row, in first-seen order:
 // the run with the median ns/op (the upper one of an even count), with
-// the runs' ns/op range and their median allocs/op.
+// the runs' ns/op range and their median allocs/op, and every run's ns/op
+// in run order.
 func medians(runs []Benchmark) []Benchmark {
 	var out []Benchmark
 	byName := map[string][]Benchmark{}
@@ -216,11 +254,16 @@ func medians(runs []Benchmark) []Benchmark {
 	allocs := func(b Benchmark) float64 { return *cmp.Or(b.AllocsPerOp, new(float64)) }
 	for i := range out {
 		rs := byName[out[i].Name]
+		ns := make([]float64, len(rs))
+		for j, r := range rs {
+			ns[j] = r.NsPerOp
+		}
 		slices.SortFunc(rs, func(a, b Benchmark) int { return cmp.Compare(allocs(a), allocs(b)) })
 		mid := rs[len(rs)/2].AllocsPerOp
 		slices.SortFunc(rs, func(a, b Benchmark) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
 		out[i] = rs[len(rs)/2]
 		out[i].Runs, out[i].NsMin, out[i].NsMax, out[i].AllocsPerOp = len(rs), rs[0].NsPerOp, rs[len(rs)-1].NsPerOp, mid
+		out[i].runs = ns
 	}
 	return out
 }

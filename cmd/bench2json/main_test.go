@@ -144,6 +144,32 @@ func TestCompareFailsOnMissingBenchmark(t *testing.T) {
 	}
 }
 
+// TestABPairsRunsInOrder: with both sides' raw runs (-ab), a row prints
+// both medians and ranges and counts the pairs the current side won, run
+// i against run i.
+func TestABPairsRunsInOrder(t *testing.T) {
+	side := func(ns []int, allocs int) *Report {
+		in := "pkg: example.com/p\n"
+		for _, n := range ns {
+			in += fmt.Sprintf("BenchmarkSelect/1k-8 100 %d ns/op 64 B/op %d allocs/op\n", n, allocs)
+		}
+		rep, err := parse(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	var out strings.Builder
+	if err := compare(&out, side([]int{1000, 900, 1100, 1000, 950}, 4), side([]int{950, 950, 1000, 990, 900}, 3), 0.20); err != nil {
+		t.Fatalf("compare: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{"1000", "950", "-5.0%", "900–1100", "900–1000", "4/5", "4→3"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("A/B row lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
 // TestRepeatedRunsCompareByMedian: with -count 5 a benchmark is one row,
 // the median of its runs beside their ns/op range, so one stalled run
 // neither fails the gate nor moves the baseline.

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
@@ -47,17 +47,16 @@ func (c *Client) orderCandidates(info nameserver.FileInfo, first *nameserver.Rep
 	if first != nil {
 		out = append(out, *first)
 	}
-	rest := make([]nameserver.ReplicaLoc, 0, len(info.Replicas))
+	pinned := len(out)
 	for _, rep := range info.Replicas {
-		if first != nil && rep.ServerID == first.ServerID {
-			continue
+		if first == nil || rep.ServerID != first.ServerID {
+			out = append(out, rep)
 		}
-		rest = append(rest, rep)
 	}
-	sort.SliceStable(rest, func(i, j int) bool {
-		return c.localityRank(rest[i].Host) < c.localityRank(rest[j].Host)
+	slices.SortStableFunc(out[pinned:], func(a, b nameserver.ReplicaLoc) int {
+		return c.localityRank(a.Host) - c.localityRank(b.Host)
 	})
-	return append(out, rest...)
+	return out
 }
 
 // flowTagger supplies the flow id (and an optional completion callback)

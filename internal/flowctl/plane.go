@@ -45,7 +45,7 @@ type planeLink struct {
 }
 
 func (l planeLink) CommitForeign(id flowserver.FlowID, links topology.Path, bits, capBw float64) (float64, error) {
-	return l.p.shards[l.target].srv.CommitForeign(id, links, bits, capBw), nil
+	return l.p.shards[l.target].CommitForeign(id, links, bits, capBw)
 }
 
 func (l planeLink) FinishForeign(id flowserver.FlowID) error {

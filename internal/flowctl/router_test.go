@@ -302,3 +302,47 @@ func TestCommitForeignRejectsMalformed(t *testing.T) {
 		t.Errorf("NumFlows = %d, want only the well-formed commit", n)
 	}
 }
+
+// TestCommitForeignRejectsLinksNotOwned: a foreign commit naming a link
+// of a pod the receiving shard does not own is refused, over a real wire
+// server and through the in-process plane alike, and the receiver models
+// nothing of it. Once a failover hands it the pod, the same commit lands.
+func TestCommitForeignRejectsLinksNotOwned(t *testing.T) {
+	topo := testTopo(t)
+	plane, err := NewPlane(topo, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	receiver := plane.Shard(1) // owns pods 1 and 3
+	addr := serveWire(t, func(srv *wire.Server) error {
+		return RegisterShardRPC(srv, receiver, flowserver.Hooks{})
+	})
+	pool := rpc.NewPool(rpc.Options{})
+	defer pool.Close()
+	owned := topo.ShortestPaths(topo.HostAt(1, 0, 0), topo.HostAt(1, 1, 0))[0]
+	foreign := topo.ShortestPaths(topo.HostAt(0, 0, 0), topo.HostAt(0, 1, 0))[0]
+	links := []struct {
+		name string
+		link ShardLink
+	}{
+		{"ctl.Commit", NewRPCShardLink(pool.Peer(addr), nil)},
+		{"the plane", planeLink{p: plane, target: 1}},
+	}
+	for _, l := range links {
+		for _, path := range []topology.Path{foreign, {owned[0], foreign[0]}} {
+			if _, err := l.link.CommitForeign(7, path, 8, 1); err == nil {
+				t.Errorf("%s accepted links %v of pod 0 on shard 1", l.name, path)
+			}
+		}
+	}
+	receiver.Server().LinkLoads(func(link, flows int, _ float64) {
+		t.Errorf("link %d models %d flow(s) after rejected commits", link, flows)
+	})
+
+	receiver.SetOwners([]int{1, 1, 0, 1}, 2)
+	for i, l := range links {
+		if _, err := l.link.CommitForeign(flowserver.FlowID(8+i), foreign, 8, 1); err != nil {
+			t.Errorf("%s after the failover: %v", l.name, err)
+		}
+	}
+}

@@ -156,7 +156,8 @@ func RegisterShardRPC(srv *wire.Server, s *Shard, hooks flowserver.Hooks) error 
 			if err != nil {
 				return CommitForeignReply{}, err
 			}
-			return CommitForeignReply{EstimatedBw: s.srv.CommitForeign(a.FlowID, links, a.Bits, a.CapBw)}, nil
+			bw, err := s.CommitForeign(a.FlowID, links, a.Bits, a.CapBw)
+			return CommitForeignReply{EstimatedBw: bw}, err
 		}),
 		MethodFinishForeign.Handle(srv, func(_ context.Context, a FinishForeignArgs) (struct{}, error) {
 			s.srv.FlowFinished(a.FlowID)

@@ -36,7 +36,7 @@ type ShardLink interface {
 //
 // Locking: selMu serializes coordinator work (a selection must evaluate
 // and commit atomically against this shard's model). What remote shards
-// call — the embedded Server's CommitForeign and FlowFinished, and
+// call — CommitForeign, the embedded Server's FlowFinished, and
 // BuildDigest — deliberately does NOT take selMu: shard A's coordinator
 // may be committing into shard B while B's coordinator commits into A,
 // and the embedded Server's own lock already makes each call atomic.
@@ -280,6 +280,22 @@ func (s *Shard) commitRemote(id flowserver.FlowID, c flowserver.Candidate, bits,
 	if len(committed) > 0 {
 		s.coordinated[id] = committed
 	}
+}
+
+// CommitForeign models links, the sub-path of flow id a peer coordinated,
+// if this shard owns every one; both ShardLinks land here. A coordinator
+// with a stale owner map gets an error (counted and tolerated) instead of
+// this shard modeling another's links. One hold of ownMu covers check and
+// commit, so no failover lands between them.
+func (s *Shard) CommitForeign(id flowserver.FlowID, links topology.Path, bits, capBw float64) (float64, error) {
+	s.ownMu.RLock()
+	defer s.ownMu.RUnlock()
+	for _, lid := range links {
+		if g := s.owner[s.linkPod[lid]]; g != s.idx {
+			return 0, fmt.Errorf("flowctl: commit of flow %d: link %d belongs to shard %d, not %d", id, lid, g, s.idx)
+		}
+	}
+	return s.srv.CommitForeign(id, links, bits, capBw), nil
 }
 
 // localAssignment is the zero-network-cost answer for a replica or

@@ -109,7 +109,7 @@ func newReleaseFixture(t *testing.T) *releaseFixture {
 }
 
 // listen serves srv on a loopback port until the test ends.
-func listen(t *testing.T, srv *wire.Server) string {
+func listen(t testing.TB, srv *wire.Server) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

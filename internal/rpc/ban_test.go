@@ -491,9 +491,8 @@ func goFilesMatching(t *testing.T, pattern string, skip func(rel string) bool) [
 			return err
 		}
 		if info.IsDir() {
-			name := info.Name()
-			if name == ".git" || name == "testdata" {
-				return filepath.SkipDir
+			if name := info.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir // .git, the benchmarks' build directory
 			}
 			return nil
 		}

@@ -37,6 +37,7 @@ import (
 	"math/bits"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -281,6 +282,13 @@ func Attachment(ctx context.Context) []byte {
 	return nil
 }
 
+// maxParked caps the handler goroutines a Server keeps parked between
+// calls (see work). Each keeps the stack its calls grew, up to the tens of
+// KiB an fs.Select decode reaches, so an idle server holds well under a
+// MiB; sixteen covers the calls a server runs at once in steady state (one
+// per closed-loop session, a few under the open-loop Figure 8 load).
+const maxParked = 16
+
 // Server dispatches wire requests to registered handlers.
 type Server struct {
 	mu       sync.Mutex
@@ -290,6 +298,13 @@ type Server struct {
 	serving  bool
 	closed   bool
 	wg       sync.WaitGroup // connection goroutines
+
+	// Handler goroutines: a parked one takes its next call from calls,
+	// or exits when quit closes.
+	calls   chan call
+	quit    chan struct{}
+	parked  atomic.Int32
+	workers sync.WaitGroup
 }
 
 // NewServer creates an empty server.
@@ -297,6 +312,8 @@ func NewServer() *Server {
 	return &Server{
 		handlers: make(map[string]Handler),
 		conns:    make(map[net.Conn]struct{}),
+		calls:    make(chan call),
+		quit:     make(chan struct{}),
 	}
 }
 
@@ -347,9 +364,9 @@ func (s *Server) Serve(ln net.Listener) error {
 			return nil
 		}
 		s.conns[conn] = struct{}{}
+		s.wg.Add(1) // under mu, so a Close that saw the conn waits for it
 		s.mu.Unlock()
 
-		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			s.serveConn(conn)
@@ -366,19 +383,106 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(ln)
 }
 
-// admit resolves the handler for one request; reject is a non-"" error
-// message to answer with instead of running a handler.
-func (s *Server) admit(method string) (h Handler, reject string) {
+// admit resolves the handler for one request: on a closed server or for
+// an unknown method, one that answers with the refusal.
+func (s *Server) admit(method string) Handler {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if h := s.handlers[method]; h != nil && !s.closed {
+		return h
+	}
+	refusal := fmt.Errorf("unknown method %q", method)
 	if s.closed {
-		return nil, "server closed"
+		refusal = errors.New("server closed")
 	}
-	h = s.handlers[method]
-	if h == nil {
-		return nil, fmt.Sprintf("unknown method %q", method)
+	return func(context.Context, json.RawMessage) (any, error) { return nil, refusal }
+}
+
+// served is one connection's state, shared by its calls.
+type served struct {
+	conn    net.Conn
+	writeMu sync.Mutex
+	// Per-call cancel funcs, keyed by request id, so a cancel frame (or a
+	// completed handler) can release exactly its own call.
+	liveMu sync.Mutex
+	live   map[uint64]context.CancelFunc
+	calls  sync.WaitGroup // dispatched and not yet answered
+}
+
+// call is one request on its way to a handler goroutine.
+type call struct {
+	sc     *served
+	h      Handler
+	id     uint64
+	params json.RawMessage
+	ctx    context.Context
+	stop   context.CancelFunc
+	attach *[]byte
+}
+
+// run serves c and writes its reply.
+func (c *call) run() {
+	defer c.sc.calls.Done()
+	resp := response{ID: c.id}
+	if result, err := c.h(c.ctx, c.params); err != nil {
+		resp.Error = err.Error()
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			resp.ErrCode = codeDeadline
+		case errors.Is(err, context.Canceled):
+			resp.ErrCode = codeCanceled
+		}
+	} else if result != nil {
+		body, err := json.Marshal(result)
+		if err != nil {
+			resp.Error = fmt.Sprintf("marshal result: %v", err)
+		} else {
+			resp.Result = body
+		}
 	}
-	return h, ""
+	// Free before the reply, so the caller's next piece finds it.
+	putAttachment(c.attach)
+	// A write failure means the connection is gone; the read loop will
+	// notice and clean up.
+	_ = writeFrame(c.sc.conn, &c.sc.writeMu, &resp, nil)
+	c.sc.liveMu.Lock()
+	delete(c.sc.live, c.id)
+	c.sc.liveMu.Unlock()
+	c.stop()
+}
+
+// dispatch hands c to a parked handler goroutine, or starts one if none
+// is parked, so a call never waits behind another: a slow handler (an
+// append waiting on its relays) holds only its own goroutine.
+func (s *Server) dispatch(c call) {
+	select {
+	case s.calls <- c:
+	default:
+		s.workers.Add(1)
+		go s.work(c)
+	}
+}
+
+// work runs c, then parks for the next call of any connection, so that
+// call's decode runs on a stack earlier calls already grew instead of
+// growing a fresh one (DESIGN.md §13). With maxParked others parked it
+// exits instead; Close wakes the parked ones to exit.
+func (s *Server) work(c call) {
+	defer s.workers.Done()
+	for {
+		c.run()
+		c = call{} // hold nothing of a finished call while parked
+		if s.parked.Add(1) > maxParked {
+			s.parked.Add(-1)
+			return
+		}
+		select {
+		case c = <-s.calls:
+			s.parked.Add(-1)
+		case <-s.quit:
+			return
+		}
+	}
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -389,14 +493,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	ctx, cancel := context.WithCancel(context.Background())
-	var writeMu sync.Mutex
-	var handlerWG sync.WaitGroup
-	// Per-call cancel funcs, keyed by request id, so a cancel frame (or a
-	// completed handler) can release exactly its own call.
-	var liveMu sync.Mutex
-	live := make(map[uint64]context.CancelFunc)
+	sc := &served{conn: conn, live: make(map[uint64]context.CancelFunc)}
 	// LIFO: cancel in-flight handlers first, then wait for them to drain.
-	defer handlerWG.Wait()
+	defer sc.calls.Wait()
 	defer cancel()
 	for {
 		var req request
@@ -409,71 +508,30 @@ func (s *Server) serveConn(conn net.Conn) {
 			// The handler still writes a response (which the caller
 			// ignores); an id with no live handler is a no-op.
 			putAttachment(attach)
-			liveMu.Lock()
-			if stop := live[req.ID]; stop != nil {
+			sc.liveMu.Lock()
+			if stop := sc.live[req.ID]; stop != nil {
 				stop()
 			}
-			liveMu.Unlock()
-			continue
-		}
-
-		h, reject := s.admit(req.Method)
-		if reject != "" {
-			putAttachment(attach)
-			handlerWG.Add(1)
-			go func(id uint64, msg string) {
-				defer handlerWG.Done()
-				_ = writeFrame(conn, &writeMu, &response{ID: id, Error: msg}, nil)
-			}(req.ID, reject)
+			sc.liveMu.Unlock()
 			continue
 		}
 
 		// The handler context: bounded by the caller's propagated
 		// deadline, cancelled by a cancel frame or connection loss.
-		callCtx, stop := context.WithCancel(ctx)
+		c := call{sc: sc, h: s.admit(req.Method), id: req.ID, params: req.Params, attach: attach}
 		if req.TimeoutMs > 0 {
-			stop() // replace the plain cancel with a deadline-carrying one
-			callCtx, stop = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
+			c.ctx, c.stop = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
+		} else {
+			c.ctx, c.stop = context.WithCancel(ctx)
 		}
-		liveMu.Lock()
-		live[req.ID] = stop
-		liveMu.Unlock()
+		sc.liveMu.Lock()
+		sc.live[req.ID] = c.stop
+		sc.liveMu.Unlock()
 		if attach != nil {
-			callCtx = context.WithValue(callCtx, recvKey{}, attach)
+			c.ctx = context.WithValue(c.ctx, recvKey{}, attach)
 		}
-
-		handlerWG.Add(1)
-		go func(id uint64, params json.RawMessage, callCtx context.Context, stop context.CancelFunc, attach *[]byte) {
-			defer handlerWG.Done()
-			defer func() {
-				liveMu.Lock()
-				delete(live, id)
-				liveMu.Unlock()
-				stop()
-			}()
-			resp := response{ID: id}
-			if result, err := h(callCtx, params); err != nil {
-				resp.Error = err.Error()
-				switch {
-				case errors.Is(err, context.DeadlineExceeded):
-					resp.ErrCode = codeDeadline
-				case errors.Is(err, context.Canceled):
-					resp.ErrCode = codeCanceled
-				}
-			} else if result != nil {
-				body, err := json.Marshal(result)
-				if err != nil {
-					resp.Error = fmt.Sprintf("marshal result: %v", err)
-				} else {
-					resp.Result = body
-				}
-			}
-			// Free before the reply, so the caller's next piece finds it.
-			putAttachment(attach)
-			// A write failure means the connection is gone; the read
-			// loop will notice and clean up.
-			_ = writeFrame(conn, &writeMu, &resp, nil)
-		}(req.ID, req.Params, callCtx, stop, attach)
+		sc.calls.Add(1)
+		s.dispatch(c)
 	}
 }
 
@@ -487,8 +545,8 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Close stops the listener, closes every connection, and waits for
-// in-flight handlers to drain.
+// Close stops the listener, closes every connection, waits for in-flight
+// handlers to drain, and then for the parked handler goroutines to exit.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -510,7 +568,9 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.Close()
 	}
-	s.wg.Wait()
+	s.wg.Wait() // every connection's calls answered: nothing dispatches now
+	close(s.quit)
+	s.workers.Wait()
 	return err
 }
 
