@@ -76,11 +76,7 @@ func main() {
 	}
 
 	if *compareFile != "" || *abFile != "" {
-		load := loadReport
-		if *abFile != "" {
-			load = parseFile
-		}
-		base, err := load(*compareFile + *abFile)
+		base, err := loadReport(*compareFile+*abFile, *abFile != "")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench2json:", err)
 			os.Exit(1)
@@ -100,13 +96,17 @@ func main() {
 	}
 }
 
-// loadReport reads a baseline JSON document written by this tool.
-func loadReport(path string) (*Report, error) {
+// loadReport reads a baseline: a JSON document written by this tool, or
+// with raw set, `go test -bench` output.
+func loadReport(path string, raw bool) (*Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	if raw {
+		return parse(f)
+	}
 	var rep Report
 	if err := json.NewDecoder(f).Decode(&rep); err != nil {
 		return nil, fmt.Errorf("parse %s: %w", path, err)
@@ -115,16 +115,6 @@ func loadReport(path string) (*Report, error) {
 		return nil, fmt.Errorf("%s: no benchmarks in baseline", path)
 	}
 	return &rep, nil
-}
-
-// parseFile parses a file of `go test -bench` output.
-func parseFile(path string) (*Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return parse(f)
 }
 
 // allocSlack is how far allocs/op may rise above the baseline before the
