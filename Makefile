@@ -85,21 +85,19 @@ bench-check:
 
 # bench-ab A/B-tests the benchmarks against a commit on this host:
 #
-#	make bench-ab REF=HEAD~ [AB_BENCH='^BenchmarkSelectRPC$$'] [AB_ROUNDS=5] [AB_BENCHTIME=200x]
+#	make bench-ab REF=HEAD~
 #
 # It extracts REF with git archive, builds each package's test binary on
 # both sides with go test -c, deletes REF's source (so tree-walking tests
-# never meet a second tree), then runs the binaries alternately, REF then
-# the working tree, from the package directories, AB_ROUNDS times: host
-# drift lands on both sides alike. -benchtime is a fixed count because
-# b.N must not differ between sides: BenchmarkSelectSharded's cost grows
-# with it. bench2json -ab prints each row's two medians, ranges, pairs won
-# and allocs/op, and fails as bench-check does on a row over -max-regress.
-# It needs no network: the module has no dependencies.
+# never meet a second tree), then runs BENCH_NAMES from the binaries
+# alternately, REF then the working tree, from the package directories,
+# five times: host drift lands on both sides alike. -benchtime is a fixed
+# count because b.N must not differ between sides: BenchmarkSelectSharded's
+# cost grows with it. bench2json, given REF's raw runs as the baseline,
+# prints each row's two medians, ranges and pairs won, and fails as
+# bench-check does on a row over -max-regress or allocSlack. It needs no
+# network: the module has no dependencies.
 AB = .bench_build/ab
-AB_ROUNDS ?= 5
-AB_BENCHTIME ?= 200x
-AB_BENCH ?= $(BENCH_NAMES)
 bench-ab:
 	@test -n "$(REF)" || { echo 'usage: make bench-ab REF=<commit>' >&2; exit 2; }
 	rm -rf $(AB) && mkdir -p $(AB)/ref $(AB)/bin
@@ -109,11 +107,11 @@ bench-ab:
 		GOWORK=off $(GO) test -c -o $(AB)/bin/cur.$$n.test $$p; \
 	done
 	rm -rf $(AB)/ref
-	set -e; for i in $$(seq $(AB_ROUNDS)); do for side in ref cur; do for p in $(BENCH_PKGS); do \
+	set -e; for i in 1 2 3 4 5; do for side in ref cur; do for p in $(BENCH_PKGS); do \
 		(cd $$p && $(CURDIR)/$(AB)/bin/$$side.$$(basename $$p).test -test.run '^$$' \
-			-test.bench '$(AB_BENCH)' -test.benchmem -test.benchtime $(AB_BENCHTIME)) >> $(AB)/$$side.txt; \
+			-test.bench '$(BENCH_NAMES)' -test.benchmem -test.benchtime 1000x -test.timeout 20m) >> $(AB)/$$side.txt; \
 	done; done; done
-	$(GO) run ./cmd/bench2json -ab $(AB)/ref.txt < $(AB)/cur.txt
+	$(GO) run ./cmd/bench2json -compare $(AB)/ref.txt < $(AB)/cur.txt
 
 # loc prints the number ROADMAP tracks: non-test Go lines outside bench/.
 loc:

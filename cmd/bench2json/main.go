@@ -10,19 +10,21 @@
 // JSON it diffs the parsed medians against a committed baseline and
 // exits nonzero when any baseline benchmark is missing, slows down by
 // more than -max-regress, or allocates more per op than allocSlack
-// allows. With -ab the baseline is instead another commit's raw output,
-// its runs made alternately with standard input's on one host (make
-// bench-ab), and each row also counts the pairs the current side won.
+// allows. The baseline may instead be another commit's raw `go test
+// -bench` output, its runs made alternately with standard input's on one
+// host (make bench-ab); each row then also counts the pairs the current
+// side won.
 //
 // Usage:
 //
 //	go test -bench . -benchmem -count 5 ./... | bench2json > bench.json
 //	go test -bench . -benchmem -count 5 ./... | bench2json -compare BENCH_selection.json -max-regress 0.20
-//	bench2json -ab ref.txt < cur.txt
+//	bench2json -compare ref.txt < cur.txt
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"flag"
@@ -49,8 +51,8 @@ type Benchmark struct {
 	// BytesPerOp and AllocsPerOp are present when -benchmem was set.
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	// runs is each run's ns/op in run order, for pairing (not in the JSON).
-	runs []float64
+	// runs are the folded runs in run order, for pairing (not in the JSON).
+	runs []Benchmark
 }
 
 // Report is the top-level JSON document.
@@ -63,9 +65,8 @@ type Report struct {
 
 func main() {
 	var (
-		compareFile = flag.String("compare", "", "baseline JSON to diff against instead of emitting JSON; exit 1 on regression")
-		maxRegress  = flag.Float64("max-regress", 0.20, "with -compare or -ab: allowed fractional ns/op slowdown per benchmark")
-		abFile      = flag.String("ab", "", "like -compare, against another commit's raw `go test -bench` output, pairing run i with run i")
+		compareFile = flag.String("compare", "", "baseline (this tool's JSON, or raw output) to diff against instead of emitting JSON; exit 1 on regression")
+		maxRegress  = flag.Float64("max-regress", 0.20, "with -compare: allowed fractional ns/op slowdown per benchmark")
 	)
 	flag.Parse()
 
@@ -75,8 +76,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *compareFile != "" || *abFile != "" {
-		base, err := loadReport(*compareFile+*abFile, *abFile != "")
+	if *compareFile != "" {
+		base, err := loadReport(*compareFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench2json:", err)
 			os.Exit(1)
@@ -97,18 +98,17 @@ func main() {
 }
 
 // loadReport reads a baseline: a JSON document written by this tool, or
-// with raw set, `go test -bench` output.
-func loadReport(path string, raw bool) (*Report, error) {
-	f, err := os.Open(path)
+// raw `go test -bench` output, which never starts with a brace.
+func loadReport(path string) (*Report, error) {
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	if raw {
-		return parse(f)
+	if !bytes.HasPrefix(bytes.TrimSpace(b), []byte("{")) {
+		return parse(bytes.NewReader(b))
 	}
 	var rep Report
-	if err := json.NewDecoder(f).Decode(&rep); err != nil {
+	if err := json.Unmarshal(b, &rep); err != nil {
 		return nil, fmt.Errorf("parse %s: %w", path, err)
 	}
 	if len(rep.Benchmarks) == 0 {
@@ -131,8 +131,8 @@ func allocSlack(base float64) float64 {
 // missing from cur, slowed down by more than maxRegress, or allocates
 // more per op than the baseline plus allocSlack. Benchmarks present only in cur are
 // noted but never fail the gate (the baseline defines the contract).
-// Where both sides kept their runs (-ab), a row also counts the pairs cur
-// won, run i against run i.
+// Where both sides kept their runs (a raw baseline), a row also counts
+// the pairs cur won, run i against run i.
 // Iteration counts and absolute machine speed vary between hosts, so
 // the gate is relative: cur ns/op vs baseline ns/op on the same run's
 // machine is only meaningful when both sides ran on comparable hardware
@@ -142,12 +142,12 @@ func compare(w io.Writer, base, cur *Report, maxRegress float64) error {
 	for _, b := range cur.Benchmarks {
 		byName[b.Name] = b
 	}
-	fmt.Fprintf(w, "%-28s %14s %14s %8s  %-23s %-23s %5s %9s  %s\n", "benchmark", "base ns/op", "cur ns/op", "delta", "base min–max", "cur min–max", "won", "allocs/op", "verdict")
+	fmt.Fprintf(w, "%-28s %14s %14s %8s  %-23s %-23s %5s  %s\n", "benchmark", "base ns/op", "cur ns/op", "delta", "base min–max", "cur min–max", "won", "verdict")
 	var failures []string
 	for _, b := range base.Benchmarks {
 		c, ok := byName[b.Name]
 		if !ok {
-			fmt.Fprintf(w, "%-28s %14.0f %14s %8s  %-23s %-23s %5s %9s  MISSING\n", b.Name, b.NsPerOp, "-", "-", "-", "-", "-", "-")
+			fmt.Fprintf(w, "%-28s %14.0f %14s %8s  %-23s %-23s %5s  MISSING\n", b.Name, b.NsPerOp, "-", "-", "-", "-", "-")
 			failures = append(failures, fmt.Sprintf("%s: missing from current run", b.Name))
 			continue
 		}
@@ -166,29 +166,20 @@ func compare(w io.Writer, base, cur *Report, maxRegress float64) error {
 		}
 		won, pairs := 0, min(len(b.runs), len(c.runs))
 		for i := range pairs {
-			if c.runs[i] < b.runs[i] {
+			if c.runs[i].NsPerOp < b.runs[i].NsPerOp {
 				won++
 			}
 		}
-		fmt.Fprintf(w, "%-28s %14.0f %14.0f %+7.1f%%  %-23s %-23s %5s %9s  %s\n", b.Name, b.NsPerOp, c.NsPerOp, delta*100,
-			fmt.Sprintf("%.0f–%.0f", b.NsMin, b.NsMax), fmt.Sprintf("%.0f–%.0f", c.NsMin, c.NsMax),
-			fmt.Sprintf("%d/%d", won, pairs), fmtAllocs(b)+"→"+fmtAllocs(c), verdict)
+		fmt.Fprintf(w, "%-28s %14.0f %14.0f %+7.1f%%  %-23s %-23s %5s  %s\n", b.Name, b.NsPerOp, c.NsPerOp, delta*100,
+			fmt.Sprintf("%.0f–%.0f", b.NsMin, b.NsMax), fmt.Sprintf("%.0f–%.0f", c.NsMin, c.NsMax), fmt.Sprintf("%d/%d", won, pairs), verdict)
 	}
 	for name := range byName {
-		fmt.Fprintf(w, "%-28s %14s %14.0f %8s  %-23s %-23s %5s %9s  new\n", name, "-", byName[name].NsPerOp, "-", "-", "-", "-", "-")
+		fmt.Fprintf(w, "%-28s %14s %14.0f %8s  %-23s %-23s %5s  new\n", name, "-", byName[name].NsPerOp, "-", "-", "-", "-")
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("%d regression(s):\n  %s", len(failures), strings.Join(failures, "\n  "))
 	}
 	return nil
-}
-
-// fmtAllocs formats a row's median allocs/op, "-" without -benchmem.
-func fmtAllocs(b Benchmark) string {
-	if b.AllocsPerOp == nil {
-		return "-"
-	}
-	return strconv.FormatFloat(*b.AllocsPerOp, 'f', 0, 64)
 }
 
 // parse reads `go test -bench` output and collects every benchmark result
@@ -230,8 +221,7 @@ func parse(r io.Reader) (*Report, error) {
 
 // medians folds each benchmark's runs into one row, in first-seen order:
 // the run with the median ns/op (the upper one of an even count), with
-// the runs' ns/op range and their median allocs/op, and every run's ns/op
-// in run order.
+// the runs' ns/op range and their median allocs/op, and the runs in order.
 func medians(runs []Benchmark) []Benchmark {
 	var out []Benchmark
 	byName := map[string][]Benchmark{}
@@ -243,17 +233,13 @@ func medians(runs []Benchmark) []Benchmark {
 	}
 	allocs := func(b Benchmark) float64 { return *cmp.Or(b.AllocsPerOp, new(float64)) }
 	for i := range out {
-		rs := byName[out[i].Name]
-		ns := make([]float64, len(rs))
-		for j, r := range rs {
-			ns[j] = r.NsPerOp
-		}
+		rs := slices.Clone(byName[out[i].Name])
 		slices.SortFunc(rs, func(a, b Benchmark) int { return cmp.Compare(allocs(a), allocs(b)) })
 		mid := rs[len(rs)/2].AllocsPerOp
 		slices.SortFunc(rs, func(a, b Benchmark) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
 		out[i] = rs[len(rs)/2]
 		out[i].Runs, out[i].NsMin, out[i].NsMax, out[i].AllocsPerOp = len(rs), rs[0].NsPerOp, rs[len(rs)-1].NsPerOp, mid
-		out[i].runs = ns
+		out[i].runs = byName[out[i].Name]
 	}
 	return out
 }

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -144,29 +147,57 @@ func TestCompareFailsOnMissingBenchmark(t *testing.T) {
 	}
 }
 
-// TestABPairsRunsInOrder: with both sides' raw runs (-ab), a row prints
-// both medians and ranges and counts the pairs the current side won, run
-// i against run i.
+// TestABPairsRunsInOrder: against a raw baseline file (make bench-ab), a
+// row prints both medians and ranges and counts the pairs the current
+// side won, run i against run i.
 func TestABPairsRunsInOrder(t *testing.T) {
-	side := func(ns []int, allocs int) *Report {
+	raw := func(ns []int, allocs int) string {
 		in := "pkg: example.com/p\n"
 		for _, n := range ns {
 			in += fmt.Sprintf("BenchmarkSelect/1k-8 100 %d ns/op 64 B/op %d allocs/op\n", n, allocs)
 		}
-		rep, err := parse(strings.NewReader(in))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return in
+	}
+	path := filepath.Join(t.TempDir(), "ref.txt")
+	if err := os.WriteFile(path, []byte(raw([]int{1000, 900, 1100, 1000, 950}, 4)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := loadReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := parse(strings.NewReader(raw([]int{950, 950, 1000, 990, 900}, 3)))
+	if err != nil {
+		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := compare(&out, side([]int{1000, 900, 1100, 1000, 950}, 4), side([]int{950, 950, 1000, 990, 900}, 3), 0.20); err != nil {
+	if err := compare(&out, base, cur, 0.20); err != nil {
 		t.Fatalf("compare: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"1000", "950", "-5.0%", "900–1100", "900–1000", "4/5", "4→3"} {
+	for _, want := range []string{"1000", "950", "-5.0%", "900–1100", "900–1000", "4/5"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("A/B row lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestLoadReportReadsJSONBaseline: a baseline this tool wrote (the
+// committed BENCH_selection.json) loads as JSON, not as raw output.
+func TestLoadReportReadsJSONBaseline(t *testing.T) {
+	body, err := json.MarshalIndent(baselineReport(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, append([]byte("\n"), body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := loadReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 || rep.Benchmarks[1].Name != "BenchmarkNetsimChurn/1k" || rep.Benchmarks[1].NsPerOp != 2000 {
+		t.Errorf("loaded %+v, want the two baseline rows", rep.Benchmarks)
 	}
 }
 

@@ -673,42 +673,37 @@ func (c *Client) readSegment(ctx context.Context, name string, info nameserver.F
 		}
 		off, sub := offset+segStart, buf[segStart:segStart+segLen]
 		segStart += segLen
+		read := func() {
+			// The scheduled flow id applies only to the replica the
+			// Flowserver chose; failover attempts run unscheduled.
+			tag := func(r nameserver.ReplicaLoc) (uint64, func()) {
+				if r.ServerID == rep.ServerID {
+					return uint64(a.FlowID), nil
+				}
+				return 0, nil
+			}
+			first := rep // &rep would move rep to the heap
+			errs[i] = c.readWithFailover(ctx, name, info, c.orderCandidates(info, &first), tag, off, sub, false)
+			// Always release the flow, even when the read (or its
+			// context) failed: queued, no round trip, on the stub that
+			// issued it — under directory routing only the coordinating
+			// shard knows the flow. A local assignment registered none.
+			if !a.Local {
+				fstub.Release(a.FlowID)
+			}
+		}
 		if i == len(assignments)-1 {
-			// The last (usually only) segment runs on this goroutine.
-			errs[i] = c.readAssigned(ctx, name, info, rep, a, fstub, off, sub)
+			read() // the last (usually only) segment runs on this goroutine
 			break
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = c.readAssigned(ctx, name, info, rep, a, fstub, off, sub)
+			read()
 		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// readAssigned fills sub, the segment of a read the Flowserver assigned
-// to rep as a, and then releases a's flow.
-func (c *Client) readAssigned(ctx context.Context, name string, info nameserver.FileInfo, rep nameserver.ReplicaLoc,
-	a flowserver.AssignmentDTO, fstub *flowserver.RPCClient, off int64, sub []byte) error {
-	// The scheduled flow id applies only to the replica the Flowserver
-	// chose; failover attempts run unscheduled.
-	tag := func(r nameserver.ReplicaLoc) (uint64, func()) {
-		if r.ServerID == rep.ServerID {
-			return uint64(a.FlowID), nil
-		}
-		return 0, nil
-	}
-	err := c.readWithFailover(ctx, name, info, c.orderCandidates(info, &rep), tag, off, sub, false)
-	// Always release the flow, even when the read (or its context)
-	// failed: queued, no round trip, on the stub that issued it — under
-	// directory routing only the coordinating shard knows the flow. A
-	// local assignment registered none.
-	if !a.Local {
-		fstub.Release(a.FlowID)
-	}
-	return err
 }
 
 // flowSelect runs one Select against the shard owning this client's

@@ -282,11 +282,9 @@ func (s *Shard) commitRemote(id flowserver.FlowID, c flowserver.Candidate, bits,
 	}
 }
 
-// CommitForeign models links, the sub-path of flow id a peer coordinated,
-// if this shard owns every one; both ShardLinks land here. A coordinator
-// with a stale owner map gets an error (counted and tolerated) instead of
-// this shard modeling another's links. One hold of ownMu covers check and
-// commit, so no failover lands between them.
+// CommitForeign models links, a peer's sub-path of flow id, only if this
+// shard owns every one (under one hold of ownMu), so a coordinator with a
+// stale owner map gets an error; both ShardLinks land here.
 func (s *Shard) CommitForeign(id flowserver.FlowID, links topology.Path, bits, capBw float64) (float64, error) {
 	s.ownMu.RLock()
 	defer s.ownMu.RUnlock()

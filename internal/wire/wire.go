@@ -282,11 +282,9 @@ func Attachment(ctx context.Context) []byte {
 	return nil
 }
 
-// maxParked caps the handler goroutines a Server keeps parked between
-// calls (see work). Each keeps the stack its calls grew, up to the tens of
-// KiB an fs.Select decode reaches, so an idle server holds well under a
-// MiB; sixteen covers the calls a server runs at once in steady state (one
-// per closed-loop session, a few under the open-loop Figure 8 load).
+// maxParked caps the handler goroutines a Server keeps parked (see work):
+// the calls one runs at once in steady state, each keeping the tens of KiB
+// of stack an fs.Select decode grew, so an idle server holds under a MiB.
 const maxParked = 16
 
 // Server dispatches wire requests to registered handlers.
@@ -298,13 +296,10 @@ type Server struct {
 	serving  bool
 	closed   bool
 	wg       sync.WaitGroup // connection goroutines
-
-	// Handler goroutines: a parked one takes its next call from calls,
-	// or exits when quit closes.
-	calls   chan call
-	quit    chan struct{}
-	parked  atomic.Int32
-	workers sync.WaitGroup
+	calls    chan func()    // to a parked handler goroutine
+	quit     chan struct{}  // closed by Close: parked goroutines exit
+	parked   atomic.Int32
+	workers  sync.WaitGroup // handler goroutines
 }
 
 // NewServer creates an empty server.
@@ -312,7 +307,7 @@ func NewServer() *Server {
 	return &Server{
 		handlers: make(map[string]Handler),
 		conns:    make(map[net.Conn]struct{}),
-		calls:    make(chan call),
+		calls:    make(chan func()),
 		quit:     make(chan struct{}),
 	}
 }
@@ -398,90 +393,34 @@ func (s *Server) admit(method string) Handler {
 	return func(context.Context, json.RawMessage) (any, error) { return nil, refusal }
 }
 
-// served is one connection's state, shared by its calls.
-type served struct {
-	conn    net.Conn
-	writeMu sync.Mutex
-	// Per-call cancel funcs, keyed by request id, so a cancel frame (or a
-	// completed handler) can release exactly its own call.
-	liveMu sync.Mutex
-	live   map[uint64]context.CancelFunc
-	calls  sync.WaitGroup // dispatched and not yet answered
-}
-
-// call is one request on its way to a handler goroutine.
-type call struct {
-	sc     *served
-	h      Handler
-	id     uint64
-	params json.RawMessage
-	ctx    context.Context
-	stop   context.CancelFunc
-	attach *[]byte
-}
-
-// run serves c and writes its reply.
-func (c *call) run() {
-	defer c.sc.calls.Done()
-	resp := response{ID: c.id}
-	if result, err := c.h(c.ctx, c.params); err != nil {
-		resp.Error = err.Error()
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			resp.ErrCode = codeDeadline
-		case errors.Is(err, context.Canceled):
-			resp.ErrCode = codeCanceled
-		}
-	} else if result != nil {
-		body, err := json.Marshal(result)
-		if err != nil {
-			resp.Error = fmt.Sprintf("marshal result: %v", err)
-		} else {
-			resp.Result = body
-		}
-	}
-	// Free before the reply, so the caller's next piece finds it.
-	putAttachment(c.attach)
-	// A write failure means the connection is gone; the read loop will
-	// notice and clean up.
-	_ = writeFrame(c.sc.conn, &c.sc.writeMu, &resp, nil)
-	c.sc.liveMu.Lock()
-	delete(c.sc.live, c.id)
-	c.sc.liveMu.Unlock()
-	c.stop()
-}
-
-// dispatch hands c to a parked handler goroutine, or starts one if none
-// is parked, so a call never waits behind another: a slow handler (an
-// append waiting on its relays) holds only its own goroutine.
-func (s *Server) dispatch(c call) {
+// dispatch runs f on a parked handler goroutine, or starts one if none is
+// parked, so a call never waits behind another: a slow handler (an append
+// waiting on its relays) holds only its own goroutine.
+func (s *Server) dispatch(f func()) {
 	select {
-	case s.calls <- c:
+	case s.calls <- f:
 	default:
 		s.workers.Add(1)
-		go s.work(c)
+		go s.work(f)
 	}
 }
 
-// work runs c, then parks for the next call of any connection, so that
+// work runs f, then parks for the next call of any connection, so that
 // call's decode runs on a stack earlier calls already grew instead of
-// growing a fresh one (DESIGN.md §13). With maxParked others parked it
-// exits instead; Close wakes the parked ones to exit.
-func (s *Server) work(c call) {
+// growing a fresh one (DESIGN.md §13). With maxParked others parked, or
+// once Close quits, it exits instead.
+func (s *Server) work(f func()) {
 	defer s.workers.Done()
-	for {
-		c.run()
-		c = call{} // hold nothing of a finished call while parked
-		if s.parked.Add(1) > maxParked {
-			s.parked.Add(-1)
-			return
+	for f != nil {
+		f()
+		f = nil // hold nothing of a finished call while parked
+		if s.parked.Add(1) <= maxParked {
+			select {
+			case f = <-s.calls:
+			case <-s.quit:
+			}
 		}
-		select {
-		case c = <-s.calls:
-			s.parked.Add(-1)
-		case <-s.quit:
-			return
-		}
+		s.parked.Add(-1)
 	}
 }
 
@@ -493,9 +432,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	ctx, cancel := context.WithCancel(context.Background())
-	sc := &served{conn: conn, live: make(map[uint64]context.CancelFunc)}
+	var writeMu sync.Mutex
+	var handlerWG sync.WaitGroup
+	// Per-call cancel funcs, keyed by request id, so a cancel frame (or a
+	// completed handler) can release exactly its own call.
+	var liveMu sync.Mutex
+	live := make(map[uint64]context.CancelFunc)
 	// LIFO: cancel in-flight handlers first, then wait for them to drain.
-	defer sc.calls.Wait()
+	defer handlerWG.Wait()
 	defer cancel()
 	for {
 		var req request
@@ -508,30 +452,61 @@ func (s *Server) serveConn(conn net.Conn) {
 			// The handler still writes a response (which the caller
 			// ignores); an id with no live handler is a no-op.
 			putAttachment(attach)
-			sc.liveMu.Lock()
-			if stop := sc.live[req.ID]; stop != nil {
+			liveMu.Lock()
+			if stop := live[req.ID]; stop != nil {
 				stop()
 			}
-			sc.liveMu.Unlock()
+			liveMu.Unlock()
 			continue
 		}
 
 		// The handler context: bounded by the caller's propagated
 		// deadline, cancelled by a cancel frame or connection loss.
-		c := call{sc: sc, h: s.admit(req.Method), id: req.ID, params: req.Params, attach: attach}
+		h := s.admit(req.Method)
+		callCtx, stop := context.WithCancel(ctx)
 		if req.TimeoutMs > 0 {
-			c.ctx, c.stop = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
-		} else {
-			c.ctx, c.stop = context.WithCancel(ctx)
+			stop() // replace the plain cancel with a deadline-carrying one
+			callCtx, stop = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
 		}
-		sc.liveMu.Lock()
-		sc.live[req.ID] = c.stop
-		sc.liveMu.Unlock()
+		liveMu.Lock()
+		live[req.ID] = stop
+		liveMu.Unlock()
 		if attach != nil {
-			c.ctx = context.WithValue(c.ctx, recvKey{}, attach)
+			callCtx = context.WithValue(callCtx, recvKey{}, attach)
 		}
-		sc.calls.Add(1)
-		s.dispatch(c)
+
+		handlerWG.Add(1)
+		s.dispatch(func() {
+			defer handlerWG.Done()
+			defer func() {
+				liveMu.Lock()
+				delete(live, req.ID)
+				liveMu.Unlock()
+				stop()
+			}()
+			resp := response{ID: req.ID}
+			if result, err := h(callCtx, req.Params); err != nil {
+				resp.Error = err.Error()
+				switch {
+				case errors.Is(err, context.DeadlineExceeded):
+					resp.ErrCode = codeDeadline
+				case errors.Is(err, context.Canceled):
+					resp.ErrCode = codeCanceled
+				}
+			} else if result != nil {
+				body, err := json.Marshal(result)
+				if err != nil {
+					resp.Error = fmt.Sprintf("marshal result: %v", err)
+				} else {
+					resp.Result = body
+				}
+			}
+			// Free before the reply, so the caller's next piece finds it.
+			putAttachment(attach)
+			// A write failure means the connection is gone; the read
+			// loop will notice and clean up.
+			_ = writeFrame(conn, &writeMu, &resp, nil)
+		})
 	}
 }
 
