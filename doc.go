@@ -7,6 +7,5 @@
 // The repository root carries the benchmark harness (bench_test.go), with
 // one benchmark per table/figure of the paper's evaluation. The
 // implementation lives under internal/ (see DESIGN.md for the module
-// map), the executables under cmd/, and runnable examples under
-// examples/.
+// map) and the executables under cmd/.
 package mayflower

@@ -93,11 +93,11 @@ type Options struct {
 	// nil.
 	Rand *rand.Rand
 	// PickReplica, when set, chooses the replica for a read instead of
-	// leaving the choice to the Flowserver (package hdfsbaseline supplies
-	// HDFS's rack-aware policy). With a Flowserver configured the client
-	// still asks it to schedule the network path for the pre-picked
-	// replica — the paper's "HDFS-Mayflower" configuration (§6.7);
-	// without one, reads go straight to the picked replica.
+	// leaving the choice to the Flowserver (the testbed's HDFS modes set
+	// it from selection.HDFSRackAware). With a Flowserver configured the
+	// client still asks it to schedule the network path for the
+	// pre-picked replica — the paper's "HDFS-Mayflower" configuration
+	// (§6.7); without one, reads go straight to the picked replica.
 	PickReplica func(info nameserver.FileInfo) nameserver.ReplicaLoc
 	// AssignFlow, when set and no Flowserver is configured, runs before
 	// each bulk read so a harness can register the transfer with a

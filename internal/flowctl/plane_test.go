@@ -263,6 +263,41 @@ func TestDigestStalenessBound(t *testing.T) {
 	}
 }
 
+// TestJointSelectionLeavesLoadedNearReplica holds §4.2's claim that
+// Eq. 2 steers reads off a hot uplink: on an idle network the client's
+// rack-mate replica wins, but once other readers share that replica's
+// host uplink, joint replica-path selection pays a longer path to another
+// replica because its completion time is shorter.
+func TestJointSelectionLeavesLoadedNearReplica(t *testing.T) {
+	topo := testTopo(t)
+	client := topo.HostAt(0, 0, 0)
+	near := topo.HostAt(0, 0, 1)
+	replicas := []topology.NodeID{near, topo.HostAt(0, 2, 0), topo.HostAt(2, 1, 0)}
+	const bits = 256 * 8e6 // a 256 MB block
+	for load := 0; load <= 4; load++ {
+		clock := &fakeClock{}
+		plane, err := NewPlane(topo, Options{Shards: 1, Now: clock.Now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < load; i++ {
+			// Background readers in pod 0's other racks each pull a block
+			// from the near replica.
+			if _, err := plane.SelectPath(topo.HostAt(0, 1+i%3, i%4), near, bits); err != nil {
+				t.Fatal(err)
+			}
+		}
+		as, err := plane.SelectReplicaAndPath(flowserver.Request{Client: client, Replicas: replicas, Bits: bits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := as[0].Replica; (got == near) != (load == 0) {
+			t.Errorf("%d background reads: chose %s, want the near replica %s only on an idle network",
+				load, topo.Node(got).Name, topo.Node(near).Name)
+		}
+	}
+}
+
 // TestNewPlaneValidation: the constructor rejects impossible shapes.
 func TestNewPlaneValidation(t *testing.T) {
 	topo := testTopo(t)

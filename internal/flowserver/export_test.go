@@ -2,6 +2,7 @@ package flowserver
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/mayflower-dfs/mayflower/internal/topology"
@@ -31,6 +32,16 @@ func (s *Server) ForceFlow(links []topology.LinkID, remaining, bw float64) FlowI
 		s.linkFlows[l] = insertFlow(s.linkFlows[l], s.flows[id])
 	}
 	return id
+}
+
+// PathCost scores path as Select's only candidate, wholly owned, and
+// registers nothing: the Eq. 2 cost and estimated share of a new flow of
+// the given size, given the current model, for tests.
+func (s *Server) PathCost(path topology.Path, bits float64) (cost, estimatedBw float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sc, _ := s.argmin([]Candidate{{Path: path, Own: path, Cap: math.Inf(1)}}, bits, noEndpoint)
+	return sc.cost, sc.bw
 }
 
 // FlowFrozen reports the freeze state of a flow, for tests.

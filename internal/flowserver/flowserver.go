@@ -811,14 +811,3 @@ func (s *Server) EstimatedBW(id FlowID) (bw float64, ok bool) {
 	}
 	return f.bw, true
 }
-
-// PathCost scores path as Select's only candidate, wholly owned, and
-// registers nothing: the Eq. 2 cost and estimated share of a new flow of
-// the given size, given the current model. It exists for tests, tooling
-// and what-if analysis.
-func (s *Server) PathCost(path topology.Path, bits float64) (cost, estimatedBw float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sc, _ := s.argmin([]Candidate{{Path: path, Own: path, Cap: math.Inf(1)}}, bits, noEndpoint)
-	return sc.cost, sc.bw
-}

@@ -167,7 +167,7 @@ func TestNoJSONBytesInDataserverMessages(t *testing.T) {
 
 // TestEveryOptionIsSet keeps knobs from growing back: every exported
 // field of the repo's option structs must be set by code that ships —
-// a non-test file anywhere in the repo, bench/, cmd/, examples/ and the
+// a non-test file anywhere in the repo, bench/, cmd/ and the
 // chaos scenarios included. A field counts as set when a composite
 // literal of its type names it as a key, or when code outside the
 // declaring file assigns it or takes its address (a flag binding). A

@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,7 +31,6 @@ import (
 	"github.com/mayflower-dfs/mayflower/internal/fabric"
 	"github.com/mayflower-dfs/mayflower/internal/flowctl"
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
-	"github.com/mayflower-dfs/mayflower/internal/hdfsbaseline"
 	"github.com/mayflower-dfs/mayflower/internal/kvstore"
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
 	"github.com/mayflower-dfs/mayflower/internal/obs"
@@ -608,14 +608,46 @@ func (c *Cluster) clientOptionsLocked(name string) client.Options {
 		opts.FlowserverAddr = c.FlowserverAddr()
 	case ModeHDFSMayflower:
 		opts.FlowserverAddr = c.FlowserverAddr()
-		opts.PickReplica = hdfsbaseline.RackAwarePicker(name, rand.New(rand.NewSource(c.rng.Int63())))
+		opts.PickReplica = c.hdfsPicker(name)
 	case ModeHDFSECMP:
-		opts.PickReplica = hdfsbaseline.RackAwarePicker(name, rand.New(rand.NewSource(c.rng.Int63())))
+		opts.PickReplica = c.hdfsPicker(name)
 		opts.AssignFlow = func(replicaHost string, _ int64) (uint64, func()) {
 			return c.assignECMPFlow(replicaHost, name)
 		}
 	}
 	return opts
+}
+
+// hdfsPicker returns HDFS's rack-aware read policy (§6.7), the same
+// selection.HDFSRackAware the simulator runs, for a client on the named
+// host. One client's reads run concurrently, so the picker serializes
+// its draws; it owns its rng, seeded from the cluster's. Clients and
+// replicas all sit on topology hosts, and the nameserver never hands
+// out an empty replica set, so neither lookup nor selection can fail.
+func (c *Cluster) hdfsPicker(name string) func(nameserver.FileInfo) nameserver.ReplicaLoc {
+	hdfs := selection.NewHDFSRackAware(c.Topo, rand.New(rand.NewSource(c.rng.Int63())))
+	self, _ := c.hostID(name)
+	var mu sync.Mutex
+	return func(info nameserver.FileInfo) nameserver.ReplicaLoc {
+		ids := make([]topology.NodeID, len(info.Replicas))
+		for i, rep := range info.Replicas {
+			ids[i], _ = c.hostID(rep.Host)
+		}
+		mu.Lock()
+		pick, _ := hdfs.SelectReplica(self, ids)
+		mu.Unlock()
+		return info.Replicas[slices.Index(ids, pick)]
+	}
+}
+
+// hostID resolves a topology host name.
+func (c *Cluster) hostID(name string) (topology.NodeID, bool) {
+	for _, h := range c.Topo.Hosts() {
+		if c.Topo.Node(h).Name == name {
+			return h, true
+		}
+	}
+	return 0, false
 }
 
 // NewClient builds an extra client with the cluster's options for the
@@ -675,16 +707,8 @@ func (c *Cluster) KillDataserver(hostName string) (string, error) {
 // assignECMPFlow registers an ECMP-selected path for a transfer from
 // replicaHost to clientHost with the emulated network.
 func (c *Cluster) assignECMPFlow(replicaHost, clientHost string) (uint64, func()) {
-	var src, dst topology.NodeID
-	var foundSrc, foundDst bool
-	for _, h := range c.Topo.Hosts() {
-		switch c.Topo.Node(h).Name {
-		case replicaHost:
-			src, foundSrc = h, true
-		case clientHost:
-			dst, foundDst = h, true
-		}
-	}
+	src, foundSrc := c.hostID(replicaHost)
+	dst, foundDst := c.hostID(clientHost)
 	if !foundSrc || !foundDst || src == dst {
 		return 0, nil
 	}

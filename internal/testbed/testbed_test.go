@@ -3,6 +3,8 @@ package testbed
 import (
 	"bytes"
 	"context"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -64,6 +66,36 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRackAwarePickerConcurrent: one HDFS-mode client reads from many
+// goroutines through one picker (run under -race).
+func TestRackAwarePickerConcurrent(t *testing.T) {
+	topo, err := topology.New(ScaledTestbed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Cluster{Topo: topo, rng: rand.New(rand.NewSource(5))}
+	pick := c.hdfsPicker("host-p1-r1-h0")
+	var rackLocal, remote nameserver.FileInfo
+	for _, h := range []string{"host-p0-r0-h0", "host-p1-r1-h3", "host-p1-r0-h2"} {
+		rackLocal.Replicas = append(rackLocal.Replicas, nameserver.ReplicaLoc{ServerID: "ds-" + h, Host: h})
+	}
+	remote.Replicas = []nameserver.ReplicaLoc{rackLocal.Replicas[0], rackLocal.Replicas[2]}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if got := pick(rackLocal); got.Host != "host-p1-r1-h3" {
+					t.Errorf("pick = %s, want the rack-local replica", got.Host)
+				}
+				pick(remote)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestClusterPacingObservable(t *testing.T) {
 	// A cross-pod read at 8 Mbps agg-core bottleneck: 512 KB should take
 	// roughly half a second — proving reads really cross the emulated
@@ -112,6 +144,72 @@ func TestClusterPacingObservable(t *testing.T) {
 	// 512 KB at 8 Mbps ≈ 0.5 s (single replica, single path).
 	if elapsed < 300*time.Millisecond {
 		t.Errorf("read took %v; pacing seems bypassed", elapsed)
+	}
+}
+
+// TestSplitReadSpeedup holds §4.3's claim on the prototype: with each pod
+// behind 10 Mbps uplinks and the client's own edge at 100 Mbps, a read
+// split across replicas in two other pods runs about twice as fast as a
+// read from one of them, because the two subflows share no bottleneck
+// before the client's edge.
+func TestSplitReadSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock bound")
+	}
+	const fileBytes = 1 << 20 // ~0.84 s at 10 Mbps, ~0.42 s split
+	payload := make([]byte, fileBytes)
+	rand.New(rand.NewSource(1)).Read(payload)
+	read := func(multi bool) time.Duration {
+		cluster, err := NewCluster(ClusterConfig{
+			Mode: ModeMayflower, Seed: 7, MultiReplica: multi,
+			Topo: topology.Config{
+				Pods: 3, RacksPerPod: 1, HostsPerRack: 2, AggsPerPod: 2, Cores: 2,
+				EdgeLinkBps:    topology.Mbps(100),
+				EdgeAggLinkBps: topology.Mbps(10),
+				AggCoreLinkBps: topology.Mbps(10),
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+
+		rep1, rep2 := cluster.Topo.HostAt(1, 0, 0), cluster.Topo.HostAt(2, 0, 0)
+		writer, err := cluster.Client(rep1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := writer.Create(ctx, "split", nameserver.CreateOptions{
+			ChunkSize:         fileBytes,
+			PreferredReplicas: []string{cluster.ServerID(rep1), cluster.ServerID(rep2)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := writer.Append(ctx, "split", payload); err != nil {
+			t.Fatal(err)
+		}
+		reader, err := cluster.Client(cluster.Topo.HostAt(0, 0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		got, err := reader.ReadAll(ctx, "split")
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("MultiReplica=%v read returned wrong bytes", multi)
+		}
+		return elapsed
+	}
+	single, split := read(false), read(true)
+	speedup := float64(single) / float64(split)
+	t.Logf("1 MiB cross-pod read: one replica %v, split across two %v, %.2fx", single, split, speedup)
+	if speedup < 1.6 {
+		t.Errorf("split read speedup %.2fx (%v vs %v), want at least 1.6x", speedup, single, split)
 	}
 }
 
