@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet vet-bench fmt-check test race figures-smoke fuzz bench bench-check bench-ab cover loc check clean
+.PHONY: all build vet vet-bench bench-test fmt-check test race figures-smoke fuzz bench bench-check bench-ab cover loc check clean
 
 all: build
 
@@ -17,6 +17,13 @@ vet:
 # benchmark is next run. Same environment as bench/run.sh.
 vet-bench:
 	cd bench && GOWORK=off GOFLAGS=-buildvcs=false $(GO) vet ./...
+
+# bench-test runs the benchmark module's own tests, its -short smoke run
+# and trace checks included (bench/run.sh test, no network): `./...`
+# never reaches them, so without this a change that breaks the harness
+# shows only when the benchmark is next run.
+bench-test:
+	bash bench/run.sh test
 
 # fmt-check fails (listing the offenders) if any file is not gofmt-clean.
 fmt-check:

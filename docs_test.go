@@ -15,9 +15,9 @@ var (
 	docPathRE = regexp.MustCompile("(?:^|[\\s`(\\[])(?:\\./|\\.?/?((?:cmd|internal|examples)/))([\\w./*-]*)")
 	// A test, benchmark or fuzz target.
 	docTestRE = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
-	// A command line: mayflower-<cmd> and the rest of its line up to the
-	// end of a code span, a table cell or a shell comment.
-	docCmdRE  = regexp.MustCompile("\\bmayflower-([a-z0-9]+)\\b([^`|#\\n]*)")
+	// A command line: mayflower or mayflower-<cmd> and the rest of its
+	// line up to the end of a code span, a table cell or a shell comment.
+	docCmdRE  = regexp.MustCompile("\\bmayflower(-[a-z0-9]+)?\\b([^`|#\\n]*)")
 	docFlagRE = regexp.MustCompile(`(?:^|[\s/])--?([a-zA-Z][\w-]*)`)
 	// A flag definition in a command's main.go: fs.Int("name", ...) or
 	// fs.IntVar(&v, "name", ...).
@@ -28,8 +28,8 @@ var (
 // TestDocsCiteLiveCode keeps README.md, EXPERIMENTS.md and DESIGN.md
 // honest: every repo path they cite exists, every test, benchmark and
 // fuzz target they name is defined in some _test.go file, and every
-// flag they pass to a mayflower-<cmd> binary is defined by that
-// command's main.go.
+// flag they pass to the mayflower CLI or a mayflower-<cmd> binary is
+// defined by that command's main.go.
 func TestDocsCiteLiveCode(t *testing.T) {
 	funcs := testFuncs(t)
 	flags := map[string]map[string]bool{}
@@ -56,7 +56,7 @@ func TestDocsCiteLiveCode(t *testing.T) {
 				}
 			}
 			for _, m := range docCmdRE.FindAllStringSubmatch(line, -1) {
-				cmd := "mayflower-" + m[1]
+				cmd := "mayflower" + m[1]
 				defined, ok := flags[cmd]
 				if !ok {
 					defined = definedFlags(t, cmd)

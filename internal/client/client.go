@@ -214,7 +214,8 @@ type Client struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	quiet sync.RWMutex // see sequence
+	quiet sync.RWMutex  // see sequence
+	left  chan struct{} // a token when a call leaves quiet (buffered 1)
 
 	met   clientMetrics
 	retry rpc.Backoff
@@ -223,22 +224,32 @@ type Client struct {
 // sequence, the innermost interceptor, sends a lone release (a stub's
 // linger flush) only while no other control call of the client is on the
 // wire, never queueing ahead of one: background traffic never interleaves
-// with a closed-loop caller's exchanges.
+// with a closed-loop caller's exchanges. A waiting release tries again
+// whenever a call leaves, so it goes as soon as the last one has.
 func (c *Client) sequence(_ string, next rpc.CallFunc) rpc.CallFunc {
 	return func(ctx context.Context, method string, args, reply any) error {
+		defer c.leave() // after the unlock: deferred calls run last first
 		if method != string(flowserver.MethodFinished) {
 			c.quiet.RLock()
 			defer c.quiet.RUnlock()
 		} else {
 			for !c.quiet.TryLock() {
-				if err := ctx.Err(); err != nil {
-					return err
+				select {
+				case <-c.left:
+				case <-ctx.Done():
+					return ctx.Err()
 				}
-				time.Sleep(50 * time.Microsecond) // well under a round trip
 			}
 			defer c.quiet.Unlock()
 		}
 		return next(ctx, method, args, reply)
+	}
+}
+
+func (c *Client) leave() {
+	select {
+	case c.left <- struct{}{}:
+	default: // a token already waits
 	}
 }
 
@@ -270,6 +281,7 @@ func New(opts Options) (*Client, error) {
 	c := &Client{
 		opts:  opts,
 		rng:   rng,
+		left:  make(chan struct{}, 1),
 		retry: rpc.Backoff{Base: opts.RetryBackoff},
 	}
 	c.pod, c.rack, c.located = topology.ParseHostName(opts.Host)

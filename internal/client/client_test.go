@@ -81,11 +81,15 @@ func startCluster(t *testing.T, topoCfg topology.Config, dataserverHosts []topol
 	}
 	tc.fsSrv = shard.Server()
 	fsWire := wire.NewServer()
-	hooks := flowserver.Hooks{OnAssign: func(a flowserver.Assignment) {
+	hooks := flowserver.Hooks(func(_ []flowserver.FlowID, as []flowserver.Assignment) {
 		tc.assigns.mu.Lock()
-		tc.assigns.n++
+		for _, a := range as {
+			if !a.Local() {
+				tc.assigns.n++
+			}
+		}
 		tc.assigns.mu.Unlock()
-	}}
+	})
 	if err := flowctl.RegisterShardRPC(fsWire, shard, hooks); err != nil {
 		t.Fatal(err)
 	}

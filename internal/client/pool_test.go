@@ -93,7 +93,7 @@ func startHalves(t *testing.T, tc *testCluster) (*halves, string) {
 	t.Helper()
 	h := &halves{}
 	srv := wire.NewServer()
-	if err := flowserver.RegisterRPC(srv, h, tc.topo, flowserver.Hooks{}); err != nil {
+	if err := flowserver.RegisterRPC(srv, h, tc.topo, nil); err != nil {
 		t.Fatal(err)
 	}
 	dir, err := flowctl.NewDirectory(tc.topo.Config().Pods, 1)

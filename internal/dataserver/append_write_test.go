@@ -140,7 +140,7 @@ func startFlowserver(t *testing.T, topo *topology.Topology) (*flowserver.Server,
 		t.Fatal(err)
 	}
 	return shard.Server(), serveFlowPlane(t, topo.Config().Pods, func(srv *wire.Server) error {
-		return flowctl.RegisterShardRPC(srv, shard, flowserver.Hooks{})
+		return flowctl.RegisterShardRPC(srv, shard, nil)
 	})
 }
 

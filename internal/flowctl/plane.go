@@ -180,7 +180,7 @@ func (p *Plane) EstimatedBW(id flowserver.FlowID) (float64, bool) {
 func (p *Plane) PollFrom(now float64, src flowserver.StatsSource) {
 	batch := src.FlowStats()
 	for _, s := range p.shards {
-		flowserver.Hooks{}.Retire(s, s.Server().UpdateFlowStats(now, batch)...)
+		flowserver.Hooks(nil).Retire(s, s.Server().UpdateFlowStats(now, batch)...)
 	}
 	if len(p.shards) == 1 {
 		return // a lone shard has nobody to gossip with

@@ -274,7 +274,7 @@ func TestCommitForeignRejectsMalformed(t *testing.T) {
 	topo := testTopo(t)
 	shard := oneShard(t, topo)
 	addr := serveWire(t, func(srv *wire.Server) error {
-		return RegisterShardRPC(srv, shard, flowserver.Hooks{})
+		return RegisterShardRPC(srv, shard, nil)
 	})
 	pool := rpc.NewPool(rpc.Options{})
 	defer pool.Close()
@@ -315,7 +315,7 @@ func TestCommitForeignRejectsLinksNotOwned(t *testing.T) {
 	}
 	receiver := plane.Shard(1) // owns pods 1 and 3
 	addr := serveWire(t, func(srv *wire.Server) error {
-		return RegisterShardRPC(srv, receiver, flowserver.Hooks{})
+		return RegisterShardRPC(srv, receiver, nil)
 	})
 	pool := rpc.NewPool(rpc.Options{})
 	defer pool.Close()

@@ -13,10 +13,10 @@ import (
 
 // Switches is a shard's hold on the switches behind an SDN controller
 // (§3.3.3): it installs a forwarding rule on every switch of an
-// assigned path, removes those rules when the flow is reported
-// finished, and reads the edge switches' per-flow byte counters for the
-// stats poll. The daemon and the testbed drive their switches through
-// this one type.
+// assigned path, removes those rules when the flow is retired, and
+// reads the edge switches' per-flow byte counters for the stats poll.
+// The daemon and the testbed drive their switches through this one
+// type.
 type Switches struct {
 	topo *topology.Topology
 	ctl  *sdn.Controller
@@ -39,46 +39,38 @@ func NewSwitches(topo *topology.Topology, ctl *sdn.Controller, pollInterval time
 	}
 }
 
-// ruleSwitch names the switch that forwards link l (its out port is
-// the link id); ok is false for a host-driven link, which has no switch
-// to program.
-func (sw *Switches) ruleSwitch(l topology.LinkID) (dpid uint64, ok bool) {
-	from := sw.topo.Link(l).From
-	return uint64(from), sw.topo.Node(from).Kind != topology.KindHost
-}
+// Hooks returns the hooks that keep the switches' flow tables equal to
+// the set of live scheduled flows. The path is remembered per flow so a
+// retirement touches only the switches that hold its rules. Without the
+// removal a switch's table — and every stats reply it ships — grows
+// with every flow it has ever forwarded. A control call's rule changes,
+// removals and installs, reach each switch in one write (sdn Send).
+func (sw *Switches) Hooks() flowserver.Hooks { return sw.apply }
 
-// Hooks returns the assignment hooks that keep the switches' flow
-// tables equal to the set of live scheduled flows. The path is
-// remembered per flow so a finish touches only the switches that hold
-// its rules. Without the removal a switch's table — and every stats
-// reply it ships — grows with every flow it has ever forwarded.
-func (sw *Switches) Hooks() flowserver.Hooks {
-	return flowserver.Hooks{
-		OnAssign: func(a flowserver.Assignment) {
-			sw.mu.Lock()
+func (sw *Switches) apply(retired []flowserver.FlowID, assigned []flowserver.Assignment) {
+	var scratch [32]sdn.FlowMod // a call's batch: on the stack unless a poll retires many
+	mods := scratch[:0]
+	add := func(cmd uint8, id flowserver.FlowID, path topology.Path) {
+		for _, l := range path { // l's rule is on the switch driving it, its port the link id
+			if from := sw.topo.Link(l).From; sw.topo.Node(from).Kind != topology.KindHost {
+				mods = append(mods, sdn.FlowMod{Switch: uint64(from), Cmd: cmd, FlowID: uint64(id), OutPort: uint32(l)})
+			}
+		}
+	}
+	sw.mu.Lock()
+	for _, id := range retired {
+		add(sdn.FlowDelete, id, sw.paths[id])
+		delete(sw.paths, id)
+	}
+	for _, a := range assigned {
+		if !a.Local() {
 			sw.paths[a.FlowID] = a.Path
-			sw.mu.Unlock()
-			for _, l := range a.Path {
-				dpid, ok := sw.ruleSwitch(l)
-				if !ok {
-					continue
-				}
-				if err := sw.ctl.InstallFlow(dpid, uint64(a.FlowID), uint32(l)); err != nil {
-					log.Printf("flowctl: install flow %d on switch %d: %v", a.FlowID, dpid, err)
-				}
-			}
-		},
-		OnFinish: func(id flowserver.FlowID) {
-			sw.mu.Lock()
-			path := sw.paths[id]
-			delete(sw.paths, id)
-			sw.mu.Unlock()
-			for _, l := range path {
-				if dpid, ok := sw.ruleSwitch(l); ok {
-					_ = sw.ctl.RemoveFlow(dpid, uint64(id)) // a departed switch took its table with it
-				}
-			}
-		},
+			add(sdn.FlowAdd, a.FlowID, a.Path)
+		}
+	}
+	sw.mu.Unlock()
+	if err := sw.ctl.Send(mods); err != nil {
+		log.Printf("flowctl: rule changes: %v", err)
 	}
 }
 

@@ -29,7 +29,7 @@ func BenchmarkSelectRPC(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv := wire.NewServer()
-	if err := flowctl.RegisterShardRPC(srv, shard, flowserver.Hooks{}); err != nil {
+	if err := flowctl.RegisterShardRPC(srv, shard, nil); err != nil {
 		b.Fatal(err)
 	}
 	pool := rpc.NewPool(rpc.Options{})

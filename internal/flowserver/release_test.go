@@ -91,7 +91,7 @@ func newReleaseFixture(t *testing.T) *releaseFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := errors.Join(flowserver.RegisterRPC(srv, f.rec, topo, flowserver.Hooks{}),
+	if err := errors.Join(flowserver.RegisterRPC(srv, f.rec, topo, nil),
 		flowctl.RegisterDirectoryRPC(srv, dir, func() float64 { return 0 })); err != nil {
 		t.Fatal(err)
 	}

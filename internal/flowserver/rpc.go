@@ -63,25 +63,29 @@ type FinishedArgs struct {
 	FlowID FlowID `json:"flowId"`
 }
 
-// Hooks let the embedding controller react to assignments: the prototype
-// installs OpenFlow rules for the selected path on assignment and removes
-// them when the client reports completion.
-type Hooks struct {
-	// OnAssign runs after a non-local assignment is made.
-	OnAssign func(a Assignment)
-	// OnFinish runs when a flow is retired.
-	OnFinish func(id FlowID)
-}
+// Hooks let the embedding controller react to what a control call
+// changed: the prototype installs OpenFlow rules for the selected paths
+// and removes those of the flows the call retired. They run once per call
+// that retired or assigned a flow, after its selection and before its
+// reply, so a deployment can send the call's rule changes together;
+// assigned includes local assignments (no network flow). Nil hooks do
+// nothing.
+type Hooks func(retired []FlowID, assigned []Assignment)
 
-// Retire takes flows out of fs's model, then out of the deployment
-// (OnFinish): the one way out, for a release riding a Select, a lone
-// fs.Finished or a poll proving a flow over. A retired id is a no-op.
+// Retire takes flows out of fs's model, then out of the deployment: the
+// one way out, for a release riding a Select (nil hooks: the handler
+// hands the releases on with its assignments), a lone fs.Finished or a
+// poll proving flows over. A retired id is a no-op.
 func (h Hooks) Retire(fs Service, ids ...FlowID) {
 	for _, id := range ids {
 		fs.FlowFinished(id)
-		if h.OnFinish != nil {
-			h.OnFinish(id)
-		}
+	}
+	h.apply(ids, nil)
+}
+
+func (h Hooks) apply(retired []FlowID, assigned []Assignment) {
+	if h != nil && len(retired)+len(assigned) > 0 {
+		h(retired, assigned)
 	}
 }
 
@@ -119,7 +123,7 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 		}
 		return hosts, nil
 	}
-	// reply runs the assignment hook and converts to the wire form.
+	// reply converts to the wire form.
 	reply := func(as []Assignment) []AssignmentDTO {
 		out := make([]AssignmentDTO, 0, len(as))
 		for _, asg := range as {
@@ -132,18 +136,20 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 			}
 			if !dto.Local {
 				dto.EstimatedBw = asg.EstimatedBw
-				if hooks.OnAssign != nil {
-					hooks.OnAssign(asg)
-				}
 			}
 			out = append(out, dto)
 		}
 		return out
 	}
 
+	// A selection retires its releases from the model first, so it sees
+	// the model a lone release would leave; they reach the hooks with its
+	// assignments.
 	return errors.Join(
 		MethodSelect.Handle(srv, func(_ context.Context, a SelectArgs) ([]AssignmentDTO, error) {
-			hooks.Retire(fs, a.Done...) // first, so the selection sees the model a lone release would leave
+			Hooks(nil).Retire(fs, a.Done...)
+			var as []Assignment
+			defer func() { hooks.apply(a.Done, as) }()
 			client, ok := hostByName[a.ClientHost]
 			if !ok {
 				return nil, fmt.Errorf("flowserver: unknown client host %q", a.ClientHost)
@@ -152,14 +158,16 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 			if err != nil {
 				return nil, err
 			}
-			as, err := fs.SelectReplicaAndPath(Request{Client: client, Replicas: replicas, Bits: a.Bits})
+			as, err = fs.SelectReplicaAndPath(Request{Client: client, Replicas: replicas, Bits: a.Bits})
 			if err != nil {
 				return nil, err
 			}
 			return reply(as), nil
 		}),
 		MethodSelectWrite.Handle(srv, func(_ context.Context, a SelectWriteArgs) ([]AssignmentDTO, error) {
-			hooks.Retire(fs, a.Done...)
+			Hooks(nil).Retire(fs, a.Done...)
+			var as []Assignment
+			defer func() { hooks.apply(a.Done, as) }()
 			source, ok := hostByName[a.SourceHost]
 			if !ok {
 				return nil, fmt.Errorf("flowserver: unknown source host %q", a.SourceHost)
@@ -168,7 +176,7 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 			if err != nil {
 				return nil, err
 			}
-			as, err := fs.SelectWritePipeline(source, targets, a.Bits)
+			as, err = fs.SelectWritePipeline(source, targets, a.Bits)
 			if err != nil {
 				return nil, err
 			}

@@ -1,10 +1,13 @@
 package sdn
 
 import (
+	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 )
 
@@ -28,7 +31,7 @@ type switchConn struct {
 	conn net.Conn
 
 	writeMu sync.Mutex
-	frame   [flowModLen]byte // FlowMods are built here, under writeMu
+	frames  []byte // FlowMods are built here, under writeMu
 
 	mu      sync.Mutex
 	nextXid uint32
@@ -47,11 +50,16 @@ func (c *Controller) Listen(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ln.Addr(), c.Serve(ln)
+}
+
+// Serve accepts switch connections on ln in the background until Close.
+func (c *Controller) Serve(ln net.Listener) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		ln.Close()
-		return nil, errors.New("sdn: controller closed")
+		return errors.New("sdn: controller closed")
 	}
 	c.ln = ln
 	c.mu.Unlock()
@@ -71,7 +79,7 @@ func (c *Controller) Listen(addr string) (net.Addr, error) {
 			}()
 		}
 	}()
-	return ln.Addr(), nil
+	return nil
 }
 
 func (c *Controller) serveSwitch(conn net.Conn) {
@@ -79,7 +87,8 @@ func (c *Controller) serveSwitch(conn net.Conn) {
 
 	// Replies cross a channel to their caller, so only headers reuse buf.
 	buf := make([]byte, hdrLen)
-	hello, err := readMessage(conn, buf)
+	in := bufio.NewReader(conn)
+	hello, err := readMessage(in, buf)
 	if err != nil || hello.Type != TypeHello {
 		return
 	}
@@ -106,7 +115,7 @@ func (c *Controller) serveSwitch(conn net.Conn) {
 	}()
 
 	for {
-		m, err := readMessage(conn, buf)
+		m, err := readMessage(in, buf)
 		if err != nil {
 			return
 		}
@@ -150,27 +159,34 @@ func (c *Controller) Switches() []uint64 {
 	return out
 }
 
-// InstallFlow adds a flow entry (flowID → outPort) on a switch.
-func (c *Controller) InstallFlow(dpid, flowID uint64, outPort uint32) error {
-	return c.flowMod(dpid, FlowAdd, flowID, outPort)
+// Send sorts mods by switch, keeping each switch's in order, and writes
+// each switch its mods in one write, built in its connection's scratch
+// (a batch allocates nothing). It returns the first failure.
+func (c *Controller) Send(mods []FlowMod) error {
+	slices.SortStableFunc(mods, func(a, b FlowMod) int { return cmp.Compare(a.Switch, b.Switch) })
+	var first error
+	for i, j := 0, 0; i < len(mods); i = j {
+		for j = i + 1; j < len(mods) && mods[j].Switch == mods[i].Switch; j++ {
+		}
+		if err := c.send(mods[i:j]); first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
-// RemoveFlow deletes a flow entry from a switch.
-func (c *Controller) RemoveFlow(dpid, flowID uint64) error {
-	return c.flowMod(dpid, FlowDelete, flowID, 0)
-}
-
-// flowMod sends one FlowMod, built in the switch connection's scratch: a
-// rule install or removal allocates nothing.
-func (c *Controller) flowMod(dpid uint64, cmd uint8, flowID uint64, outPort uint32) error {
-	sc, err := c.lookup(dpid)
+func (c *Controller) send(mods []FlowMod) error {
+	sc, err := c.lookup(mods[0].Switch)
 	if err != nil {
 		return err
 	}
 	sc.writeMu.Lock()
 	defer sc.writeMu.Unlock()
-	putFlowMod(sc.frame[:], cmd, flowID, outPort)
-	_, err = sc.conn.Write(sc.frame[:])
+	sc.frames = sc.frames[:0]
+	for _, m := range mods {
+		sc.frames = appendFlowMod(sc.frames, m)
+	}
+	_, err = sc.conn.Write(sc.frames)
 	return err
 }
 

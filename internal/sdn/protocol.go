@@ -142,12 +142,21 @@ func decodeHello(p []byte) (uint64, error) {
 	return binary.BigEndian.Uint64(p), nil
 }
 
-// putFlowMod builds a whole FlowMod frame (xid 0) in b, flowModLen bytes.
-func putFlowMod(b []byte, cmd uint8, flowID uint64, outPort uint32) {
-	putHeader(b, TypeFlowMod, flowModLen-hdrLen, 0)
-	b[hdrLen] = cmd
-	binary.BigEndian.PutUint64(b[hdrLen+1:], flowID)
-	binary.BigEndian.PutUint32(b[hdrLen+9:], outPort)
+// FlowMod is one rule change on switch Switch (a datapath id): add
+// (FlowAdd) the rule sending flow FlowID out of OutPort, or delete it.
+type FlowMod struct {
+	Switch  uint64
+	Cmd     uint8
+	FlowID  uint64
+	OutPort uint32
+}
+
+// appendFlowMod appends m's whole frame (xid 0), flowModLen bytes, to b.
+func appendFlowMod(b []byte, m FlowMod) []byte {
+	b = append(b, make([]byte, hdrLen)...)
+	putHeader(b[len(b)-hdrLen:], TypeFlowMod, flowModLen-hdrLen, 0)
+	b = binary.BigEndian.AppendUint64(append(b, m.Cmd), m.FlowID)
+	return binary.BigEndian.AppendUint32(b, m.OutPort)
 }
 
 func decodeFlowMod(p []byte) (cmd uint8, flowID uint64, outPort uint32, err error) {

@@ -110,14 +110,13 @@ func TestStatsCodecsProperty(t *testing.T) {
 // controller builds in its scratch is what the protocol always sent, and
 // a switch decodes it from its own buffer.
 func TestFlowModRoundTrip(t *testing.T) {
-	var frame [flowModLen]byte
-	putFlowMod(frame[:], FlowDelete, 0xdeadbeefcafe, 42)
+	frame := appendFlowMod(nil, FlowMod{Switch: 7, Cmd: FlowDelete, FlowID: 0xdeadbeefcafe, OutPort: 42})
 	want := []byte{Version, byte(TypeFlowMod), 0, 0, 0, 13, 0, 0, 0, 0, // header, xid 0
 		FlowDelete, 0, 0, 0xde, 0xad, 0xbe, 0xef, 0xca, 0xfe, 0, 0, 0, 42}
-	if !bytes.Equal(frame[:], want) {
+	if !bytes.Equal(frame, want) {
 		t.Fatalf("FlowMod frame = % x, want % x", frame, want)
 	}
-	m, err := readMessage(bytes.NewReader(frame[:]), make([]byte, flowModLen))
+	m, err := readMessage(bytes.NewReader(frame), make([]byte, flowModLen))
 	if err != nil || m.Type != TypeFlowMod || m.Xid != 0 {
 		t.Fatalf("read back %+v, %v", m, err)
 	}

@@ -68,7 +68,7 @@ func TestInstallAndRemoveFlow(t *testing.T) {
 	c, switches := startPlane(t, 1)
 	sw := switches[0]
 
-	if err := c.InstallFlow(sw.DatapathID(), 42, 7); err != nil {
+	if err := c.Send([]FlowMod{{Switch: sw.DatapathID(), Cmd: FlowAdd, FlowID: 42, OutPort: 7}}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { _, ok := sw.HasFlow(42); return ok })
@@ -76,7 +76,7 @@ func TestInstallAndRemoveFlow(t *testing.T) {
 		t.Errorf("flow 42 out port = %d, want 7", port)
 	}
 
-	if err := c.RemoveFlow(sw.DatapathID(), 42); err != nil {
+	if err := c.Send([]FlowMod{{Switch: sw.DatapathID(), Cmd: FlowDelete, FlowID: 42}}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { _, ok := sw.HasFlow(42); return !ok })
@@ -85,29 +85,36 @@ func TestInstallAndRemoveFlow(t *testing.T) {
 	}
 }
 
-// TestFlowModAllocatesNothing: a rule install and its removal cost no
-// allocation at either end — each iteration waits until the switch has
-// applied both, so its side is counted too.
+// TestFlowModAllocatesNothing: a batch of rule changes across two
+// switches — one switch's install beside the other's removal, then the
+// reverse — costs no allocation at either end. Each iteration waits until
+// the switches have applied theirs, so their side is counted too.
 func TestFlowModAllocatesNothing(t *testing.T) {
-	c, switches := startPlane(t, 1)
-	sw := switches[0]
-	applied := func(want bool) {
+	c, switches := startPlane(t, 2)
+	a, b := switches[0], switches[1]
+	applied := func(sw *Switch, want bool) {
 		for _, ok := sw.HasFlow(5); ok != want; _, ok = sw.HasFlow(5) {
 			time.Sleep(10 * time.Microsecond)
 		}
 	}
+	mods := make([]FlowMod, 2)
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := c.InstallFlow(sw.DatapathID(), 5, 1); err != nil {
-			t.Fatal(err)
+		for _, on := range []*Switch{a, b} {
+			off := a
+			if on == a {
+				off = b
+			}
+			mods[0] = FlowMod{Switch: on.DatapathID(), Cmd: FlowAdd, FlowID: 5, OutPort: 1}
+			mods[1] = FlowMod{Switch: off.DatapathID(), Cmd: FlowDelete, FlowID: 5}
+			if err := c.Send(mods); err != nil {
+				t.Fatal(err)
+			}
+			applied(on, true)
+			applied(off, false)
 		}
-		applied(true)
-		if err := c.RemoveFlow(sw.DatapathID(), 5); err != nil {
-			t.Fatal(err)
-		}
-		applied(false)
 	})
 	if allocs != 0 {
-		t.Errorf("a FlowMod install and removal allocate %v times, want 0", allocs)
+		t.Errorf("a batch of FlowMods allocates %v times, want 0", allocs)
 	}
 }
 
@@ -116,7 +123,7 @@ func TestStatsRoundTrip(t *testing.T) {
 	sw := switches[0]
 	dpid := sw.DatapathID()
 
-	if err := c.InstallFlow(dpid, 1, 3); err != nil {
+	if err := c.Send([]FlowMod{{Switch: dpid, Cmd: FlowAdd, FlowID: 1, OutPort: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	sw.AddBytes(1, 3, 1000)
@@ -152,11 +159,11 @@ func TestFlowDeleteClearsCounters(t *testing.T) {
 	c, switches := startPlane(t, 1)
 	sw := switches[0]
 	dpid := sw.DatapathID()
-	if err := c.InstallFlow(dpid, 9, 1); err != nil {
+	if err := c.Send([]FlowMod{{Switch: dpid, Cmd: FlowAdd, FlowID: 9, OutPort: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	sw.AddBytes(9, 1, 777)
-	if err := c.RemoveFlow(dpid, 9); err != nil {
+	if err := c.Send([]FlowMod{{Switch: dpid, Cmd: FlowDelete, FlowID: 9}}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
@@ -186,8 +193,8 @@ func TestMessageTypeNumbers(t *testing.T) {
 
 func TestUnknownSwitch(t *testing.T) {
 	c, _ := startPlane(t, 1)
-	if err := c.InstallFlow(999, 1, 1); !errors.Is(err, ErrUnknownSwitch) {
-		t.Errorf("InstallFlow(999) = %v, want ErrUnknownSwitch", err)
+	if err := c.Send([]FlowMod{{Switch: 999, Cmd: FlowAdd, FlowID: 1, OutPort: 1}}); !errors.Is(err, ErrUnknownSwitch) {
+		t.Errorf("Send to switch 999 = %v, want ErrUnknownSwitch", err)
 	}
 	if _, err := c.PortStats(ctxShort(t), 999); !errors.Is(err, ErrUnknownSwitch) {
 		t.Errorf("PortStats(999) = %v, want ErrUnknownSwitch", err)

@@ -1,6 +1,7 @@
 package sdn
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -73,8 +74,9 @@ func (sw *Switch) serve(conn net.Conn) {
 	// Only FlowMods and stats requests arrive, and neither keeps its
 	// payload past handle, so one buffer serves every message.
 	buf := make([]byte, flowModLen)
+	in := bufio.NewReader(conn) // a batch of FlowMods arrives in one read
 	for {
-		m, err := readMessage(conn, buf)
+		m, err := readMessage(in, buf)
 		if err != nil {
 			return
 		}

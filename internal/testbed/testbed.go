@@ -347,22 +347,23 @@ func (c *Cluster) nowSeconds() float64 { return c.clock.Now() }
 // flowHooks bridges selection commits into the emulated fabric and the
 // switches' flow tables; shared by every shard (a cross-shard selection
 // still returns one full-path assignment from its coordinator, so each
-// flow registers exactly once). A finish leaves the fabric first: once
-// unregistered a flow credits no more switch counters, so removing its
+// flow registers exactly once). A retired flow leaves the fabric first:
+// once unregistered it credits no more switch counters, so removing its
 // rules afterwards cannot race a late credit back into a switch.
 func (c *Cluster) flowHooks() flowserver.Hooks {
 	sw := c.ofSwitches.Hooks()
-	return flowserver.Hooks{
-		OnAssign: func(a flowserver.Assignment) {
-			_ = c.admit.RegisterFlow(uint64(a.FlowID), a.Path)
-			c.trackFlow(a.FlowID, true)
-			sw.OnAssign(a)
-		},
-		OnFinish: func(id flowserver.FlowID) {
+	return func(retired []flowserver.FlowID, assigned []flowserver.Assignment) {
+		for _, id := range retired {
 			c.admit.UnregisterFlow(uint64(id))
 			c.trackFlow(id, false)
-			sw.OnFinish(id)
-		},
+		}
+		for _, a := range assigned {
+			if !a.Local() {
+				_ = c.admit.RegisterFlow(uint64(a.FlowID), a.Path)
+				c.trackFlow(a.FlowID, true)
+			}
+		}
+		sw(retired, assigned)
 	}
 }
 
@@ -488,7 +489,7 @@ func (c *Cluster) trackFlow(id flowserver.FlowID, live bool) {
 
 // auditDrift compares the Flowserver's post-poll bandwidth estimate for
 // every live flow against the emulated fabric's true fair share. The
-// fabric flow id equals the Flowserver's (see the OnAssign hook).
+// fabric flow id equals the Flowserver's (see flowHooks).
 func (c *Cluster) auditDrift() {
 	if c.audit == nil {
 		return

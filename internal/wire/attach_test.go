@@ -149,13 +149,13 @@ func TestAttachmentFrame(t *testing.T) {
 			TimeoutMs int64           `json:"timeoutMs,omitempty"`
 			Cancel    bool            `json:"cancel,omitempty"`
 		}{req.ID, req.Method, req.Params, req.TimeoutMs, false})
-		if err := writeFrame(&plain, &mu, &req, nil); err != nil {
+		if err := writeFrame(&plain, &mu, &req, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if want := frameBytes(uint32(len(body)), body); !bytes.Equal(plain.Bytes(), want) {
 			t.Errorf("frame = %q, want %q", plain.Bytes(), want)
 		}
-		if err := writeFrame(&empty, &mu, &req, []byte{}); err != nil || !bytes.Equal(empty.Bytes(), plain.Bytes()) {
+		if err := writeFrame(&empty, &mu, &req, []byte{}, nil); err != nil || !bytes.Equal(empty.Bytes(), plain.Bytes()) {
 			t.Errorf("an empty attachment changed the frame (%v): %q", err, empty.Bytes())
 		}
 	})

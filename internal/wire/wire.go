@@ -28,6 +28,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -129,12 +130,13 @@ type response struct {
 }
 
 // writeFrame sends v as one frame, followed by attach when it is not
-// empty (v is then a request whose Attach says so). Header, body and
-// attachment are separate writes under one hold of mu, deliberately not
-// one writev: a single write to a just-closed peer succeeds whole and the
+// empty (v is then a request whose Attach says so). A request's header,
+// body and attachment are separate writes under one hold of mu, not one
+// writev: a single write to a just-closed peer succeeds whole and the
 // failure surfaces on the read, where it is no longer an *UnsentError and
-// the session layer may not retry it.
-func writeFrame(w io.Writer, mu *sync.Mutex, v any, attach []byte) error {
+// the session layer may not retry it. A response (out non-nil) has no
+// such contract: one write, built in its connection's buffer *out.
+func writeFrame(w io.Writer, mu *sync.Mutex, v any, attach []byte, out *[]byte) error {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("wire: marshal: %w", err)
@@ -146,6 +148,14 @@ func writeFrame(w io.Writer, mu *sync.Mutex, v any, attach []byte) error {
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
 	mu.Lock()
 	defer mu.Unlock()
+	if out != nil {
+		*out = append(append((*out)[:0], hdr[:]...), body...)
+		_, err = w.Write(*out)
+		if cap(*out) > readBufCap {
+			*out = nil
+		}
+		return err
+	}
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -432,7 +442,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	ctx, cancel := context.WithCancel(context.Background())
+	in := bufio.NewReader(conn) // a frame and those queued behind it: one read
 	var writeMu sync.Mutex
+	var out []byte // responses are built here, under writeMu
 	var handlerWG sync.WaitGroup
 	// Per-call cancel funcs, keyed by request id, so a cancel frame (or a
 	// completed handler) can release exactly its own call.
@@ -443,7 +455,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer cancel()
 	for {
 		var req request
-		attach, err := readRequest(conn, &req)
+		attach, err := readRequest(in, &req)
 		if err != nil {
 			return
 		}
@@ -505,7 +517,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			putAttachment(attach)
 			// A write failure means the connection is gone; the read
 			// loop will notice and clean up.
-			_ = writeFrame(conn, &writeMu, &resp, nil)
+			_ = writeFrame(conn, &writeMu, &resp, nil, &out)
 		})
 	}
 }
@@ -587,9 +599,10 @@ func NewClient(conn net.Conn) *Client {
 }
 
 func (c *Client) readLoop() {
+	in := bufio.NewReader(c.conn)
 	for {
 		var resp response
-		if _, err := readFrame(c.conn, &resp); err != nil {
+		if _, err := readFrame(in, &resp); err != nil {
 			c.failAll(fmt.Errorf("wire: connection lost: %w", err))
 			return
 		}
@@ -674,7 +687,7 @@ func (c *Client) Call(ctx context.Context, method string, params, result any) er
 		}
 		req.TimeoutMs = ms
 	}
-	if err := writeFrame(c.conn, &c.writeMu, &req, attach); err != nil {
+	if err := writeFrame(c.conn, &c.writeMu, &req, attach, nil); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
@@ -690,7 +703,7 @@ func (c *Client) Call(ctx context.Context, method string, params, result any) er
 		c.mu.Unlock()
 		// Tell the server to stop working on the abandoned call.
 		// Best-effort: a dead connection cleans up server-side anyway.
-		_ = writeFrame(c.conn, &c.writeMu, &request{ID: id, Cancel: true}, nil)
+		_ = writeFrame(c.conn, &c.writeMu, &request{ID: id, Cancel: true}, nil, nil)
 		return ctx.Err()
 	case resp, ok := <-ch:
 		if !ok {

@@ -22,6 +22,17 @@ type echoReply struct {
 // startServer runs a server with an echo, fail, and slow method.
 func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(t)
+	return s, serve(t, s, ln)
+}
+
+// newServer registers startServer's methods on a server not yet serving.
+func newServer(t *testing.T) *Server {
+	t.Helper()
 	s := NewServer()
 	mustRegister(t, s, "echo", func(ctx context.Context, params json.RawMessage) (any, error) {
 		var a echoArgs
@@ -44,14 +55,14 @@ func startServer(t *testing.T) (*Server, string) {
 	mustRegister(t, s, "void", func(ctx context.Context, params json.RawMessage) (any, error) {
 		return nil, nil
 	})
+	return s
+}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+// serve runs s on ln until the test ends and returns its address.
+func serve(t *testing.T, s *Server, ln net.Listener) string {
 	go s.Serve(ln)
 	t.Cleanup(func() { s.Close() })
-	return s, ln.Addr().String()
+	return ln.Addr().String()
 }
 
 func mustRegister(t *testing.T, s *Server, method string, h Handler) {
