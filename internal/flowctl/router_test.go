@@ -222,7 +222,7 @@ func (l *releaseLog) serve(t *testing.T) string {
 				return nil, nil
 			}),
 			flowserver.MethodFinished.Handle(srv, func(_ context.Context, a flowserver.FinishedArgs) (struct{}, error) {
-				l.add(a.FlowID)
+				l.add(a.FlowIDs...)
 				return struct{}{}, nil
 			}),
 		)

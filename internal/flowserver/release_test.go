@@ -8,6 +8,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,6 +121,17 @@ func listen(t testing.TB, srv *wire.Server) string {
 	return ln.Addr().String()
 }
 
+// countingCaller counts the calls it passes on.
+type countingCaller struct {
+	rpc.Caller
+	calls atomic.Int64
+}
+
+func (c *countingCaller) Call(ctx context.Context, method string, args, reply any) error {
+	c.calls.Add(1)
+	return c.Caller.Call(ctx, method, args, reply)
+}
+
 // lone counts the fs.Finished calls the stub sent: releases that rode
 // no selection.
 func (f *releaseFixture) lone() int64 { return f.calls.Counter("c.method.fs.Finished.calls").Value() }
@@ -171,8 +183,19 @@ func TestReleaseQueue(t *testing.T) {
 			f := newReleaseFixture(t)
 			f.stub.Release(7, 8)
 			f.waitRetired(t, 7, 8)
-			if n := f.lone(); n != 2 {
-				t.Errorf("%d lone fs.Finished calls, want 2", n)
+			if n := f.lone(); n != 1 {
+				t.Errorf("%d lone fs.Finished calls, want 1", n)
+			}
+		}},
+		{"a flush sends the whole queue in one call", func(t *testing.T) {
+			f := newReleaseFixture(t)
+			cc := &countingCaller{Caller: f.pool.Peer(f.addr)}
+			stub := flowserver.NewRPCClient(cc)
+			stub.Release(1, 2, 3)
+			stub.Flush() // or the linger's, if it fired first
+			f.waitRetired(t, 1, 2, 3)
+			if n := cc.calls.Load(); n != 1 {
+				t.Errorf("flushing 3 releases made %d calls, want 1", n)
 			}
 		}},
 		{"a failed Select re-queues", func(t *testing.T) {

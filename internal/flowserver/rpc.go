@@ -58,9 +58,9 @@ type SelectWriteArgs struct {
 	Done        []FlowID `json:"done,omitempty"`
 }
 
-// FinishedArgs reports a completed flow.
+// FinishedArgs reports completed flows.
 type FinishedArgs struct {
-	FlowID FlowID `json:"flowId"`
+	FlowIDs []FlowID `json:"flowIds"`
 }
 
 // Hooks let the embedding controller react to what a control call
@@ -183,7 +183,7 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 			return reply(as), nil
 		}),
 		MethodFinished.Handle(srv, func(_ context.Context, a FinishedArgs) (struct{}, error) {
-			hooks.Retire(fs, a.FlowID)
+			hooks.Retire(fs, a.FlowIDs...)
 			return struct{}{}, nil
 		}),
 	)
@@ -231,9 +231,9 @@ func (c *RPCClient) SelectWrite(ctx context.Context, args SelectWriteArgs) ([]As
 	return out, err
 }
 
-// Finished reports one flow finished in a round trip of its own.
-func (c *RPCClient) Finished(ctx context.Context, id FlowID) error {
-	_, err := MethodFinished.Call(ctx, c.c, FinishedArgs{FlowID: id})
+// Finished reports flows finished in a round trip of its own.
+func (c *RPCClient) Finished(ctx context.Context, ids ...FlowID) error {
+	_, err := MethodFinished.Call(ctx, c.c, FinishedArgs{FlowIDs: ids})
 	return err
 }
 
@@ -255,9 +255,9 @@ func (c *RPCClient) Release(ids ...FlowID) {
 	c.done = append(c.done, ids...)
 }
 
-// Flush sends the queued releases now, one fs.Finished each, best effort:
-// the linger's send, and what a closing caller runs before its sessions
-// go (flowctl.Router.Close).
+// Flush sends the queued releases now, all in one fs.Finished, best
+// effort: the linger's send, and what a closing caller runs before its
+// sessions go (flowctl.Router.Close).
 func (c *RPCClient) Flush() {
 	ids := c.take()
 	if len(ids) == 0 {
@@ -265,9 +265,7 @@ func (c *RPCClient) Flush() {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), releaseTimeout)
 	defer cancel()
-	for _, id := range ids {
-		_ = c.Finished(ctx, id) // the polls retire a lost release
-	}
+	_ = c.Finished(ctx, ids...) // the polls retire a lost release
 	c.settle(ids, nil)
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"net"
@@ -120,20 +121,21 @@ func TestQueuedFramesTakeOneRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	var frames []byte
+	var queued []byte
 	for id := uint64(1); id <= 2; id++ {
-		body, err := json.Marshal(request{ID: id, Method: "echo", Params: json.RawMessage(`{"msg":"x"}`)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, frameBytes(uint32(len(body)), body)...)
+		queued = append(queued, attachFrame(message{Kind: kindCall, ID: id, Text: "echo", Body: json.RawMessage(`{"msg":"x"}`)}, 0, nil)...)
 	}
-	if _, err := raw.Write(frames); err != nil {
+	if _, err := raw.Write(queued); err != nil {
 		t.Fatal(err)
 	}
+	in := bufio.NewReader(raw)
 	for range 2 {
-		var resp response
-		if _, err := readFrame(raw, &resp); err != nil || resp.Error != "" {
+		var resp message
+		body, err := readFrame(in)
+		if err == nil {
+			err = decode(body, &resp, kindOK, kindCanceled)
+		}
+		if err != nil || resp.Kind != kindOK {
 			t.Fatalf("response %+v, %v", resp, err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -197,5 +198,60 @@ func TestUnsentErrorMarksSafeRetries(t *testing.T) {
 	err = c2.Call(context.Background(), "fail", nil, nil)
 	if errors.As(err, &ue) {
 		t.Fatalf("remote error wrapped as UnsentError: %v", err)
+	}
+}
+
+// lateConn delivers its first writes late: each of them waits delay.
+type lateConn struct {
+	net.Conn
+	late  atomic.Int32
+	delay time.Duration
+}
+
+func (c *lateConn) Write(p []byte) (int, error) {
+	if c.late.Add(-1) >= 0 {
+		time.Sleep(c.delay)
+	}
+	return c.Conn.Write(p)
+}
+
+// TestDelayedRequestEndsByItsDeadline: a request that reaches the server
+// late starts its propagated deadline late, after the caller's has
+// fired. Abandoned by that deadline, the caller sends no cancel frame, so
+// the handler still ends by its deadline, DeadlineExceeded, rather than
+// by a cancel overtaking it with Canceled.
+func TestDelayedRequestEndsByItsDeadline(t *testing.T) {
+	stopped := make(chan error, 1)
+	s := NewServer()
+	mustRegister(t, s, "block", func(ctx context.Context, _ json.RawMessage) (any, error) {
+		<-ctx.Done()
+		stopped <- ctx.Err()
+		return nil, ctx.Err()
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", serve(t, s, ln))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := &lateConn{Conn: conn, delay: 5 * time.Millisecond}
+	lc.late.Store(2) // the request's length prefix and the rest of it
+	c := NewClient(lc)
+	defer c.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := c.Call(ctx, "block", nil, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Call err = %v, want DeadlineExceeded", err)
+	}
+	select {
+	case err := <-stopped:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("handler observed %v, want DeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler never stopped")
 	}
 }

@@ -285,3 +285,27 @@ func TestLargePayload(t *testing.T) {
 		t.Error("large payload corrupted")
 	}
 }
+
+// TestCallAllocations bounds what one loopback call of a small method
+// allocates, both ends counted. It measures 22; a JSON envelope around
+// each body (marshalled, compacted into the envelope, scanned twice and
+// copied out before decoding) costs 45, far past the bound's headroom.
+func TestCallAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops frames on purpose")
+	}
+	_, addr := startServer(t)
+	c := dial(t, addr)
+	var reply echoReply
+	call := func() {
+		if err := c.Call(context.Background(), "echo", echoArgs{Msg: "hi"}, &reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 100 { // warm the pools, the parked handler and the pending map
+		call()
+	}
+	if allocs := testing.AllocsPerRun(500, call); allocs > 26 {
+		t.Errorf("a loopback echo call allocates %v times, want at most 26", allocs)
+	}
+}
