@@ -161,18 +161,18 @@ func (c *Controller) Switches() []uint64 {
 
 // Send sorts mods by switch, keeping each switch's in order, and writes
 // each switch its mods in one write, built in its connection's scratch
-// (a batch allocates nothing). It returns the first failure.
+// (a batch allocates nothing). It joins every switch's failure.
 func (c *Controller) Send(mods []FlowMod) error {
 	slices.SortStableFunc(mods, func(a, b FlowMod) int { return cmp.Compare(a.Switch, b.Switch) })
-	var first error
+	var errs []error
 	for i, j := 0, 0; i < len(mods); i = j {
 		for j = i + 1; j < len(mods) && mods[j].Switch == mods[i].Switch; j++ {
 		}
-		if err := c.send(mods[i:j]); first == nil {
-			first = err
+		if err := c.send(mods[i:j]); err != nil {
+			errs = append(errs, err)
 		}
 	}
-	return first
+	return errors.Join(errs...)
 }
 
 func (c *Controller) send(mods []FlowMod) error {
