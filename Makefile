@@ -40,7 +40,7 @@ race:
 
 # figures-smoke runs the parallel figure-sweep determinism and golden
 # tests under the race detector at -j 8: a tiny grid, but it exercises
-# the worker pool, the shared shortest-path cache, the progress mux, and
+# the worker pool, the shared shortest-path cache, the progress writer, and
 # the byte-identical-tables invariant end to end. Every golden runs on
 # the one-shard flowctl plane; the shard-count sweep golden and the
 # flowctl conformance suite (ownership, digest staleness, epoch
@@ -74,21 +74,21 @@ BENCH_PKGS = ./internal/flowctl ./internal/netsim ./internal/experiment ./intern
 BENCH_RUN = $(GO) test -run '^$$' -bench '$(BENCH_NAMES)' -benchmem -count 5 -timeout 0 $(BENCH_PKGS)
 
 # bench records the benchmarks' medians in BENCH_selection.json, the
-# committed performance baseline for the incremental allocator, the write
-# path, and the control-plane session layer.
+# performance of the incremental allocator, the write path and the
+# control-plane session layer on the host that ran it (its cpu line). No
+# gate reads it: ns/op recorded on another host says nothing about this one.
 bench:
 	$(BENCH_RUN) | $(GO) run ./cmd/bench2json > BENCH_selection.json
 	@cat BENCH_selection.json
 
-# bench-check reruns the benchmarks and fails if any median regressed more
-# than 20% ns/op (or grew allocs/op by more than one allocation or 0.5%,
-# bench2json's allocSlack) against the committed BENCH_selection.json
-# baseline; each row prints its runs' ns/op range beside the median. Runs
-# at the same default 1s benchtime the baseline was recorded with —
-# shorter runs shrink N enough that one-time warm-up allocations tip the
-# allocs/op average. CI's bench-smoke job runs this.
+# bench-check is the micro-benchmark gate CI's bench-smoke job runs:
+# bench-ab against the merge base, HEAD~ (the previous commit on main;
+# the base branch's tip in a pull request's merge commit). It fails if any
+# median regressed more than 20% ns/op, or grew allocs/op by more than
+# one allocation or 0.5% (bench2json's allocSlack). It needs the history:
+# a shallow clone has no HEAD~.
 bench-check:
-	$(BENCH_RUN) | $(GO) run ./cmd/bench2json -compare BENCH_selection.json -max-regress 0.20
+	$(MAKE) bench-ab REF=HEAD~
 
 # bench-ab A/B-tests the benchmarks against a commit on this host:
 #
@@ -98,12 +98,12 @@ bench-check:
 # both sides with go test -c, deletes REF's source (so tree-walking tests
 # never meet a second tree), then runs BENCH_NAMES from the binaries
 # alternately, REF then the working tree, from the package directories,
-# five times: host drift lands on both sides alike. -benchtime is a fixed
-# count because b.N must not differ between sides: BenchmarkSelectSharded's
-# cost grows with it. bench2json, given REF's raw runs as the baseline,
-# prints each row's two medians, ranges and pairs won, and fails as
-# bench-check does on a row over -max-regress or allocSlack. It needs no
-# network: the module has no dependencies.
+# ten times: host drift lands on both sides alike, and five rounds were
+# too few on a 2-vCPU host. -benchtime is a fixed count because b.N must
+# not differ between sides: BenchmarkSelectSharded's cost grows with it. bench2json, given REF's raw runs as the baseline,
+# prints each row's two medians, ranges and pairs won, and fails on a row
+# over -max-regress (20%) or allocSlack. It needs no network: the module
+# has no dependencies.
 AB = .bench_build/ab
 bench-ab:
 	@test -n "$(REF)" || { echo 'usage: make bench-ab REF=<commit>' >&2; exit 2; }
@@ -114,7 +114,7 @@ bench-ab:
 		GOWORK=off $(GO) test -c -o $(AB)/bin/cur.$$n.test $$p; \
 	done
 	rm -rf $(AB)/ref
-	set -e; for i in 1 2 3 4 5; do for side in ref cur; do for p in $(BENCH_PKGS); do \
+	set -e; for i in 1 2 3 4 5 6 7 8 9 10; do for side in ref cur; do for p in $(BENCH_PKGS); do \
 		(cd $$p && $(CURDIR)/$(AB)/bin/$$side.$$(basename $$p).test -test.run '^$$' \
 			-test.bench '$(BENCH_NAMES)' -test.benchmem -test.benchtime 1000x -test.timeout 20m) >> $(AB)/$$side.txt; \
 	done; done; done

@@ -1,25 +1,22 @@
 // Command bench2json converts `go test -bench` text output into a stable
 // JSON document. The Makefile's bench target pipes the selection and churn
-// benchmarks through it to produce BENCH_selection.json, the committed
-// performance baseline for the incremental allocator hot path.
+// benchmarks through it to produce BENCH_selection.json, the recorded
+// performance of the incremental allocator hot path.
 //
 // Repeated runs of a benchmark (go test -count N) fold into one row: the
 // medians of ns/op and allocs/op, with the ns/op range beside them.
 //
-// It also gates CI on that baseline: with -compare, instead of emitting
-// JSON it diffs the parsed medians against a committed baseline and
-// exits nonzero when any baseline benchmark is missing, slows down by
-// more than -max-regress, or allocates more per op than allocSlack
-// allows. The baseline may instead be another commit's raw `go test
-// -bench` output, its runs made alternately with standard input's on one
-// host (make bench-ab); each row then also counts the pairs the current
-// side won.
+// It also gates CI: with -compare, instead of emitting JSON it diffs the
+// parsed medians against another commit's raw `go test -bench` output,
+// its runs made alternately with standard input's on one host (make
+// bench-ab), and exits nonzero when any baseline benchmark is missing,
+// slows down by more than -max-regress, or allocates more per op than
+// allocSlack allows. Each row also counts the pairs the current side won.
 //
 // Usage:
 //
 //	go test -bench . -benchmem -count 5 ./... | bench2json > bench.json
-//	go test -bench . -benchmem -count 5 ./... | bench2json -compare BENCH_selection.json -max-regress 0.20
-//	bench2json -compare ref.txt < cur.txt
+//	bench2json -compare ref.txt -max-regress 0.20 < cur.txt
 package main
 
 import (
@@ -65,7 +62,7 @@ type Report struct {
 
 func main() {
 	var (
-		compareFile = flag.String("compare", "", "baseline (this tool's JSON, or raw output) to diff against instead of emitting JSON; exit 1 on regression")
+		compareFile = flag.String("compare", "", "baseline (another commit's raw go test -bench output) to diff against instead of emitting JSON; exit 1 on regression")
 		maxRegress  = flag.Float64("max-regress", 0.20, "with -compare: allowed fractional ns/op slowdown per benchmark")
 	)
 	flag.Parse()
@@ -97,24 +94,13 @@ func main() {
 	}
 }
 
-// loadReport reads a baseline: a JSON document written by this tool, or
-// raw `go test -bench` output, which never starts with a brace.
+// loadReport reads a baseline: raw `go test -bench` output.
 func loadReport(path string) (*Report, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if !bytes.HasPrefix(bytes.TrimSpace(b), []byte("{")) {
-		return parse(bytes.NewReader(b))
-	}
-	var rep Report
-	if err := json.Unmarshal(b, &rep); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	if len(rep.Benchmarks) == 0 {
-		return nil, fmt.Errorf("%s: no benchmarks in baseline", path)
-	}
-	return &rep, nil
+	return parse(bytes.NewReader(b))
 }
 
 // allocSlack is how far allocs/op may rise above the baseline before the
@@ -131,12 +117,9 @@ func allocSlack(base float64) float64 {
 // missing from cur, slowed down by more than maxRegress, or allocates
 // more per op than the baseline plus allocSlack. Benchmarks present only in cur are
 // noted but never fail the gate (the baseline defines the contract).
-// Where both sides kept their runs (a raw baseline), a row also counts
-// the pairs cur won, run i against run i.
-// Iteration counts and absolute machine speed vary between hosts, so
-// the gate is relative: cur ns/op vs baseline ns/op on the same run's
-// machine is only meaningful when both sides ran on comparable hardware
-// — which is why CI regenerates the current side in the same job.
+// A row also counts the pairs cur won, run i against run i.
+// Absolute machine speed varies between hosts, so cur ns/op vs baseline
+// ns/op is only meaningful when both sides ran alternately on one host.
 func compare(w io.Writer, base, cur *Report, maxRegress float64) error {
 	byName := make(map[string]Benchmark, len(cur.Benchmarks))
 	for _, b := range cur.Benchmarks {

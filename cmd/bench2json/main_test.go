@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -178,26 +177,6 @@ func TestABPairsRunsInOrder(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("A/B row lacks %q:\n%s", want, out.String())
 		}
-	}
-}
-
-// TestLoadReportReadsJSONBaseline: a baseline this tool wrote (the
-// committed BENCH_selection.json) loads as JSON, not as raw output.
-func TestLoadReportReadsJSONBaseline(t *testing.T) {
-	body, err := json.MarshalIndent(baselineReport(), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, append([]byte("\n"), body...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := loadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Benchmarks) != 2 || rep.Benchmarks[1].Name != "BenchmarkNetsimChurn/1k" || rep.Benchmarks[1].NsPerOp != 2000 {
-		t.Errorf("loaded %+v, want the two baseline rows", rep.Benchmarks)
 	}
 }
 

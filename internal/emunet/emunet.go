@@ -7,10 +7,10 @@
 // property Mininet's link shaping provides the paper.
 //
 // The package is the wall-clock implementation of the shared network
-// fabric contract (package fabric): Network is the fabric.Admitter the
-// testbed's Flowserver hooks speak, and Fabric (see fabric.go) adapts it
+// fabric contract (package fabric): Network is what the testbed's
+// Flowserver hooks admit flows to, and Fabric (see fabric.go) adapts it
 // to the full fabric.Backend driver contract so simulation experiments
-// run unchanged on emulated bytes. The arbiter bookkeeping is the shared
+// run unchanged on emulated bytes. The arbiter bookkeeping is a
 // fabric.Table; all pacer timing goes through a fabric.Clock, so tests
 // can compress wall time deterministically with fabric.NewScaledClock.
 //
@@ -77,7 +77,7 @@ func (f *emuFlow) currentRate() float64 {
 	return f.rate
 }
 
-// Network is the emulated fabric. It implements fabric.Admitter.
+// Network is the emulated fabric.
 type Network struct {
 	topo  *topology.Topology
 	clock fabric.Clock
@@ -102,8 +102,6 @@ func (n *Network) AttachMetrics(r *obs.Registry) {
 	r.RegisterCounter("emunet.reallocs", &n.reallocs)
 	r.RegisterGauge("emunet.active_flows", &n.activeFlows)
 }
-
-var _ fabric.Admitter = (*Network)(nil)
 
 // New creates an emulated network over the topology, on the wall clock.
 func New(topo *topology.Topology) *Network {

@@ -401,7 +401,7 @@ type runner struct {
 	ecmp    *selection.ECMP
 
 	// Sinbad-R's (stale) utilization snapshot, refreshed every poll.
-	util     selection.StaticUtilization
+	util     map[topology.LinkID]float64
 	lastPoll float64
 	prevBits []float64
 
@@ -453,7 +453,7 @@ func (r *runner) setupPolicies() error {
 	case SchemeHDFSECMP, SchemeHDFSMayflower:
 		r.hdfs = selection.NewHDFSRackAware(r.topo, r.rng)
 	case SchemeSinbadRMayflower, SchemeSinbadRECMP:
-		r.util = make(selection.StaticUtilization)
+		r.util = make(map[topology.LinkID]float64)
 		r.sinbad = selection.NewSinbadR(r.topo, r.rng, r.util)
 		r.prevBits = make([]float64, r.topo.NumLinks())
 		r.polling = true
@@ -529,7 +529,7 @@ func (r *runner) ensurePolling() {
 func (r *runner) pollTick() {
 	now := r.fab.Now()
 	if r.fs != nil {
-		r.fs.PollFrom(now, r)
+		r.fs.PollFrom(now, r.flowStats())
 		// Drift audit: compare each live flow's post-poll estimate
 		// against the fabric's ground-truth fair-share rate. Read-only
 		// against both layers — no RNG, no model writes — so enabling it
@@ -561,10 +561,10 @@ func (r *runner) pollTick() {
 	}
 }
 
-// FlowStats implements flowserver.StatsSource: the driver reads each
-// tracked flow's byte counter straight off the fabric, standing in for
-// the testbed's edge-switch stats requests.
-func (r *runner) FlowStats() []flowserver.FlowStat {
+// flowStats is one poll cycle's batch: the runner reads each tracked
+// flow's byte counter straight off the fabric, standing in for the
+// testbed's edge-switch stats requests.
+func (r *runner) flowStats() []flowserver.FlowStat {
 	batch := make([]flowserver.FlowStat, 0, len(r.tracked))
 	for fsID, fabID := range r.tracked {
 		batch = append(batch, flowserver.FlowStat{

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"runtime"
@@ -63,8 +62,8 @@ type Sweep struct {
 	// GOMAXPROCS. The value never affects results, only wall-clock time.
 	Workers int
 	// Progress, when set, receives each cell's per-scheme progress lines
-	// prefixed with the cell name. Lines from concurrent cells are
-	// funneled through one aggregator so they never interleave mid-line.
+	// prefixed with the cell name, one line per write under one lock, so
+	// lines from concurrent cells never interleave mid-line.
 	Progress io.Writer
 	// Metrics, when set, receives every cell's private registry merged
 	// under the prefix "cell.<cell name>." after the cell completes.
@@ -149,7 +148,7 @@ func (s *Sweep) Run() ([]*Result, error) {
 		results = make([]*Result, len(cells))
 		errs    = make([]error, len(cells))
 		next    atomic.Int64
-		agg     = newProgressMux(s.Progress)
+		progMu  sync.Mutex
 		wg      sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
@@ -168,8 +167,8 @@ func (s *Sweep) Run() ([]*Result, error) {
 				// cells ever share metric writer state.
 				reg := obs.NewRegistry()
 				cfg.Metrics = reg
-				if agg != nil {
-					cfg.Progress = agg.writer("[" + cell.Name() + "] ")
+				if s.Progress != nil {
+					cfg.Progress = prefixWriter{&progMu, s.Progress, "[" + cell.Name() + "] "}
 				}
 				res, err := Run(cfg)
 				if err != nil {
@@ -184,7 +183,6 @@ func (s *Sweep) Run() ([]*Result, error) {
 		}()
 	}
 	wg.Wait()
-	agg.flush()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -260,81 +258,19 @@ func shareTopologies(cells []Cell) error {
 	return nil
 }
 
-// progressMux funnels the progress lines of concurrent cells into one
-// writer. Each cell gets its own line-buffered writer (cells are single-
-// threaded internally, so the per-cell buffer needs no lock); only the
-// emission of a complete line takes the shared mutex, so lines from
-// different cells interleave only at line boundaries and `-progress`
-// output stays readable under -j 8.
-type progressMux struct {
-	mu sync.Mutex
-	w  io.Writer
-
-	wsMu    sync.Mutex
-	writers []*progressWriter
-}
-
-func newProgressMux(w io.Writer) *progressMux {
-	if w == nil {
-		return nil
-	}
-	return &progressMux{w: w}
-}
-
-func (m *progressMux) writer(prefix string) io.Writer {
-	pw := &progressWriter{mux: m, prefix: prefix}
-	m.wsMu.Lock()
-	m.writers = append(m.writers, pw)
-	m.wsMu.Unlock()
-	return pw
-}
-
-// flush emits any buffered partial lines once all cells have finished.
-func (m *progressMux) flush() {
-	if m == nil {
-		return
-	}
-	m.wsMu.Lock()
-	writers := m.writers
-	m.wsMu.Unlock()
-	for _, pw := range writers {
-		pw.flushPartial()
-	}
-}
-
-// emit writes one already-prefixed chunk under the shared lock.
-func (m *progressMux) emit(b []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.w.Write(b) //nolint:errcheck // progress output is best effort
-}
-
-type progressWriter struct {
-	mux    *progressMux
+// prefixWriter prefixes a cell's progress lines with its name. Every
+// Config.Progress write is one whole line (reportProgress makes one
+// Fprintf per line), so one mutex shared by all cells keeps lines from
+// different cells whole under -j 8.
+type prefixWriter struct {
+	mu     *sync.Mutex
+	w      io.Writer
 	prefix string
-	buf    bytes.Buffer
 }
 
-// Write buffers p and emits every complete line, prefixed, as one
-// atomic chunk.
-func (w *progressWriter) Write(p []byte) (int, error) {
-	w.buf.Write(p)
-	for {
-		line, err := w.buf.ReadString('\n')
-		if err != nil {
-			// Partial line: keep it buffered for the next Write.
-			w.buf.WriteString(line)
-			break
-		}
-		w.mux.emit([]byte(w.prefix + line))
-	}
-	return len(p), nil
-}
-
-func (w *progressWriter) flushPartial() {
-	if w.buf.Len() == 0 {
-		return
-	}
-	w.mux.emit([]byte(w.prefix + w.buf.String() + "\n"))
-	w.buf.Reset()
+func (p prefixWriter) Write(b []byte) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	io.WriteString(p.w, p.prefix+string(b)) //nolint:errcheck // progress output is best effort
+	return len(b), nil
 }

@@ -11,9 +11,8 @@
 // The contract has four parts:
 //
 //   - Flow admission and removal on a directed link path, with a
-//     completion callback (Backend.StartFlow / CancelFlow, or the
-//     Admitter face for deployments that move their own bytes, paced
-//     through the Gate face).
+//     completion callback (Backend.StartFlow / CancelFlow), and the Gate
+//     face that paces deployments that move their own bytes.
 //
 //   - Observability: the ground-truth per-flow rate, plus cumulative
 //     per-flow and per-link byte counters — exactly what an OpenFlow
@@ -117,26 +116,12 @@ type Backend interface {
 	Run() error
 }
 
-// Admitter is the control-plane admission face of a backend whose bytes
-// are moved by an external data plane — the emulator under the real
-// testbed (dataservers stream bytes through its pacers), or a future
-// Mininet/tc backend. The Flowserver's assignment hooks speak this
-// interface; flow ids are chosen by the caller.
-type Admitter interface {
-	// RegisterFlow admits a flow on a path and recomputes fair rates.
-	// Registering an existing id replaces its path.
-	RegisterFlow(id uint64, path topology.Path) error
-	// UnregisterFlow removes a flow and returns bandwidth to the others.
-	// Unknown ids are a no-op.
-	UnregisterFlow(id uint64)
-	// FlowRate returns a flow's current fair rate in bits per second.
-	FlowRate(id uint64) (float64, bool)
-}
-
-// Gate is the pacing face of such a backend: it grants a registered
-// flow time on the wire and counts what the external data plane sent in
-// it, but never touches the bytes, so a sender can hand each quantum to
-// the kernel in one call (the dataserver's sendfile loop).
+// Gate is the pacing face of a backend whose bytes an external data
+// plane moves (the emulator under the real testbed, whose dataservers
+// stream them): it grants a registered flow time on the wire and counts
+// what the data plane sent in it, but never touches the bytes, so a
+// sender can hand each quantum to the kernel in one call (the
+// dataserver's sendfile loop).
 type Gate interface {
 	// Next blocks until the flow may send its next quantum and returns
 	// the quantum's size in bytes, at most max (max > 0) — or 0 when none

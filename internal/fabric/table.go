@@ -6,15 +6,14 @@ import (
 	"github.com/mayflower-dfs/mayflower/internal/maxmin"
 )
 
-// Table is the flow-table and arbiter plumbing shared by network
-// backends built on maxmin: it tracks each admitted flow's link path in
-// a dense, deterministic order (insertion order with swap-remove, like
-// the simulator's active list) and recomputes every flow's max-min fair
-// rate with reusable scratch, so reallocation allocates nothing in
-// steady state. The emulator's arbiter is this table; the simulator
-// keeps its own incremental component allocator (see DESIGN.md §8) but
-// honours the identical sharing model, which is what cross-validation
-// asserts.
+// Table is a flow table and arbiter built on maxmin: it tracks each
+// admitted flow's link path in a dense, deterministic order (insertion
+// order with swap-remove, like the simulator's active list) and
+// recomputes every flow's max-min fair rate with reusable scratch, so
+// reallocation allocates nothing in steady state. The emulator's arbiter
+// is this table; the simulator keeps its own incremental component
+// allocator (see DESIGN.md §8) but honours the identical sharing model,
+// which is what cross-validation asserts.
 //
 // Table is not synchronized; owners serialize access (the emulator holds
 // its network mutex).
@@ -37,12 +36,6 @@ func NewTable(capacity []float64) *Table {
 		pos:      make(map[uint64]int),
 	}
 }
-
-// Len returns the number of admitted flows.
-func (t *Table) Len() int { return len(t.ids) }
-
-// NumLinks returns the number of links the table arbitrates over.
-func (t *Table) NumLinks() int { return len(t.capacity) }
 
 // Set admits a flow on a path of dense link indices, or replaces the
 // path of an existing id. The links slice is retained; callers must not
@@ -83,9 +76,6 @@ func (t *Table) Remove(id uint64) bool {
 func (t *Table) SetCapacity(link int, bps float64) {
 	t.capacity[link] = bps
 }
-
-// Capacity returns one link's current capacity.
-func (t *Table) Capacity(link int) float64 { return t.capacity[link] }
 
 // ValidLink reports whether a dense link index is within the table.
 func (t *Table) ValidLink(link int) bool {

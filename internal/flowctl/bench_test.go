@@ -91,15 +91,11 @@ func loadedPlane(b *testing.B, shards, n int) *Plane {
 		}
 		i++
 	}
-	p.PollFrom(1.0, staticStats{})
+	// An empty poll still rebuilds and installs every shard's digest,
+	// which is what the benchmarks need.
+	p.PollFrom(1.0, nil)
 	return p
 }
-
-// staticStats is an empty poll source: PollFrom still rebuilds and
-// installs every shard's digest, which is what the benchmarks need.
-type staticStats struct{}
-
-func (staticStats) FlowStats() []flowserver.FlowStat { return nil }
 
 // BenchmarkDigestMerge measures rebuilding the dense per-link remote
 // view from three peer digests (the 4-shard case) with 256 loaded links

@@ -177,8 +177,7 @@ func (p *Plane) EstimatedBW(id flowserver.FlowID) (float64, bool) {
 // plane hands every shard the full batch and lets the model's flow
 // tables pick out their own rows. There are no switches or fabric to
 // tell of a retirement.
-func (p *Plane) PollFrom(now float64, src flowserver.StatsSource) {
-	batch := src.FlowStats()
+func (p *Plane) PollFrom(now float64, batch []flowserver.FlowStat) {
 	for _, s := range p.shards {
 		flowserver.Hooks(nil).Retire(s, s.Server().UpdateFlowStats(now, batch)...)
 	}

@@ -25,11 +25,6 @@ type fakeClock struct{ t float64 }
 
 func (c *fakeClock) Now() float64 { return c.t }
 
-// statsBatch adapts a prebuilt poll cycle to flowserver.StatsSource.
-type statsBatch []flowserver.FlowStat
-
-func (b statsBatch) FlowStats() []flowserver.FlowStat { return b }
-
 // op is one step of a deterministic conformance workload.
 type op struct {
 	kind      int // 0 read, 1 write, 2 finish, 3 poll
@@ -138,7 +133,7 @@ func applyOps(t *testing.T, cp *Plane, clock *fakeClock, ops []op, withIDs bool)
 				}
 			}
 		case 3:
-			var batch statsBatch
+			var batch []flowserver.FlowStat
 			for _, j := range jobs {
 				if j.done {
 					continue
@@ -240,7 +235,7 @@ func TestDigestStalenessBound(t *testing.T) {
 	const interval = 1.0
 	for tick := 1; tick <= 5; tick++ {
 		clock.t = float64(tick) * interval
-		plane.PollFrom(clock.t, statsBatch(nil))
+		plane.PollFrom(clock.t, nil)
 		age, ok := plane.Shard(0).DigestAge(1, clock.t)
 		if !ok || age != 0 {
 			t.Fatalf("tick %d: age right after poll = (%g, %v), want (0, true)", tick, age, ok)
@@ -348,7 +343,7 @@ func TestPlaneConcurrentUse(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			plane.PollFrom(clock.Now(), statsBatch(nil))
+			plane.PollFrom(clock.Now(), nil)
 		}
 	}()
 	wg.Wait()

@@ -103,7 +103,7 @@ func (sw *Switches) report(mods []sdn.FlowMod, err error) {
 	}
 }
 
-// FlowStats implements flowserver.StatsSource by querying the edge
+// FlowStats returns one poll cycle's batch by querying the edge
 // switches' flow byte counters over the OpenFlow-style control
 // protocol, exactly as §3.3.3 describes ("flow stats are collected for
 // only those flows that originate from dataservers attached to the edge

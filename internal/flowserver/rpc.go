@@ -104,18 +104,10 @@ type Service interface {
 // RegisterRPC exposes a Flowserver on a wire server, resolving host names
 // against the topology.
 func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Hooks) error {
-	hostByName := make(map[string]topology.NodeID, topo.NumHosts())
-	nameByHost := make(map[topology.NodeID]string, topo.NumHosts())
-	for _, h := range topo.Hosts() {
-		n := topo.Node(h)
-		hostByName[n.Name] = h
-		nameByHost[h] = n.Name
-	}
-
 	resolve := func(names []string, role string) ([]topology.NodeID, error) {
 		hosts := make([]topology.NodeID, 0, len(names))
 		for _, name := range names {
-			h, ok := hostByName[name]
+			h, ok := topo.HostByName(name)
 			if !ok {
 				return nil, fmt.Errorf("flowserver: unknown %s host %q", role, name)
 			}
@@ -129,7 +121,7 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 		for _, asg := range as {
 			dto := AssignmentDTO{
 				FlowID:      asg.FlowID,
-				ReplicaHost: nameByHost[asg.Replica],
+				ReplicaHost: topo.Node(asg.Replica).Name,
 				Bits:        asg.Bits,
 				Local:       asg.Local(),
 				PathLen:     len(asg.Path),
@@ -150,7 +142,7 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 			Hooks(nil).Retire(fs, a.Done...)
 			var as []Assignment
 			defer func() { hooks.apply(a.Done, as) }()
-			client, ok := hostByName[a.ClientHost]
+			client, ok := topo.HostByName(a.ClientHost)
 			if !ok {
 				return nil, fmt.Errorf("flowserver: unknown client host %q", a.ClientHost)
 			}
@@ -168,7 +160,7 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 			Hooks(nil).Retire(fs, a.Done...)
 			var as []Assignment
 			defer func() { hooks.apply(a.Done, as) }()
-			source, ok := hostByName[a.SourceHost]
+			source, ok := topo.HostByName(a.SourceHost)
 			if !ok {
 				return nil, fmt.Errorf("flowserver: unknown source host %q", a.SourceHost)
 			}

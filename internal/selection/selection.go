@@ -32,22 +32,6 @@ import (
 	"github.com/mayflower-dfs/mayflower/internal/topology"
 )
 
-// UtilizationView supplies (possibly stale) link-load measurements, as a
-// monitoring system like Sinbad's end-host agents would. Values are in
-// bits per second of observed traffic on the directed link.
-type UtilizationView interface {
-	LinkLoad(id topology.LinkID) float64
-}
-
-// StaticUtilization is a fixed UtilizationView, convenient for tests and
-// for snapshot-based monitors that rebuild the map each polling cycle.
-type StaticUtilization map[topology.LinkID]float64
-
-// LinkLoad returns the recorded load for the link, or 0 if absent.
-func (u StaticUtilization) LinkLoad(id topology.LinkID) float64 { return u[id] }
-
-var _ UtilizationView = StaticUtilization(nil)
-
 // Nearest selects the replica with the smallest topology distance to the
 // client, breaking ties uniformly at random.
 type Nearest struct {
@@ -124,11 +108,15 @@ func (h *HDFSRackAware) SelectReplica(client topology.NodeID, replicas []topolog
 type SinbadR struct {
 	topo *topology.Topology
 	rng  *rand.Rand
-	util UtilizationView
+	util map[topology.LinkID]float64
 }
 
-// NewSinbadR creates a Sinbad-R selector over a utilization view.
-func NewSinbadR(topo *topology.Topology, rng *rand.Rand, util UtilizationView) *SinbadR {
+// NewSinbadR creates a Sinbad-R selector over util, the (possibly stale)
+// link loads a monitor like Sinbad's end-host agents measures: bits per
+// second of observed traffic per directed link, 0 where absent. The
+// selector reads the map on every selection; its owner refreshes it in
+// place between them.
+func NewSinbadR(topo *topology.Topology, rng *rand.Rand, util map[topology.LinkID]float64) *SinbadR {
 	return &SinbadR{topo: topo, rng: rng, util: util}
 }
 
@@ -203,7 +191,7 @@ func (s *SinbadR) relativeLoad(l topology.LinkID) float64 {
 	if c <= 0 {
 		return 0
 	}
-	return s.util.LinkLoad(l) / c
+	return s.util[l] / c
 }
 
 // ECMP selects among the shortest paths between two hosts by hashing a

@@ -105,7 +105,7 @@ func TestSinbadRPicksLeastUtilized(t *testing.T) {
 	cold := topo.HostAt(2, 0, 0)
 	client := topo.HostAt(0, 0, 0)
 
-	util := StaticUtilization{}
+	util := map[topology.LinkID]float64{}
 	// Saturate the hot replica's host uplink.
 	util[topo.UplinkOf(hot)] = topo.Link(topo.UplinkOf(hot)).Capacity
 
@@ -127,7 +127,7 @@ func TestSinbadRUsesEdgeUplinks(t *testing.T) {
 	repA := topo.HostAt(1, 0, 0)
 	repB := topo.HostAt(2, 0, 0)
 
-	util := StaticUtilization{}
+	util := map[topology.LinkID]float64{}
 	// Both edge uplinks of repA's rack are fully loaded; its host uplink
 	// is idle. Sinbad-R must still see the congestion.
 	for _, l := range topo.EdgeUplinks(repA) {
@@ -160,7 +160,7 @@ func TestSinbadRPodRestriction(t *testing.T) {
 	podReplica := topo.HostAt(0, 1, 0) // same pod as client
 	farReplica := topo.HostAt(3, 0, 0)
 
-	util := StaticUtilization{}
+	util := map[topology.LinkID]float64{}
 	// Even with the pod replica's uplink congested, the pod restriction
 	// keeps the search inside the client's pod.
 	util[topo.UplinkOf(podReplica)] = topo.Link(topo.UplinkOf(podReplica)).Capacity
@@ -178,7 +178,7 @@ func TestSinbadRPodRestriction(t *testing.T) {
 func TestSinbadRLocalReplica(t *testing.T) {
 	topo := testTopo(t)
 	client := topo.HostAt(0, 0, 0)
-	s := NewSinbadR(topo, rand.New(rand.NewSource(7)), StaticUtilization{})
+	s := NewSinbadR(topo, rand.New(rand.NewSource(7)), map[topology.LinkID]float64{})
 	got, err := s.SelectReplica(client, []topology.NodeID{topo.HostAt(1, 0, 0), client})
 	if err != nil {
 		t.Fatal(err)

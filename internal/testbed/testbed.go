@@ -100,12 +100,8 @@ const statsInterval = 250 * time.Millisecond
 
 // Cluster is a running deployment.
 type Cluster struct {
-	Topo *topology.Topology
-	Net  *emunet.Network
-
-	// admit is the fabric handle the control plane admits flows through;
-	// everything outside boot speaks this interface, not emunet.
-	admit fabric.Admitter
+	Topo  *topology.Topology
+	Net   *emunet.Network
 	clock fabric.Clock
 
 	mode       Mode
@@ -205,7 +201,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
 		Topo:      topo,
 		Net:       net,
-		admit:     net,
 		clock:     net.Clock(),
 		mode:      cfg.Mode,
 		servers:   make(map[string]*dataserver.Server),
@@ -354,12 +349,12 @@ func (c *Cluster) flowHooks() flowserver.Hooks {
 	sw := c.ofSwitches.Hooks()
 	return func(retired []flowserver.FlowID, assigned []flowserver.Assignment) {
 		for _, id := range retired {
-			c.admit.UnregisterFlow(uint64(id))
+			c.Net.UnregisterFlow(uint64(id))
 			c.trackFlow(id, false)
 		}
 		for _, a := range assigned {
 			if !a.Local() {
-				_ = c.admit.RegisterFlow(uint64(a.FlowID), a.Path)
+				_ = c.Net.RegisterFlow(uint64(a.FlowID), a.Path)
 				c.trackFlow(a.FlowID, true)
 			}
 		}
@@ -627,28 +622,18 @@ func (c *Cluster) clientOptionsLocked(name string) client.Options {
 // out an empty replica set, so neither lookup nor selection can fail.
 func (c *Cluster) hdfsPicker(name string) func(nameserver.FileInfo) nameserver.ReplicaLoc {
 	hdfs := selection.NewHDFSRackAware(c.Topo, rand.New(rand.NewSource(c.rng.Int63())))
-	self, _ := c.hostID(name)
+	self, _ := c.Topo.HostByName(name)
 	var mu sync.Mutex
 	return func(info nameserver.FileInfo) nameserver.ReplicaLoc {
 		ids := make([]topology.NodeID, len(info.Replicas))
 		for i, rep := range info.Replicas {
-			ids[i], _ = c.hostID(rep.Host)
+			ids[i], _ = c.Topo.HostByName(rep.Host)
 		}
 		mu.Lock()
 		pick, _ := hdfs.SelectReplica(self, ids)
 		mu.Unlock()
 		return info.Replicas[slices.Index(ids, pick)]
 	}
-}
-
-// hostID resolves a topology host name.
-func (c *Cluster) hostID(name string) (topology.NodeID, bool) {
-	for _, h := range c.Topo.Hosts() {
-		if c.Topo.Node(h).Name == name {
-			return h, true
-		}
-	}
-	return 0, false
 }
 
 // NewClient builds an extra client with the cluster's options for the
@@ -696,20 +681,15 @@ func (c *Cluster) KillDataserver(hostName string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("testbed: no dataserver on host %q", hostName)
 	}
-	var id string
-	for node, sid := range c.serverIDs {
-		if c.Topo.Node(node).Name == hostName {
-			id = sid
-		}
-	}
-	return id, ds.Close()
+	h, _ := c.Topo.HostByName(hostName)
+	return c.serverIDs[h], ds.Close()
 }
 
 // assignECMPFlow registers an ECMP-selected path for a transfer from
 // replicaHost to clientHost with the emulated network.
 func (c *Cluster) assignECMPFlow(replicaHost, clientHost string) (uint64, func()) {
-	src, foundSrc := c.hostID(replicaHost)
-	dst, foundDst := c.hostID(clientHost)
+	src, foundSrc := c.Topo.HostByName(replicaHost)
+	dst, foundDst := c.Topo.HostByName(clientHost)
 	if !foundSrc || !foundDst || src == dst {
 		return 0, nil
 	}
@@ -718,10 +698,10 @@ func (c *Cluster) assignECMPFlow(replicaHost, clientHost string) (uint64, func()
 	if err != nil {
 		return 0, nil
 	}
-	if err := c.admit.RegisterFlow(id, path); err != nil {
+	if err := c.Net.RegisterFlow(id, path); err != nil {
 		return 0, nil
 	}
-	return id, func() { c.admit.UnregisterFlow(id) }
+	return id, func() { c.Net.UnregisterFlow(id) }
 }
 
 // Close tears the whole deployment down.

@@ -199,11 +199,17 @@ type hostPair struct{ src, dst NodeID }
 // string. It allocates nothing: the client ranks replicas by it on every
 // read.
 func ParseHostName(name string) (pod, rack int, ok bool) {
-	var coord [3]int
+	c, ok := parseHost(name)
+	return c[0], c[1], ok
+}
+
+// parseHost reads the pod, rack and index of a host name; ok is false
+// unless name has New's host naming. Every coordinate is below 10^9.
+func parseHost(name string) (coord [3]int, ok bool) {
 	rest := name
 	for i, part := range [3]string{"host-p", "-r", "-h"} {
 		if len(rest) < len(part) || rest[:len(part)] != part {
-			return 0, 0, false
+			return [3]int{}, false
 		}
 		rest = rest[len(part):]
 		n := 0
@@ -212,11 +218,11 @@ func ParseHostName(name string) (pod, rack int, ok bool) {
 			n++
 		}
 		if n == 0 || n > 9 { // no digits, or more than an int32 holds
-			return 0, 0, false
+			return [3]int{}, false
 		}
 		rest = rest[n:]
 	}
-	return coord[0], coord[1], rest == ""
+	return coord, rest == ""
 }
 
 // New builds the topology described by cfg.
@@ -332,6 +338,18 @@ func (t *Topology) HostAt(pod, rack, idx int) NodeID {
 	per := t.cfg.HostsPerRack
 	i := (pod*t.cfg.RacksPerPod+rack)*per + idx
 	return t.hosts[i]
+}
+
+// HostByName resolves a host name New gave out; ok is false for any
+// other string, a switch's name, a coordinate outside the topology, or a
+// re-spelling such as "host-p01-r0-h0". It allocates nothing.
+func (t *Topology) HostByName(name string) (NodeID, bool) {
+	c, ok := parseHost(name)
+	if !ok || c[0] >= t.cfg.Pods || c[1] >= t.cfg.RacksPerPod || c[2] >= t.cfg.HostsPerRack {
+		return 0, false
+	}
+	h := t.HostAt(c[0], c[1], c[2])
+	return h, t.nodes[h].Name == name
 }
 
 // HostIndex returns a dense 0-based index for a host node id, suitable for

@@ -168,6 +168,48 @@ func TestParseHostName(t *testing.T) {
 	}
 }
 
+// TestHostByName: every host New names resolves back to its node, on the
+// paper's testbed and on the shapes of the scaled testbed (2×2×4) and the
+// chaos scenarios (2×2×2); no other string does, and resolving allocates
+// nothing.
+func TestHostByName(t *testing.T) {
+	small := func(hostsPerRack int) Config {
+		return Config{Pods: 2, RacksPerPod: 2, HostsPerRack: hostsPerRack, AggsPerPod: 2, Cores: 2,
+			EdgeLinkBps: 1, EdgeAggLinkBps: 1, AggCoreLinkBps: 1}
+	}
+	for _, cfg := range []Config{PaperTestbed(8), small(4), small(2)} {
+		topo, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range topo.Hosts() {
+			if got, ok := topo.HostByName(topo.Node(h).Name); !ok || got != h {
+				t.Errorf("HostByName(%q) = %v, %v; want %v", topo.Node(h).Name, got, ok, h)
+			}
+		}
+		switches := append(topo.EdgeSwitches(), append(topo.AggSwitches(), topo.CoreSwitches()...)...)
+		for _, id := range switches {
+			if _, ok := topo.HostByName(topo.Node(id).Name); ok {
+				t.Errorf("HostByName(%q) resolved a switch", topo.Node(id).Name)
+			}
+		}
+	}
+	topo := testTopo(t) // 4 pods × 4 racks × 4 hosts
+	for _, name := range []string{
+		"host-p4-r0-h0", "host-p0-r4-h0", "host-p0-r0-h4", "host-p3-r3-h4", "host-p9-r0-h0", "host-p999999999-r0-h0", // out of range
+		"host-p01-r0-h0", "host-p0-r00-h0", "host-p0-r0-h03", // re-spelled
+		"host-p0-r0-h0x", "host-p0-r0-h0-", "host-p0-r0-h0 ", // trailing junk
+		"host-p0-r0", "edge-p0-r0", "agg-p0-a0", "core-0", "", // not a host name
+	} {
+		if h, ok := topo.HostByName(name); ok {
+			t.Errorf("HostByName(%q) = %v, want refused", name, h)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { topo.HostByName("host-p3-r2-h1") }); n != 0 {
+		t.Errorf("HostByName allocates %v times, want 0", n)
+	}
+}
+
 func TestLocalityPredicates(t *testing.T) {
 	topo := testTopo(t)
 	a := topo.HostAt(0, 0, 0)
