@@ -62,10 +62,12 @@ cover:
 
 # fuzz gives each fuzz target a short budget beyond its seed corpus: the
 # two allocator targets and the wire frame decoder (attachment included).
+# Minimizing each new input stops after 10 runs: at the default 60 s the
+# minimizer spends most of a 30 s budget.
 fuzz:
-	$(GO) test -fuzz=FuzzAllocate -fuzztime=30s ./internal/maxmin
-	$(GO) test -fuzz=FuzzSharesWithNewFlow -fuzztime=30s ./internal/maxmin
-	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire
+	$(GO) test -fuzz=FuzzAllocate -fuzztime=30s -fuzzminimizetime=10x ./internal/maxmin
+	$(GO) test -fuzz=FuzzSharesWithNewFlow -fuzztime=30s -fuzzminimizetime=10x ./internal/maxmin
+	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s -fuzzminimizetime=10x ./internal/wire
 
 # The hot-path selection/churn/replication/RPC benchmarks, each run five
 # times: bench2json keeps each one's median and range.

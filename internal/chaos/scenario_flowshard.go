@@ -58,7 +58,7 @@ func KillFlowserverShardMidSelect(ctx context.Context, t *T) error {
 		if err := d.cluster.KillFlowShard(1); err != nil {
 			return err
 		}
-		shard, _, epoch, ok := d.cluster.FlowDirectory().Lookup(1)
+		shard, _, epoch, ok := d.cluster.Plane().Directory().Lookup(1)
 		if !ok || shard != 0 {
 			return fmt.Errorf("pod 1 owner after kill = %d (ok=%v), want shard 0", shard, ok)
 		}

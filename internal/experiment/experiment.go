@@ -529,18 +529,14 @@ func (r *runner) ensurePolling() {
 func (r *runner) pollTick() {
 	now := r.fab.Now()
 	if r.fs != nil {
-		r.fs.PollFrom(now, r.flowStats())
+		r.fs.PollFrom(now, r.flowStats(), nil)
 		// Drift audit: compare each live flow's post-poll estimate
 		// against the fabric's ground-truth fair-share rate. Read-only
 		// against both layers — no RNG, no model writes — so enabling it
 		// cannot perturb the run.
-		for fsID, fabID := range r.tracked {
-			est, ok := r.fs.EstimatedBW(fsID)
-			if !ok {
-				continue
-			}
-			r.audit.Record(est, r.fab.FlowRate(fabID))
-		}
+		r.fs.AuditDrift(r.audit, func(id flowserver.FlowID) float64 {
+			return r.fab.FlowRate(r.tracked[id])
+		})
 	}
 	if r.sinbad != nil {
 		dt := now - r.lastPoll
@@ -619,12 +615,16 @@ func (r *runner) startJob(job workload.Job) {
 			r.localJob(record, measured)
 			return
 		}
-		a, err := r.fs.SelectPath(job.Client, replica, file.SizeBits)
+		as, err := r.fs.SelectReplicaAndPath(flowserver.Request{
+			Client:   job.Client,
+			Replicas: []topology.NodeID{replica},
+			Bits:     file.SizeBits,
+		})
 		if err != nil {
 			r.skip(measured)
 			return
 		}
-		r.launchAssignments(job, []flowserver.Assignment{a}, record, measured)
+		r.launchAssignments(job, as, record, measured)
 
 	case SchemeSinbadRECMP, SchemeNearestECMP, SchemeHDFSECMP:
 		replica, err := r.selectReplica(job.Client, file.Replicas)

@@ -67,12 +67,16 @@ func (r *runner) startWriteJob(job workload.Job) {
 		// Ingest hop: the client is the sender, the primary the receiver.
 		var as []flowserver.Assignment
 		if job.Client != primary {
-			a, err := r.fs.SelectPath(primary, job.Client, file.SizeBits)
+			var err error
+			as, err = r.fs.SelectReplicaAndPath(flowserver.Request{
+				Client:   primary,
+				Replicas: []topology.NodeID{job.Client},
+				Bits:     file.SizeBits,
+			})
 			if err != nil {
 				r.skip(measured)
 				return
 			}
-			as = append(as, a)
 		}
 		if len(targets) > 0 {
 			pipe, err := r.fs.SelectWritePipeline(primary, targets, file.SizeBits)

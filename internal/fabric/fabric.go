@@ -5,8 +5,7 @@
 // This package is the seam that makes that agreement systematic instead
 // of incidental: the simulator (package netsim) and the emulator
 // (package emunet) both implement Backend, so one driver (package
-// experiment) runs every scheme unchanged on either substrate, and one
-// fault injector (package chaos) cuts links on either substrate.
+// experiment) runs every scheme unchanged on either substrate.
 //
 // The contract has four parts:
 //

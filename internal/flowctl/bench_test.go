@@ -93,7 +93,7 @@ func loadedPlane(b *testing.B, shards, n int) *Plane {
 	}
 	// An empty poll still rebuilds and installs every shard's digest,
 	// which is what the benchmarks need.
-	p.PollFrom(1.0, nil)
+	p.PollFrom(1.0, nil, nil)
 	return p
 }
 

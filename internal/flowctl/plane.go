@@ -2,6 +2,7 @@ package flowctl
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
 	"github.com/mayflower-dfs/mayflower/internal/obs"
@@ -23,10 +24,11 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Plane is the in-process control plane: N shards over one topology,
-// wired to each other with direct calls, plus the directory. It is what
-// the experiment driver runs selections against; the deployed form is
-// the same shards behind RPC endpoints (see rpc.go).
+// Plane is the N-shard control plane: N shards over one topology plus
+// the directory. The simulator and the testbed both run it. It wires
+// the shards to each other with direct calls; the testbed serves each
+// shard behind its own wire endpoint (see rpc.go) and swaps in RPC
+// links with Shard.SetPeers.
 //
 // All coordination state is deterministic: selections are a pure
 // function of the call sequence, digests refresh in shard-index order
@@ -128,16 +130,6 @@ func (p *Plane) SelectReplicaAndPath(req flowserver.Request) ([]flowserver.Assig
 	return s.SelectReplicaAndPath(req)
 }
 
-// SelectPath routes the path-only selection to the shard owning the
-// client's pod.
-func (p *Plane) SelectPath(client, replica topology.NodeID, bits float64) (flowserver.Assignment, error) {
-	s, err := p.coordinatorFor(client)
-	if err != nil {
-		return flowserver.Assignment{}, err
-	}
-	return s.SelectPath(client, replica, bits)
-}
-
 // SelectWritePipeline routes the replication fan-out to the shard
 // owning the source's pod.
 func (p *Plane) SelectWritePipeline(source topology.NodeID, targets []topology.NodeID, bits float64) ([]flowserver.Assignment, error) {
@@ -165,31 +157,49 @@ func (p *Plane) FlowFinished(id flowserver.FlowID) {
 	p.coordinatorOf(id).FlowFinished(id)
 }
 
-// EstimatedBW returns the coordinator's bandwidth estimate for a flow.
-func (p *Plane) EstimatedBW(id flowserver.FlowID) (float64, bool) {
-	return p.coordinatorOf(id).Server().EstimatedBW(id)
+// PollFrom runs one stats cycle, in shard-index order. Every shard the
+// directory holds alive ingests the batch and retires the flows it
+// proves over; hooks (nil in the simulator) then learn of each retired
+// flow once, though both shards holding a cross-shard flow retire it.
+// Then every live shard pulls its peers' digests through its links, the
+// cadence that bounds cross-pod staleness to one poll interval. A
+// deployed shard polls the edge switches of its own pods; here every
+// shard gets the full batch and its model's flow table picks out its
+// own rows.
+func (p *Plane) PollFrom(now float64, batch []flowserver.FlowStat, hooks flowserver.Hooks) {
+	var retired []flowserver.FlowID
+	for k, s := range p.shards {
+		if p.dir.Alive(k) {
+			over := s.Server().UpdateFlowStats(now, batch)
+			flowserver.Hooks(nil).Retire(s, over...)
+			retired = append(retired, over...)
+		}
+	}
+	slices.Sort(retired)
+	if retired = slices.Compact(retired); hooks != nil && len(retired) > 0 {
+		hooks(retired, nil)
+	}
+	for k, s := range p.shards {
+		if p.dir.Alive(k) {
+			s.RefreshDigests()
+		}
+	}
 }
 
-// PollFrom ingests one stats cycle into every shard, retiring the
-// flows it proves over, and then refreshes the cross-shard digests, in
-// shard-index order — each shard in a real deployment polls the edge
-// switches of its own pods and gossips on the same tick; the in-process
-// plane hands every shard the full batch and lets the model's flow
-// tables pick out their own rows. There are no switches or fabric to
-// tell of a retirement.
-func (p *Plane) PollFrom(now float64, batch []flowserver.FlowStat) {
-	for _, s := range p.shards {
-		flowserver.Hooks(nil).Retire(s, s.Server().UpdateFlowStats(now, batch)...)
-	}
-	if len(p.shards) == 1 {
-		return // a lone shard has nobody to gossip with
-	}
-	ds := make([]*Digest, len(p.shards))
+// AuditDrift records, for every flow a live shard coordinates, that
+// shard's bandwidth estimate against truth(id), the fabric's fair share,
+// in shard and then id order. The remote half of a cross-shard flow is
+// not sampled, so each flow counts once.
+func (p *Plane) AuditDrift(a *obs.DriftAuditor, truth func(flowserver.FlowID) float64) {
 	for k, s := range p.shards {
-		ds[k] = s.BuildDigest(now)
-	}
-	for _, s := range p.shards {
-		s.InstallDigests(ds)
+		if !p.dir.Alive(k) {
+			continue
+		}
+		s.Server().Flows(func(id flowserver.FlowID, bw float64) {
+			if p.coordinatorOf(id) == s {
+				a.Record(bw, truth(id))
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/mayflower-dfs/mayflower/internal/flowserver"
+	"github.com/mayflower-dfs/mayflower/internal/obs"
 	"github.com/mayflower-dfs/mayflower/internal/topology"
 )
 
@@ -146,7 +147,7 @@ func applyOps(t *testing.T, cp *Plane, clock *fakeClock, ops []op, withIDs bool)
 					batch = append(batch, flowserver.FlowStat{ID: id, TransferredBits: j.progress})
 				}
 			}
-			cp.PollFrom(o.time, batch)
+			cp.PollFrom(o.time, batch, nil)
 		}
 	}
 	return out
@@ -235,7 +236,7 @@ func TestDigestStalenessBound(t *testing.T) {
 	const interval = 1.0
 	for tick := 1; tick <= 5; tick++ {
 		clock.t = float64(tick) * interval
-		plane.PollFrom(clock.t, nil)
+		plane.PollFrom(clock.t, nil, nil)
 		age, ok := plane.Shard(0).DigestAge(1, clock.t)
 		if !ok || age != 0 {
 			t.Fatalf("tick %d: age right after poll = (%g, %v), want (0, true)", tick, age, ok)
@@ -255,6 +256,128 @@ func TestDigestStalenessBound(t *testing.T) {
 	d := plane.Shard(1).BuildDigest(clock.t)
 	if len(d.Links) == 0 {
 		t.Error("shard 1 digest empty despite a committed cross-pod flow")
+	}
+}
+
+// readFlow selects a one-replica read on plane and returns its flow id.
+func readFlow(t *testing.T, plane *Plane, client, replica topology.NodeID, bits float64) flowserver.FlowID {
+	t.Helper()
+	as, err := plane.SelectReplicaAndPath(flowserver.Request{
+		Client: client, Replicas: []topology.NodeID{replica}, Bits: bits})
+	if err != nil || len(as) != 1 || as[0].Local() {
+		t.Fatalf("select %d <- %d = %v, %v", client, replica, as, err)
+	}
+	return as[0].FlowID
+}
+
+// TestPollSkipsDeadShard: a shard the directory holds dead is out of the
+// poll cycle. It neither retires a flow the poll proves over nor pulls
+// its peers' digests, while the live shard does both.
+func TestPollSkipsDeadShard(t *testing.T) {
+	topo := testTopo(t)
+	clock := &fakeClock{}
+	plane, err := NewPlane(topo, Options{Shards: 2, Now: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bits = 1e9
+	// Pod 1 belongs to shard 1, pod 0 to shard 0.
+	dead := readFlow(t, plane, topo.HostAt(1, 0, 0), topo.HostAt(1, 1, 0), bits)
+	live := readFlow(t, plane, topo.HostAt(0, 0, 0), topo.HostAt(0, 1, 0), bits)
+	plane.Directory().MarkDead(1)
+	var retired []flowserver.FlowID
+	clock.t = 1
+	plane.PollFrom(clock.t, []flowserver.FlowStat{
+		{ID: dead, TransferredBits: bits}, {ID: live, TransferredBits: bits},
+	}, func(ids []flowserver.FlowID, _ []flowserver.Assignment) { retired = append(retired, ids...) })
+	if !reflect.DeepEqual(retired, []flowserver.FlowID{live}) {
+		t.Errorf("poll retired %v, want only the live shard's flow %d", retired, live)
+	}
+	if n := plane.Shard(1).Server().NumFlows(); n != 1 {
+		t.Errorf("dead shard models %d flows, want its 1 unretired flow", n)
+	}
+	if _, ok := plane.Shard(1).DigestAge(0, clock.t); ok {
+		t.Error("dead shard refreshed its digests")
+	}
+	if _, ok := plane.Shard(0).DigestAge(1, clock.t); !ok {
+		t.Error("live shard did not refresh its digests")
+	}
+	if n := plane.Metrics().DigestRefreshes.Value(); n != 1 {
+		t.Errorf("digest refreshes = %d, want 1 (the live shard's)", n)
+	}
+}
+
+// TestPollRetiresToHooksOnce: both shards holding a cross-shard flow
+// prove it over on the same poll, and the hooks hear of it once. Shard 1
+// coordinates it, so shard 0 retires its half before shard 1's poll
+// would finish it remotely.
+func TestPollRetiresToHooksOnce(t *testing.T) {
+	topo := testTopo(t)
+	clock := &fakeClock{}
+	plane, err := NewPlane(topo, Options{Shards: 2, Now: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bits = 1e9
+	cross := readFlow(t, plane, topo.HostAt(1, 0, 0), topo.HostAt(0, 0, 0), bits)
+	local := readFlow(t, plane, topo.HostAt(0, 1, 0), topo.HostAt(0, 2, 0), bits)
+	if plane.Shard(0).Server().NumFlows() != 2 || plane.Shard(1).Server().NumFlows() != 1 {
+		t.Fatal("cross-shard flow is not modelled by both shards; test is vacuous")
+	}
+	calls := map[flowserver.FlowID]int{}
+	clock.t = 1
+	plane.PollFrom(clock.t, []flowserver.FlowStat{
+		{ID: cross, TransferredBits: bits}, {ID: local, TransferredBits: bits},
+	}, func(ids []flowserver.FlowID, _ []flowserver.Assignment) {
+		for _, id := range ids {
+			calls[id]++
+		}
+	})
+	if want := map[flowserver.FlowID]int{cross: 1, local: 1}; !reflect.DeepEqual(calls, want) {
+		t.Errorf("hooks saw retirements %v, want each flow once: %v", calls, want)
+	}
+	if n := plane.NumFlows(); n != 0 {
+		t.Errorf("%d flow entries left after the poll retired every flow", n)
+	}
+}
+
+// TestAuditDriftCountsEachFlowOnce: the audit samples every flow once,
+// from its coordinator, whichever shards model it, and skips the flows
+// a dead shard coordinates.
+func TestAuditDriftCountsEachFlowOnce(t *testing.T) {
+	topo := testTopo(t)
+	plane, err := NewPlane(topo, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bits = 1e9
+	local0 := readFlow(t, plane, topo.HostAt(0, 0, 0), topo.HostAt(0, 1, 0), bits)
+	cross0 := readFlow(t, plane, topo.HostAt(0, 2, 0), topo.HostAt(1, 2, 0), bits)
+	local1 := readFlow(t, plane, topo.HostAt(1, 0, 0), topo.HostAt(1, 1, 0), bits)
+	cross1 := readFlow(t, plane, topo.HostAt(1, 3, 0), topo.HostAt(0, 3, 0), bits)
+	audit := func() (*obs.DriftAuditor, []flowserver.FlowID) {
+		a := obs.NewDriftAuditor()
+		var seen []flowserver.FlowID
+		plane.AuditDrift(a, func(id flowserver.FlowID) float64 {
+			seen = append(seen, id)
+			return 1e8
+		})
+		return a, seen
+	}
+	a, seen := audit()
+	if want := []flowserver.FlowID{local0, cross0, local1, cross1}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("audited %v, want %v", seen, want)
+	}
+	if n := a.Samples.Value(); n != 4 {
+		t.Errorf("samples = %d, want 4", n)
+	}
+	plane.Directory().MarkDead(1)
+	a, seen = audit()
+	if want := []flowserver.FlowID{local0, cross0}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("with shard 1 dead audited %v, want %v", seen, want)
+	}
+	if n := a.Samples.Value(); n != 2 {
+		t.Errorf("with shard 1 dead samples = %d, want 2", n)
 	}
 }
 
@@ -278,7 +401,8 @@ func TestJointSelectionLeavesLoadedNearReplica(t *testing.T) {
 		for i := 0; i < load; i++ {
 			// Background readers in pod 0's other racks each pull a block
 			// from the near replica.
-			if _, err := plane.SelectPath(topo.HostAt(0, 1+i%3, i%4), near, bits); err != nil {
+			if _, err := plane.SelectReplicaAndPath(flowserver.Request{
+				Client: topo.HostAt(0, 1+i%3, i%4), Replicas: []topology.NodeID{near}, Bits: bits}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -343,7 +467,7 @@ func TestPlaneConcurrentUse(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			plane.PollFrom(clock.Now(), nil)
+			plane.PollFrom(clock.Now(), nil, nil)
 		}
 	}()
 	wg.Wait()

@@ -173,7 +173,7 @@ func RegisterShardRPC(srv *wire.Server, s *Shard, hooks flowserver.Hooks) error 
 // control-plane session to a peer shard.
 type RPCShardLink struct {
 	c rpc.Caller
-	// Timeout bounds each peer call; rpc.Caller's default when zero.
+	// ctx supplies each peer call's context (see NewRPCShardLink).
 	ctx func() (context.Context, context.CancelFunc)
 }
 

@@ -358,16 +358,6 @@ func (s *Shard) SelectReplicaAndPath(req flowserver.Request) ([]flowserver.Assig
 	return []flowserver.Assignment{a}, nil
 }
 
-// SelectPath is the path-only scheduler for a pre-chosen replica; it
-// never splits.
-func (s *Shard) SelectPath(client, replica topology.NodeID, bits float64) (flowserver.Assignment, error) {
-	as, err := s.SelectReplicaAndPath(flowserver.Request{Client: client, Replicas: []topology.NodeID{replica}, Bits: bits})
-	if err != nil {
-		return flowserver.Assignment{}, err
-	}
-	return as[0], nil
-}
-
 // SelectWritePipeline schedules a replication fan-out: one flow of the
 // given size from source to each target, ordered cheapest-first. Each
 // round is one Select over every shortest path from the source to every
@@ -449,32 +439,9 @@ func (s *Shard) BuildDigest(now float64) *Digest {
 	return d
 }
 
-// InstallDigests replaces the remote digest set (one slot per shard;
-// nil entries keep the previous digest — a failed pull just ages the
-// view) and rebuilds the dense scoring view.
-func (s *Shard) InstallDigests(ds []*Digest) {
-	s.selMu.Lock()
-	defer s.selMu.Unlock()
-	for g, d := range ds {
-		if g == s.idx || d == nil {
-			continue
-		}
-		if s.remote[g] == nil || d.Seq >= s.remote[g].Seq {
-			s.remote[g] = d
-		}
-	}
-	live := make([]*Digest, 0, len(s.remote))
-	for g, d := range s.remote {
-		if g != s.idx && d != nil {
-			live = append(live, d)
-		}
-	}
-	s.view = MergeDigests(s.view, s.topo.NumLinks(), live...)
-	s.met.DigestRefreshes.Inc()
-}
-
-// RefreshDigests pulls every live peer's digest and installs the set.
-// Pull failures leave the previous digest in place.
+// RefreshDigests pulls every live peer's digest and rebuilds the dense
+// scoring view. A failed pull keeps the previous digest: the view just
+// ages.
 func (s *Shard) RefreshDigests() {
 	if s.nshards == 1 {
 		return // a lone shard has nobody to gossip with
@@ -491,7 +458,21 @@ func (s *Shard) RefreshDigests() {
 			ds[g] = d
 		}
 	}
-	s.InstallDigests(ds)
+	s.selMu.Lock()
+	defer s.selMu.Unlock()
+	for g, d := range ds {
+		if d != nil && (s.remote[g] == nil || d.Seq >= s.remote[g].Seq) {
+			s.remote[g] = d
+		}
+	}
+	live := make([]*Digest, 0, len(s.remote))
+	for g, d := range s.remote {
+		if g != s.idx && d != nil {
+			live = append(live, d)
+		}
+	}
+	s.view = MergeDigests(s.view, s.topo.NumLinks(), live...)
+	s.met.DigestRefreshes.Inc()
 }
 
 // DigestAge returns the age (model seconds) of the digest held for

@@ -46,7 +46,4 @@ func TestSelectErrors(t *testing.T) {
 	}); err == nil {
 		t.Error("negative size accepted")
 	}
-	if _, err := srv.SelectPath(client, replica, -1); err == nil {
-		t.Error("SelectPath negative size accepted")
-	}
 }

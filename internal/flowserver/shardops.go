@@ -1,6 +1,8 @@
 package flowserver
 
 import (
+	"slices"
+
 	"github.com/mayflower-dfs/mayflower/internal/topology"
 )
 
@@ -11,6 +13,7 @@ import (
 // sub-path through Select and needs to (a) register the remote half of a
 // flow at the owning shard under the coordinator's id and (b) export its
 // per-link load for the gossip digests remote coordinators score against.
+// Flows lets the plane audit its estimates against the fabric.
 
 // CommitForeign registers the local sub-path of a flow another server
 // coordinated, under that coordinator's id, its demand capped at capBw.
@@ -55,5 +58,21 @@ func (s *Server) LinkLoads(visit func(link int, flows int, sumBw float64)) {
 			sum += f.bw
 		}
 		visit(l, len(fs), sum)
+	}
+}
+
+// Flows visits every flow in the model, in ascending id order, with its
+// current bandwidth estimate. visit runs under the server's lock and
+// must not call back into it.
+func (s *Server) Flows(visit func(id FlowID, bw float64)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ids := make([]FlowID, 0, len(s.flows))
+	for id := range s.flows {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		visit(id, s.flows[id].bw)
 	}
 }

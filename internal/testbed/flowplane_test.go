@@ -52,8 +52,8 @@ func TestDefaultClusterIsAOneShardPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	if n := cluster.NumFlowShards(); n != 1 {
-		t.Fatalf("default cluster runs %d flow shards, want 1", n)
+	if p := cluster.Plane(); p.Shard(0) == nil || p.Shard(1) != nil {
+		t.Fatal("default cluster does not run exactly one flow shard")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -268,9 +268,9 @@ func waitDrained(t *testing.T, c *Cluster, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
 	for {
-		models := 0
-		for k := 0; k < c.NumFlowShards(); k++ {
-			models += c.FlowShard(k).Server().NumFlows()
+		models := 0 // the ECMP modes run no plane
+		if p := c.Plane(); p != nil {
+			models = p.NumFlows()
 		}
 		fabric, rules := c.Net.NumFlows(), switchRules(c)
 		if models+fabric+rules == 0 {
@@ -437,7 +437,7 @@ func TestRetiringTwiceIsANoOp(t *testing.T) {
 			t.Fatal(err)
 		}
 		time.Sleep(50 * time.Millisecond)
-		return [3]int{c.FlowShard(0).Server().NumFlows(), c.Net.NumFlows(), switchRules(c)}
+		return [3]int{c.Plane().NumFlows(), c.Net.NumFlows(), switchRules(c)}
 	}
 	once := retire()
 	if once[0] != 1 || once[1] != 1 || once[2] == 0 {

@@ -88,17 +88,17 @@ func TestClusterKillFlowShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	epochBefore := cluster.FlowDirectory().Epoch()
+	epochBefore := cluster.Plane().Directory().Epoch()
 	if err := cluster.KillFlowShard(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := cluster.KillFlowShard(1); err == nil {
 		t.Error("double kill accepted")
 	}
-	if e := cluster.FlowDirectory().Epoch(); e != epochBefore+1 {
+	if e := cluster.Plane().Directory().Epoch(); e != epochBefore+1 {
 		t.Errorf("epoch after kill = %d, want %d", e, epochBefore+1)
 	}
-	if s, _, _, ok := cluster.FlowDirectory().Lookup(1); !ok || s != 0 {
+	if s, _, _, ok := cluster.Plane().Directory().Lookup(1); !ok || s != 0 {
 		t.Errorf("pod 1 owner after kill = %d (ok=%v), want shard 0", s, ok)
 	}
 

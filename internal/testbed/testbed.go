@@ -109,18 +109,15 @@ type Cluster struct {
 	switches   []*sdn.Switch
 	bridge     *sdn.CounterBridge
 
-	// Flow control plane (the flow-scheduled modes): one flowctl shard
-	// per wire endpoint — shard 0's also serves the shard directory — and
-	// the pool carrying shard-to-shard ctl.* traffic. ofSwitches is the
-	// shards' shared hold on the switches.
+	// Flow control plane (the flow-scheduled modes): each plane shard
+	// serves its own wire endpoint — shard 0's also serves the shard
+	// directory — and the pool carries shard-to-shard ctl.* traffic.
+	// ofSwitches is the shards' shared hold on the switches.
 	ofSwitches *flowctl.Switches
-	flowShards []*flowctl.Shard
+	plane      *flowctl.Plane
 	shardSrvs  []*wire.Server
 	shardAddrs []string
-	flowDir    *flowctl.Directory
 	shardPool  *rpc.Pool
-	shardMu    sync.Mutex
-	shardDead  []bool
 	nsSvc      *nameserver.Service
 	nsStore    *kvstore.Store
 	nsSrv      *wire.Server
@@ -133,13 +130,11 @@ type Cluster struct {
 	pollStop chan struct{}
 	pollDone chan struct{}
 
-	// Observability (nil unless ClusterConfig.Metrics was set). tracked
-	// mirrors the Flowserver's live assignments so the poll loop can
-	// audit estimate-vs-truth drift against the emulated fabric.
-	reg     *obs.Registry
-	audit   *obs.DriftAuditor
-	trackMu sync.Mutex
-	tracked map[flowserver.FlowID]struct{}
+	// Observability (nil unless ClusterConfig.Metrics was set): the
+	// poll loop audits estimate-vs-truth drift against the emulated
+	// fabric.
+	reg   *obs.Registry
+	audit *obs.DriftAuditor
 
 	ecmp   *selection.ECMP
 	nextID atomic.Uint64
@@ -215,7 +210,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if c.reg != nil {
 		net.AttachMetrics(c.reg)
 		c.audit = obs.NewDriftAuditor()
-		c.tracked = make(map[flowserver.FlowID]struct{})
 	}
 	if c.workDir == "" {
 		dir, err := os.MkdirTemp("", "mayflower-testbed-*")
@@ -350,54 +344,41 @@ func (c *Cluster) flowHooks() flowserver.Hooks {
 	return func(retired []flowserver.FlowID, assigned []flowserver.Assignment) {
 		for _, id := range retired {
 			c.Net.UnregisterFlow(uint64(id))
-			c.trackFlow(id, false)
 		}
 		for _, a := range assigned {
 			if !a.Local() {
 				_ = c.Net.RegisterFlow(uint64(a.FlowID), a.Path)
-				c.trackFlow(a.FlowID, true)
 			}
 		}
 		sw(retired, assigned)
 	}
 }
 
-// bootFlowplane boots the flowctl shards, each with its own wire
-// endpoint (fs.* selection surface plus the ctl.* peer channel; shard
-// 0's also serves the fd.* directory, as in a deployment), and the RPC
-// links shards pull each other's digests over. Everything crosses
-// loopback TCP, as the testbed ethos demands.
+// bootFlowplane boots the flowctl plane and serves each shard on its
+// own wire endpoint (fs.* selection surface plus the ctl.* peer channel;
+// shard 0's also serves the fd.* directory, as in a deployment), then
+// swaps the plane's direct shard links for RPC links, so digest pulls
+// and foreign commits cross loopback TCP, as the testbed ethos demands.
 func (c *Cluster) bootFlowplane(cfg ClusterConfig) error {
 	n := max(1, cfg.FlowShards)
-	dir, err := flowctl.NewDirectory(c.Topo.Config().Pods, n)
+	plane, err := flowctl.NewPlane(c.Topo, flowctl.Options{
+		Shards:       n,
+		MultiReplica: cfg.MultiReplica && c.mode == ModeMayflower,
+		Now:          c.nowSeconds,
+		Metrics:      c.reg,
+	})
 	if err != nil {
 		return err
 	}
-	c.flowDir = dir
 	c.ofSwitches = flowctl.NewSwitches(c.Topo, c.controller, statsInterval)
 	c.shardPool = rpc.NewPool(rpc.Options{})
-	met := flowctl.NewMetrics()
-	if c.reg != nil {
-		met.Register(c.reg)
-	}
-	c.shardDead = make([]bool, n)
 	for k := 0; k < n; k++ {
-		s, err := flowctl.NewShard(c.Topo, flowctl.ShardConfig{
-			Index:        k,
-			Shards:       n,
-			MultiReplica: cfg.MultiReplica && c.mode == ModeMayflower,
-			Now:          c.nowSeconds,
-			Metrics:      met,
-		})
-		if err != nil {
-			return err
-		}
 		srv := wire.NewServer()
-		if err := flowctl.RegisterShardRPC(srv, s, c.flowHooks()); err != nil {
+		if err := flowctl.RegisterShardRPC(srv, plane.Shard(k), c.flowHooks()); err != nil {
 			return err
 		}
 		if k == 0 {
-			if err := flowctl.RegisterDirectoryRPC(srv, dir, c.nowSeconds); err != nil {
+			if err := flowctl.RegisterDirectoryRPC(srv, plane.Directory(), c.nowSeconds); err != nil {
 				return err
 			}
 		}
@@ -406,110 +387,50 @@ func (c *Cluster) bootFlowplane(cfg ClusterConfig) error {
 			return err
 		}
 		go srv.Serve(ln) //nolint:errcheck // Serve returns on Close
-		c.flowShards = append(c.flowShards, s)
 		c.shardSrvs = append(c.shardSrvs, srv)
 		c.shardAddrs = append(c.shardAddrs, ln.Addr().String())
 		// Register the endpoint under an effectively unbounded lease:
 		// the testbed kills shards explicitly (KillFlowShard), it does
 		// not simulate silent heartbeat loss.
-		if _, err := dir.Heartbeat(k, ln.Addr().String(), c.nowSeconds(), 1e18); err != nil {
+		if _, err := plane.Directory().Heartbeat(k, ln.Addr().String(), c.nowSeconds(), 1e18); err != nil {
 			return err
 		}
 	}
-	for k, s := range c.flowShards {
+	for k := 0; k < n; k++ {
 		links := make([]flowctl.ShardLink, n)
-		for j := 0; j < n; j++ {
+		for j := range links {
 			if j != k {
 				links[j] = flowctl.NewRPCShardLink(c.shardPool.Peer(c.shardAddrs[j]), nil)
 			}
 		}
-		s.SetPeers(links)
+		plane.Shard(k).SetPeers(links)
 	}
+	c.plane = plane
 	return nil
 }
 
-// pollLoop periodically feeds switch flow counters to the Flowserver
-// through the shared stats seam.
+// pollLoop runs the plane's stats cycle on the switches' flow counters
+// every statsInterval, then audits its estimates against the fabric.
 func (c *Cluster) pollLoop() {
 	defer close(c.pollDone)
 	ticker := time.NewTicker(statsInterval)
 	defer ticker.Stop()
+	hooks := c.flowHooks()
+	truth := func(id flowserver.FlowID) float64 {
+		rate, _ := c.Net.FlowRate(uint64(id))
+		return rate
+	}
 	for {
 		select {
 		case <-c.pollStop:
 			return
 		case <-ticker.C:
 		}
-		c.pollShards(c.nowSeconds())
-		c.auditDrift()
-	}
-}
-
-// pollShards runs one stats cycle of the plane: every live shard
-// ingests the poll batch read off the edge switches and retires the
-// flows it proves over, then pulls its peers' digests over the ctl.*
-// links in shard-index order — the cadence that bounds cross-pod
-// staleness to one poll interval.
-func (c *Cluster) pollShards(now float64) {
-	batch := c.ofSwitches.FlowStats()
-	c.shardMu.Lock()
-	dead := append([]bool(nil), c.shardDead...)
-	c.shardMu.Unlock()
-	for k, s := range c.flowShards {
-		if !dead[k] {
-			c.flowHooks().Retire(s, s.Server().UpdateFlowStats(now, batch)...)
+		c.plane.PollFrom(c.nowSeconds(), c.ofSwitches.FlowStats(), hooks)
+		if c.audit != nil {
+			c.plane.AuditDrift(c.audit, truth)
 		}
 	}
-	for k, s := range c.flowShards {
-		if !dead[k] {
-			s.RefreshDigests()
-		}
-	}
-}
-
-// trackFlow records a live assignment for drift auditing (no-op when
-// metrics are off).
-func (c *Cluster) trackFlow(id flowserver.FlowID, live bool) {
-	if c.tracked == nil {
-		return
-	}
-	c.trackMu.Lock()
-	defer c.trackMu.Unlock()
-	if live {
-		c.tracked[id] = struct{}{}
-	} else {
-		delete(c.tracked, id)
-	}
-}
-
-// auditDrift compares the Flowserver's post-poll bandwidth estimate for
-// every live flow against the emulated fabric's true fair share. The
-// fabric flow id equals the Flowserver's (see flowHooks).
-func (c *Cluster) auditDrift() {
-	if c.audit == nil {
-		return
-	}
-	c.trackMu.Lock()
-	ids := make([]flowserver.FlowID, 0, len(c.tracked))
-	for id := range c.tracked {
-		ids = append(ids, id)
-	}
-	c.trackMu.Unlock()
-	for _, id := range ids {
-		est, ok := c.estimatedBW(id)
-		if !ok {
-			continue
-		}
-		truth, _ := c.Net.FlowRate(uint64(id))
-		c.audit.Record(est, truth)
-	}
-}
-
-// estimatedBW asks the model tracking a flow for its current estimate:
-// the flow-id-striped coordinator shard's.
-func (c *Cluster) estimatedBW(id flowserver.FlowID) (float64, bool) {
-	k := int((int64(id) - 1) % int64(len(c.flowShards)))
-	return c.flowShards[k].Server().EstimatedBW(id)
 }
 
 // NameserverAddr returns the nameserver's RPC address.
@@ -525,14 +446,9 @@ func (c *Cluster) FlowserverAddr() string {
 	return c.shardAddrs[0]
 }
 
-// NumFlowShards returns the plane's shard count (0 in ECMP mode).
-func (c *Cluster) NumFlowShards() int { return len(c.flowShards) }
-
-// FlowShard exposes shard k for test assertions.
-func (c *Cluster) FlowShard(k int) *flowctl.Shard { return c.flowShards[k] }
-
-// FlowDirectory exposes the shard directory for test assertions.
-func (c *Cluster) FlowDirectory() *flowctl.Directory { return c.flowDir }
+// Plane exposes the flow control plane to fault scenarios and tests (nil in
+// ECMP mode).
+func (c *Cluster) Plane() *flowctl.Plane { return c.plane }
 
 // KillFlowShard abruptly stops flow shard k — its wire endpoint closes
 // mid-conversation for any in-flight callers — and marks it dead in the
@@ -544,28 +460,25 @@ func (c *Cluster) FlowDirectory() *flowctl.Directory { return c.flowDir }
 // process of a deployment would: routes cached against it then stay as
 // they are, and callers without one run degraded.
 func (c *Cluster) KillFlowShard(k int) error {
-	if k < 0 || k >= len(c.flowShards) {
+	if k < 0 || k >= len(c.shardSrvs) {
 		return fmt.Errorf("testbed: no flow shard %d", k)
 	}
-	if len(c.flowShards) == 1 {
+	if len(c.shardSrvs) == 1 {
 		return errors.New("testbed: cannot kill the only flow shard")
 	}
-	c.shardMu.Lock()
-	if c.shardDead[k] {
-		c.shardMu.Unlock()
+	dir := c.plane.Directory()
+	if !dir.Alive(k) {
 		return fmt.Errorf("testbed: flow shard %d already dead", k)
 	}
-	c.shardDead[k] = true
-	c.shardMu.Unlock()
 	c.shardSrvs[k].Close()
-	epoch, changed := c.flowDir.MarkDead(k)
+	epoch, changed := dir.MarkDead(k)
 	if !changed {
 		return nil
 	}
-	owner, _ := c.flowDir.Owners()
-	for j, s := range c.flowShards {
+	owner, _ := dir.Owners()
+	for j := range c.shardSrvs {
 		if j != k {
-			s.SetOwners(owner, epoch)
+			c.plane.Shard(j).SetOwners(owner, epoch)
 		}
 	}
 	return nil
@@ -719,7 +632,7 @@ func (c *Cluster) Close() error {
 	clients = append(clients, c.extra...)
 	c.mu.Unlock()
 
-	if len(c.flowShards) > 0 {
+	if c.plane != nil {
 		close(c.pollStop)
 		<-c.pollDone
 	}
@@ -732,13 +645,9 @@ func (c *Cluster) Close() error {
 	for _, ds := range c.servers {
 		ds.Close()
 	}
-	c.shardMu.Lock()
-	for k, srv := range c.shardSrvs {
-		if !c.shardDead[k] {
-			srv.Close()
-		}
+	for _, srv := range c.shardSrvs {
+		srv.Close()
 	}
-	c.shardMu.Unlock()
 	if c.shardPool != nil {
 		c.shardPool.Close()
 	}
