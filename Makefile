@@ -71,7 +71,7 @@ fuzz:
 
 # The hot-path selection/churn/replication/RPC benchmarks, each run five
 # times: bench2json keeps each one's median and range.
-BENCH_NAMES = ^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkBulkRead4K$$|^BenchmarkBulkRead8M$$|^BenchmarkBulkReadPaced4K$$|^BenchmarkBulkReadPaced8M$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCAttach256k$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$|^BenchmarkSelectRPC$$
+BENCH_NAMES = ^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkBulkRead4K$$|^BenchmarkBulkRead16K$$|^BenchmarkBulkRead64K$$|^BenchmarkBulkRead8M$$|^BenchmarkBulkReadPaced4K$$|^BenchmarkBulkReadPaced8M$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCAttach256k$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$|^BenchmarkSelectRPC$$
 BENCH_PKGS = ./internal/flowctl ./internal/netsim ./internal/experiment ./internal/dataserver ./internal/rpc ./internal/client ./internal/nameserver ./internal/flowserver
 BENCH_RUN = $(GO) test -run '^$$' -bench '$(BENCH_NAMES)' -benchmem -count 5 -timeout 0 $(BENCH_PKGS)
 

@@ -633,12 +633,15 @@ func (c *Client) readSegment(ctx context.Context, name string, info nameserver.F
 		// schedules the path.
 		candidates = []nameserver.ReplicaLoc{c.opts.PickReplica(info)}
 	}
-	hosts := make([]string, len(candidates))
+	hl := hostLists.Get().(*[]string)
+	defer hostLists.Put(hl)
+	hosts := (*hl)[:0]
 	byHost := make(map[string]nameserver.ReplicaLoc, len(candidates))
-	for i, r := range candidates {
-		hosts[i] = r.Host
+	for _, r := range candidates {
+		hosts = append(hosts, r.Host)
 		byHost[r.Host] = r
 	}
+	*hl = hosts
 	sctx := ctx
 	if t := c.opts.FlowserverTimeout; t > 0 {
 		var cancel context.CancelFunc
@@ -658,6 +661,13 @@ func (c *Client) readSegment(ctx context.Context, name string, info nameserver.F
 		// locality-order replica selection with unscheduled flows.
 		c.met.readsDegraded.Inc()
 		return c.readWithFailover(ctx, name, info, c.orderCandidates(info, nil), nil, offset, buf, false)
+	}
+	if a := assignments[0]; len(assignments) == 1 { // the usual case: one segment, nothing to join
+		rep, ok := byHost[a.ReplicaHost]
+		if !ok {
+			return fmt.Errorf("client: flowserver chose unknown replica host %q", a.ReplicaHost)
+		}
+		return c.readAssigned(ctx, name, info, fstub, a, rep, offset, buf)
 	}
 
 	// Convert the bit split into byte ranges, last assignment taking the
@@ -685,37 +695,42 @@ func (c *Client) readSegment(ctx context.Context, name string, info nameserver.F
 		}
 		off, sub := offset+segStart, buf[segStart:segStart+segLen]
 		segStart += segLen
-		read := func() {
-			// The scheduled flow id applies only to the replica the
-			// Flowserver chose; failover attempts run unscheduled.
-			tag := func(r nameserver.ReplicaLoc) (uint64, func()) {
-				if r.ServerID == rep.ServerID {
-					return uint64(a.FlowID), nil
-				}
-				return 0, nil
-			}
-			first := rep // &rep would move rep to the heap
-			errs[i] = c.readWithFailover(ctx, name, info, c.orderCandidates(info, &first), tag, off, sub, false)
-			// Always release the flow, even when the read (or its
-			// context) failed: queued, no round trip, on the stub that
-			// issued it — under directory routing only the coordinating
-			// shard knows the flow. A local assignment registered none.
-			if !a.Local {
-				fstub.Release(a.FlowID)
-			}
-		}
 		if i == len(assignments)-1 {
-			read() // the last (usually only) segment runs on this goroutine
+			errs[i] = c.readAssigned(ctx, name, info, fstub, a, rep, off, sub) // the last segment runs on this goroutine
 			break
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			read()
+			errs[i] = c.readAssigned(ctx, name, info, fstub, a, rep, off, sub)
 		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
+}
+
+// hostLists recycles fs.Select's replica host lists: a request is
+// encoded before Select returns, so its list is free again once it has.
+var hostLists = sync.Pool{New: func() any { return new([]string) }}
+
+// readAssigned reads one segment as the Flowserver assigned it: the
+// scheduled flow id applies only to the replica it chose, failover
+// attempts run unscheduled. The flow is released whether or not the read
+// (or its context) failed: queued, no round trip, on the stub that
+// issued it — under directory routing only the coordinating shard knows
+// the flow. A local assignment registered none.
+func (c *Client) readAssigned(ctx context.Context, name string, info nameserver.FileInfo, fstub *flowserver.RPCClient, a flowserver.AssignmentDTO, rep nameserver.ReplicaLoc, offset int64, buf []byte) error {
+	tag := func(r nameserver.ReplicaLoc) (uint64, func()) {
+		if r.ServerID == rep.ServerID {
+			return uint64(a.FlowID), nil
+		}
+		return 0, nil
+	}
+	err := c.readWithFailover(ctx, name, info, c.orderCandidates(info, &rep), tag, offset, buf, false)
+	if !a.Local {
+		fstub.Release(a.FlowID)
+	}
+	return err
 }
 
 // flowSelect runs one Select against the shard owning this client's

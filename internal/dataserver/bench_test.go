@@ -82,12 +82,15 @@ func benchAppendReplicated(b *testing.B, size int) {
 // BenchmarkBulkRead4K and BenchmarkBulkRead8M measure one bulk read
 // through Bulk against a loopback dataserver with no pacing: the
 // data-path cost of the end-to-end benchmark's small and large reads
-// without any control plane around it. The Paced pair runs the same read
-// as flow 1 on a 100 Gbps emunet path, which is what the testbed and the
-// end-to-end benchmark run: the link never binds, so what they add is the
-// gate's own cost.
-func BenchmarkBulkRead4K(b *testing.B) { benchBulkRead(b, 4<<10, nil) }
-func BenchmarkBulkRead8M(b *testing.B) { benchBulkRead(b, 8<<20, nil) }
+// without any control plane around it. 16K is the largest range answered
+// by one write, 64K a sendfile range: the pair brackets smallReply. The
+// Paced pair runs the same read as flow 1 on a 100 Gbps emunet path,
+// which is what the testbed and the end-to-end benchmark run: the link
+// never binds, so what they add is the gate's own cost.
+func BenchmarkBulkRead4K(b *testing.B)  { benchBulkRead(b, 4<<10, nil) }
+func BenchmarkBulkRead16K(b *testing.B) { benchBulkRead(b, smallReply, nil) }
+func BenchmarkBulkRead64K(b *testing.B) { benchBulkRead(b, 64<<10, nil) }
+func BenchmarkBulkRead8M(b *testing.B)  { benchBulkRead(b, 8<<20, nil) }
 
 func BenchmarkBulkReadPaced4K(b *testing.B) { benchBulkRead(b, 4<<10, pacedNet(b)) }
 func BenchmarkBulkReadPaced8M(b *testing.B) { benchBulkRead(b, 8<<20, pacedNet(b)) }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -48,11 +49,12 @@ type Bulk struct {
 	swept time.Time              // when checkout last swept every address
 }
 
-// bulkConn carries the scratch its headers are built in: one allocation
-// per connection, none per read.
+// bulkConn carries the scratch its headers are built in, and the one a
+// small reply is read into, allocated on the first: none per read.
 type bulkConn struct {
 	net.Conn
 	hdr       [40]byte
+	scratch   []byte // cap 9+smallReply
 	idleSince time.Time
 }
 
@@ -204,17 +206,24 @@ func (c *bulkConn) roundTrip(deadline time.Time, flowID uint64, fileID uuid.UUID
 		return 0, false, err
 	}
 	// status(1) fileSize(8), or status(1) msgLen(2) msg: three bytes say
-	// which, and one read usually brings all nine.
-	n, err := io.ReadAtLeast(c, c.hdr[:9], 3)
+	// which. A small reply left the server in one write, so it is read
+	// whole into the scratch, usually by one read; of a larger one, the
+	// header first.
+	in := c.hdr[:9]
+	if len(buf) <= smallReply {
+		c.scratch = slices.Grow(c.scratch, 9+smallReply)
+		in = c.scratch[:9+len(buf)]
+	}
+	n, err := io.ReadAtLeast(c, in, 3)
 	if err != nil {
 		return 0, n > 0, err
 	}
-	switch c.hdr[0] {
+	switch in[0] {
 	case dataStatusOK:
-		_, err = io.ReadFull(c, c.hdr[n:9])
+		_, err = io.ReadFull(c, in[n:])
 	case dataStatusErr:
-		msg := make([]byte, binary.BigEndian.Uint16(c.hdr[1:3]))
-		if _, err = io.ReadFull(c, msg[copy(msg, c.hdr[3:n]):]); err == nil {
+		msg := make([]byte, binary.BigEndian.Uint16(in[1:3]))
+		if _, err = io.ReadFull(c, msg[copy(msg, in[3:n]):]); err == nil {
 			err = fmt.Errorf("dataserver: remote read: %s", msg)
 			for _, sentinel := range []error{ErrUnknownFile, ErrOutOfRange} { // map back where possible
 				if strings.Contains(string(msg), sentinel.Error()) {
@@ -223,13 +232,13 @@ func (c *bulkConn) roundTrip(deadline time.Time, flowID uint64, fileID uuid.UUID
 			}
 		}
 	default:
-		err = fmt.Errorf("dataserver: bad read status %d", c.hdr[0])
+		err = fmt.Errorf("dataserver: bad read status %d", in[0])
 	}
-	if err == nil {
+	if err == nil && copy(buf, in[9:]) < len(buf) { // a large reply's bytes follow its header
 		_, err = io.ReadFull(c, buf)
 	}
 	if err == nil {
 		err = c.SetDeadline(time.Time{})
 	}
-	return int64(binary.BigEndian.Uint64(c.hdr[1:9])), true, err
+	return int64(binary.BigEndian.Uint64(in[1:9])), true, err
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,18 +73,25 @@ func startBulkServer(t *testing.T, root, dataAddr string, pacer Pacer, tweak fun
 
 func newBulkFixture(t *testing.T, pacer Pacer, tweak func(*Server)) *bulkFixture {
 	t.Helper()
-	f := &bulkFixture{payload: bytes.Repeat([]byte("0123456789"), 9), met: new(BulkMetrics)}
+	f := &bulkFixture{met: new(BulkMetrics)}
 	f.srv, f.ln = startBulkServer(t, t.TempDir(), "127.0.0.1:0", pacer, tweak)
-	f.info = nameserver.FileInfo{ID: uuid.MustNew(), Name: "bulk-file", ChunkSize: 32}
-	if err := f.srv.store.prepare(f.info); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.srv.store.appendAt(f.info.ID, 0, f.payload); err != nil {
-		t.Fatal(err)
-	}
+	f.put(t, 32, bytes.Repeat([]byte("0123456789"), 9))
 	f.bulk = NewBulk(nil, 0, f.met)
 	t.Cleanup(func() { f.bulk.Close() })
 	return f
+}
+
+// put makes payload, in chunkSize chunks, the fixture's file.
+func (f *bulkFixture) put(t *testing.T, chunkSize int64, payload []byte) {
+	t.Helper()
+	f.info = nameserver.FileInfo{ID: uuid.MustNew(), Name: "bulk-file", ChunkSize: chunkSize}
+	if err := f.srv.store.prepare(f.info); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.srv.store.appendAt(f.info.ID, 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	f.payload = payload
 }
 
 // read reads [off, off+n) of the fixture's file and checks the bytes.
@@ -204,16 +212,41 @@ func TestBulk(t *testing.T) {
 		}},
 		{"a stream that fails past its header closes the connection and is an error, not misframed bytes", func(t *testing.T) {
 			f := newBulkFixture(t, nil, nil)
-			if err := f.read(ctx, 0, 90); err != nil {
+			// A range above smallReply leaves by sendfile, behind its header.
+			f.put(t, smallReply, bytes.Repeat([]byte("0123456789"), 2*smallReply/10+1))
+			n := int64(len(f.payload))
+			if err := f.read(ctx, 0, n); err != nil {
 				t.Fatal(err)
 			}
 			// The second chunk loses its tail behind the server's back: the
-			// header promises 90 bytes and the stream runs dry at 42.
+			// header promises every byte and the stream runs dry 10 bytes
+			// into the second chunk.
 			if err := os.Truncate(f.srv.store.chunkPath(f.info.ID, 2), 10); err != nil {
 				t.Fatal(err)
 			}
-			if err := f.read(ctx, 0, 90); !errors.Is(err, io.ErrUnexpectedEOF) {
+			if err := f.read(ctx, 0, n); !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("short body err = %v, want io.ErrUnexpectedEOF", err)
+			}
+			waitConns(t, f.srv, 0)
+			// The next read is framed from a clean connection.
+			if err := f.read(ctx, 0, 32); err != nil {
+				t.Fatal(err)
+			}
+			if a, r := f.ln.accepts.Load(), f.met.Redials.Value(); a != 2 || r != 0 {
+				t.Errorf("%d accepts, %d redials; want 2 and 0", a, r)
+			}
+		}},
+		{"a small read of a truncated chunk gets an error reply before any header", func(t *testing.T) {
+			f := newBulkFixture(t, nil, nil)
+			if err := f.read(ctx, 0, 90); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(f.srv.store.chunkPath(f.info.ID, 2), 10); err != nil {
+				t.Fatal(err)
+			}
+			err := f.read(ctx, 0, 90)
+			if err == nil || errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "remote read") {
+				t.Fatalf("short chunk err = %v, want an error reply", err)
 			}
 			waitConns(t, f.srv, 0)
 			// The next read is framed from a clean connection.
@@ -416,5 +449,105 @@ func TestBulk(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, tc.run)
+	}
+}
+
+// shapeConn counts a TCP connection's Write calls, by size, and its Read
+// calls. sendfile(2) goes round Write, through the embedded connection's
+// SyscallConn, so only what the server writes itself shows.
+type shapeConn struct {
+	*net.TCPConn
+	mu     sync.Mutex
+	writes []int
+	reads  int
+}
+
+func (c *shapeConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, len(p))
+	c.mu.Unlock()
+	return c.TCPConn.Write(p)
+}
+
+func (c *shapeConn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	c.reads++
+	c.mu.Unlock()
+	return c.TCPConn.Read(p)
+}
+
+// counts returns the sizes written and the number of reads since the
+// last call.
+func (c *shapeConn) counts() ([]int, int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	writes, reads := c.writes, c.reads
+	c.writes, c.reads = nil, 0
+	return writes, reads
+}
+
+// shapeListener hands each accepted connection, counted, to conns.
+type shapeListener struct {
+	net.Listener
+	conns chan *shapeConn
+}
+
+func (l shapeListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	c := &shapeConn{TCPConn: conn.(*net.TCPConn)}
+	l.conns <- c
+	return c, nil
+}
+
+// TestSmallReplyIsOneWrite: a reply of at most smallReply bytes leaves the
+// server in one write and reaches the client in one read; a range one
+// byte larger goes by sendfile behind a header written alone.
+func TestSmallReplyIsOneWrite(t *testing.T) {
+	accepted := make(chan *shapeConn, 1)
+	s, _ := startLogged(t, Config{ID: "ds-shape"}, func(ln net.Listener) net.Listener { return shapeListener{ln, accepted} })
+	info := nameserver.FileInfo{ID: uuid.MustNew(), Name: "shape", ChunkSize: 1 << 20}
+	data := make([]byte, smallReply+1)
+	testRand().Read(data)
+	if err := s.store.prepare(info); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.store.appendAt(info.ID, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	var client *shapeConn
+	bulk := NewBulk(func(ctx context.Context, addr string) (net.Conn, error) {
+		var d net.Dialer
+		conn, err := d.DialContext(ctx, "tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		client = &shapeConn{TCPConn: conn.(*net.TCPConn)}
+		return client, nil
+	}, 0, new(BulkMetrics))
+	defer bulk.Close()
+
+	buf := make([]byte, len(data))
+	var server *shapeConn
+	for _, n := range []int{smallReply, smallReply + 1} {
+		if _, err := bulk.Read(context.Background(), s.DataAddr(), 1, info.ID, 0, buf[:n]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf[:n], data[:n]) {
+			t.Fatalf("%d-byte read returned the wrong bytes", n)
+		}
+		if server == nil {
+			server = <-accepted // both reads ride this connection
+		}
+		writes, _ := server.counts()
+		_, reads := client.counts()
+		switch {
+		case n == smallReply && (len(writes) != 1 || writes[0] != 9+n || reads != 1):
+			t.Errorf("%d-byte reply: server writes of %v bytes, %d client reads; want one write of %d and one read", n, writes, reads, 9+n)
+		case n > smallReply && (len(writes) != 1 || writes[0] != 9):
+			t.Errorf("%d-byte reply: server writes of %v bytes; want the 9-byte header alone, the bytes by sendfile", n, writes)
+		}
 	}
 }

@@ -18,12 +18,14 @@ const maxSendfileCount = 1 << 30
 // sender is a data connection's one send loop: it moves chunk bytes from
 // the page cache to the socket with sendfile(2), one RawConn.Write per
 // quantum its gate grants (the whole range when the gate is nil), through
-// a callback bound once, so a quantum allocates nothing.
+// a callback bound once, so a quantum allocates nothing. A small range
+// goes by reply instead: pread behind its header, one write for both.
 type sender struct {
 	raw   syscall.RawConn
 	write func(fd uintptr) bool // s.sendfile, bound once
 	gate  fabric.Gate           // the current request's; nil: unpaced
 	stop  <-chan struct{}       // the server's: once closed, a starved send gives up
+	buf   []byte                // a small reply: header and bytes; allocated on first use
 
 	// The callback's arguments and results for the quantum in flight.
 	src  int   // chunk file descriptor
@@ -54,19 +56,12 @@ func (s *sender) send(f *os.File, off, n int64) error {
 	s.src, s.off = int(f.Fd()), off
 	defer runtime.KeepAlive(f) // f must stay open while the kernel reads s.src
 	for n > 0 {
-		q := n
-		if s.gate != nil {
-			if q = s.gate.Next(n); q == 0 {
-				select {
-				case <-s.stop: // closing: do not wait for a dead link to heal
-					return net.ErrClosed
-				default:
-					continue // starved: ask again
-				}
-			}
+		q, err := s.next(n)
+		if err != nil {
+			return err
 		}
 		s.left, s.err = q, nil
-		err := s.raw.Write(s.write) // a closed connection wakes and fails it
+		err = s.raw.Write(s.write) // a closed connection wakes and fails it
 		if s.gate != nil && q > s.left {
 			s.gate.Sent(q - s.left)
 		}
@@ -79,6 +74,47 @@ func (s *sender) send(f *os.File, off, n int64) error {
 		n -= q
 	}
 	return nil
+}
+
+// next returns the next quantum of at most n bytes: n unpaced, else the
+// gate's grant, asked again while starved until the server closes.
+func (s *sender) next(n int64) (int64, error) {
+	for s.gate != nil {
+		if q := s.gate.Next(n); q > 0 {
+			return q, nil
+		}
+		select {
+		case <-s.stop: // closing: do not wait for a dead link to heal
+			return 0, net.ErrClosed
+		default: // starved: ask again
+		}
+	}
+	return n, nil
+}
+
+// fill is the readAt callback of a small reply: it preads [off, off+n) of
+// the chunk f into the scratch, behind what is there.
+func (s *sender) fill(f *os.File, off, n int64) error {
+	_, err := f.ReadAt(s.buf[len(s.buf):len(s.buf)+int(n)], off) // io.EOF: shorter than its recorded size
+	s.buf = s.buf[:len(s.buf)+int(n)]
+	return err
+}
+
+// reply sends the scratch, a success header and the n bytes behind it, in
+// one write once the gate granted all n, and credits the gate with them.
+func (s *sender) reply(conn net.Conn, n int64) error {
+	for left := n; left > 0; {
+		q, err := s.next(left)
+		if err != nil {
+			return err
+		}
+		left -= q
+	}
+	_, err := conn.Write(s.buf)
+	if s.gate != nil && err == nil {
+		s.gate.Sent(n)
+	}
+	return err
 }
 
 // sendfile is the RawConn.Write callback: it sends what is left of the

@@ -3,17 +3,20 @@ package dataserver
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"log"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/mayflower-dfs/mayflower/internal/emunet"
+	"github.com/mayflower-dfs/mayflower/internal/fabric"
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
 	"github.com/mayflower-dfs/mayflower/internal/topology"
 	"github.com/mayflower-dfs/mayflower/internal/uuid"
@@ -81,8 +84,9 @@ func pacedServer(t *testing.T, id string, pacer Pacer, size int) (*Server, uuid.
 }
 
 // TestSendLoopAllocatesNothingPerQuantum: a 512 KiB read paced in 16 KiB
-// quanta (32 sendfile calls) costs exactly the allocations of a one-quantum
-// 16 KiB read, so the send loop allocates nothing per quantum.
+// quanta (32 sendfile calls) costs exactly the allocations of a two-quantum
+// 32 KiB read, so the send loop allocates nothing per quantum. (A range of
+// one quantum, 16 KiB, leaves by one write, not by the send loop.)
 func TestSendLoopAllocatesNothingPerQuantum(t *testing.T) {
 	gate := &quantumGate{quantum: 16 << 10}
 	s, id, data, _ := pacedServer(t, "ds-allocs", gate, 512<<10)
@@ -102,12 +106,12 @@ func TestSendLoopAllocatesNothingPerQuantum(t *testing.T) {
 		t.Fatal("paced read returned the wrong bytes")
 	}
 	grants := gate.grants.Load()
-	small := testing.AllocsPerRun(50, read(16<<10))
+	small := testing.AllocsPerRun(50, read(32<<10))
 	large := testing.AllocsPerRun(50, read(len(data)))
 	if large != small {
-		t.Errorf("a 32-quantum read allocates %v, a 1-quantum read %v: want equal", large, small)
+		t.Errorf("a 32-quantum read allocates %v, a 2-quantum read %v: want equal", large, small)
 	}
-	if got, want := gate.grants.Load()-grants, int64(51*1+51*32); got != want {
+	if got, want := gate.grants.Load()-grants, int64(51*2+51*32); got != want {
 		t.Errorf("%d quanta granted, want %d", got, want)
 	}
 }
@@ -244,6 +248,118 @@ func TestServerCloseUnblocksStarvedRead(t *testing.T) {
 		t.Fatal("a read severed by Close succeeded")
 	}
 	failOver(t, bulk, other, id, data)
+}
+
+// heldGate grants at most quantum bytes per Next, none before release is
+// closed: until then each Next waits a starved poll and returns 0. It
+// records what it granted and each credit.
+type heldGate struct {
+	quantum int64
+	release chan struct{}
+	asked   chan struct{} // closed by the first Next
+	once    sync.Once
+
+	mu      sync.Mutex
+	granted int64
+	sent    []int64
+}
+
+func newHeldGate(quantum int64) *heldGate {
+	return &heldGate{quantum: quantum, release: make(chan struct{}), asked: make(chan struct{})}
+}
+
+func (g *heldGate) Pace(uint64) fabric.Gate { return g }
+
+func (g *heldGate) Next(limit int64) int64 {
+	g.once.Do(func() { close(g.asked) })
+	select {
+	case <-g.release:
+	case <-time.After(time.Millisecond):
+		return 0
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	q := min(limit, g.quantum)
+	g.granted += q
+	return q
+}
+
+func (g *heldGate) Sent(n int64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.sent = append(g.sent, n)
+}
+
+// rawRead dials s and sends one bulk read request for [off, off+n) of id.
+func rawRead(t *testing.T, s *Server, id uuid.UUID, off, n int64) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", s.DataAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	req := binary.BigEndian.AppendUint64(nil, 1)
+	req = append(req, id[:]...)
+	req = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(req, uint64(off)), uint64(n))
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// TestSmallReplyPacing: a paced small read asks its gate for exactly its
+// length, quantum by quantum, writes nothing before the last grant, then
+// sends header and bytes and credits the length once.
+func TestSmallReplyPacing(t *testing.T) {
+	gate := newHeldGate(1000)
+	s, id, data, _ := pacedServer(t, "ds-held", gate, 4096)
+	conn := rawRead(t, s, id, 0, int64(len(data)))
+	<-gate.asked
+	_ = conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if n, err := conn.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("before the grant the client read %d bytes, err %v; want nothing", n, err)
+	}
+	close(gate.release)
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply := make([]byte, 9+len(data))
+	if _, err := io.ReadFull(conn, reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply[0] != dataStatusOK || binary.BigEndian.Uint64(reply[1:9]) != uint64(len(data)) || !bytes.Equal(reply[9:], data) {
+		t.Fatal("paced small reply has the wrong header or bytes")
+	}
+	waitGauge(t, "reads_served", s.met.readsServed.Value, 1)
+	gate.mu.Lock()
+	defer gate.mu.Unlock()
+	if gate.granted != int64(len(data)) || !slices.Equal(gate.sent, []int64{int64(len(data))}) {
+		t.Errorf("gate granted %d and was credited %v; want %d granted and credited once", gate.granted, gate.sent, len(data))
+	}
+}
+
+// TestSmallReplyStarvedUntilClose: a small read whose gate grants nothing
+// ends when the server closes, its connection closed with no header
+// written and nothing credited.
+func TestSmallReplyStarvedUntilClose(t *testing.T) {
+	gate := newHeldGate(1000)
+	s, id, data, _ := pacedServer(t, "ds-starved-small", gate, 4096)
+	conn := rawRead(t, s, id, 0, int64(len(data)))
+	<-gate.asked
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close is blocked behind a starved small read")
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if got, err := io.ReadAll(conn); len(got) != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("a starved small read's client got %d bytes, err %v; want a closed connection and nothing", len(got), err)
+	}
+	gate.mu.Lock()
+	defer gate.mu.Unlock()
+	if len(gate.sent) != 0 {
+		t.Errorf("gate was credited %v, want nothing", gate.sent)
+	}
 }
 
 // plainConnListener hands out connections that hide their file

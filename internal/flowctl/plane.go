@@ -151,6 +151,17 @@ func (p *Plane) coordinatorOf(id flowserver.FlowID) *Shard {
 	return p.shards[k]
 }
 
+// Coordinated visits, in id order, the flows shard k holds and
+// coordinates, with its estimate of each: not the remote halves of its
+// peers' flows.
+func (p *Plane) Coordinated(k int, visit func(id flowserver.FlowID, bw float64)) {
+	p.shards[k].Server().Flows(func(id flowserver.FlowID, bw float64) {
+		if p.coordinatorOf(id) == p.shards[k] {
+			visit(id, bw)
+		}
+	})
+}
+
 // FlowFinished retires a flow everywhere it was committed; routing is
 // id arithmetic.
 func (p *Plane) FlowFinished(id flowserver.FlowID) {
@@ -191,15 +202,10 @@ func (p *Plane) PollFrom(now float64, batch []flowserver.FlowStat, hooks flowser
 // in shard and then id order. The remote half of a cross-shard flow is
 // not sampled, so each flow counts once.
 func (p *Plane) AuditDrift(a *obs.DriftAuditor, truth func(flowserver.FlowID) float64) {
-	for k, s := range p.shards {
-		if !p.dir.Alive(k) {
-			continue
+	for k := range p.shards {
+		if p.dir.Alive(k) {
+			p.Coordinated(k, func(id flowserver.FlowID, bw float64) { a.Record(bw, truth(id)) })
 		}
-		s.Server().Flows(func(id flowserver.FlowID, bw float64) {
-			if p.coordinatorOf(id) == s {
-				a.Record(bw, truth(id))
-			}
-		})
 	}
 }
 

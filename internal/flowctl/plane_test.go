@@ -381,6 +381,29 @@ func TestAuditDriftCountsEachFlowOnce(t *testing.T) {
 	}
 }
 
+// TestCoordinatedSkipsRemoteHalves: a shard's coordinated flows are its
+// own, not the halves it holds of flows its peer coordinates.
+func TestCoordinatedSkipsRemoteHalves(t *testing.T) {
+	topo := testTopo(t)
+	plane, err := NewPlane(topo, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bits = 1e9
+	cross0 := readFlow(t, plane, topo.HostAt(0, 2, 0), topo.HostAt(1, 2, 0), bits)
+	local1 := readFlow(t, plane, topo.HostAt(1, 0, 0), topo.HostAt(1, 1, 0), bits)
+	if plane.Shard(1).Server().NumFlows() != 2 {
+		t.Fatal("shard 1 does not hold a half of the cross-shard flow; test is vacuous")
+	}
+	for k, want := range [][]flowserver.FlowID{{cross0}, {local1}} {
+		var got []flowserver.FlowID
+		plane.Coordinated(k, func(id flowserver.FlowID, _ float64) { got = append(got, id) })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shard %d coordinates %v, want %v", k, got, want)
+		}
+	}
+}
+
 // TestJointSelectionLeavesLoadedNearReplica holds §4.2's claim that
 // Eq. 2 steers reads off a hot uplink: on an idle network the client's
 // rack-mate replica wins, but once other readers share that replica's

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mayflower-dfs/mayflower/internal/flowserver"
 	"github.com/mayflower-dfs/mayflower/internal/nameserver"
+	"github.com/mayflower-dfs/mayflower/internal/rpc"
+	"github.com/mayflower-dfs/mayflower/internal/topology"
 )
 
 // TestClusterShardedEndToEnd boots the deployment with the flow
@@ -117,6 +120,48 @@ func TestClusterKillFlowShard(t *testing.T) {
 	// Writes route through the dataserver's directory route too.
 	if _, err := writer.Append(ctx, "kill-shard", payload[:4096]); err != nil {
 		t.Fatalf("append after shard kill: %v", err)
+	}
+}
+
+// TestKilledShardFlowsLeaveTheFabric: a flow coordinated by a flow shard
+// that dies leaves emunet and every switch table, as a controller
+// failover flushing the dead controller's rules would. Nothing else
+// retires it: the surviving shards poll only live shards, and its
+// release would go to the dead endpoint.
+func TestKilledShardFlowsLeaveTheFabric(t *testing.T) {
+	cluster, err := NewCluster(ClusterConfig{Mode: ModeMayflower, Topo: tinyTopo(), Seed: 11, FlowShards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	pool := rpc.NewPool(rpc.Options{})
+	defer pool.Close()
+	name := func(h topology.NodeID) string { return cluster.Topo.Node(h).Name }
+	// Pod 1 belongs to shard 1, which coordinates the flow.
+	as, err := flowserver.NewRPCClient(pool.Peer(cluster.shardAddrs[1])).Select(ctx, flowserver.SelectArgs{
+		ClientHost:   name(cluster.Topo.HostAt(1, 0, 0)),
+		ReplicaHosts: []string{name(cluster.Topo.HostAt(1, 1, 0))},
+		Bits:         8e6,
+	})
+	if err != nil || len(as) != 1 || as[0].Local {
+		t.Fatalf("Select = %v, %v; want one network flow", as, err)
+	}
+	if fabric := cluster.Net.NumFlows(); fabric != 1 {
+		t.Fatalf("emunet holds %d flows after the Select, want 1", fabric)
+	}
+	if err := cluster.KillFlowShard(1); err != nil {
+		t.Fatal(err)
+	}
+	// Switch rules leave by fire-and-forget FlowMods: give them 3 s of
+	// polls to land.
+	deadline := time.Now().Add(3 * time.Second)
+	for cluster.Net.NumFlows()+switchRules(cluster) > 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if fabric, rules := cluster.Net.NumFlows(), switchRules(cluster); fabric != 0 || rules != 0 {
+		t.Errorf("after the kill emunet holds %d flows, the switches %d rules; want none", fabric, rules)
 	}
 }
 

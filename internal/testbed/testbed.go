@@ -458,7 +458,10 @@ func (c *Cluster) Plane() *flowctl.Plane { return c.plane }
 // their TTLs lapse. The shard stays down for the cluster's lifetime.
 // Shard 0 takes the directory endpoint down with it, as the shard-0
 // process of a deployment would: routes cached against it then stay as
-// they are, and callers without one run degraded.
+// they are, and callers without one run degraded. The flows it
+// coordinated leave emunet and the switch tables at once, as a failover
+// flushing the dead controller's rules would: no poll would prove them
+// over, and their releases go to the closed endpoint.
 func (c *Cluster) KillFlowShard(k int) error {
 	if k < 0 || k >= len(c.shardSrvs) {
 		return fmt.Errorf("testbed: no flow shard %d", k)
@@ -474,6 +477,11 @@ func (c *Cluster) KillFlowShard(k int) error {
 	epoch, changed := dir.MarkDead(k)
 	if !changed {
 		return nil
+	}
+	var orphans []flowserver.FlowID
+	c.plane.Coordinated(k, func(id flowserver.FlowID, _ float64) { orphans = append(orphans, id) })
+	if len(orphans) > 0 {
+		c.flowHooks()(orphans, nil)
 	}
 	owner, _ := dir.Owners()
 	for j := range c.shardSrvs {
