@@ -61,12 +61,14 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1 | tee -a cover.txt
 
 # fuzz gives each fuzz target a short budget beyond its seed corpus: the
-# two allocator targets and the wire frame decoder (attachment included).
+# two allocator targets, the fabric arbiter against the global fill, and
+# the wire frame decoder (attachment included).
 # Minimizing each new input stops after 10 runs: at the default 60 s the
 # minimizer spends most of a 30 s budget.
 fuzz:
 	$(GO) test -fuzz=FuzzAllocate -fuzztime=30s -fuzzminimizetime=10x ./internal/maxmin
 	$(GO) test -fuzz=FuzzSharesWithNewFlow -fuzztime=30s -fuzzminimizetime=10x ./internal/maxmin
+	$(GO) test -fuzz=FuzzTableReallocate -fuzztime=30s -fuzzminimizetime=10x ./internal/fabric
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s -fuzzminimizetime=10x ./internal/wire
 
 # The hot-path selection/churn/replication/RPC benchmarks, each run five

@@ -173,7 +173,7 @@ func run(args []string) error {
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go pollStats(shard, switches, *poll, now, stop, done)
-	go heartbeatLoop(pool, dirAddr, shard, *pods, selAddr, *heartbeat, stop)
+	go heartbeatLoop(pool, dirAddr, shard, selAddr, *heartbeat, stop)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -192,38 +192,24 @@ func run(args []string) error {
 
 // heartbeatLoop registers this shard with the directory at once (a
 // Lookup cannot name its address before that) and then renews the lease
-// every interval. An epoch change in the reply means ownership moved
-// while this shard was (or appeared) away — the pod→shard map is rebuilt
-// with per-pod Lookups so the shard starts honoring (or refusing) the
-// pods the directory says it owns.
-func heartbeatLoop(pool *rpc.Pool, dirAddr string, shard *flowctl.Shard, pods int,
+// every interval. Each reply carries the directory's pod→shard map and
+// its epoch, so when ownership moved while this shard was (or appeared)
+// away, the shard starts honoring (or refusing) the pods the directory
+// says it owns; SetOwners ignores a map older than the one it holds.
+func heartbeatLoop(pool *rpc.Pool, dirAddr string, shard *flowctl.Shard,
 	selAddr string, interval time.Duration, stop <-chan struct{}) {
 
 	dc := flowctl.NewDirectoryClient(pool.Peer(dirAddr))
 	ttl := 3 * interval.Seconds()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	var last int64
 	for {
 		ctx, cancel := context.WithTimeout(context.Background(), interval)
-		epoch, err := dc.Heartbeat(ctx, shard.Index(), selAddr, ttl)
-		if err == nil && epoch != last {
-			owner := make([]int, pods)
-			ok := true
-			for p := range owner {
-				rep, err := dc.Lookup(ctx, p)
-				if err != nil {
-					ok = false
-					break
-				}
-				owner[p] = rep.Shard
-			}
-			if ok {
-				shard.SetOwners(owner, epoch)
-				last = epoch
-			}
-		}
+		rep, err := dc.Heartbeat(ctx, shard.Index(), selAddr, ttl)
 		cancel()
+		if err == nil {
+			shard.SetOwners(rep.Owners, rep.Epoch)
+		}
 		select {
 		case <-stop:
 			return

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
 	"testing"
 
 	"github.com/mayflower-dfs/mayflower/internal/emunet"
@@ -28,7 +29,7 @@ func benchAppendReplicated(b *testing.B, size int) {
 	var servers []*Server
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("ds-%d", i)
-		s, err := New(Config{ID: id, Root: b.TempDir(), Host: "host-" + id})
+		s, err := New(Config{ID: id, Root: memRoot(b), Host: "host-" + id})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,6 +78,20 @@ func benchAppendReplicated(b *testing.B, size int) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// memRoot returns a fresh chunk-store root under /dev/shm when it exists
+// and is writable, else b.TempDir(). The dataserver does not fsync, so a
+// disk adds nothing but host writeback, which lands on whichever side of
+// a paired run goes next. A 1000-iteration run of the 256k case holds
+// 768 MB there until it ends.
+func memRoot(b *testing.B) string {
+	dir, err := os.MkdirTemp("/dev/shm", "mayflower-bench-")
+	if err != nil {
+		return b.TempDir()
+	}
+	b.Cleanup(func() { os.RemoveAll(dir) })
+	return dir
 }
 
 // BenchmarkBulkRead4K and BenchmarkBulkRead8M measure one bulk read

@@ -95,9 +95,7 @@ type Network struct {
 }
 
 // AttachMetrics publishes the network's reallocation counters into r
-// under "emunet." names. The emulated fabric recomputes every rate
-// globally (no component allocator), so only the reallocation count and
-// the live-flow gauge exist here.
+// under "emunet." names: the reallocation count and the live-flow gauge.
 func (n *Network) AttachMetrics(r *obs.Registry) {
 	r.RegisterCounter("emunet.reallocs", &n.reallocs)
 	r.RegisterGauge("emunet.active_flows", &n.activeFlows)
@@ -148,8 +146,8 @@ func (n *Network) SetRateNotify(fn func()) {
 	n.rateNotify = fn
 }
 
-// RegisterFlow admits a flow on a path and recomputes every flow's fair
-// rate. Registering an existing id replaces its path.
+// RegisterFlow admits a flow on a path and recomputes the fair rates it
+// affects. Registering an existing id replaces its path.
 func (n *Network) RegisterFlow(id uint64, path topology.Path) error {
 	if id == 0 {
 		return errors.New("emunet: flow id 0 is reserved")
@@ -199,8 +197,8 @@ func (n *Network) UnregisterFlow(id uint64) {
 }
 
 // SetLinkCapacity changes the capacity of one directed link (bps >= 0;
-// zero models a dead link, starving every flow crossing it). Every fair
-// rate is recomputed immediately.
+// zero models a dead link, starving every flow crossing it). The fair
+// rates it affects are recomputed immediately.
 func (n *Network) SetLinkCapacity(id topology.LinkID, bps float64) {
 	if bps < 0 {
 		panic(fmt.Sprintf("emunet: negative capacity %g for link %d", bps, id))

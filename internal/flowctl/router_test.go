@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -264,6 +265,37 @@ func TestRouterReboundStubDeliversToItsShard(t *testing.T) {
 	if got := b.got(); len(got) != 0 {
 		t.Errorf("shard B received releases %v for flows it never issued", got)
 	}
+}
+
+// TestHeartbeatRPCReturnsOwners: fd.Heartbeat answers with the whole
+// pod→shard map and its epoch, so after a failover the next heartbeat
+// hands a shard the promoted map under the bumped epoch.
+func TestHeartbeatRPCReturnsOwners(t *testing.T) {
+	dir, err := NewDirectory(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := serveWire(t, func(srv *wire.Server) error {
+		return RegisterDirectoryRPC(srv, dir, func() float64 { return 0 })
+	})
+	pool := rpc.NewPool(rpc.Options{})
+	defer pool.Close()
+	dc := NewDirectoryClient(pool.Peer(addr))
+	heartbeat := func(wantEpoch int64, wantOwners []int) {
+		t.Helper()
+		rep, err := dc.Heartbeat(context.Background(), 0, "shard-0", 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Epoch != wantEpoch || !slices.Equal(rep.Owners, wantOwners) {
+			t.Errorf("Heartbeat = epoch %d owners %v, want epoch %d owners %v", rep.Epoch, rep.Owners, wantEpoch, wantOwners)
+		}
+	}
+	heartbeat(1, []int{0, 1, 0, 1})
+	if epoch, changed := dir.MarkDead(1); !changed || epoch != 2 {
+		t.Fatalf("MarkDead(1) = (%d, %v), want (2, true)", epoch, changed)
+	}
+	heartbeat(2, []int{0, 0, 0, 0})
 }
 
 // TestCommitForeignRejectsMalformed: a ctl.Commit naming a link outside

@@ -51,10 +51,12 @@ type HeartbeatArgs struct {
 	TTLSeconds float64 `json:"ttlSeconds"`
 }
 
-// HeartbeatReply returns the current directory epoch so a reviving
-// shard learns it was failed over while away.
+// HeartbeatReply returns the directory's pod→shard map and the epoch it
+// is valid under, read together, so a reviving shard learns it was
+// failed over while away and which pods it owns now.
 type HeartbeatReply struct {
-	Epoch int64 `json:"epoch"`
+	Epoch  int64 `json:"epoch"`
+	Owners []int `json:"owners"`
 }
 
 // RegisterDirectoryRPC serves a Directory. Lookups lapse overdue leases
@@ -72,8 +74,11 @@ func RegisterDirectoryRPC(srv *wire.Server, d *Directory, now func() float64) er
 		}),
 		MethodHeartbeat.Handle(srv, func(_ context.Context, a HeartbeatArgs) (HeartbeatReply, error) {
 			d.ExpireBefore(now())
-			epoch, err := d.Heartbeat(a.Shard, a.Addr, now(), a.TTLSeconds)
-			return HeartbeatReply{Epoch: epoch}, err
+			if _, err := d.Heartbeat(a.Shard, a.Addr, now(), a.TTLSeconds); err != nil {
+				return HeartbeatReply{}, err
+			}
+			owners, epoch := d.Owners()
+			return HeartbeatReply{Epoch: epoch, Owners: owners}, nil
 		}),
 	)
 }
@@ -91,10 +96,10 @@ func (c *DirectoryClient) Lookup(ctx context.Context, pod int) (LookupReply, err
 	return MethodLookup.Call(ctx, c.c, LookupArgs{Pod: pod})
 }
 
-// Heartbeat renews a shard's lease.
-func (c *DirectoryClient) Heartbeat(ctx context.Context, shard int, addr string, ttlSeconds float64) (int64, error) {
-	out, err := MethodHeartbeat.Call(ctx, c.c, HeartbeatArgs{Shard: shard, Addr: addr, TTLSeconds: ttlSeconds})
-	return out.Epoch, err
+// Heartbeat renews a shard's lease and returns the directory's
+// ownership map.
+func (c *DirectoryClient) Heartbeat(ctx context.Context, shard int, addr string, ttlSeconds float64) (HeartbeatReply, error) {
+	return MethodHeartbeat.Call(ctx, c.c, HeartbeatArgs{Shard: shard, Addr: addr, TTLSeconds: ttlSeconds})
 }
 
 // CommitForeignArgs registers the receiving shard's sub-path of a flow

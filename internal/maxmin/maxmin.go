@@ -3,9 +3,9 @@
 // It provides two layers used throughout the Mayflower reproduction:
 //
 //   - Allocate: a global progressive-filling (water-filling) allocator over
-//     an arbitrary set of capacitated links and multi-link flows. The
-//     flow-level network simulator uses it as ground truth for how TCP-like
-//     flows share a datacenter fabric.
+//     an arbitrary set of capacitated links and multi-link flows: the
+//     reference the fabric arbiter (fabric.Table), which both network
+//     substrates take their rates from, is tested against.
 //
 //   - Single-link estimators (ShareOnLink, SharesWithNewFlow): the
 //     calculation the Mayflower Flowserver performs when evaluating a

@@ -14,17 +14,14 @@
 //     stats collector is built on these, so its bandwidth estimates carry
 //     the same staleness they would against real switches.
 //
-// Rate allocation is incremental: the simulator maintains a per-link flow
-// index and, on each arrival or completion, recomputes max-min rates only
-// for the connected component of links and flows transitively sharing a
-// link with the change. Flows outside that component provably keep their
-// rates (see DESIGN.md). Within the component, progressive filling runs on
-// a lazy min-heap of link saturation levels — a link's level (capacity
-// minus frozen load, divided by its unfrozen flow count) only rises as
-// flows freeze, so each reallocation costs O(flows·pathlen·log links)
-// rather than O(rounds·(links+flows)). All scratch buffers are reused
-// across events, so steady-state event processing is allocation-free apart
-// from the per-event completion wake-up.
+// Rates come from a fabric.Table, the arbiter the emulator uses too: on
+// each arrival, completion or capacity change it recomputes max-min rates
+// only for the connected component of links and flows the change reaches
+// (see DESIGN.md §8). The simulator owns the event loop, each flow's
+// remaining and delivered bits, the per-link byte counters and the
+// completion wake-ups; its active list shares row numbers with the table.
+// Steady-state event processing is allocation-free apart from the new
+// flow itself and the per-event completion wake-up.
 //
 // Time is a float64 in seconds; sizes are bits; rates are bits per second.
 package netsim
@@ -36,7 +33,6 @@ import (
 	"sort"
 
 	"github.com/mayflower-dfs/mayflower/internal/fabric"
-	"github.com/mayflower-dfs/mayflower/internal/maxmin"
 	"github.com/mayflower-dfs/mayflower/internal/obs"
 	"github.com/mayflower-dfs/mayflower/internal/topology"
 )
@@ -60,22 +56,11 @@ var _ fabric.Backend = (*Sim)(nil)
 type simFlow struct {
 	id          FlowID
 	links       []int
-	linkPos     []int // position of this flow in linkFlows[links[i]]
 	remaining   float64
 	transferred float64
-	rate        float64
 	onComplete  func(float64)
 
-	idx  int   // position in Sim.activeList
-	mark int64 // visited-epoch for component collection
-	gone bool  // removed from the model (guards stale seed pointers)
-}
-
-// linkEntry records one flow crossing a link, along with which hop of the
-// flow's path this link is (so removal can fix the flow's linkPos).
-type linkEntry struct {
-	f  *simFlow
-	li int
+	idx int // position in Sim.activeList, and the flow's table row
 }
 
 type event struct {
@@ -106,8 +91,8 @@ func (h *eventHeap) Pop() any {
 
 // Sim is a flow-level network simulator over a fixed topology.
 type Sim struct {
-	topo     *topology.Topology
-	capacity []float64
+	topo  *topology.Topology
+	table *fabric.Table
 
 	now     float64
 	nextID  FlowID
@@ -115,10 +100,9 @@ type Sim struct {
 	flows   map[FlowID]*simFlow
 	events  eventHeap
 
-	// Per-link flow index and dense active list; both are maintained
-	// incrementally so reallocation and LinkRate never scan the whole
-	// flow table.
-	linkFlows  [][]linkEntry
+	// Dense active list in the table's row order: StartFlow appends to
+	// both and removeFlow swap-removes from both, so activeList[i]'s rate
+	// is table.Rate(i).
 	activeList []*simFlow
 
 	linkBits []float64 // cumulative bits forwarded per directed link
@@ -128,35 +112,17 @@ type Sim struct {
 	executing  bool
 	rateNotify func()
 
-	// Seeds for the next reallocation: flows added and links whose flow
-	// set or capacity changed since the last one.
-	seedFlows []*simFlow
-	seedLinks []int
-
-	// Scratch reused across reallocations (indexed by link id where
-	// applicable); epoch stamps avoid clearing linkMark between events.
-	epoch       int64
-	linkMark    []int64
-	rem         []float64
-	nOn         []int
-	compLinks   []int
-	compFlows   []*simFlow
-	satHeap     []satEntry
 	doneScratch []*simFlow
-	flowScratch []maxmin.Flow
-	alloc       maxmin.Alloc
 
 	met fabricMetrics
 }
 
 // fabricMetrics counts reallocation activity: how often rates were
-// recomputed, which allocator ran, and how large the recomputed
-// components were. All writers are atomic words, so the instrumentation
-// never perturbs event ordering or rates.
+// recomputed and how large the recomputed components were. All writers
+// are atomic words, so the instrumentation never perturbs event ordering
+// or rates.
 type fabricMetrics struct {
 	reallocs       obs.Counter
-	globalFills    obs.Counter
-	componentFills obs.Counter
 	activeFlows    obs.Gauge
 	componentFlows *obs.Histogram
 }
@@ -166,73 +132,8 @@ type fabricMetrics struct {
 // the lifetime of the Sim regardless.
 func (s *Sim) AttachMetrics(r *obs.Registry) {
 	r.RegisterCounter("netsim.reallocs", &s.met.reallocs)
-	r.RegisterCounter("netsim.global_fills", &s.met.globalFills)
-	r.RegisterCounter("netsim.component_fills", &s.met.componentFills)
 	r.RegisterGauge("netsim.active_flows", &s.met.activeFlows)
 	r.RegisterHistogram("netsim.component_flows", s.met.componentFlows)
-}
-
-// globalFillCutoff selects the allocation strategy. At or below this many
-// active flows, reallocate reruns the original global progressive filling
-// (maxmin.Allocate's exact arithmetic), so small simulations — including
-// every published figure — reproduce historical results bit-for-bit. Above
-// it, where the global fill's O(rounds·(links+flows)) cost per event is
-// unusable, the incremental component allocator takes over. The two differ
-// only in floating-point rounding (increment association), never beyond
-// ulps.
-const globalFillCutoff = 512
-
-// satEntry is a lazy min-heap entry: link saturates when the uniform fill
-// level reaches level. Entries go stale when flows freeze on the link; a
-// stale pop is detected by recomputing the level and re-queued.
-type satEntry struct {
-	level float64
-	link  int
-}
-
-func satLess(a, b satEntry) bool {
-	if a.level != b.level {
-		return a.level < b.level
-	}
-	return a.link < b.link
-}
-
-func satPush(h []satEntry, e satEntry) []satEntry {
-	h = append(h, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !satLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	return h
-}
-
-// satPop removes the minimum entry (h[0]); callers read it first.
-func satPop(h []satEntry) []satEntry {
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && satLess(h[l], h[m]) {
-			m = l
-		}
-		if r < n && satLess(h[r], h[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	return h
 }
 
 // New creates a simulator for the given topology at time zero.
@@ -242,14 +143,10 @@ func New(topo *topology.Topology) *Sim {
 		capacity[l.ID] = l.Capacity
 	}
 	sim := &Sim{
-		topo:      topo,
-		capacity:  capacity,
-		flows:     make(map[FlowID]*simFlow),
-		linkFlows: make([][]linkEntry, topo.NumLinks()),
-		linkBits:  make([]float64, topo.NumLinks()),
-		linkMark:  make([]int64, topo.NumLinks()),
-		rem:       make([]float64, topo.NumLinks()),
-		nOn:       make([]int, topo.NumLinks()),
+		topo:     topo,
+		table:    fabric.NewTable(capacity),
+		flows:    make(map[FlowID]*simFlow),
+		linkBits: make([]float64, topo.NumLinks()),
 	}
 	sim.met.componentFlows = obs.NewHistogram(1, 1e6)
 	return sim
@@ -287,18 +184,13 @@ func (s *Sim) StartFlow(cfg FlowConfig) FlowID {
 	f := &simFlow{
 		id:         id,
 		links:      links,
-		linkPos:    make([]int, len(links)),
 		remaining:  cfg.Bits,
 		onComplete: cfg.OnComplete,
+		idx:        len(s.activeList),
 	}
 	s.flows[id] = f
-	f.idx = len(s.activeList)
 	s.activeList = append(s.activeList, f)
-	for i, l := range links {
-		f.linkPos[i] = len(s.linkFlows[l])
-		s.linkFlows[l] = append(s.linkFlows[l], linkEntry{f: f, li: i})
-	}
-	s.seedFlows = append(s.seedFlows, f)
+	s.table.Set(uint64(id), links)
 	s.dirty = true
 	if !s.executing {
 		s.reallocate()
@@ -319,9 +211,9 @@ func (s *Sim) CancelFlow(id FlowID) {
 	}
 }
 
-// removeFlow detaches a flow from the model and seeds its links for the
-// next reallocation (the bandwidth it held is redistributed within its
-// component).
+// removeFlow detaches a flow from the model; the table seeds its links
+// for the next reallocation (the bandwidth it held is redistributed
+// within its component).
 func (s *Sim) removeFlow(f *simFlow) {
 	delete(s.flows, f.id)
 	last := s.activeList[len(s.activeList)-1]
@@ -329,17 +221,7 @@ func (s *Sim) removeFlow(f *simFlow) {
 	last.idx = f.idx
 	s.activeList[len(s.activeList)-1] = nil
 	s.activeList = s.activeList[:len(s.activeList)-1]
-	for i, l := range f.links {
-		entries := s.linkFlows[l]
-		pos := f.linkPos[i]
-		lastE := entries[len(entries)-1]
-		entries[pos] = lastE
-		lastE.f.linkPos[lastE.li] = pos
-		entries[len(entries)-1] = linkEntry{}
-		s.linkFlows[l] = entries[:len(entries)-1]
-		s.seedLinks = append(s.seedLinks, l)
-	}
-	f.gone = true
+	s.table.Remove(uint64(f.id))
 	s.dirty = true
 }
 
@@ -350,8 +232,7 @@ func (s *Sim) SetLinkCapacity(id topology.LinkID, bps float64) {
 	if bps < 0 {
 		panic(fmt.Sprintf("netsim: negative capacity %g for link %d", bps, id))
 	}
-	s.capacity[id] = bps
-	s.seedLinks = append(s.seedLinks, int(id))
+	s.table.SetCapacity(int(id), bps)
 	s.dirty = true
 	if !s.executing {
 		s.reallocate()
@@ -365,7 +246,7 @@ func (s *Sim) FlowRate(id FlowID) float64 {
 	if !ok {
 		return 0
 	}
-	return f.rate
+	return s.table.Rate(f.idx)
 }
 
 // FlowRemaining returns the ground-truth remaining bits of a flow, or 0.
@@ -398,11 +279,7 @@ func (s *Sim) LinkTransferred(id topology.LinkID) float64 {
 // LinkRate returns the ground-truth aggregate rate currently crossing a
 // directed link. Cost is O(flows on the link) via the per-link index.
 func (s *Sim) LinkRate(id topology.LinkID) float64 {
-	var total float64
-	for _, e := range s.linkFlows[id] {
-		total += e.f.rate
-	}
-	return total
+	return s.table.LinkRate(int(id))
 }
 
 // Run processes events until none remain and no flows are active. If the
@@ -423,8 +300,8 @@ func (s *Sim) Run() error {
 // an error this is the set of flows that kept it from finishing.
 func (s *Sim) Stalled() []FlowID {
 	var out []FlowID
-	for _, f := range s.activeList {
-		if f.rate == 0 {
+	for i, f := range s.activeList {
+		if s.table.Rate(i) == 0 {
 			out = append(out, f.id)
 		}
 	}
@@ -475,8 +352,8 @@ func (s *Sim) advanceTo(t float64) {
 	if dt <= 0 {
 		return
 	}
-	for _, f := range s.activeList {
-		moved := f.rate * dt
+	for i, f := range s.activeList {
+		moved := s.table.Rate(i) * dt
 		if moved > f.remaining {
 			moved = f.remaining
 		}
@@ -528,22 +405,14 @@ func (s *Sim) finishCompleted() {
 // off the allocation hot path.
 func (s *Sim) SetRateNotify(fn func()) { s.rateNotify = fn }
 
-// reallocate recomputes max-min fair rates affected by the changes since
-// the last reallocation and schedules the next completion event. Below
-// globalFillCutoff it reruns the legacy global fill; above it only the
-// affected component is recomputed.
+// reallocate recomputes the max-min fair rates the changes since the last
+// reallocation affect and schedules the next completion event.
 func (s *Sim) reallocate() {
 	s.dirty = false
 	s.gen++
 	s.met.reallocs.Inc()
 	s.met.activeFlows.Set(int64(len(s.activeList)))
-	if len(s.activeList) <= globalFillCutoff {
-		s.met.globalFills.Inc()
-		s.reallocateGlobal()
-	} else {
-		s.met.componentFills.Inc()
-		s.reallocateComponent()
-	}
+	s.met.componentFlows.Observe(float64(s.table.Reallocate()))
 	if s.rateNotify != nil {
 		s.rateNotify()
 	}
@@ -553,13 +422,13 @@ func (s *Sim) reallocate() {
 	// estimates are recomputed rather than cached so event timestamps
 	// stay bit-identical with a full recompute.
 	nextDone := math.Inf(1)
-	for _, f := range s.activeList {
+	for i, f := range s.activeList {
 		if f.remaining <= completionEps {
 			nextDone = s.now // already done (zero-size flow)
 			continue
 		}
-		if f.rate > 0 {
-			if t := s.now + f.remaining/f.rate; t < nextDone {
+		if rate := s.table.Rate(i); rate > 0 {
+			if t := s.now + f.remaining/rate; t < nextDone {
 				nextDone = t
 			}
 		}
@@ -574,145 +443,4 @@ func (s *Sim) reallocate() {
 		}
 		// advance/finish handled by the run loop after this event.
 	})
-}
-
-// reallocateGlobal reruns progressive filling over every active flow with
-// maxmin's exact arithmetic (via reusable scratch, so still allocation
-// free). Small simulations take this path so their results stay
-// bit-identical with the historical global allocator.
-func (s *Sim) reallocateGlobal() {
-	s.seedFlows = s.seedFlows[:0]
-	s.seedLinks = s.seedLinks[:0]
-	flows := s.flowScratch[:0]
-	for _, f := range s.activeList {
-		flows = append(flows, maxmin.Flow{Links: f.links, Demand: math.Inf(1)})
-	}
-	s.flowScratch = flows
-	rates := s.alloc.Allocate(s.capacity, flows)
-	for i, f := range s.activeList {
-		f.rate = rates[i]
-	}
-}
-
-// reallocateComponent recomputes max-min fair rates for the connected
-// component of links and flows affected by the accumulated seeds.
-//
-// Correctness: a flow keeps its rate unless it transitively shares a link
-// with a changed flow or link. Collection is conservative — it walks every
-// link of every reached flow, saturated or not — so the recomputed set is
-// a union of whole max-min components and progressive filling inside it
-// reproduces exactly what a global fill would assign those flows.
-func (s *Sim) reallocateComponent() {
-	s.epoch++
-	epoch := s.epoch
-
-	// Collect the affected component: BFS over links, where visiting a
-	// link visits every flow on it and visiting a flow enqueues all its
-	// links. nOn ends up as the total flow count per component link.
-	que := s.compLinks[:0]
-	comp := s.compFlows[:0]
-	for _, f := range s.seedFlows {
-		if f.gone || f.mark == epoch {
-			continue
-		}
-		f.mark = epoch
-		comp = append(comp, f)
-		for _, l := range f.links {
-			if s.linkMark[l] != epoch {
-				s.linkMark[l] = epoch
-				s.rem[l] = s.capacity[l]
-				s.nOn[l] = 0
-				que = append(que, l)
-			}
-			s.nOn[l]++
-		}
-	}
-	for _, l := range s.seedLinks {
-		if s.linkMark[l] != epoch {
-			s.linkMark[l] = epoch
-			s.rem[l] = s.capacity[l]
-			s.nOn[l] = 0
-			que = append(que, l)
-		}
-	}
-	s.seedFlows = s.seedFlows[:0]
-	s.seedLinks = s.seedLinks[:0]
-	for qi := 0; qi < len(que); qi++ {
-		for _, e := range s.linkFlows[que[qi]] {
-			f := e.f
-			if f.mark == epoch {
-				continue
-			}
-			f.mark = epoch
-			comp = append(comp, f)
-			for _, l := range f.links {
-				if s.linkMark[l] != epoch {
-					s.linkMark[l] = epoch
-					s.rem[l] = s.capacity[l]
-					s.nOn[l] = 0
-					que = append(que, l)
-				}
-				s.nOn[l]++
-			}
-		}
-	}
-	s.compLinks = que
-	s.compFlows = comp
-	s.met.componentFlows.Observe(float64(len(comp)))
-
-	// Progressive filling over the component via link saturation levels:
-	// all unfrozen rates rise uniformly, and link l saturates when the
-	// level reaches rem[l]/nOn[l]. Freezing a flow at level λ removes λ
-	// of load and one active flow from each of its links, which can only
-	// raise their saturation levels — so a lazy min-heap of levels pops
-	// links in saturation order, re-queueing entries whose key went
-	// stale. rate < 0 marks a flow as not yet frozen.
-	h := s.satHeap[:0]
-	for _, l := range que {
-		if n := s.nOn[l]; n > 0 {
-			h = satPush(h, satEntry{level: s.rem[l] / float64(n), link: l})
-		}
-	}
-	for _, f := range comp {
-		f.rate = -1
-	}
-	level := 0.0
-	for len(h) > 0 {
-		e := h[0]
-		h = satPop(h)
-		n := s.nOn[e.link]
-		if n == 0 {
-			continue
-		}
-		cur := s.rem[e.link] / float64(n)
-		if cur != e.level {
-			// Flows froze on this link since the entry was pushed;
-			// its saturation level rose. Re-queue at the current key.
-			h = satPush(h, satEntry{level: cur, link: e.link})
-			continue
-		}
-		if cur > level {
-			level = cur
-		}
-		// Link saturates: freeze every unfrozen flow crossing it at the
-		// current fill level.
-		for _, le := range s.linkFlows[e.link] {
-			f := le.f
-			if f.rate >= 0 {
-				continue
-			}
-			f.rate = level
-			for _, m := range f.links {
-				s.nOn[m]--
-				s.rem[m] -= level
-			}
-		}
-	}
-	s.satHeap = h
-	for _, f := range comp {
-		if f.rate < 0 {
-			// No capacitated link constrains this flow.
-			f.rate = math.Inf(1)
-		}
-	}
 }

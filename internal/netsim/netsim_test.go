@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/mayflower-dfs/mayflower/internal/maxmin"
 	"github.com/mayflower-dfs/mayflower/internal/testutil"
 	"github.com/mayflower-dfs/mayflower/internal/topology"
 )
@@ -144,6 +145,50 @@ func TestCancelFlowRestoresRate(t *testing.T) {
 	}
 	// Cancelling again is a no-op.
 	s.CancelFlow(victim)
+}
+
+// TestRatesFollowFlowsThroughChurn: through random admissions and
+// cancellations every active flow's FlowRate is its max-min share over
+// the active flows, so the active list and the rate table stay in step
+// row for row.
+func TestRatesFollowFlowsThroughChurn(t *testing.T) {
+	s := newSim(t)
+	topo := s.Topology()
+	hosts := topo.Hosts()
+	caps := make([]float64, topo.NumLinks())
+	for _, l := range topo.Links() {
+		caps[l.ID] = l.Capacity
+	}
+	r := testutil.Rand(t, 5)
+	var ids []FlowID
+	var flows []maxmin.Flow
+	for step := 0; step < 300; step++ {
+		if len(ids) > 0 && r.Intn(3) == 0 {
+			k := r.Intn(len(ids))
+			s.CancelFlow(ids[k])
+			ids[k], flows[k] = ids[len(ids)-1], flows[len(flows)-1]
+			ids, flows = ids[:len(ids)-1], flows[:len(flows)-1]
+		} else {
+			src, dst := hosts[r.Intn(len(hosts))], hosts[r.Intn(len(hosts))]
+			if src == dst {
+				continue
+			}
+			paths := topo.ShortestPaths(src, dst)
+			path := paths[r.Intn(len(paths))]
+			links := make([]int, len(path))
+			for i, l := range path {
+				links[i] = int(l)
+			}
+			ids = append(ids, s.StartFlow(FlowConfig{Links: path, Bits: 1e15}))
+			flows = append(flows, maxmin.Flow{Links: links, Demand: math.Inf(1)})
+		}
+		want := maxmin.Allocate(caps, flows)
+		for i, id := range ids {
+			if got := s.FlowRate(id); !near(got, want[i]) {
+				t.Fatalf("step %d: FlowRate(%d) = %g, want %g", step, id, got, want[i])
+			}
+		}
+	}
 }
 
 func TestCrossPodPathBottleneck(t *testing.T) {
